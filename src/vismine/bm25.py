@@ -4,12 +4,23 @@ Every retrieval step in the pipeline (paper screening neighbors, figure
 exemplar sampling, figure-level label retrieval) goes through this module,
 so scoring stays deterministic and auditable: fixed parameters, a
 nonnegative IDF, and doc-id tie-breaking.
+
+Queries are evaluated term at a time (Turtle & Flood 1995): `top_k` and
+`rank_all` walk the postings of each query token in query order and add
+that term's contribution to one score accumulator, so a query costs the
+total length of its terms' posting lists rather than one `score()` call
+per document.  The corpus statistics are computed once per index
+(Robertson & Zaragoza 2009): the average document length at build time,
+each term's IDF on first use.  Every addition uses the same expression,
+in the same per-document order, as the doc-at-a-time `score()`, so the
+accumulated scores equal `score()` bit for bit and rankings are exact.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -54,11 +65,18 @@ class Bm25Index:
             if doc.doc_id in self._doc_lengths:
                 raise RetrievalError(f"duplicate doc_id: {doc.doc_id!r}")
             self._doc_lengths[doc.doc_id] = doc.length
-            for token in doc.tokens:
-                if not token:
-                    raise RetrievalError(f"empty token in doc {doc.doc_id!r}")
-                self._postings.setdefault(token, {}).setdefault(doc.doc_id, 0)
-                self._postings[token][doc.doc_id] += 1
+            counts = Counter(doc.tokens)
+            if "" in counts:
+                raise RetrievalError(f"empty token in doc {doc.doc_id!r}")
+            for token, tf in counts.items():
+                self._postings.setdefault(token, {})[doc.doc_id] = tf
+        self._avg_doc_length = (
+            sum(self._doc_lengths.values()) / len(self._doc_lengths)
+            if self._doc_lengths else 0.0
+        )
+        # Filled on first use, so an index built per LOO fold pays only for
+        # the terms its queries touch, not for the whole vocabulary.
+        self._idf: dict[str, float] = {}
 
     @property
     def doc_count(self) -> int:
@@ -66,9 +84,7 @@ class Bm25Index:
 
     @property
     def avg_doc_length(self) -> float:
-        if not self._doc_lengths:
-            return 0.0
-        return sum(self._doc_lengths.values()) / len(self._doc_lengths)
+        return self._avg_doc_length
 
     @property
     def doc_ids(self) -> list[str]:
@@ -87,6 +103,36 @@ class Bm25Index:
 
     def term_frequency(self, term: str, doc_id: str) -> int:
         return self._postings.get(term, {}).get(doc_id, 0)
+
+    def _term_idf(self, term: str) -> float:
+        value = self._idf.get(term)
+        if value is None:
+            value = self._idf[term] = idf(self, term)
+        return value
+
+    def _accumulate(self, query_tokens: Sequence[str], k1: float, b: float) -> dict[str, float]:
+        """Score of every document sharing a term with the query.
+
+        Walks the query tokens in order, repetitions included, and adds each
+        term's contribution to the documents in its posting list.  Each
+        addition is `score()`'s expression in `score()`'s per-document
+        order, so every value equals `score(self, query_tokens, doc_id)`
+        exactly; documents sharing no term are absent (score 0.0).
+        """
+        scores: dict[str, float] = {}
+        avgdl = self._avg_doc_length
+        if avgdl == 0.0:
+            return scores
+        lengths = self._doc_lengths
+        for term in query_tokens:
+            posting = self._postings.get(term)
+            if posting is None:
+                continue
+            term_idf = self._term_idf(term)
+            for doc_id, tf in posting.items():
+                norm = tf + k1 * (1.0 - b + b * lengths[doc_id] / avgdl)
+                scores[doc_id] = scores.get(doc_id, 0.0) + term_idf * tf * (k1 + 1.0) / norm
+        return scores
 
     def dump(self) -> dict:
         """JSON-friendly snapshot for debugging."""
@@ -140,6 +186,10 @@ def score(
     return total
 
 
+def _rank_key(pair: tuple[str, float]) -> tuple[float, str]:
+    return (-pair[1], pair[0])
+
+
 def top_k(
     index: Bm25Index,
     query_tokens: Sequence[str],
@@ -154,17 +204,12 @@ def top_k(
     """
     if k < 1:
         raise RetrievalError(f"k must be >= 1, got {k}")
-    candidates: set[str] = set()
-    for term in query_tokens:
-        candidates.update(index._postings.get(term, {}))
-    candidates.difference_update(exclude)
-    scored = [
-        (doc_id, score(index, query_tokens, doc_id, k1=k1, b=b))
-        for doc_id in candidates
-    ]
-    scored = [(doc_id, s) for doc_id, s in scored if s > 0.0]
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return [doc_id for doc_id, _ in scored[:k]]
+    scores = index._accumulate(query_tokens, k1, b)
+    ranked = sorted(
+        (pair for pair in scores.items() if pair[1] > 0.0 and pair[0] not in exclude),
+        key=_rank_key,
+    )
+    return [doc_id for doc_id, _ in ranked[:k]]
 
 
 def rank_all(
@@ -179,10 +224,11 @@ def rank_all(
     Used where a full ordering is needed (class-balanced exemplar picking
     must be able to reach past the zero-score frontier).
     """
-    scored = [
-        (doc_id, score(index, query_tokens, doc_id, k1=k1, b=b))
-        for doc_id in index.doc_ids
+    scores = index._accumulate(query_tokens, k1, b)
+    ranked = [
+        (doc_id, scores.get(doc_id, 0.0))
+        for doc_id in index._doc_lengths
         if doc_id not in exclude
     ]
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return scored
+    ranked.sort(key=_rank_key)
+    return ranked

@@ -20,7 +20,7 @@ from . import stage3 as stage3_mod
 from . import evaluation as eval_mod
 from . import analysis as analysis_mod
 from .config import load_config, validate_config, build_gateway
-from .errors import ConfigError, VismineError
+from .errors import ConfigError, InputError, VismineError
 from .jsonl import read_jsonl, write_json, write_jsonl
 from .library import load_library
 from .pipeline import STAGES, run_pipeline, _evidence_lookup_from_file
@@ -353,6 +353,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except InputError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except VismineError as exc:
         print(f"error: {exc}", file=sys.stderr)

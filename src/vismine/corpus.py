@@ -7,7 +7,7 @@ import re
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
-from .errors import CorpusError
+from .errors import CorpusError, InputError
 
 logger = logging.getLogger(__name__)
 
@@ -53,6 +53,18 @@ class PaperRecord:
         return out
 
 
+def _int_field(raw: Mapping, paper_id: str, name: str) -> int | None:
+    value = raw.get(name)
+    if value is None:
+        return None
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(
+            f"record {paper_id!r}: field {name!r} is not an integer: {value!r}"
+        ) from exc
+
+
 def record_from_dict(raw: Mapping) -> PaperRecord:
     """Build a PaperRecord from one JSON object, validating field shapes."""
     paper_id = str(raw.get("paper_id") or "").strip()
@@ -61,16 +73,12 @@ def record_from_dict(raw: Mapping) -> PaperRecord:
     title = str(raw.get("title") or "").strip()
     if not title:
         raise CorpusError(f"record {paper_id!r} missing title")
-    year = raw.get("year")
-    if year is not None:
-        year = int(year)
-        if year < MIN_YEAR:
-            raise CorpusError(f"record {paper_id!r} has implausible year {year}")
-    citations = raw.get("citation_count")
-    if citations is not None:
-        citations = int(citations)
-        if citations < 0:
-            raise CorpusError(f"record {paper_id!r} has negative citation_count")
+    year = _int_field(raw, paper_id, "year")
+    if year is not None and year < MIN_YEAR:
+        raise CorpusError(f"record {paper_id!r} has implausible year {year}")
+    citations = _int_field(raw, paper_id, "citation_count")
+    if citations is not None and citations < 0:
+        raise CorpusError(f"record {paper_id!r} has negative citation_count")
     label = raw.get("label")
     if label is not None and label not in LABELS:
         raise CorpusError(f"record {paper_id!r} has unknown label {label!r}")
@@ -164,25 +172,20 @@ class LabeledPool:
         overlap = set(self.positives) & set(self.negatives)
         if overlap:
             raise CorpusError(f"ids labeled both positive and negative: {sorted(overlap)}")
+        # Both maps are read inside the few-shot rebalancing loops, so they
+        # are built once here rather than on every lookup.
+        labels = {**dict.fromkeys(self.positives, POSITIVE),
+                  **dict.fromkeys(self.negatives, NEGATIVE)}
+        object.__setattr__(self, "_labels", labels)
+        object.__setattr__(self, "_by_id", {r.paper_id: r for r in self.records})
 
     @property
-    def by_id(self) -> dict[str, PaperRecord]:
-        return {r.paper_id: r for r in self.records}
+    def by_id(self) -> Mapping[str, PaperRecord]:
+        """Records by paper id; shared by every caller, so read-only."""
+        return self._by_id
 
     def label_of(self, paper_id: str) -> str | None:
-        if paper_id in self.positives:
-            return POSITIVE
-        if paper_id in self.negatives:
-            return NEGATIVE
-        return None
-
-    def positive_records(self) -> list[PaperRecord]:
-        by_id = self.by_id
-        return [by_id[i] for i in self.positives]
-
-    def negative_records(self) -> list[PaperRecord]:
-        by_id = self.by_id
-        return [by_id[i] for i in self.negatives]
+        return self._labels.get(paper_id)
 
     def without(self, paper_id: str) -> "LabeledPool":
         """Pool with one paper removed (leave-one-out folds)."""

@@ -5,6 +5,11 @@ class VismineError(Exception):
     """Base class for all toolkit errors."""
 
 
+class InputError(VismineError):
+    """An input file cannot be read as data: a line that is not JSON, or a
+    field that must be an integer holding something else."""
+
+
 class CorpusError(VismineError):
     """Malformed metadata records, bad label assignments, or invalid filters."""
 

@@ -20,6 +20,7 @@ from .library import CodedPaper
 from .stage1 import (
     FewShotContext,
     build_fewshot_context,
+    paper_doc,
     paper_query_tokens,
     pool_index,
     screening_request,
@@ -121,15 +122,19 @@ def bm25_majority_baseline(
     pool: LabeledPool,
     k: int,
     index: bm25.Bm25Index | None = None,
+    query_tokens: Sequence[str] | None = None,
 ) -> str:
-    """Majority label among BM25 top-k neighbors; ties resolve positive."""
+    """Majority label among BM25 top-k neighbors; ties resolve positive.
+
+    `query_tokens`, when given, must be `paper_query_tokens(target)`.
+    """
     if not pool.records:
         raise EvaluationError("empty pool for baseline")
     if index is None:
         index = pool_index(pool)
-    neighbors = bm25.top_k(
-        index, paper_query_tokens(target), k, exclude={target.paper_id}
-    )
+    if query_tokens is None:
+        query_tokens = paper_query_tokens(target)
+    neighbors = bm25.top_k(index, query_tokens, k, exclude={target.paper_id})
     votes = [pool.label_of(n) for n in neighbors]
     positive_votes = sum(1 for v in votes if v == POSITIVE)
     negative_votes = sum(1 for v in votes if v == NEGATIVE)
@@ -249,24 +254,28 @@ def run_stage1_loo(
     def bump(method: str, model: str, fold_counts: ConfusionCounts) -> None:
         aggregates.setdefault((method, model), ConfusionCounts()).add(fold_counts)
 
+    # Each paper is tokenized once per run; a fold's index is built from
+    # the other papers' documents, so the held-out paper never enters its
+    # N, df or average length, and its query is its own document's tokens.
+    docs = [paper_doc(r) for r in pool.records]
     folds = 0
-    for target in pool.records:
+    for target, target_doc in zip(pool.records, docs):
         folds += 1
         rest = pool.without(target.paper_id)
-        rest_index = pool_index(rest)
+        rest_index = bm25.build_index(d for d in docs if d is not target_doc)
+        query = target_doc.tokens
         gold_positive = target.label == POSITIVE
 
-        baseline_pred = bm25_majority_baseline(target, rest, k=baseline_k, index=rest_index)
+        baseline_pred = bm25_majority_baseline(
+            target, rest, k=baseline_k, index=rest_index, query_tokens=query
+        )
         bump("majority_vote", "bm25", _binary_counts(gold_positive, baseline_pred == POSITIVE, True))
         report.folds.append(
             FoldLog(
                 stage="stage1",
                 method="majority_vote",
                 held_out=target.paper_id,
-                neighbors=bm25.top_k(
-                    rest_index, paper_query_tokens(target), baseline_k,
-                    exclude={target.paper_id},
-                ),
+                neighbors=bm25.top_k(rest_index, query, baseline_k, exclude={target.paper_id}),
             )
         )
 
@@ -277,7 +286,8 @@ def run_stage1_loo(
             else:
                 try:
                     context = build_fewshot_context(
-                        target, rest, rest_index, k=shot, min_pos=min_pos, min_neg=min_neg
+                        target, rest, rest_index, k=shot, min_pos=min_pos, min_neg=min_neg,
+                        query_tokens=query,
                     )
                 except StageError as exc:
                     report.errors.append(f"stage1/{method}/{target.paper_id}: {exc}")

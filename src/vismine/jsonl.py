@@ -8,6 +8,8 @@ import os
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from .errors import InputError
+
 
 def read_jsonl(path: str | Path) -> Iterator[dict]:
     with open(path, encoding="utf-8") as handle:
@@ -18,7 +20,7 @@ def read_jsonl(path: str | Path) -> Iterator[dict]:
             try:
                 yield json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{line_number}: invalid JSON: {exc}") from exc
+                raise InputError(f"{path}:{line_number}: invalid JSON: {exc}") from exc
 
 
 def dumps_stable(obj) -> str:

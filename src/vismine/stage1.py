@@ -36,12 +36,13 @@ def paper_query_tokens(record: PaperRecord) -> list[str]:
     return bm25.tokenize(f"{record.title} {record.abstract}")
 
 
+def paper_doc(record: PaperRecord) -> bm25.TokenizedDoc:
+    """A paper as a retrieval document: its id and its query tokens."""
+    return bm25.TokenizedDoc(doc_id=record.paper_id, tokens=tuple(paper_query_tokens(record)))
+
+
 def pool_index(pool: LabeledPool) -> bm25.Bm25Index:
-    docs = [
-        bm25.TokenizedDoc(doc_id=r.paper_id, tokens=tuple(paper_query_tokens(r)))
-        for r in pool.records
-    ]
-    return bm25.build_index(docs)
+    return bm25.build_index(paper_doc(r) for r in pool.records)
 
 
 @dataclass(frozen=True)
@@ -70,13 +71,15 @@ def build_fewshot_context(
     k: int = DEFAULT_K,
     min_pos: int = DEFAULT_MIN_POS,
     min_neg: int = DEFAULT_MIN_NEG,
+    query_tokens: Sequence[str] | None = None,
 ) -> FewShotContext:
     """Top-k retrieval neighbors rebalanced to meet class minimums.
 
     When one class is underrepresented, the lowest-ranked members of the
     other class are swapped for the best-ranked missing-class members;
     the survivors keep retrieval-score order. The target itself is always
-    excluded, so leave-one-out runs cannot leak it.
+    excluded, so leave-one-out runs cannot leak it. `query_tokens`, when
+    given, must be `paper_query_tokens(target)`, already computed.
     """
     if k < 1:
         raise StageError(f"k must be >= 1, got {k}")
@@ -89,7 +92,9 @@ def build_fewshot_context(
         )
     if index is None:
         index = pool_index(pool)
-    ranked = bm25.rank_all(index, paper_query_tokens(target), exclude={target.paper_id})
+    if query_tokens is None:
+        query_tokens = paper_query_tokens(target)
+    ranked = bm25.rank_all(index, query_tokens, exclude={target.paper_id})
     rank_of = {doc_id: pos for pos, (doc_id, _) in enumerate(ranked)}
     chosen = [doc_id for doc_id, _ in ranked[:k]]
 

@@ -19,7 +19,7 @@ from .evidence import FigureEvidence, figure_sort_key
 from .gateway import Gateway, PromptRequest, clip_confidence, parse_json_payload, parse_verdict
 from .library import CodedPaper
 from .prompts import FIGURE_SCHEMA, FIGURE_SYSTEM
-from .stage1 import paper_query_tokens
+from .stage1 import paper_doc, paper_query_tokens
 
 logger = logging.getLogger(__name__)
 
@@ -81,13 +81,7 @@ class FigureExemplarSet:
 
 
 def library_index(library: Sequence[CodedPaper]) -> bm25.Bm25Index:
-    docs = [
-        bm25.TokenizedDoc(
-            doc_id=p.paper_id, tokens=tuple(paper_query_tokens(p.record))
-        )
-        for p in library
-    ]
-    return bm25.build_index(docs)
+    return bm25.build_index(paper_doc(p.record) for p in library)
 
 
 def retrieve_neighbor_papers(

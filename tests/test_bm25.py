@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vismine import bm25
 from vismine.errors import RetrievalError
@@ -240,3 +242,67 @@ class TestTopK:
             assert bm25.top_k(index, query, k, exclude=exclude) == brute_force_top_k(
                 docs, query, k, exclude=exclude
             )
+
+
+VOCABULARY = ["model", "loss", "chart", "saliency", "graph", "epoch", "layer"]
+
+# Doc ids from a small alphabet so that ids of different lengths and equal
+# prefixes meet in the doc-id tie-break; docs may be empty (zero length).
+corpora = st.dictionaries(
+    st.text(alphabet="abxyz", min_size=1, max_size=3),
+    st.lists(st.sampled_from(VOCABULARY), max_size=10),
+    max_size=12,
+)
+# Queries repeat terms freely and may carry terms no document has.
+queries = st.lists(st.sampled_from(VOCABULARY + ["unseen", "absent"]), max_size=8)
+
+
+@st.composite
+def ranking_cases(draw):
+    docs = draw(corpora)
+    query = draw(queries)
+    exclude = draw(st.sets(st.sampled_from(sorted(docs)))) if docs else set()
+    order = draw(st.permutations(sorted(docs)))
+    return docs, query, exclude, order
+
+
+class TestTermAtATimeProperties:
+    """`top_k`/`rank_all` accumulate term at a time; `score()` is the reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ranking_cases())
+    def test_rank_all_scores_equal_reference_exactly(self, case):
+        docs, query, exclude, _ = case
+        index = make_index(docs)
+        ranked = bm25.rank_all(index, query, exclude=exclude)
+        assert sorted(d for d, _ in ranked) == sorted(set(docs) - exclude)
+        for doc_id, value in ranked:
+            assert value == bm25.score(index, query, doc_id)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ranking_cases())
+    def test_order_is_sort_by_score_then_doc_id(self, case):
+        docs, query, exclude, _ = case
+        ranked = bm25.rank_all(make_index(docs), query, exclude=exclude)
+        assert ranked == sorted(ranked, key=lambda pair: (-pair[1], pair[0]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(ranking_cases(), st.integers(min_value=1, max_value=14))
+    def test_top_k_is_positive_prefix_of_rank_all(self, case, k):
+        docs, query, exclude, _ = case
+        index = make_index(docs)
+        positive = [d for d, s in bm25.rank_all(index, query, exclude=exclude) if s > 0.0]
+        assert bm25.top_k(index, query, k, exclude=exclude) == positive[:k]
+
+    @settings(max_examples=200, deadline=None)
+    @given(ranking_cases(), st.integers(min_value=1, max_value=14))
+    def test_invariant_to_indexing_order(self, case, k):
+        docs, query, exclude, order = case
+        index = make_index(docs)
+        reordered = make_index({d: docs[d] for d in order})
+        assert bm25.rank_all(reordered, query, exclude=exclude) == bm25.rank_all(
+            index, query, exclude=exclude
+        )
+        assert bm25.top_k(reordered, query, k, exclude=exclude) == bm25.top_k(
+            index, query, k, exclude=exclude
+        )

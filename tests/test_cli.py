@@ -119,6 +119,37 @@ class TestStageCommands:
         assert "leakage violations: 0" in out
 
 
+class TestMalformedInput:
+    GOOD = {"paper_id": "P01", "title": "Model probes", "abstract": "model analysis"}
+
+    def ingest(self, tmp_path, lines: list[str]) -> tuple[int, Path]:
+        corpus = tmp_path / "bad.jsonl"
+        corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main([
+            "ingest", "--corpus", str(corpus),
+            "--out", str(tmp_path / "out.jsonl"), "--report", str(tmp_path / "report.json"),
+        ])
+        return code, corpus
+
+    def test_invalid_json_names_file_and_line(self, tmp_path, capsys):
+        code, corpus = self.ingest(tmp_path, [json.dumps(self.GOOD), '{"paper_id": "P02",'])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{corpus}:2: invalid JSON" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("field", ["year", "citation_count"])
+    def test_non_integer_field_names_paper_and_field(self, tmp_path, capsys, field):
+        bad = {**self.GOOD, "paper_id": "P02", field: "n/a"}
+        code, _ = self.ingest(tmp_path, [json.dumps(self.GOOD), json.dumps(bad)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "'P02'" in err and repr(field) in err
+        assert "Traceback" not in err
+
+
 class TestEntryPoint:
     def test_help_exits_cleanly(self):
         with pytest.raises(SystemExit) as excinfo:

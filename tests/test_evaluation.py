@@ -2,12 +2,14 @@
 
 import pytest
 
+from vismine import bm25
 from vismine import evaluation as ev
 from vismine.corpus import PaperRecord, load_labeled_pool
 from vismine.errors import EvaluationError
 from vismine.evidence import FigureEvidence
 from vismine.gateway import Gateway, KeywordStubBackend, StubRules
 from vismine.library import CodedFigure, CodedPaper
+from vismine.stage1 import pool_index
 from vismine.vocab import default_vocabulary, FrameworkLabels
 
 VOCAB = default_vocabulary()
@@ -186,6 +188,30 @@ class TestStage1Loo:
             screening_pool(), dual_stub_gateway(), ["primary", "secondary"], shots=(0, 6)
         )
         assert ev.find_leakage(report) == []
+
+    def test_fold_indexes_exact_and_papers_tokenized_once(self, monkeypatch):
+        pool = screening_pool()
+        built, tokenized = [], []
+        build_index, tokenize = bm25.build_index, bm25.tokenize
+
+        def recording_build(docs):
+            built.append(build_index(docs))
+            return built[-1]
+
+        def recording_tokenize(text, *args, **kwargs):
+            tokenized.append(text)
+            return tokenize(text, *args, **kwargs)
+
+        monkeypatch.setattr(bm25, "build_index", recording_build)
+        monkeypatch.setattr(bm25, "tokenize", recording_tokenize)
+        ev.run_stage1_loo(pool, dual_stub_gateway(), ["primary", "secondary"], shots=(0, 6))
+        monkeypatch.undo()
+        assert len(tokenized) == len(pool.records)
+        assert len(built) == len(pool.records)
+        for held_out, index in zip(pool.records, built):
+            expected = pool_index(pool.without(held_out.paper_id))
+            assert held_out.paper_id not in index
+            assert index.dump() == expected.dump()
 
     def test_too_small_pool_rejected(self):
         records = [PaperRecord(paper_id="only", title="t", label="positive")]
