@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from .corpus import DEFAULT_KEYWORDS
 from .errors import ConfigError
 from .gateway import Gateway, HttpBackend, KeywordStubBackend, StubRules
 
@@ -40,7 +41,7 @@ class RunConfig:
     alias_path: Path | None = None
     out_dir: Path = Path("out")
     cache_dir: Path | None = None
-    keywords: tuple[str, ...] = ("model", "learning", "analytics", "analysis")
+    keywords: tuple[str, ...] = DEFAULT_KEYWORDS
     reference_year: int = DEFAULT_REFERENCE_YEAR
     stage1_k: int = 6
     stage1_min_pos: int = 2
@@ -117,7 +118,7 @@ def load_config(path: str | Path) -> RunConfig:
         alias_path=_path_or_none(raw, "aliases"),
         out_dir=Path(raw.get("out_dir", "out")),
         cache_dir=_path_or_none(raw, "cache_dir"),
-        keywords=tuple(raw.get("keywords") or ("model", "learning", "analytics", "analysis")),
+        keywords=tuple(raw.get("keywords") or DEFAULT_KEYWORDS),
         reference_year=int(raw.get("reference_year", DEFAULT_REFERENCE_YEAR)),
         stage1_k=int(stage1.get("k", 6)),
         stage1_min_pos=int(stage1.get("min_pos", 2)),

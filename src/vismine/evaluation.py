@@ -8,7 +8,6 @@ still report.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -32,10 +31,8 @@ from .stage2 import (
     retrieve_neighbor_papers,
     sample_exemplars,
 )
-from .stage3 import build_figure_corpus, extract_labels, normalize_labels, retrieve_similar_figures
+from .stage3 import extract_labels, library_figure_corpus, normalize_labels, retrieve_similar_figures
 from .vocab import FIELDS, LabelVocabulary
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -117,6 +114,14 @@ def micro_f1(counts_list: Sequence[ConfusionCounts]) -> float:
     return f1(sum_counts(counts_list))
 
 
+def _majority_label(pool: LabeledPool, neighbors: Sequence[str]) -> str:
+    """Majority pool label among `neighbors`; ties resolve positive."""
+    votes = [pool.label_of(n) for n in neighbors]
+    positive_votes = sum(1 for v in votes if v == POSITIVE)
+    negative_votes = sum(1 for v in votes if v == NEGATIVE)
+    return POSITIVE if positive_votes >= negative_votes else NEGATIVE
+
+
 def bm25_majority_baseline(
     target,
     pool: LabeledPool,
@@ -134,11 +139,7 @@ def bm25_majority_baseline(
         index = pool_index(pool)
     if query_tokens is None:
         query_tokens = paper_query_tokens(target)
-    neighbors = bm25.top_k(index, query_tokens, k, exclude={target.paper_id})
-    votes = [pool.label_of(n) for n in neighbors]
-    positive_votes = sum(1 for v in votes if v == POSITIVE)
-    negative_votes = sum(1 for v in votes if v == NEGATIVE)
-    return POSITIVE if positive_votes >= negative_votes else NEGATIVE
+    return _majority_label(pool, bm25.top_k(index, query_tokens, k, exclude={target.paper_id}))
 
 
 @dataclass
@@ -266,16 +267,15 @@ def run_stage1_loo(
         query = target_doc.tokens
         gold_positive = target.label == POSITIVE
 
-        baseline_pred = bm25_majority_baseline(
-            target, rest, k=baseline_k, index=rest_index, query_tokens=query
-        )
+        neighbors = bm25.top_k(rest_index, query, baseline_k, exclude={target.paper_id})
+        baseline_pred = _majority_label(rest, neighbors)
         bump("majority_vote", "bm25", _binary_counts(gold_positive, baseline_pred == POSITIVE, True))
         report.folds.append(
             FoldLog(
                 stage="stage1",
                 method="majority_vote",
                 held_out=target.paper_id,
-                neighbors=bm25.top_k(rest_index, query, baseline_k, exclude={target.paper_id}),
+                neighbors=neighbors,
             )
         )
 
@@ -427,13 +427,7 @@ def run_stage3_loo(
             continue
         folds += 1
         rest = [p for p in coded if p.paper_id != target.paper_id]
-        entries = []
-        for paper in rest:
-            for figure in paper.coded_figures():
-                evidence = evidence_lookup(paper.paper_id, figure.figure_id)
-                if evidence is not None:
-                    entries.append((evidence, figure.labels))
-        corpus = build_figure_corpus(entries)
+        corpus = library_figure_corpus(rest, evidence_lookup)
         for shot in shots:
             method = f"{shot}-shot"
             for figure, evidence in gold_figures:

@@ -12,9 +12,11 @@ import csv
 import io
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Sequence
 
+from . import __version__
 from . import analysis as analysis_mod
 from . import corpus as corpus_mod
 from . import evidence as evidence_mod
@@ -26,7 +28,7 @@ from .errors import ConfigError, PipelineError
 from .gateway import Gateway
 from .jsonl import atomic_write_text, dumps_stable, file_sha256, read_jsonl, write_json, write_jsonl
 from .library import load_library
-from .vocab import load_vocabulary
+from .vocab import FIELDS, FrameworkLabels, LabelVocabulary, labels_from_dict, load_vocabulary
 
 logger = logging.getLogger(__name__)
 
@@ -38,8 +40,6 @@ UPSTREAM = {
     "stage3": ("stage2", "evidence"),
     "analyze": ("stage3",),
 }
-
-__version__ = "0.1.0"
 
 
 def stage_outputs(out_dir: Path) -> dict[str, list[Path]]:
@@ -67,12 +67,7 @@ class RunManifest:
     gateway: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "config_hash": self.config_hash,
-            "stages": self.stages,
-            "gateway": self.gateway,
-        }
+        return asdict(self)
 
 
 def _config_hash(config: RunConfig) -> str:
@@ -89,19 +84,18 @@ def _config_hash(config: RunConfig) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _load_corpus_file(path: Path) -> list[corpus_mod.PaperRecord]:
+def _load_corpus_file(path: str | Path) -> list[corpus_mod.PaperRecord]:
     return [corpus_mod.record_from_dict(raw) for raw in read_jsonl(path)]
 
 
-def _load_pool(config: RunConfig, records) -> corpus_mod.LabeledPool:
-    pool_path = config.resolve(config.pool_path)
-    if pool_path is None:
-        raise PipelineError("config has no pool file")
-    assignments = [(str(row["paper_id"]), str(row["label"])) for row in read_jsonl(pool_path)]
-    return corpus_mod.load_labeled_pool(records, assignments)
+def _config_path(config: RunConfig, path: Path | None, name: str) -> Path:
+    resolved = config.resolve(path)
+    if resolved is None:
+        raise PipelineError(f"config has no {name}")
+    return resolved
 
 
-def _evidence_lookup_from_file(path: Path):
+def _evidence_lookup_from_file(path: str | Path):
     table: dict[tuple[str, str], evidence_mod.FigureEvidence] = {}
     for raw in read_jsonl(path):
         ev = evidence_mod.evidence_from_dict(raw)
@@ -112,56 +106,56 @@ def _evidence_lookup_from_file(path: Path):
     return lookup
 
 
-def run_ingest(config: RunConfig, out_dir: Path) -> None:
-    corpus_path = config.resolve(config.corpus_path)
-    if corpus_path is None:
-        raise PipelineError("config has no corpus file")
+def run_ingest(
+    corpus_path: str | Path, out_path: str | Path, report_path: str | Path, keywords: Sequence[str]
+) -> tuple[list[corpus_mod.PaperRecord], corpus_mod.IngestReport]:
+    """Ingest raw metadata and keep the records that match a keyword."""
     records, report = corpus_mod.ingest_metadata(read_jsonl(corpus_path))
-    filtered = corpus_mod.keyword_prefilter(records, config.keywords)
-    write_jsonl(out_dir / "corpus.jsonl", (r.to_dict() for r in filtered))
+    filtered = corpus_mod.keyword_prefilter(records, keywords)
+    write_jsonl(out_path, (r.to_dict() for r in filtered))
     summary = report.to_dict()
     summary["after_keyword_filter"] = len(filtered)
-    summary["keywords"] = list(config.keywords)
-    write_json(out_dir / "ingest_report.json", summary)
+    summary["keywords"] = list(keywords)
+    write_json(report_path, summary)
     logger.info("ingest: %d raw, %d ingested, %d after keyword filter",
                 report.total, report.ingested, len(filtered))
+    return filtered, report
 
 
-def run_stage1_step(config: RunConfig, out_dir: Path, gateway: Gateway) -> None:
-    candidates = _load_corpus_file(out_dir / "corpus.jsonl")
-    pool = _load_pool(config, candidates + _extra_pool_records(config, candidates))
+def run_stage1_step(
+    corpus_path: str | Path, pool_path: str | Path, out_path: str | Path,
+    decisions_path: str | Path | None, gateway: Gateway, backend_ids: Sequence[str],
+    *, k: int, min_pos: int, min_neg: int, max_workers: int,
+) -> stage1_mod.Stage1Result:
+    """Screen the candidates; pool rows with a title add papers the candidates lack.
+
+    The decision log is written unless `decisions_path` is None.
+    """
+    candidates = _load_corpus_file(corpus_path)
+    pool_rows = list(read_jsonl(pool_path))
+    have = {r.paper_id for r in candidates}
+    extras = [corpus_mod.record_from_dict(row) for row in pool_rows
+              if row.get("paper_id") not in have and "title" in row]
+    assignments = [(str(row["paper_id"]), str(row["label"])) for row in pool_rows]
+    pool = corpus_mod.load_labeled_pool(candidates + extras, assignments)
     result = stage1_mod.run_stage1(
         candidates,
         pool,
         gateway,
-        config.stage1_backends,
-        k=config.stage1_k,
-        min_pos=config.stage1_min_pos,
-        min_neg=config.stage1_min_neg,
-        max_workers=config.max_workers,
+        backend_ids,
+        k=k,
+        min_pos=min_pos,
+        min_neg=min_neg,
+        max_workers=max_workers,
     )
-    write_jsonl(out_dir / "stage1_subset.jsonl", (r.to_dict() for r in result.subset))
-    write_jsonl(out_dir / "stage1_decisions.jsonl", (d.to_dict() for d in result.decisions))
+    write_jsonl(out_path, (r.to_dict() for r in result.subset))
+    if decisions_path is not None:
+        write_jsonl(decisions_path, (d.to_dict() for d in result.decisions))
+    return result
 
 
-def _extra_pool_records(config: RunConfig, candidates) -> list[corpus_mod.PaperRecord]:
-    """Pool assignments may reference papers outside the filtered corpus."""
-    pool_path = config.resolve(config.pool_path)
-    if pool_path is None:
-        return []
-    have = {r.paper_id for r in candidates}
-    extras = []
-    for row in read_jsonl(pool_path):
-        if row.get("paper_id") not in have and "title" in row:
-            extras.append(corpus_mod.record_from_dict(row))
-    return extras
-
-
-def run_evidence_step(config: RunConfig, out_dir: Path) -> None:
-    manifest_path = config.resolve(config.docs_manifest_path)
-    docs_dir = config.resolve(config.docs_dir)
-    if manifest_path is None or docs_dir is None:
-        raise PipelineError("config needs docs_manifest and docs_dir for evidence extraction")
+def run_evidence_step(manifest_path: str | Path, docs_dir: Path, out_path: str | Path) -> int:
+    """Extract every figure's evidence from the converted texts; returns the figure count."""
     rows = []
     for entry in read_jsonl(manifest_path):
         paper_id = str(entry["paper_id"])
@@ -171,17 +165,19 @@ def run_evidence_step(config: RunConfig, out_dir: Path) -> None:
         doc = evidence_mod.filter_nonbody(doc)
         for ev in evidence_mod.extract_all_evidence(doc):
             rows.append(ev.to_dict())
-    write_jsonl(out_dir / "evidence.jsonl", rows)
+    return write_jsonl(out_path, rows)
 
 
-def run_stage2_step(config: RunConfig, out_dir: Path, gateway: Gateway) -> None:
-    subset = _load_corpus_file(out_dir / "stage1_subset.jsonl")
-    library_path = config.resolve(config.library_path)
-    if library_path is None:
-        raise PipelineError("config has no library file")
+def run_stage2_step(
+    papers_path: str | Path, evidence_path: str | Path, library_path: str | Path,
+    out_path: str | Path, gateway: Gateway, backend_id: str,
+    *, k: int, max_figs: int, max_workers: int,
+) -> stage2_mod.Stage2Result:
+    """Judge every figure of each paper that the coded library does not hold."""
+    papers = _load_corpus_file(papers_path)
     library = load_library(read_jsonl(library_path))
     library_ids = {p.paper_id for p in library}
-    lookup = _evidence_lookup_from_file(out_dir / "evidence.jsonl")
+    lookup = _evidence_lookup_from_file(evidence_path)
     by_paper: dict[str, list[evidence_mod.FigureEvidence]] = {}
     for ev in lookup.table.values():  # type: ignore[attr-defined]
         by_paper.setdefault(ev.paper_id, []).append(ev)
@@ -189,7 +185,7 @@ def run_stage2_step(config: RunConfig, out_dir: Path, gateway: Gateway) -> None:
         evs.sort(key=lambda e: evidence_mod.figure_sort_key(e.figure_id))
     targets = [
         (record, by_paper.get(record.paper_id, []))
-        for record in subset
+        for record in papers
         if record.paper_id not in library_ids
     ]
     result = stage2_mod.run_stage2(
@@ -197,30 +193,26 @@ def run_stage2_step(config: RunConfig, out_dir: Path, gateway: Gateway) -> None:
         library,
         lookup,
         gateway,
-        config.stage2_backend,
-        k=config.stage2_k,
-        max_figs=config.stage2_max_figs,
-        max_workers=config.max_workers,
+        backend_id,
+        k=k,
+        max_figs=max_figs,
+        max_workers=max_workers,
     )
-    write_jsonl(out_dir / "stage2_verdicts.jsonl", (v.to_dict() for v in result.verdicts))
+    write_jsonl(out_path, (v.to_dict() for v in result.verdicts))
+    return result
 
 
-def run_stage3_step(config: RunConfig, out_dir: Path, gateway: Gateway) -> None:
-    library_path = config.resolve(config.library_path)
-    if library_path is None:
-        raise PipelineError("config has no library file")
+def run_stage3_step(
+    verdicts_path: str | Path, evidence_path: str | Path, library_path: str | Path,
+    out_path: str | Path, vocab: LabelVocabulary, gateway: Gateway, backend_id: str,
+    *, k: int, per_paper_cap: int, max_workers: int,
+) -> stage3_mod.Stage3Result:
+    """Label every selected figure, with the coded library's figures as exemplars."""
     library = load_library(read_jsonl(library_path))
-    lookup = _evidence_lookup_from_file(out_dir / "evidence.jsonl")
-    vocab = load_vocabulary(config.resolve(config.vocab_path), config.resolve(config.alias_path))
-    entries = []
-    for paper in library:
-        for figure in paper.coded_figures():
-            ev = lookup(paper.paper_id, figure.figure_id)
-            if ev is not None:
-                entries.append((ev, figure.labels))
-    corpus = stage3_mod.build_figure_corpus(entries)
+    lookup = _evidence_lookup_from_file(evidence_path)
+    corpus = stage3_mod.library_figure_corpus(library, lookup)
     targets = []
-    for raw in read_jsonl(out_dir / "stage2_verdicts.jsonl"):
+    for raw in read_jsonl(verdicts_path):
         verdict = stage2_mod.verdict_from_dict(raw)
         if not verdict.selected:
             continue
@@ -235,13 +227,13 @@ def run_stage3_step(config: RunConfig, out_dir: Path, gateway: Gateway) -> None:
         corpus,
         vocab,
         gateway,
-        config.stage3_backend,
-        k=config.stage3_k,
-        per_paper_cap=config.stage3_per_paper_cap,
-        exclude_own_paper=True,
-        max_workers=config.max_workers,
+        backend_id,
+        k=k,
+        per_paper_cap=per_paper_cap,
+        max_workers=max_workers,
     )
-    write_jsonl(out_dir / "stage3_labels.jsonl", (l.to_dict() for l in result.labels))
+    write_jsonl(out_path, (l.to_dict() for l in result.labels))
+    return result
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -252,31 +244,33 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buffer.getvalue()
 
 
-def run_analyze_step(config: RunConfig, out_dir: Path) -> None:
-    from .vocab import FIELDS, labels_from_dict
+def run_analyze_step(
+    labels_path: str | Path, papers_path: str | Path | None, library_path: str | Path | None,
+    out_dir: Path, reference_year: int,
+) -> tuple[list[analysis_mod.PathRecord], list[FrameworkLabels], list[analysis_mod.PaperLabels]]:
+    """Write paths, flows, trends and weights from the stage-3 labels and library figures.
 
-    labels = [labels_from_dict(raw) for raw in read_jsonl(out_dir / "stage3_labels.jsonl")]
+    Library papers fill in metadata missing from `papers_path`; either path may be None.
+    """
+    labels = [labels_from_dict(raw) for raw in read_jsonl(labels_path)]
     papers: dict[str, corpus_mod.PaperRecord] = {}
-    corpus_file = out_dir / "corpus.jsonl"
-    if corpus_file.exists():
-        for record in _load_corpus_file(corpus_file):
+    if papers_path is not None:
+        for record in _load_corpus_file(papers_path):
             papers[record.paper_id] = record
-    library_path = config.resolve(config.library_path)
-    if library_path is not None and library_path.exists():
+    if library_path is not None:
         for paper in load_library(read_jsonl(library_path)):
             papers.setdefault(paper.paper_id, paper.record)
             for figure in paper.coded_figures():
                 labels.append(figure.labels)
 
-    analysis_dir = out_dir / "analysis"
     usable = [l for l in labels if not l.flags]
     skipped = len(labels) - len(usable)
     if skipped:
         logger.warning("analyze: %d flagged figure(s) excluded from path expansion", skipped)
     paths = analysis_mod.expand_all(usable)
-    write_jsonl(analysis_dir / "paths.jsonl", (p.to_dict() for p in paths))
-    write_json(analysis_dir / "sankey.json", analysis_mod.sankey_export(paths))
-    write_json(analysis_dir / "edge_flows.json", analysis_mod.edge_flows(usable))
+    write_jsonl(out_dir / "paths.jsonl", (p.to_dict() for p in paths))
+    write_json(out_dir / "sankey.json", analysis_mod.sankey_export(paths))
+    write_json(out_dir / "edge_flows.json", analysis_mod.edge_flows(usable))
 
     paper_labels = analysis_mod.paper_level_labels(usable, papers)
     trend_rows = []
@@ -286,19 +280,20 @@ def run_analyze_step(config: RunConfig, out_dir: Path) -> None:
             trend_rows.append([row["year"], row["field"], row["category"],
                                row["papers"], row["carriers"], f"{row['proportion']:.6f}"])
         for row in analysis_mod.weighted_coverage(
-            paper_labels, fname, reference_year=config.reference_year
+            paper_labels, fname, reference_year=reference_year
         ):
             share = "" if row["weighted_share"] is None else f"{row['weighted_share']:.6f}"
             weight_rows.append([row["field"], row["category"],
                                 f"{row['prevalence']:.6f}", share])
     atomic_write_text(
-        analysis_dir / "trends.csv",
+        out_dir / "trends.csv",
         _csv_text(["year", "field", "category", "papers", "carriers", "proportion"], trend_rows),
     )
     atomic_write_text(
-        analysis_dir / "weights.csv",
+        out_dir / "weights.csv",
         _csv_text(["field", "category", "prevalence", "weighted_share"], weight_rows),
     )
+    return paths, usable, paper_labels
 
 
 def run_pipeline(config: RunConfig, stages: list[str] | None = None) -> RunManifest:
@@ -319,6 +314,10 @@ def run_pipeline(config: RunConfig, stages: list[str] | None = None) -> RunManif
     out_dir = config.resolve(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = stage_outputs(out_dir)
+    corpus_out, report_out = outputs["ingest"]
+    subset_out, decisions_out = outputs["stage1"]
+    [evidence_out], [verdicts_out] = outputs["evidence"], outputs["stage2"]
+    [labels_out] = outputs["stage3"]
     manifest = RunManifest(config_hash=_config_hash(config))
     needs_gateway = any(s in stages for s in ("stage1", "stage2", "stage3"))
     gateway = build_gateway(config) if needs_gateway else None
@@ -341,17 +340,39 @@ def run_pipeline(config: RunConfig, stages: list[str] | None = None) -> RunManif
         }
         started = time.time()
         if stage == "ingest":
-            run_ingest(config, out_dir)
+            corpus_path = _config_path(config, config.corpus_path, "corpus file")
+            run_ingest(corpus_path, corpus_out, report_out, config.keywords)
         elif stage == "stage1":
-            run_stage1_step(config, out_dir, gateway)
+            pool_path = _config_path(config, config.pool_path, "pool file")
+            run_stage1_step(
+                corpus_out, pool_path, subset_out, decisions_out, gateway, config.stage1_backends,
+                k=config.stage1_k, min_pos=config.stage1_min_pos, min_neg=config.stage1_min_neg,
+                max_workers=config.max_workers,
+            )
         elif stage == "evidence":
-            run_evidence_step(config, out_dir)
+            manifest_path = _config_path(config, config.docs_manifest_path, "docs_manifest file")
+            docs_dir = _config_path(config, config.docs_dir, "docs_dir directory")
+            run_evidence_step(manifest_path, docs_dir, evidence_out)
         elif stage == "stage2":
-            run_stage2_step(config, out_dir, gateway)
+            library_path = _config_path(config, config.library_path, "library file")
+            run_stage2_step(
+                subset_out, evidence_out, library_path, verdicts_out, gateway,
+                config.stage2_backend, k=config.stage2_k, max_figs=config.stage2_max_figs,
+                max_workers=config.max_workers,
+            )
         elif stage == "stage3":
-            run_stage3_step(config, out_dir, gateway)
+            library_path = _config_path(config, config.library_path, "library file")
+            vocab = load_vocabulary(config.resolve(config.vocab_path),
+                                    config.resolve(config.alias_path))
+            run_stage3_step(
+                verdicts_out, evidence_out, library_path, labels_out, vocab, gateway,
+                config.stage3_backend, k=config.stage3_k,
+                per_paper_cap=config.stage3_per_paper_cap, max_workers=config.max_workers,
+            )
         elif stage == "analyze":
-            run_analyze_step(config, out_dir)
+            papers_path = corpus_out if corpus_out.exists() else None
+            run_analyze_step(labels_out, papers_path, config.resolve(config.library_path),
+                             out_dir / "analysis", config.reference_year)
         manifest.stages[stage] = {
             "inputs": inputs,
             "outputs": {str(p): file_sha256(p) for p in outputs[stage] if p.exists()},

@@ -51,9 +51,3 @@ Answer with a single strict JSON object:
  "evidence": {"model_listener": "...", "data_type": "...",
               "visualization_type": "...", "visualization_purpose": "..."}}
 No prose outside the JSON object."""
-
-SYSTEMS = {
-    SCREEN_SCHEMA: SCREEN_SYSTEM,
-    FIGURE_SCHEMA: FIGURE_SYSTEM,
-    LABELS_SCHEMA: LABELS_SYSTEM,
-}

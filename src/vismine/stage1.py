@@ -197,13 +197,6 @@ class Stage1Result:
     decisions: list[ScreenDecision]
     retry: list[str]
 
-    def report(self) -> dict:
-        return {
-            "candidates": len(self.decisions),
-            "positives": len(self.subset),
-            "undecided": len(self.retry),
-        }
-
 
 def run_stage1(
     candidates: Sequence[PaperRecord],

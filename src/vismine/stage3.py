@@ -20,7 +20,9 @@ from . import bm25
 from .errors import BackendUnavailable, StageError
 from .evidence import FigureEvidence
 from .gateway import Gateway, PromptRequest, clip_confidence, parse_json_payload
+from .library import CodedPaper
 from .prompts import LABELS_SCHEMA, LABELS_SYSTEM
+from .stage2 import EvidenceLookup
 from .vocab import (
     DATA_TYPE,
     FIELDS,
@@ -91,6 +93,18 @@ def build_figure_corpus(
         evidence_map[doc_id] = evidence
         labels_map[doc_id] = labels
     return FigureCorpus(index=bm25.build_index(docs), evidence=evidence_map, labels=labels_map)
+
+
+def library_figure_corpus(library: Sequence[CodedPaper],
+                          evidence_lookup: EvidenceLookup) -> FigureCorpus:
+    """The figure corpus of every coded figure in `library` whose evidence is known."""
+    entries = []
+    for paper in library:
+        for figure in paper.coded_figures():
+            evidence = evidence_lookup(paper.paper_id, figure.figure_id)
+            if evidence is not None:
+                entries.append((evidence, figure.labels))
+    return build_figure_corpus(entries)
 
 
 def retrieve_similar_figures(
@@ -293,19 +307,18 @@ def run_stage3(
     backend_id: str,
     k: int = DEFAULT_K,
     per_paper_cap: int = DEFAULT_PER_PAPER_CAP,
-    exclude_own_paper: bool = True,
     max_workers: int = 1,
 ) -> Stage3Result:
     """Label every target figure, then aggregate at base-figure level.
 
+    A figure's own paper never supplies its exemplars.
     Output order follows (paper_id, base figure) of the input, so reruns
     are byte-stable.
     """
 
     def process(evidence: FigureEvidence):
-        exclude = evidence.paper_id if exclude_own_paper else None
         doc_ids = retrieve_similar_figures(
-            evidence, corpus, k=k, per_paper_cap=per_paper_cap, exclude_paper=exclude
+            evidence, corpus, k=k, per_paper_cap=per_paper_cap, exclude_paper=evidence.paper_id
         )
         exemplars = [(corpus.evidence[d], corpus.labels[d]) for d in doc_ids]
         try:

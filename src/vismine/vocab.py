@@ -22,7 +22,6 @@ VIS_PURPOSE = "visualization_purpose"
 
 FIELDS = (MODEL_LISTENER, DATA_TYPE, VIS_TYPE, VIS_PURPOSE)
 MULTI_FIELDS = (MODEL_LISTENER, DATA_TYPE)
-SINGLE_FIELDS = (VIS_TYPE, VIS_PURPOSE)
 
 OTHER = "other"
 

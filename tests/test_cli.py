@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, file handoffs."""
 
 import json
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -117,6 +118,98 @@ class TestStageCommands:
         assert report["rows"]
         out = capsys.readouterr().out
         assert "leakage violations: 0" in out
+
+
+RUN_OUTPUTS = (
+    "corpus.jsonl", "ingest_report.json", "stage1_subset.jsonl", "stage1_decisions.jsonl",
+    "evidence.jsonl", "stage2_verdicts.jsonl", "stage3_labels.jsonl",
+    "analysis/paths.jsonl", "analysis/sankey.json", "analysis/edge_flows.json",
+    "analysis/trends.csv", "analysis/weights.csv",
+)
+
+
+def run_stagewise(config: str, work: Path) -> None:
+    """Every step through its own subcommand, written under `vismine run`'s file names."""
+    work.mkdir(parents=True)
+    steps = [
+        ["ingest", "--corpus", fx("corpus.jsonl"), "--out", str(work / "corpus.jsonl"),
+         "--report", str(work / "ingest_report.json")],
+        ["stage1", "--corpus", str(work / "corpus.jsonl"), "--pool", fx("pool.jsonl"),
+         "--out", str(work / "stage1_subset.jsonl"),
+         "--log", str(work / "stage1_decisions.jsonl"), "--config", config],
+        ["evidence", "--docs-manifest", fx("docs_manifest.jsonl"), "--docs-dir", fx("docs"),
+         "--out", str(work / "evidence.jsonl")],
+        ["stage2", "--papers", str(work / "stage1_subset.jsonl"),
+         "--evidence", str(work / "evidence.jsonl"), "--library", fx("library.jsonl"),
+         "--out", str(work / "stage2_verdicts.jsonl"), "--config", config],
+        ["stage3", "--figures", str(work / "stage2_verdicts.jsonl"),
+         "--evidence", str(work / "evidence.jsonl"), "--library", fx("library.jsonl"),
+         "--out", str(work / "stage3_labels.jsonl"), "--config", config],
+        ["analyze", "--labels", str(work / "stage3_labels.jsonl"),
+         "--papers", str(work / "corpus.jsonl"), "--library", fx("library.jsonl"),
+         "--out-dir", str(work / "analysis")],
+    ]
+    for step in steps:
+        assert main(step) == 0, step[0]
+
+
+def run_composite(config: Path) -> Path:
+    assert main(["run", "--config", str(config)]) == 0
+    return Path(json.loads(config.read_text())["out_dir"])
+
+
+class TestStagewiseMatchesRun:
+    def test_every_output_byte_identical(self, fixture_config, tmp_path):
+        run_dir = run_composite(fixture_config("composite"))
+        run_stagewise(str(fixture_config("stagewise")), tmp_path / "stagewise")
+        for name in RUN_OUTPUTS:
+            assert (tmp_path / "stagewise" / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+
+class TestConfigVocabulary:
+    """Without `--vocab`/`--alias`, stage3 and eval read the config's files."""
+
+    @pytest.fixture
+    def alias_file(self, tmp_path) -> Path:
+        aliases = json.loads(resources.files("vismine").joinpath("data", "aliases.json").read_text())
+        assert aliases["visualization_type"]["scatter plot"] == "statistical chart"
+        aliases["visualization_type"]["scatter plot"] = "heatmap"  # a stub rule's value
+        path = tmp_path / "aliases.json"
+        path.write_text(json.dumps(aliases), encoding="utf-8")
+        return path
+
+    def test_stage3_matches_run(self, fixture_config, tmp_path, alias_file):
+        config = fixture_config("aliased", aliases=str(alias_file))
+        run_dir = run_composite(config)
+        default_dir = run_composite(fixture_config("default"))
+        labels = (run_dir / "stage3_labels.jsonl").read_bytes()
+        assert labels != (default_dir / "stage3_labels.jsonl").read_bytes()
+
+        assert main([
+            "stage3", "--figures", str(run_dir / "stage2_verdicts.jsonl"),
+            "--evidence", str(run_dir / "evidence.jsonl"), "--library", fx("library.jsonl"),
+            "--out", str(tmp_path / "labels.jsonl"), "--config", str(config),
+        ]) == 0
+        assert (tmp_path / "labels.jsonl").read_bytes() == labels
+
+    def test_eval_uses_config_aliases(self, fixture_config, tmp_path, alias_file):
+        config = str(fixture_config("aliased_eval", aliases=str(alias_file)))
+        evidence = str(tmp_path / "evidence.jsonl")
+        assert main(["evidence", "--docs-manifest", fx("docs_manifest.jsonl"),
+                     "--docs-dir", fx("docs"), "--out", evidence]) == 0
+
+        def stage3_rows(name: str, *alias_flag: str) -> list[dict]:
+            out = tmp_path / f"{name}.json"
+            assert main([
+                "eval", "--figures", fx("library.jsonl"), "--evidence", evidence,
+                "--stages", "3", "--out", str(out), "--config", config, *alias_flag,
+            ]) == 0
+            return json.loads(out.read_text())["rows"]
+
+        packaged = resources.files("vismine").joinpath("data", "aliases.json")
+        from_config = stage3_rows("config")
+        assert from_config == stage3_rows("flag", "--alias", str(alias_file))
+        assert from_config != stage3_rows("packaged", "--alias", str(packaged))
 
 
 class TestMalformedInput:

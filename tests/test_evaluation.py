@@ -213,6 +213,21 @@ class TestStage1Loo:
             assert held_out.paper_id not in index
             assert index.dump() == expected.dump()
 
+    def test_one_baseline_query_per_fold(self, monkeypatch):
+        queries = []
+        top_k = bm25.top_k
+
+        def recording_top_k(*args, **kwargs):
+            queries.append(top_k(*args, **kwargs))
+            return queries[-1]
+
+        monkeypatch.setattr(bm25, "top_k", recording_top_k)
+        report = ev.run_stage1_loo(
+            screening_pool(), dual_stub_gateway(), ["primary", "secondary"], shots=(0,)
+        )
+        monkeypatch.undo()
+        assert queries == [f.neighbors for f in report.folds if f.method == "majority_vote"]
+
     def test_too_small_pool_rejected(self):
         records = [PaperRecord(paper_id="only", title="t", label="positive")]
         pool = load_labeled_pool(records, [("only", "positive")])
