@@ -27,11 +27,17 @@ from .stage1 import (
 from .stage2 import (
     EvidenceLookup,
     classify_figure,
-    library_index,
     retrieve_neighbor_papers,
     sample_exemplars,
 )
-from .stage3 import extract_labels, library_figure_corpus, normalize_labels, retrieve_similar_figures
+from .stage3 import (
+    coded_figure_entries,
+    extract_labels,
+    figure_docs,
+    index_figures,
+    normalize_labels,
+    retrieve_similar_figures,
+)
 from .vocab import FIELDS, LabelVocabulary
 
 
@@ -346,6 +352,9 @@ def run_stage2_loo(
         raise EvaluationError("stage 2 LOO needs at least two coded papers")
     report = report if report is not None else LooReport()
     aggregates: dict[str, ConfusionCounts] = {}
+    # Each paper is tokenized once per run; a fold's index is built from
+    # the other papers' documents, in library order.
+    docs = [paper_doc(p.record) for p in coded]
     folds = 0
     for target in coded:
         labeled = [
@@ -357,7 +366,9 @@ def run_stage2_loo(
             continue
         folds += 1
         rest = [p for p in coded if p.paper_id != target.paper_id]
-        rest_index = library_index(rest)
+        rest_index = bm25.build_index(
+            d for p, d in zip(coded, docs) if p.paper_id != target.paper_id
+        )
         for shot in shots:
             method = f"{shot}-shot"
             if shot == 0:
@@ -416,6 +427,9 @@ def run_stage3_loo(
         raise EvaluationError("stage 3 LOO needs at least two coded papers")
     report = report if report is not None else LooReport()
     aggregates: dict[tuple[str, str], ConfusionCounts] = {}
+    # Each figure is tokenized once per run; a fold's corpus indexes the
+    # other papers' figures, in library order.
+    figures = [figure_docs(coded_figure_entries(p, evidence_lookup)) for p in coded]
     folds = 0
     for target in coded:
         gold_figures = [
@@ -426,8 +440,10 @@ def run_stage3_loo(
         if not gold_figures:
             continue
         folds += 1
-        rest = [p for p in coded if p.paper_id != target.paper_id]
-        corpus = library_figure_corpus(rest, evidence_lookup)
+        corpus = index_figures([
+            d for p, paper_figures in zip(coded, figures) if p.paper_id != target.paper_id
+            for d in paper_figures
+        ])
         for shot in shots:
             method = f"{shot}-shot"
             for figure, evidence in gold_figures:

@@ -92,14 +92,10 @@ def _is_cutoff_header(paragraph: str) -> bool:
 
 
 def _is_nonbody(paragraph: str) -> bool:
-    letters = [c for c in paragraph if c.isalpha()]
-    if not letters:
-        return True  # bare numbers / page artifacts
-    if all(c.isupper() for c in letters):
-        return True  # all-caps header
+    """Too short, or no letter that is not upper case (numbers, all-caps headers)."""
     if len(paragraph.split()) < MIN_BODY_TOKENS:
         return True
-    return False
+    return not any(c.isalpha() and not c.isupper() for c in paragraph)
 
 
 def filter_nonbody(doc: DocumentText) -> DocumentText:

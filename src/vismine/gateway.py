@@ -14,6 +14,7 @@ import logging
 import os
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Protocol, Sequence
@@ -153,30 +154,79 @@ def prompt_hash(backend_id: str, prompt: str) -> str:
 
 
 class PromptCache:
-    """Request-hash -> response files; layout is stable for auditing."""
+    """Request hash -> response, kept in one append-only log for auditing.
+
+    `cache_dir/responses.jsonl` holds one `json.dumps([key, response])`
+    line per response (ASCII-escaped, so any text round-trips).  A put is
+    one `O_APPEND` write and creates no file; the line is in the log when
+    `put` returns.  Memory holds only each key's `(offset, length)`, built
+    on first use; a miss first indexes the complete lines appended since
+    the last scan, so caches sharing the directory see each other's puts.
+    A torn last line is never served, and a key's last line wins.  Keys
+    are `prompt_hash` hex digests.
+    """
+
+    LOG_NAME = "responses.jsonl"
 
     def __init__(self, cache_dir: str | Path):
         self.cache_dir = Path(cache_dir)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
+        self._fd: int | None = None
+        self._index: dict[str, tuple[int, int]] = {}
+        self._scanned = 0  # bytes of the log indexed so far
 
-    def _path(self, key: str) -> Path:
-        return self.cache_dir / key[:2] / f"{key}.txt"
+    def _log(self) -> int:
+        if self._fd is None:
+            self._fd = os.open(self.cache_dir / self.LOG_NAME,
+                               os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+            weakref.finalize(self, os.close, self._fd)
+        return self._fd
+
+    def _scan(self, fd: int) -> None:
+        """Index the complete lines appended since the last scan."""
+        size = os.fstat(fd).st_size
+        if size <= self._scanned:
+            return
+        data = os.pread(fd, size - self._scanned, self._scanned)
+        offset = self._scanned
+        for line in data[: data.rfind(b"\n") + 1].split(b"\n")[:-1]:
+            key_end = line.find(b'"', 2)
+            if key_end != -1 and line.startswith(b'["'):
+                self._index[line[2:key_end].decode("latin-1")] = (offset, len(line) + 1)
+            offset += len(line) + 1
+        self._scanned = offset
 
     def get(self, key: str) -> str | None:
-        path = self._path(key)
         with self._lock:
-            if not path.exists():
-                return None
-            return path.read_text(encoding="utf-8")
+            fd = self._log()
+            entry = self._index.get(key)
+            if entry is None:
+                self._scan(fd)
+                entry = self._index.get(key)
+                if entry is None:
+                    return None
+            offset, length = entry
+            line = os.pread(fd, length, offset)
+        try:
+            stored_key, text = json.loads(line)  # every indexed line starts with '["'
+        except ValueError:  # a torn line, or one that is not a [key, text] pair
+            return None
+        return text if stored_key == key and isinstance(text, str) else None
 
     def put(self, key: str, text: str) -> None:
-        path = self._path(key)
+        line = (json.dumps([key, text]) + "\n").encode("ascii")
         with self._lock:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-            tmp.write_text(text, encoding="utf-8")
-            tmp.replace(path)
+            fd = self._log()
+            size = os.fstat(fd).st_size
+            torn = size > 0 and os.pread(fd, 1, size - 1) != b"\n"
+            data = b"\n" + line if torn else line
+            if os.write(fd, data) != len(data):
+                return  # a short write leaves a torn line, which is never served
+            end = os.lseek(fd, 0, os.SEEK_CUR)
+            self._index[key] = (end - len(line), len(line))
+            if end - len(data) == self._scanned:
+                self._scanned = end
 
 
 @dataclass

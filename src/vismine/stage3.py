@@ -14,7 +14,7 @@ import logging
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import bm25
 from .errors import BackendUnavailable, StageError
@@ -70,17 +70,24 @@ class FigureCorpus:
         return split_doc_id(doc_id)[0]
 
 
-def build_figure_corpus(
-    entries: Sequence[tuple[FigureEvidence, FrameworkLabels]],
-) -> FigureCorpus:
-    """Index labeled figures for exemplar retrieval.
+@dataclass(frozen=True)
+class FigureDoc:
+    """A labeled figure as a retrieval document."""
+
+    doc: bm25.TokenizedDoc
+    evidence: FigureEvidence
+    labels: FrameworkLabels
+
+
+def figure_docs(
+    entries: Iterable[tuple[FigureEvidence, FrameworkLabels]],
+) -> list[FigureDoc]:
+    """Tokenize labeled figures for exemplar retrieval.
 
     A figure without a caption cannot anchor retrieval and is skipped with
     a warning.
     """
-    docs: list[bm25.TokenizedDoc] = []
-    evidence_map: dict[str, FigureEvidence] = {}
-    labels_map: dict[str, FrameworkLabels] = {}
+    docs: list[FigureDoc] = []
     for evidence, labels in entries:
         if not evidence.caption.strip():
             logger.warning(
@@ -89,22 +96,45 @@ def build_figure_corpus(
             )
             continue
         doc_id = figure_doc_id(evidence.paper_id, evidence.figure_id)
-        docs.append(bm25.TokenizedDoc(doc_id=doc_id, tokens=tuple(figure_tokens(evidence))))
-        evidence_map[doc_id] = evidence
-        labels_map[doc_id] = labels
-    return FigureCorpus(index=bm25.build_index(docs), evidence=evidence_map, labels=labels_map)
+        doc = bm25.TokenizedDoc(doc_id=doc_id, tokens=tuple(figure_tokens(evidence)))
+        docs.append(FigureDoc(doc, evidence, labels))
+    return docs
+
+
+def index_figures(docs: Sequence[FigureDoc]) -> FigureCorpus:
+    """The figure corpus of already tokenized figures, in their order."""
+    return FigureCorpus(
+        index=bm25.build_index(d.doc for d in docs),
+        evidence={d.doc.doc_id: d.evidence for d in docs},
+        labels={d.doc.doc_id: d.labels for d in docs},
+    )
+
+
+def build_figure_corpus(
+    entries: Iterable[tuple[FigureEvidence, FrameworkLabels]],
+) -> FigureCorpus:
+    """Index labeled figures for exemplar retrieval; see `figure_docs`."""
+    return index_figures(figure_docs(entries))
+
+
+def coded_figure_entries(
+    paper: CodedPaper, evidence_lookup: EvidenceLookup,
+) -> list[tuple[FigureEvidence, FrameworkLabels]]:
+    """(evidence, labels) of each coded figure of `paper` whose evidence is known."""
+    entries = []
+    for figure in paper.coded_figures():
+        evidence = evidence_lookup(paper.paper_id, figure.figure_id)
+        if evidence is not None:
+            entries.append((evidence, figure.labels))
+    return entries
 
 
 def library_figure_corpus(library: Sequence[CodedPaper],
                           evidence_lookup: EvidenceLookup) -> FigureCorpus:
     """The figure corpus of every coded figure in `library` whose evidence is known."""
-    entries = []
-    for paper in library:
-        for figure in paper.coded_figures():
-            evidence = evidence_lookup(paper.paper_id, figure.figure_id)
-            if evidence is not None:
-                entries.append((evidence, figure.labels))
-    return build_figure_corpus(entries)
+    return build_figure_corpus(
+        entry for paper in library for entry in coded_figure_entries(paper, evidence_lookup)
+    )
 
 
 def retrieve_similar_figures(

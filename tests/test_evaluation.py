@@ -10,6 +10,8 @@ from vismine.evidence import FigureEvidence
 from vismine.gateway import Gateway, KeywordStubBackend, StubRules
 from vismine.library import CodedFigure, CodedPaper
 from vismine.stage1 import pool_index
+from vismine.stage2 import library_index
+from vismine.stage3 import library_figure_corpus
 from vismine.vocab import default_vocabulary, FrameworkLabels
 
 VOCAB = default_vocabulary()
@@ -356,6 +358,74 @@ class TestStage3Loo:
         papers, lookup = coded_fixture()
         report = ev.run_stage3_loo(papers, lookup, VOCAB, figure_gateway(), "primary")
         assert ev.find_leakage(report) == []
+
+
+def recording_bm25(monkeypatch):
+    """Lists that collect every index built and every text tokenized."""
+    built, tokenized = [], []
+    build_index, tokenize = bm25.build_index, bm25.tokenize
+
+    def recording_build(docs):
+        built.append(build_index(docs))
+        return built[-1]
+
+    def recording_tokenize(text, *args, **kwargs):
+        tokenized.append(text)
+        return tokenize(text, *args, **kwargs)
+
+    monkeypatch.setattr(bm25, "build_index", recording_build)
+    monkeypatch.setattr(bm25, "tokenize", recording_tokenize)
+    return built, tokenized
+
+
+def coded_library(n):
+    """n coded papers, each with one labeled and coded figure with evidence."""
+    papers = []
+    for i in range(n):
+        labels = FrameworkLabels(
+            paper_id=f"L{i}", base_figure_id="Figure 1", listeners=("output results",),
+            data_types=("one-dimensional quantitative",), vis_type="statistical chart",
+            vis_purpose="performance evaluation", confidences={}, evidence={},
+        )
+        papers.append(CodedPaper(
+            record=PaperRecord(paper_id=f"L{i}", title=f"saliency paper {i} topic{i % 2}"),
+            figures=(CodedFigure("Figure 1", relevant=True, labels=labels),),
+        ))
+
+    def lookup(paper_id, figure_id):
+        return FigureEvidence(
+            paper_id=paper_id, figure_id=figure_id, base_figure_id=figure_id,
+            caption=f"{figure_id}: accuracy chart of {paper_id}.",
+            context=(f"The {paper_id} chart shows accuracy.",),
+        )
+
+    return papers, lookup
+
+
+class TestLibraryFoldIndexes:
+    def test_stage2_fold_indexes_exact_and_papers_tokenized_once(self, monkeypatch):
+        papers, lookup = coded_library(4)
+        built, tokenized = recording_bm25(monkeypatch)
+        ev.run_stage2_loo(papers, lookup, figure_gateway(), "primary", shots=(0,))
+        monkeypatch.undo()
+        assert len(tokenized) == len(papers)
+        assert len(built) == len(papers)
+        for held_out, index in zip(papers, built):
+            rest = [p for p in papers if p.paper_id != held_out.paper_id]
+            assert held_out.paper_id not in index
+            assert index.dump() == library_index(rest).dump()
+
+    def test_stage3_fold_indexes_exact_and_figures_tokenized_once(self, monkeypatch):
+        papers, lookup = coded_library(4)
+        built, tokenized = recording_bm25(monkeypatch)
+        ev.run_stage3_loo(papers, lookup, VOCAB, figure_gateway(), "primary", shots=(0,))
+        monkeypatch.undo()
+        assert len(tokenized) == 2 * len(papers)  # caption and context, once per figure
+        assert len(built) == len(papers)
+        for held_out, index in zip(papers, built):
+            rest = [p for p in papers if p.paper_id != held_out.paper_id]
+            assert not any(d.startswith(f"{held_out.paper_id}::") for d in index.doc_ids)
+            assert index.dump() == library_figure_corpus(rest, lookup).index.dump()
 
 
 class TestRunLoo:

@@ -3,6 +3,8 @@
 import logging
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vismine import evidence
 from vismine.errors import DocumentError
@@ -251,3 +253,38 @@ class TestExtractEvidence:
         doc = filtered(MAIN_DOC)
         ev = evidence.extract_evidence(doc, "Figure 2")
         assert evidence.evidence_from_dict(ev.to_dict()) == ev
+
+
+def reference_is_nonbody(paragraph: str) -> bool:
+    """The letter-list definition `evidence._is_nonbody` must keep agreeing with."""
+    letters = [c for c in paragraph if c.isalpha()]
+    if not letters:
+        return True  # bare numbers / page artifacts
+    if all(c.isupper() for c in letters):
+        return True  # all-caps header
+    if len(paragraph.split()) < evidence.MIN_BODY_TOKENS:
+        return True
+    return False
+
+
+# Letters of every case (titlecase, caseless CJK, lower-only such as "ß"),
+# digits, punctuation and whitespace, so all branches of the test are hit.
+paragraph_chars = st.one_of(
+    st.sampled_from("aZ \n\t1.:ßǅǄǆ图あΣσ\u00a0\u2003"),
+    st.characters(),
+)
+
+
+class TestNonbodyProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(paragraph_chars, max_size=40))
+    def test_matches_letter_list_definition(self, paragraph):
+        assert evidence._is_nonbody(paragraph) == reference_is_nonbody(paragraph)
+
+    @pytest.mark.parametrize("paragraph", [
+        "", "12 34 56 78 90", "A MODEL-CENTRIC STUDY OF MANY THINGS",
+        "ǄUNGLE ǅUNGLE FIVE WORDS HERE", "图 图 图 图 图", "ß is lower case so body",
+        "Fig 2 here", "This paragraph has enough plain tokens to count.",
+    ])
+    def test_examples_match(self, paragraph):
+        assert evidence._is_nonbody(paragraph) == reference_is_nonbody(paragraph)

@@ -2,8 +2,12 @@
 
 import itertools
 import json
+import sys
+import threading
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from vismine import gateway as gw
 from vismine.errors import AuthenticationError, BackendUnavailable, GatewayError, TransientBackendError
@@ -121,6 +125,94 @@ class TestComplete:
         g.complete("stub", request("first prompt"))
         g.complete("stub", request("second prompt"))
         assert time.monotonic() - started >= 0.05
+
+
+def key(n):
+    return gw.prompt_hash("stub", f"prompt {n}")
+
+
+class TestPromptCacheLog:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.text(st.one_of(st.sampled_from("\n\r\x00\u2028\U0001f600\"\\"),
+                             st.characters())))
+    def test_any_text_round_trips(self, tmp_path, text):
+        cache = gw.PromptCache(tmp_path)
+        k = gw.prompt_hash("stub", text)
+        cache.put(k, text)
+        assert cache.get(k) == text
+        assert gw.PromptCache(tmp_path).get(k) == text
+
+    def test_puts_create_one_file(self, tmp_path):
+        cache = gw.PromptCache(tmp_path / "cache")
+        for n in range(20):
+            cache.put(key(n), f"response {n}\nsecond line")
+        files = [p for p in (tmp_path / "cache").rglob("*")]
+        assert [p.name for p in files] == ["responses.jsonl"]
+        assert files[0].read_text(encoding="ascii").count("\n") == 20
+
+    def test_torn_last_line_is_a_miss(self, tmp_path):
+        gw.PromptCache(tmp_path).put(key(1), "kept")
+        gw.PromptCache(tmp_path).put(key(2), "torn by a crash")
+        log = tmp_path / "responses.jsonl"
+        log.write_bytes(log.read_bytes()[:-5])
+        cache = gw.PromptCache(tmp_path)
+        assert cache.get(key(2)) is None
+        assert cache.get(key(1)) == "kept"
+        cache.put(key(3), "after the crash")
+        assert cache.get(key(3)) == "after the crash"
+        fresh = gw.PromptCache(tmp_path)
+        assert fresh.get(key(3)) == "after the crash"
+        assert fresh.get(key(2)) is None
+        assert fresh.get(key(1)) == "kept"
+
+    def test_last_line_wins(self, tmp_path):
+        cache = gw.PromptCache(tmp_path)
+        cache.put(key(1), "old")
+        cache.put(key(1), "new")
+        assert cache.get(key(1)) == "new"
+        assert gw.PromptCache(tmp_path).get(key(1)) == "new"
+
+    def test_second_cache_sees_later_puts(self, tmp_path):
+        first = gw.PromptCache(tmp_path)
+        first.put(key(1), "before")
+        second = gw.PromptCache(tmp_path)
+        assert second.get(key(1)) == "before"
+        first.put(key(2), "after")
+        assert second.get(key(2)) == "after"
+        second.put(key(3), "from the second")
+        assert first.get(key(3)) == "from the second"
+
+    def test_unknown_key_is_none(self, tmp_path):
+        cache = gw.PromptCache(tmp_path)
+        assert cache.get(key(1)) is None
+        cache.put(key(1), "present")
+        assert cache.get(key(2)) is None
+        assert gw.PromptCache(tmp_path).get(key(2)) is None
+
+    def test_concurrent_puts_all_kept(self, tmp_path):
+        cache = gw.PromptCache(tmp_path)
+        reader = gw.PromptCache(tmp_path)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=lambda t=t: [
+                    cache.put(key(f"{t}/{n}"), f"{t}/{n}") for n in range(50)
+                ])
+                for t in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        names = [f"{t}/{n}" for t in range(8) for n in range(50)]
+        assert all(cache.get(key(name)) == name for name in names)
+        assert all(reader.get(key(name)) == name for name in names)
+        assert (tmp_path / "responses.jsonl").read_bytes().count(b"\n") == len(names)
 
 
 class TestParseVerdict:
