@@ -19,7 +19,7 @@ from .config import load_config, validate_config, build_gateway
 from .errors import ConfigError, InputError, VismineError
 from .jsonl import read_jsonl, write_json
 from .library import load_library
-from .pipeline import STAGES, run_pipeline, _evidence_lookup_from_file, _load_corpus_file
+from .pipeline import STAGES, load_pool, run_pipeline, _evidence_lookup_from_file, _load_corpus_file
 from .vocab import LabelVocabulary, load_vocabulary
 
 EXIT_OK = 0
@@ -27,8 +27,11 @@ EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip() != ""]
+def _int_list(text: str, flag: str) -> list[int]:
+    try:
+        return [int(part) for part in text.split(",") if part.strip() != ""]
+    except ValueError:
+        raise InputError(f"{flag} must be comma-separated integers, got {text!r}") from None
 
 
 def _gateway_from_args(args) -> tuple:
@@ -96,21 +99,23 @@ def cmd_stage3(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    stages = _int_list(args.stages, "--stages")
+    stage1_shots = _int_list(args.shots, "--shots")
+    stage2_shots = _int_list(args.stage2_shots, "--stage2-shots")
+    stage3_shots = _int_list(args.stage3_shots, "--stage3-shots")
+    figure_stages = 2 in stages or 3 in stages
+    for flag, value, needed in (("--pool", args.pool, 1 in stages),
+                                ("--figures", args.figures, figure_stages),
+                                ("--evidence", args.evidence, figure_stages)):
+        if needed and not value:
+            raise InputError(f"{flag} is required for eval --stages {args.stages}")
     config, gateway = _gateway_from_args(args)
-    stages = _int_list(args.stages)
     pool = None
     if 1 in stages:
-        pool_rows = list(read_jsonl(args.pool))
-        records = [corpus_mod.record_from_dict(r) for r in pool_rows if "title" in r]
-        if args.corpus:
-            have = {r.paper_id for r in records}
-            records += [r for r in _load_corpus_file(args.corpus) if r.paper_id not in have]
-        pool = corpus_mod.load_labeled_pool(
-            records, [(str(r["paper_id"]), str(r["label"])) for r in pool_rows]
-        )
+        pool = load_pool(args.pool, _load_corpus_file(args.corpus) if args.corpus else [])
     coded = None
     lookup = None
-    if 2 in stages or 3 in stages:
+    if figure_stages:
         coded = load_library(read_jsonl(args.figures))
         lookup = _evidence_lookup_from_file(Path(args.evidence))
     vocab = _vocabulary(args, config) if 3 in stages else None
@@ -123,9 +128,9 @@ def cmd_eval(args) -> int:
         stage1_backends=config.stage1_backends,
         figure_backend=config.stage2_backend,
         stages=stages,
-        stage1_shots=_int_list(args.shots),
-        stage2_shots=_int_list(args.stage2_shots),
-        stage3_shots=_int_list(args.stage3_shots),
+        stage1_shots=stage1_shots,
+        stage2_shots=stage2_shots,
+        stage3_shots=stage3_shots,
     )
     write_json(args.out, report.to_dict())
     leaks = eval_mod.find_leakage(report)

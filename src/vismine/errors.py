@@ -6,8 +6,9 @@ class VismineError(Exception):
 
 
 class InputError(VismineError):
-    """An input file cannot be read as data: a line that is not JSON, or a
-    field that must be an integer holding something else."""
+    """Input cannot be read as data: a line that is not JSON, a field that
+    must be an integer holding something else, or a missing or malformed
+    command-line flag."""
 
 
 class CorpusError(VismineError):

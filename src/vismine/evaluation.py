@@ -13,8 +13,8 @@ from typing import Iterable, Sequence
 
 from . import bm25
 from .corpus import LabeledPool, NEGATIVE, POSITIVE
-from .errors import EvaluationError, StageError, VismineError
-from .gateway import Gateway, consensus, parse_verdict
+from .errors import EvaluationError, StageError
+from .gateway import Gateway
 from .library import CodedPaper
 from .stage1 import (
     FewShotContext,
@@ -22,22 +22,10 @@ from .stage1 import (
     paper_doc,
     paper_query_tokens,
     pool_index,
-    screening_request,
+    screen_paper,
 )
-from .stage2 import (
-    EvidenceLookup,
-    classify_figure,
-    retrieve_neighbor_papers,
-    sample_exemplars,
-)
-from .stage3 import (
-    coded_figure_entries,
-    extract_labels,
-    figure_docs,
-    index_figures,
-    normalize_labels,
-    retrieve_similar_figures,
-)
+from .stage2 import EvidenceLookup, judge_paper_figures
+from .stage3 import coded_figure_entries, figure_docs, index_figures, label_figure
 from .vocab import FIELDS, LabelVocabulary
 
 
@@ -128,24 +116,13 @@ def _majority_label(pool: LabeledPool, neighbors: Sequence[str]) -> str:
     return POSITIVE if positive_votes >= negative_votes else NEGATIVE
 
 
-def bm25_majority_baseline(
-    target,
-    pool: LabeledPool,
-    k: int,
-    index: bm25.Bm25Index | None = None,
-    query_tokens: Sequence[str] | None = None,
-) -> str:
-    """Majority label among BM25 top-k neighbors; ties resolve positive.
-
-    `query_tokens`, when given, must be `paper_query_tokens(target)`.
-    """
+def bm25_majority_baseline(target, pool: LabeledPool, k: int) -> str:
+    """Majority label among BM25 top-k neighbors; ties resolve positive."""
     if not pool.records:
         raise EvaluationError("empty pool for baseline")
-    if index is None:
-        index = pool_index(pool)
-    if query_tokens is None:
-        query_tokens = paper_query_tokens(target)
-    return _majority_label(pool, bm25.top_k(index, query_tokens, k, exclude={target.paper_id}))
+    neighbors = bm25.top_k(pool_index(pool), paper_query_tokens(target), k,
+                           exclude={target.paper_id})
+    return _majority_label(pool, neighbors)
 
 
 @dataclass
@@ -298,19 +275,9 @@ def run_stage1_loo(
                 except StageError as exc:
                     report.errors.append(f"stage1/{method}/{target.paper_id}: {exc}")
                     continue
-            request = screening_request(target, context)
-            verdicts = []
-            failed = False
-            for backend_id in backend_ids:
-                try:
-                    raw = gateway.complete(backend_id, request)
-                except VismineError as exc:
-                    report.errors.append(f"stage1/{method}/{target.paper_id}: {exc}")
-                    failed = True
-                    break
-                verdict = parse_verdict(raw, backend_id)
-                verdicts.append(verdict)
-                bump(method, backend_id, _binary_counts(gold_positive, verdict.decision, True))
+            decision = screen_paper(target, context, gateway, backend_ids)
+            for verdict in decision.verdicts:
+                bump(method, verdict.backend_id, _binary_counts(gold_positive, verdict.decision, True))
             report.folds.append(
                 FoldLog(
                     stage="stage1",
@@ -319,10 +286,11 @@ def run_stage1_loo(
                     exemplars=list(context.exemplar_ids),
                 )
             )
-            if failed or not verdicts:
-                continue
-            if len(backend_ids) > 1:
-                bump(method, "consensus", _binary_counts(gold_positive, consensus(verdicts), True))
+            if decision.error:
+                report.errors.append(f"stage1/{method}/{target.paper_id}: {decision.error}")
+            elif len(backend_ids) > 1:
+                bump(method, "consensus",
+                     _binary_counts(gold_positive, decision.decision == POSITIVE, True))
 
     for (method, model), counts in aggregates.items():
         report.rows.append(
@@ -369,33 +337,26 @@ def run_stage2_loo(
         rest_index = bm25.build_index(
             d for p, d in zip(coded, docs) if p.paper_id != target.paper_id
         )
+        gold = {evidence.figure_id: bool(figure.relevant) for figure, evidence in labeled}
         for shot in shots:
             method = f"{shot}-shot"
-            if shot == 0:
-                neighbors: list[str] = []
-            else:
-                neighbors = retrieve_neighbor_papers(
-                    target.record, rest, k=shot, index=rest_index
-                )
-            exemplars = sample_exemplars(neighbors, rest, evidence_lookup)
+            verdicts, failed, log = judge_paper_figures(
+                target.record, [evidence for _, evidence in labeled], rest, rest_index,
+                evidence_lookup, gateway, backend_id, shot,
+            )
             report.folds.append(
                 FoldLog(
                     stage="stage2",
                     method=method,
                     held_out=target.paper_id,
-                    neighbors=list(neighbors),
-                    exemplars=list(exemplars.exemplar_ids),
+                    neighbors=log["neighbors"],
+                    exemplars=log["exemplars"],
                 )
             )
-            for figure, evidence in labeled:
-                try:
-                    verdict = classify_figure(evidence, exemplars, gateway, backend_id)
-                except VismineError as exc:
-                    report.errors.append(
-                        f"stage2/{method}/{target.paper_id}::{figure.figure_id}: {exc}"
-                    )
-                    continue
-                counts = _binary_counts(bool(figure.relevant), verdict.relevant, False)
+            for paper_id, figure_id, message in failed:
+                report.errors.append(f"stage2/{method}/{paper_id}::{figure_id}: {message}")
+            for verdict in verdicts:
+                counts = _binary_counts(gold[verdict.figure_id], verdict.relevant, False)
                 aggregates.setdefault(method, ConfusionCounts(tn=None)).add(counts)
     for method, counts in sorted(aggregates.items()):
         report.rows.append(
@@ -447,14 +408,9 @@ def run_stage3_loo(
         for shot in shots:
             method = f"{shot}-shot"
             for figure, evidence in gold_figures:
-                if shot == 0:
-                    doc_ids: list[str] = []
-                else:
-                    doc_ids = retrieve_similar_figures(
-                        evidence, corpus, k=shot, per_paper_cap=per_paper_cap,
-                        exclude_paper=target.paper_id,
-                    )
-                exemplars = [(corpus.evidence[d], corpus.labels[d]) for d in doc_ids]
+                predicted, doc_ids, error = label_figure(
+                    evidence, corpus, vocab, gateway, backend_id, shot, per_paper_cap
+                )
                 report.folds.append(
                     FoldLog(
                         stage="stage3",
@@ -463,16 +419,11 @@ def run_stage3_loo(
                         exemplars=list(doc_ids),
                     )
                 )
-                try:
-                    payload = extract_labels(evidence, exemplars, gateway, backend_id)
-                except VismineError as exc:
+                if predicted is None:
                     report.errors.append(
-                        f"stage3/{method}/{target.paper_id}::{figure.figure_id}: {exc}"
+                        f"stage3/{method}/{target.paper_id}::{figure.figure_id}: {error}"
                     )
                     continue
-                predicted = normalize_labels(
-                    payload, vocab, evidence.paper_id, evidence.base_figure_id
-                )
                 for fname in FIELDS:
                     counts = multilabel_counts(
                         figure.labels.field_values(fname),

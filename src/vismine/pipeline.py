@@ -88,6 +88,21 @@ def _load_corpus_file(path: str | Path) -> list[corpus_mod.PaperRecord]:
     return [corpus_mod.record_from_dict(raw) for raw in read_jsonl(path)]
 
 
+def load_pool(
+    pool_path: str | Path, records: Sequence[corpus_mod.PaperRecord],
+) -> corpus_mod.LabeledPool:
+    """The labeled pool of `pool_path`, in the file's assignment order.
+
+    `records` come first; pool rows with a title add papers they lack.
+    """
+    pool_rows = list(read_jsonl(pool_path))
+    have = {r.paper_id for r in records}
+    extras = [corpus_mod.record_from_dict(row) for row in pool_rows
+              if row.get("paper_id") not in have and "title" in row]
+    assignments = [(str(row["paper_id"]), str(row["label"])) for row in pool_rows]
+    return corpus_mod.load_labeled_pool([*records, *extras], assignments)
+
+
 def _config_path(config: RunConfig, path: Path | None, name: str) -> Path:
     resolved = config.resolve(path)
     if resolved is None:
@@ -127,20 +142,14 @@ def run_stage1_step(
     decisions_path: str | Path | None, gateway: Gateway, backend_ids: Sequence[str],
     *, k: int, min_pos: int, min_neg: int, max_workers: int,
 ) -> stage1_mod.Stage1Result:
-    """Screen the candidates; pool rows with a title add papers the candidates lack.
+    """Screen the candidates against the pool `load_pool` reads.
 
     The decision log is written unless `decisions_path` is None.
     """
     candidates = _load_corpus_file(corpus_path)
-    pool_rows = list(read_jsonl(pool_path))
-    have = {r.paper_id for r in candidates}
-    extras = [corpus_mod.record_from_dict(row) for row in pool_rows
-              if row.get("paper_id") not in have and "title" in row]
-    assignments = [(str(row["paper_id"]), str(row["label"])) for row in pool_rows]
-    pool = corpus_mod.load_labeled_pool(candidates + extras, assignments)
     result = stage1_mod.run_stage1(
         candidates,
-        pool,
+        load_pool(pool_path, candidates),
         gateway,
         backend_ids,
         k=k,

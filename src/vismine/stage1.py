@@ -15,8 +15,8 @@ from typing import Sequence
 
 from . import bm25
 from .corpus import LabeledPool, PaperRecord, POSITIVE, NEGATIVE
-from .errors import BackendUnavailable, StageError
-from .gateway import Gateway, ModelVerdict, PromptRequest, consensus, prompt_hash
+from .errors import AuthenticationError, GatewayError, StageError
+from .gateway import Gateway, ModelVerdict, PromptRequest, consensus, parse_verdict, prompt_hash
 from .prompts import SCREEN_SCHEMA, SCREEN_SYSTEM
 
 logger = logging.getLogger(__name__)
@@ -162,8 +162,8 @@ def screen_paper(
 ) -> ScreenDecision:
     """Query every backend with the same context and apply consensus.
 
-    A backend that stays unavailable after retries marks the paper
-    undecided rather than silently dropping it.
+    A `GatewayError` other than `AuthenticationError` marks the paper
+    undecided, keeping its message in `error` and the verdicts received.
     """
     if not backend_ids:
         raise StageError("at least one backend id is required")
@@ -178,13 +178,13 @@ def screen_paper(
         neighbors=list(context.exemplar_ids),
         prompt_hashes={b: prompt_hash(b, prompt) for b in backend_ids},
     )
-    from .gateway import parse_verdict
-
     try:
         for backend_id in backend_ids:
             raw = gateway.complete(backend_id, request)
             decision.verdicts.append(parse_verdict(raw, backend_id))
-    except BackendUnavailable as exc:
+    except AuthenticationError:
+        raise
+    except GatewayError as exc:
         decision.error = str(exc)
         return decision
     decision.decision = POSITIVE if consensus(decision.verdicts) else NEGATIVE

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 from . import bm25
-from .errors import BackendUnavailable, StageError
+from .errors import AuthenticationError, GatewayError, StageError
 from .evidence import FigureEvidence, figure_sort_key
 from .gateway import Gateway, PromptRequest, clip_confidence, parse_json_payload, parse_verdict
 from .library import CodedPaper
@@ -205,6 +205,33 @@ def select_representatives(
     return [replace(v, selected=True) for v in chosen]
 
 
+def judge_paper_figures(
+    record, figures: Sequence[FigureEvidence], library: Sequence[CodedPaper],
+    index: bm25.Bm25Index, evidence_lookup: EvidenceLookup, gateway: Gateway,
+    backend_id: str, k: int,
+) -> tuple[list[RelevanceVerdict], list[tuple[str, str, str]], dict]:
+    """Verdicts, failures and neighbour/exemplar log of one paper's figures.
+
+    Exemplars come from the k nearest library papers; none when k is 0. A
+    figure with empty evidence, or whose backend call raises a `GatewayError`
+    other than `AuthenticationError`, fails alone as (paper_id, figure_id, message).
+    """
+    neighbors = retrieve_neighbor_papers(record, library, k=k, index=index) if k else []
+    exemplars = sample_exemplars(neighbors, library, evidence_lookup)
+    verdicts: list[RelevanceVerdict] = []
+    failed: list[tuple[str, str, str]] = []
+    for evidence in figures:
+        try:
+            verdicts.append(classify_figure(evidence, exemplars, gateway, backend_id))
+        except AuthenticationError:
+            raise
+        except (GatewayError, StageError) as exc:
+            logger.warning("figure %s::%s failed: %s", evidence.paper_id, evidence.figure_id, exc)
+            failed.append((evidence.paper_id, evidence.figure_id, str(exc)))
+    log = {"neighbors": list(neighbors), "exemplars": list(exemplars.exemplar_ids)}
+    return verdicts, failed, log
+
+
 @dataclass
 class Stage2Result:
     verdicts: list[RelevanceVerdict]
@@ -234,21 +261,11 @@ def run_stage2(
     """
     index = library_index(library)
 
-    def process(entry) -> tuple[list[RelevanceVerdict], list[tuple[str, str]], dict]:
+    def process(entry):
         record, figures = entry
-        neighbors = retrieve_neighbor_papers(record, library, k=k, index=index)
-        exemplars = sample_exemplars(neighbors, library, evidence_lookup)
-        verdicts: list[RelevanceVerdict] = []
-        failed: list[tuple[str, str]] = []
-        for evidence in figures:
-            try:
-                verdicts.append(classify_figure(evidence, exemplars, gateway, backend_id))
-            except BackendUnavailable as exc:
-                logger.warning("figure %s::%s queued for retry: %s",
-                               evidence.paper_id, evidence.figure_id, exc)
-                failed.append((evidence.paper_id, evidence.figure_id))
-        log = {"neighbors": list(neighbors), "exemplars": list(exemplars.exemplar_ids)}
-        return verdicts, failed, log
+        return judge_paper_figures(
+            record, figures, library, index, evidence_lookup, gateway, backend_id, k
+        )
 
     if max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool_exec:
@@ -269,6 +286,6 @@ def run_stage2(
         ]
         result.verdicts.extend(final)
         result.selected[paper_id] = selected
-        result.retry.extend(failed)
+        result.retry.extend((p, f) for p, f, _ in failed)
         result.exemplar_log[paper_id] = log
     return result

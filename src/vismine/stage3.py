@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from . import bm25
-from .errors import BackendUnavailable, StageError
+from .errors import AuthenticationError, GatewayError, StageError
 from .evidence import FigureEvidence
 from .gateway import Gateway, PromptRequest, clip_confidence, parse_json_payload
 from .library import CodedPaper
@@ -322,6 +322,29 @@ def aggregate_subfigures(parts: Sequence[FrameworkLabels], vocab: LabelVocabular
     )
 
 
+def label_figure(
+    evidence: FigureEvidence, corpus: FigureCorpus, vocab: LabelVocabulary,
+    gateway: Gateway, backend_id: str, k: int, per_paper_cap: int,
+) -> tuple[FrameworkLabels | None, list[str], str]:
+    """Normalized labels, exemplar doc ids and error message of one figure.
+
+    Exemplars are other papers' figures; none when k is 0. A `GatewayError`
+    other than `AuthenticationError` fails this figure alone: no labels.
+    """
+    doc_ids = retrieve_similar_figures(
+        evidence, corpus, k=k, per_paper_cap=per_paper_cap, exclude_paper=evidence.paper_id
+    ) if k else []
+    exemplars = [(corpus.evidence[d], corpus.labels[d]) for d in doc_ids]
+    try:
+        payload = extract_labels(evidence, exemplars, gateway, backend_id)
+    except AuthenticationError:
+        raise
+    except GatewayError as exc:
+        logger.warning("figure %s::%s failed: %s", evidence.paper_id, evidence.figure_id, exc)
+        return None, doc_ids, str(exc)
+    return normalize_labels(payload, vocab, evidence.paper_id, evidence.base_figure_id), doc_ids, ""
+
+
 @dataclass
 class Stage3Result:
     labels: list[FrameworkLabels]
@@ -347,18 +370,7 @@ def run_stage3(
     """
 
     def process(evidence: FigureEvidence):
-        doc_ids = retrieve_similar_figures(
-            evidence, corpus, k=k, per_paper_cap=per_paper_cap, exclude_paper=evidence.paper_id
-        )
-        exemplars = [(corpus.evidence[d], corpus.labels[d]) for d in doc_ids]
-        try:
-            payload = extract_labels(evidence, exemplars, gateway, backend_id)
-        except BackendUnavailable as exc:
-            logger.warning("figure %s::%s queued for retry: %s",
-                           evidence.paper_id, evidence.figure_id, exc)
-            return None, doc_ids
-        labels = normalize_labels(payload, vocab, evidence.paper_id, evidence.base_figure_id)
-        return labels, doc_ids
+        return label_figure(evidence, corpus, vocab, gateway, backend_id, k, per_paper_cap)
 
     if max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool_exec:
@@ -369,7 +381,7 @@ def run_stage3(
     result = Stage3Result(labels=[])
     grouped: dict[tuple[str, str], list[FrameworkLabels]] = {}
     group_order: list[tuple[str, str]] = []
-    for evidence, (labels, doc_ids) in zip(targets, processed):
+    for evidence, (labels, doc_ids, _) in zip(targets, processed):
         result.retrieval_log[figure_doc_id(evidence.paper_id, evidence.figure_id)] = doc_ids
         if labels is None:
             result.retry.append((evidence.paper_id, evidence.figure_id))

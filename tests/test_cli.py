@@ -243,6 +243,55 @@ class TestMalformedInput:
         assert "Traceback" not in err
 
 
+class TestEvalFlags:
+    """Bad or missing `eval` flags are a one-line exit 1 naming the flag."""
+
+    def eval_error(self, fixture_config, tmp_path, capsys, *flags: str) -> str:
+        config = str(fixture_config("eval_flags"))
+        code = main(["eval", *flags, "--out", str(tmp_path / "report.json"), "--config", config])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("flag", ["--stages", "--shots", "--stage2-shots", "--stage3-shots"])
+    def test_non_integer_list(self, fixture_config, tmp_path, capsys, flag):
+        err = self.eval_error(
+            fixture_config, tmp_path, capsys, "--pool", fx("pool.jsonl"),
+            "--corpus", fx("corpus.jsonl"), "--stages", "1", flag, "1,x",
+        )
+        assert flag in err and "'1,x'" in err
+
+    @pytest.mark.parametrize("stages, given, missing", [
+        ("1", [], "--pool"),
+        ("2", ["--evidence", "evidence.jsonl"], "--figures"),
+        ("3", ["--figures", "library.jsonl"], "--evidence"),
+    ])
+    def test_missing_input_flag(self, fixture_config, tmp_path, capsys, stages, given, missing):
+        err = self.eval_error(fixture_config, tmp_path, capsys, "--stages", stages, *given)
+        assert missing in err
+
+
+class TestAuthenticationFailure:
+    def test_missing_api_key_exits_2(self, fixture_config, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("VISMINE_TEST_UNSET_KEY", raising=False)
+        backends = json.loads((FIXTURE_DIR / "config.json").read_text())["backends"]
+        backends["secondary"] = {
+            "kind": "http", "endpoint": "http://127.0.0.1:9/v1/chat", "model": "m",
+            "api_key_env": "VISMINE_TEST_UNSET_KEY",
+        }
+        config = str(fixture_config("no_key", backends=backends))
+        report = tmp_path / "report.json"
+        assert main([
+            "eval", "--pool", fx("pool.jsonl"), "--corpus", fx("corpus.jsonl"),
+            "--stages", "1", "--out", str(report), "--config", config,
+        ]) == 2
+        assert "VISMINE_TEST_UNSET_KEY" in capsys.readouterr().err
+        assert not report.exists()
+        assert main(["run", "--config", config]) == 2
+
+
 class TestEntryPoint:
     def test_help_exits_cleanly(self):
         with pytest.raises(SystemExit) as excinfo:

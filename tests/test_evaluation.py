@@ -5,7 +5,7 @@ import pytest
 from vismine import bm25
 from vismine import evaluation as ev
 from vismine.corpus import PaperRecord, load_labeled_pool
-from vismine.errors import EvaluationError
+from vismine.errors import AuthenticationError, EvaluationError
 from vismine.evidence import FigureEvidence
 from vismine.gateway import Gateway, KeywordStubBackend, StubRules
 from vismine.library import CodedFigure, CodedPaper
@@ -13,6 +13,7 @@ from vismine.stage1 import pool_index
 from vismine.stage2 import library_index
 from vismine.stage3 import library_figure_corpus
 from vismine.vocab import default_vocabulary, FrameworkLabels
+from tests.conftest import ITEM_FAILURES, RaisingBackend
 
 VOCAB = default_vocabulary()
 
@@ -482,3 +483,76 @@ class TestFindLeakage:
         )
         violations = ev.find_leakage(report)
         assert len(violations) == 2
+
+
+def failing_screen_gateway(error_type, marker):
+    """`dual_stub_gateway`, with the secondary backend failing on `marker`."""
+    backends = dual_stub_gateway().backends
+    backends["secondary"] = RaisingBackend(backends["secondary"], error_type, marker)
+    return Gateway(backends, max_attempts=1, backoff_base=0.0)
+
+
+def failing_figure_gateway(error_type, marker):
+    """`figure_gateway`, failing on `marker`."""
+    backend = RaisingBackend(figure_gateway().backend("primary"), error_type, marker)
+    return Gateway({"primary": backend}, max_attempts=1, backoff_base=0.0)
+
+
+def hiding(lookup, paper_id, figure_id):
+    return lambda p, f: None if (p, f) == (paper_id, figure_id) else lookup(p, f)
+
+
+def row_dicts(report):
+    return [r.to_dict() for r in report.rows]
+
+
+class TestLooFailureRule:
+    """A backend call failing with a `GatewayError` other than
+    `AuthenticationError` fails its item alone: one error line, no score."""
+
+    @pytest.mark.parametrize("error_type", ITEM_FAILURES)
+    def test_stage1_keeps_earlier_verdicts_and_drops_consensus(self, error_type):
+        gateway = failing_screen_gateway(error_type, "alpha")  # A1's title
+        report = ev.run_stage1_loo(
+            screening_pool(), gateway, ["primary", "secondary"], shots=(0,)
+        )
+        assert len(report.errors) == 1
+        assert report.errors[0].startswith("stage1/0-shot/A1: ")
+        assert "injected failure" in report.errors[0]
+        scored = {
+            r.model: r.counts.tp + r.counts.fp + r.counts.tn + r.counts.fn
+            for r in report.rows if r.method == "0-shot"
+        }
+        assert scored == {"primary": 6, "secondary": 5, "consensus": 5}
+        assert report.fold_counts["stage1"] == 6
+
+    def test_stage1_authentication_error_propagates(self):
+        gateway = failing_screen_gateway(AuthenticationError, "alpha")
+        with pytest.raises(AuthenticationError):
+            ev.run_stage1_loo(screening_pool(), gateway, ["primary", "secondary"], shots=(0,))
+
+    @pytest.mark.parametrize("error_type", ITEM_FAILURES)
+    def test_stage2_failed_figure_reported_not_scored(self, error_type):
+        papers, lookup = coded_fixture()
+        gateway = failing_figure_gateway(error_type, "accuracy chart")  # C1's Figure 1
+        report = ev.run_stage2_loo(papers, lookup, gateway, "primary", shots=(0,))
+        assert len(report.errors) == 1
+        assert report.errors[0].startswith("stage2/0-shot/C1::Figure 1: ")
+        without = ev.run_stage2_loo(
+            papers, hiding(lookup, "C1", "Figure 1"), figure_gateway(), "primary", shots=(0,)
+        )
+        assert row_dicts(report) == row_dicts(without)
+
+    @pytest.mark.parametrize("error_type", ITEM_FAILURES)
+    def test_stage3_failed_figure_reported_not_scored(self, error_type):
+        papers, lookup = coded_fixture()
+        gateway = failing_figure_gateway(error_type, "gradient heatmap")  # C2's Figure 1
+        report = ev.run_stage3_loo(papers, lookup, VOCAB, gateway, "primary", shots=(0,))
+        assert len(report.errors) == 1
+        assert report.errors[0].startswith("stage3/0-shot/C2::Figure 1: ")
+        assert report.fold_counts["stage3"] == 2
+        without = ev.run_stage3_loo(
+            papers, hiding(lookup, "C2", "Figure 1"), VOCAB, figure_gateway(), "primary",
+            shots=(0,),
+        )
+        assert row_dicts(report) == row_dicts(without)

@@ -8,7 +8,8 @@ import pytest
 from vismine.config import load_config
 from vismine.errors import PipelineError
 from vismine.jsonl import atomic_write_text, read_jsonl, write_jsonl
-from vismine.pipeline import STAGES, run_pipeline, stage_outputs
+from vismine.corpus import PaperRecord
+from vismine.pipeline import STAGES, load_pool, run_pipeline, stage_outputs
 
 
 def output_bytes(out_dir: Path) -> dict[str, bytes]:
@@ -120,3 +121,21 @@ class TestAtomicWrites:
         write_jsonl(path, [])
         assert path.read_text() == ""
         assert list(read_jsonl(path)) == []
+
+
+class TestLoadPool:
+    def test_records_first_titled_rows_add_missing_papers(self, tmp_path):
+        pool_file = tmp_path / "pool.jsonl"
+        write_jsonl(pool_file, [
+            {"paper_id": "B", "label": "negative", "title": "pool title B"},
+            {"paper_id": "A", "label": "positive", "title": "pool title A"},
+            {"paper_id": "C", "label": "positive"},
+        ])
+        records = [PaperRecord(paper_id="C", title="corpus title C"),
+                   PaperRecord(paper_id="A", title="corpus title A")]
+        pool = load_pool(pool_file, records)
+        assert [r.paper_id for r in pool.records] == ["B", "A", "C"]
+        assert {r.paper_id: r.title for r in pool.records} == {
+            "A": "corpus title A", "B": "pool title B", "C": "corpus title C",
+        }
+        assert [r.label for r in pool.records] == ["negative", "positive", "positive"]

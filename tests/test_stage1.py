@@ -5,8 +5,9 @@ import json
 import pytest
 
 from vismine import corpus, stage1
-from vismine.errors import StageError, TransientBackendError
+from vismine.errors import AuthenticationError, StageError, TransientBackendError
 from vismine.gateway import Gateway, KeywordStubBackend, StubBackend, StubRules
+from tests.conftest import ITEM_FAILURES, RaisingBackend
 
 
 def paper(paper_id, title, label=None, abstract=""):
@@ -272,3 +273,32 @@ class TestRunStage1:
         result = stage1.run_stage1(papers, pool, gateway, ["primary", "secondary"])
         assert len(result.retry) == 14  # every unlabeled candidate
         assert [r.paper_id for r in result.subset] == ["lab1", "lab2", "lab3"]
+
+
+def failing_secondary_gateway(error_type, marker):
+    """`dual_stub_gateway`, with the secondary backend failing on `marker`."""
+    backends = dual_stub_gateway().backends
+    backends["secondary"] = RaisingBackend(backends["secondary"], error_type, marker)
+    return Gateway(backends, max_attempts=1, backoff_base=0.0)
+
+
+class TestFailureRule:
+    @pytest.mark.parametrize("error_type", ITEM_FAILURES)
+    def test_failed_call_leaves_paper_undecided(self, error_type):
+        papers, pool, _ = twenty_paper_fixture()
+        gateway = failing_secondary_gateway(error_type, "saliency model probe")  # c01
+        result = stage1.run_stage1(papers, pool, gateway, ["primary", "secondary"])
+        assert result.retry == ["c01"]
+        assert [r.paper_id for r in result.subset] == [
+            "c05", "c07", "c11", "c13", "lab1", "lab2", "lab3",
+        ]
+        decision = next(d for d in result.decisions if d.paper_id == "c01")
+        assert decision.decision == "undecided"
+        assert [v.backend_id for v in decision.verdicts] == ["primary"]
+        assert "injected failure" in decision.error
+
+    def test_authentication_error_propagates(self):
+        papers, pool, _ = twenty_paper_fixture()
+        gateway = failing_secondary_gateway(AuthenticationError, "")
+        with pytest.raises(AuthenticationError):
+            stage1.run_stage1(papers, pool, gateway, ["primary", "secondary"])

@@ -9,6 +9,7 @@ from vismine.corpus import PaperRecord
 from vismine.errors import StageError, TransientBackendError
 from vismine.evidence import FigureEvidence
 from vismine.gateway import Gateway, KeywordStubBackend, StubBackend, StubRules
+from tests.conftest import ITEM_FAILURES, RaisingBackend
 from vismine.library import CodedFigure, CodedPaper
 
 
@@ -342,6 +343,24 @@ class TestRunStage2:
         threaded = stage2.run_stage2(targets, library, lookup, figure_gateway(), "primary",
                                      max_workers=4)
         assert [v.to_dict() for v in serial.verdicts] == [v.to_dict() for v in threaded.verdicts]
+
+    @pytest.mark.parametrize("error_type", ITEM_FAILURES)
+    def test_failed_figure_queued_alone(self, error_type):
+        targets, library, lookup = self.make_inputs()
+        backend = RaisingBackend(figure_gateway().backend("primary"), error_type, "scenic")
+        gateway = Gateway({"primary": backend}, max_attempts=1, backoff_base=0.0)
+        result = stage2.run_stage2(targets, library, lookup, gateway, "primary")
+        assert result.retry == [("T1", "Figure 2")]
+        assert [(v.paper_id, v.figure_id) for v in result.verdicts] == [
+            ("T1", "Figure 1"), ("T1", "Figure 3"), ("T2", "Figure 1"),
+        ]
+
+    def test_empty_evidence_queued_for_retry(self):
+        targets, library, lookup = self.make_inputs()
+        targets[1][1].append(fig_evidence("T2", "Figure 2", ""))
+        result = stage2.run_stage2(targets, library, lookup, figure_gateway(), "primary")
+        assert result.retry == [("T2", "Figure 2")]
+        assert len(result.verdicts) == 4
 
     def test_backend_failure_queues_retry(self):
         class AlwaysDown:

@@ -10,6 +10,7 @@ from vismine.errors import StageError
 from vismine.evidence import FigureEvidence
 from vismine.gateway import Gateway, StubBackend
 from vismine.vocab import FrameworkLabels, default_vocabulary
+from tests.conftest import ITEM_FAILURES, RaisingBackend
 
 
 def fig_evidence(paper_id, figure_id, caption, context=()):
@@ -365,3 +366,24 @@ class TestAggregateSubfigures:
     def test_empty_rejected(self):
         with pytest.raises(StageError):
             stage3.aggregate_subfigures([], VOCAB)
+
+
+class TestRunStage3:
+    @pytest.mark.parametrize("error_type", ITEM_FAILURES)
+    def test_failed_figure_queued_alone(self, error_type):
+        corpus = stage3.build_figure_corpus([
+            (fig_evidence("L1", "Figure 1", "accuracy chart"), labels("L1", vis="heatmap")),
+        ])
+        targets = [
+            fig_evidence("T1", "Figure 1", "accuracy chart by epoch"),
+            fig_evidence("T1", "Figure 2", "a scenic accuracy photograph"),
+            fig_evidence("T2", "Figure 1", "accuracy chart by class"),
+        ]
+        backend = RaisingBackend(echo_stub(), error_type, "scenic")
+        gateway = Gateway({"echo": backend}, max_attempts=1, backoff_base=0.0)
+        result = stage3.run_stage3(targets, corpus, VOCAB, gateway, "echo")
+        assert result.retry == [("T1", "Figure 2")]
+        assert [(l.paper_id, l.base_figure_id, l.vis_type) for l in result.labels] == [
+            ("T1", "Figure 1", "heatmap"), ("T2", "Figure 1", "heatmap"),
+        ]
+        assert result.retrieval_log["T1::Figure 2"] == ["L1::Figure 1"]
