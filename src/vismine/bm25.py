@@ -9,11 +9,15 @@ Queries are evaluated term at a time (Turtle & Flood 1995): `top_k` and
 `rank_all` walk the postings of each query token in query order and add
 that term's contribution to one score accumulator, so a query costs the
 total length of its terms' posting lists rather than one `score()` call
-per document.  The corpus statistics are computed once per index
-(Robertson & Zaragoza 2009): the average document length at build time,
-each term's IDF on first use.  Every addition uses the same expression,
-in the same per-document order, as the doc-at-a-time `score()`, so the
-accumulated scores equal `score()` bit for bit and rankings are exact.
+per document.  The average document length is computed at build time.
+A term's contribution to a document, `idf * tf * (k1 + 1) / norm`, depends
+only on the index and the fixed parameters, so each term's list of
+`(doc_id, contribution)` pairs is computed on the term's first query and
+kept; every later query adds the stored values.  Each contribution is
+`score()`'s expression with `score()`'s operand order, and each query
+adds them in `score()`'s per-document order, repeated query tokens
+included, so the accumulated scores equal `score()` bit for bit and
+rankings are exact.
 """
 
 from __future__ import annotations
@@ -74,9 +78,11 @@ class Bm25Index:
             sum(self._doc_lengths.values()) / len(self._doc_lengths)
             if self._doc_lengths else 0.0
         )
-        # Filled on first use, so an index built per LOO fold pays only for
-        # the terms its queries touch, not for the whole vocabulary.
-        self._idf: dict[str, float] = {}
+        # term -> [(doc_id, contribution)], filled on the term's first query,
+        # so an index built per LOO fold pays only for the terms its queries
+        # touch.  Each list is complete before it is stored, so threads
+        # sharing an index can at worst compute the same list twice.
+        self._contributions: dict[str, list[tuple[str, float]]] = {}
 
     @property
     def doc_count(self) -> int:
@@ -104,34 +110,38 @@ class Bm25Index:
     def term_frequency(self, term: str, doc_id: str) -> int:
         return self._postings.get(term, {}).get(doc_id, 0)
 
-    def _term_idf(self, term: str) -> float:
-        value = self._idf.get(term)
-        if value is None:
-            value = self._idf[term] = idf(self, term)
-        return value
+    def _term_contributions(self, term: str) -> list[tuple[str, float]]:
+        """`score()`'s addend for `term` in each document of its posting list."""
+        contributions = self._contributions.get(term)
+        if contributions is None:
+            k1, b = DEFAULT_K1, DEFAULT_B
+            avgdl = self._avg_doc_length
+            lengths = self._doc_lengths
+            term_idf = idf(self, term)
+            contributions = []
+            for doc_id, tf in self._postings[term].items():
+                norm = tf + k1 * (1.0 - b + b * lengths[doc_id] / avgdl)
+                contributions.append((doc_id, term_idf * tf * (k1 + 1.0) / norm))
+            self._contributions[term] = contributions
+        return contributions
 
-    def _accumulate(self, query_tokens: Sequence[str], k1: float, b: float) -> dict[str, float]:
+    def _accumulate(self, query_tokens: Sequence[str]) -> dict[str, float]:
         """Score of every document sharing a term with the query.
 
         Walks the query tokens in order, repetitions included, and adds each
-        term's contribution to the documents in its posting list.  Each
-        addition is `score()`'s expression in `score()`'s per-document
-        order, so every value equals `score(self, query_tokens, doc_id)`
-        exactly; documents sharing no term are absent (score 0.0).
+        term's stored contributions to the documents in its posting list, so
+        every value equals `score(self, query_tokens, doc_id)` exactly;
+        documents sharing no term are absent (score 0.0).
         """
         scores: dict[str, float] = {}
-        avgdl = self._avg_doc_length
-        if avgdl == 0.0:
+        if self._avg_doc_length == 0.0:
             return scores
-        lengths = self._doc_lengths
+        get = scores.get
         for term in query_tokens:
-            posting = self._postings.get(term)
-            if posting is None:
+            if term not in self._postings:
                 continue
-            term_idf = self._term_idf(term)
-            for doc_id, tf in posting.items():
-                norm = tf + k1 * (1.0 - b + b * lengths[doc_id] / avgdl)
-                scores[doc_id] = scores.get(doc_id, 0.0) + term_idf * tf * (k1 + 1.0) / norm
+            for doc_id, contribution in self._term_contributions(term):
+                scores[doc_id] = get(doc_id, 0.0) + contribution
         return scores
 
     def dump(self) -> dict:
@@ -195,8 +205,6 @@ def top_k(
     query_tokens: Sequence[str],
     k: int,
     exclude: frozenset[str] | set[str] = frozenset(),
-    k1: float = DEFAULT_K1,
-    b: float = DEFAULT_B,
 ) -> list[str]:
     """Up to k doc ids by descending score; ties by ascending doc_id.
 
@@ -204,7 +212,7 @@ def top_k(
     """
     if k < 1:
         raise RetrievalError(f"k must be >= 1, got {k}")
-    scores = index._accumulate(query_tokens, k1, b)
+    scores = index._accumulate(query_tokens)
     ranked = sorted(
         (pair for pair in scores.items() if pair[1] > 0.0 and pair[0] not in exclude),
         key=_rank_key,
@@ -216,15 +224,13 @@ def rank_all(
     index: Bm25Index,
     query_tokens: Sequence[str],
     exclude: frozenset[str] | set[str] = frozenset(),
-    k1: float = DEFAULT_K1,
-    b: float = DEFAULT_B,
 ) -> list[tuple[str, float]]:
     """Every indexed document ranked, zero scores included.
 
     Used where a full ordering is needed (class-balanced exemplar picking
     must be able to reach past the zero-score frontier).
     """
-    scores = index._accumulate(query_tokens, k1, b)
+    scores = index._accumulate(query_tokens)
     ranked = [
         (doc_id, scores.get(doc_id, 0.0))
         for doc_id in index._doc_lengths

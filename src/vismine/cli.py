@@ -19,7 +19,7 @@ from .config import load_config, validate_config, build_gateway
 from .errors import ConfigError, InputError, VismineError
 from .jsonl import read_jsonl, write_json
 from .library import load_library
-from .pipeline import STAGES, load_pool, run_pipeline, _evidence_lookup_from_file, _load_corpus_file
+from .pipeline import STAGES, load_evidence_table, load_pool, run_pipeline, _load_corpus_file
 from .vocab import LabelVocabulary, load_vocabulary
 
 EXIT_OK = 0
@@ -100,6 +100,8 @@ def cmd_stage3(args) -> int:
 
 def cmd_eval(args) -> int:
     stages = _int_list(args.stages, "--stages")
+    if not stages or any(stage not in (1, 2, 3) for stage in stages):
+        raise InputError(f"--stages must list stages from 1-3, got {args.stages!r}")
     stage1_shots = _int_list(args.shots, "--shots")
     stage2_shots = _int_list(args.stage2_shots, "--stage2-shots")
     stage3_shots = _int_list(args.stage3_shots, "--stage3-shots")
@@ -114,15 +116,16 @@ def cmd_eval(args) -> int:
     if 1 in stages:
         pool = load_pool(args.pool, _load_corpus_file(args.corpus) if args.corpus else [])
     coded = None
-    lookup = None
+    table = None
     if figure_stages:
         coded = load_library(read_jsonl(args.figures))
-        lookup = _evidence_lookup_from_file(Path(args.evidence))
+        table = load_evidence_table(args.evidence)
     vocab = _vocabulary(args, config) if 3 in stages else None
     report = eval_mod.run_loo(
         pool=pool,
         coded=coded,
-        evidence_lookup=lookup,
+        evidence_lookup=None if table is None else (
+            lambda paper_id, figure_id: table.get((paper_id, figure_id))),
         vocab=vocab,
         gateway=gateway,
         stage1_backends=config.stage1_backends,

@@ -4,6 +4,17 @@ Input is the plain text produced by an external PDF converter. The text is
 segmented into paragraphs, non-body fragments are stripped, caption headers
 are located, and each figure's evidence is assembled as caption plus a
 one-paragraph window around every in-text reference.
+
+A hit is what the figure's own `_reference_pattern` finds in a non-caption
+paragraph.  `extract_all_evidence` first scans each paragraph once for
+`fig.`/`figure` followed by an ASCII digit run and lists the paragraphs
+under each run; each figure's pattern then searches only the paragraphs
+listed under its number.  The prefilter is exact: every figure's pattern
+is the same prefix, then its number, then a character that is not
+`[0-9]`, so wherever a hit starts the scan reads exactly that number.
+The scan reads `[0-9]` like the patterns, not every Unicode digit
+(`Figure 3٣` cites figure 3), and leaves the sub-figure letter rules to
+the patterns.
 """
 
 from __future__ import annotations
@@ -11,6 +22,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import DocumentError
 
@@ -32,6 +44,8 @@ _REF_SCAN_RE = re.compile(
     r"\b(?:fig\.|figure)\s*(\d+)(?:([a-z])|\s*\(\s*([a-z])\s*\))?(?![0-9a-z])",
     re.IGNORECASE,
 )
+# The prefix every `_reference_pattern` starts with, and the number after it.
+_CITED_NUMBER_RE = re.compile(r"\b(?:fig\.|figure)\s*([0-9]+)", re.IGNORECASE)
 
 
 @dataclass(frozen=True)
@@ -172,12 +186,15 @@ def extract_evidence(
     doc: DocumentText,
     figure_id: str,
     captions: list[tuple[int, str, str]] | None = None,
+    candidates: Iterable[int] | None = None,
 ) -> FigureEvidence:
     """Caption plus merged one-paragraph windows around each in-text hit.
 
     Caption paragraphs never count as hits; the figure's own caption is
     also excluded from the context window because it already leads the
-    assembled evidence.
+    assembled evidence.  Only the paragraph positions in `candidates` are
+    searched, every paragraph when it is None; a caller passing positions
+    must list every paragraph that can hold a hit.
     """
     if captions is None:
         captions = _scan_captions(doc)
@@ -188,10 +205,12 @@ def extract_evidence(
     caption_positions = {pos for pos, _, _ in captions}
 
     pattern = _reference_pattern(figure_id)
+    if candidates is None:
+        candidates = range(len(doc.paragraphs))
     hits = [
         pos
-        for pos, paragraph in enumerate(doc.paragraphs)
-        if pos not in caption_positions and pattern.search(paragraph)
+        for pos in candidates
+        if pos not in caption_positions and pattern.search(doc.paragraphs[pos])
     ]
     window: set[int] = set()
     for hit in hits:
@@ -213,19 +232,27 @@ def extract_all_evidence(doc: DocumentText) -> list[FigureEvidence]:
     """Evidence for every captioned figure, in document order.
 
     Figures referenced in the text but never captioned are skipped and
-    logged; they carry no caption to anchor the evidence on.
+    logged; they carry no caption to anchor the evidence on.  Each figure
+    is searched for only in the paragraphs that cite its number.
     """
     captions = _scan_captions(doc)
     captioned = {figure_id for _, figure_id, _ in captions}
     caption_positions = {pos for pos, _, _ in captions}
     referenced: set[str] = set()
+    cited_at: dict[str, list[int]] = {}
     for pos, paragraph in enumerate(doc.paragraphs):
         if pos in caption_positions:
             continue
         for m in _REF_SCAN_RE.finditer(paragraph):
             referenced.add(canonical_figure_id(m.group(1), m.group(2) or m.group(3)))
+        for number in set(_CITED_NUMBER_RE.findall(paragraph)):
+            cited_at.setdefault(number, []).append(pos)
     for figure_id in sorted(referenced - captioned, key=figure_sort_key):
         if base_figure_id(figure_id) in captioned:
             continue
         logger.info("%s: %s referenced but never captioned; skipped", doc.paper_id, figure_id)
-    return [extract_evidence(doc, figure_id, captions) for _, figure_id, _ in captions]
+    return [
+        extract_evidence(doc, figure_id, captions,
+                         cited_at.get(_FIGURE_ID_RE.match(figure_id).group(1), ()))
+        for _, figure_id, _ in captions
+    ]

@@ -338,7 +338,10 @@ class Gateway:
 
 
 def parse_json_payload(raw: str) -> dict | None:
-    """First balanced JSON object embedded in a response, or None."""
+    """First balanced JSON object embedded in a response, or None; never raises.
+
+    A response nested too deeply for the decoder gives None.
+    """
     start = raw.find("{")
     while start != -1:
         depth = 0
@@ -363,7 +366,9 @@ def parse_json_payload(raw: str) -> dict | None:
                 if depth == 0:
                     try:
                         payload = json.loads(raw[start : i + 1])
-                    except json.JSONDecodeError:
+                    except RecursionError:
+                        return None
+                    except ValueError:  # JSONDecodeError, or an over-long integer
                         break
                     if isinstance(payload, dict):
                         return payload

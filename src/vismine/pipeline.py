@@ -110,15 +110,13 @@ def _config_path(config: RunConfig, path: Path | None, name: str) -> Path:
     return resolved
 
 
-def _evidence_lookup_from_file(path: str | Path):
+def load_evidence_table(path: str | Path) -> dict[tuple[str, str], evidence_mod.FigureEvidence]:
+    """Evidence file rows keyed by (paper_id, figure_id), in file order; a later row wins."""
     table: dict[tuple[str, str], evidence_mod.FigureEvidence] = {}
     for raw in read_jsonl(path):
         ev = evidence_mod.evidence_from_dict(raw)
         table[(ev.paper_id, ev.figure_id)] = ev
-    def lookup(paper_id: str, figure_id: str):
-        return table.get((paper_id, figure_id))
-    lookup.table = table  # type: ignore[attr-defined]
-    return lookup
+    return table
 
 
 def run_ingest(
@@ -186,9 +184,9 @@ def run_stage2_step(
     papers = _load_corpus_file(papers_path)
     library = load_library(read_jsonl(library_path))
     library_ids = {p.paper_id for p in library}
-    lookup = _evidence_lookup_from_file(evidence_path)
+    table = load_evidence_table(evidence_path)
     by_paper: dict[str, list[evidence_mod.FigureEvidence]] = {}
-    for ev in lookup.table.values():  # type: ignore[attr-defined]
+    for ev in table.values():
         by_paper.setdefault(ev.paper_id, []).append(ev)
     for evs in by_paper.values():
         evs.sort(key=lambda e: evidence_mod.figure_sort_key(e.figure_id))
@@ -200,7 +198,7 @@ def run_stage2_step(
     result = stage2_mod.run_stage2(
         targets,
         library,
-        lookup,
+        lambda paper_id, figure_id: table.get((paper_id, figure_id)),
         gateway,
         backend_id,
         k=k,
@@ -218,14 +216,15 @@ def run_stage3_step(
 ) -> stage3_mod.Stage3Result:
     """Label every selected figure, with the coded library's figures as exemplars."""
     library = load_library(read_jsonl(library_path))
-    lookup = _evidence_lookup_from_file(evidence_path)
-    corpus = stage3_mod.library_figure_corpus(library, lookup)
+    table = load_evidence_table(evidence_path)
+    corpus = stage3_mod.library_figure_corpus(
+        library, lambda paper_id, figure_id: table.get((paper_id, figure_id)))
     targets = []
     for raw in read_jsonl(verdicts_path):
         verdict = stage2_mod.verdict_from_dict(raw)
         if not verdict.selected:
             continue
-        ev = lookup(verdict.paper_id, verdict.figure_id)
+        ev = table.get((verdict.paper_id, verdict.figure_id))
         if ev is None:
             logger.warning("no evidence for selected figure %s::%s",
                            verdict.paper_id, verdict.figure_id)

@@ -306,3 +306,15 @@ class TestTermAtATimeProperties:
         assert bm25.top_k(reordered, query, k, exclude=exclude) == bm25.top_k(
             index, query, k, exclude=exclude
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(corpora, st.lists(queries, min_size=2, max_size=8))
+    def test_queries_sharing_terms_on_one_index_equal_reference(self, docs, query_list):
+        # Later queries reuse the per-term contributions the earlier ones stored.
+        index = make_index(docs)
+        for query in query_list:
+            ranked = bm25.rank_all(index, query)
+            for doc_id, value in ranked:
+                assert value == bm25.score(index, query, doc_id)
+            positive = [d for d, s in ranked if s > 0.0]
+            assert bm25.top_k(index, query, 3) == positive[:3]

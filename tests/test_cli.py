@@ -272,6 +272,15 @@ class TestEvalFlags:
         err = self.eval_error(fixture_config, tmp_path, capsys, "--stages", stages, *given)
         assert missing in err
 
+    @pytest.mark.parametrize("stages", ["4", "1,4", "0", ""])
+    def test_stage_outside_one_to_three(self, fixture_config, tmp_path, capsys, stages):
+        err = self.eval_error(
+            fixture_config, tmp_path, capsys, "--pool", fx("pool.jsonl"),
+            "--corpus", fx("corpus.jsonl"), "--stages", stages,
+        )
+        assert "--stages" in err
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestAuthenticationFailure:
     def test_missing_api_key_exits_2(self, fixture_config, tmp_path, monkeypatch, capsys):

@@ -3,7 +3,7 @@
 import logging
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vismine import evidence
@@ -288,3 +288,41 @@ class TestNonbodyProperty:
     ])
     def test_examples_match(self, paragraph):
         assert evidence._is_nonbody(paragraph) == reference_is_nonbody(paragraph)
+
+
+# Reference forms the per-figure patterns and the number scan could read
+# differently: no space, leading zeros, upper case, non-ASCII digits after or
+# instead of the number, two letters, parenthesised and spaced letters.
+REFERENCE_FRAGMENTS = [
+    "fig.3b", "Figure 03", "FIGURE 12", "Figure 3\u0663", "Figure \u0663", "Figure 3ab",
+    "Fig. 3(b)", "Figure 3 b", "Figure 3a", "figure 1", "Fig.12", "Figure 10", "Figure\n3",
+    "Figures 3", "prefigure 3", "fig 2", "Figure 12b", "the model", "(", "3",
+]
+CAPTION_HEADS = [
+    "Figure 3:", "Fig. 3b.", "FIGURE 12 -", "Figure \u0663:", "Figure 03:", "Figure 3 (a):",
+    "Fig.1:", "Figure 10.", "Figure 12b:", "figure 2:",
+]
+
+body_paragraphs = st.tuples(
+    st.lists(st.sampled_from(REFERENCE_FRAGMENTS), min_size=1, max_size=6),
+    st.sampled_from([" ", "", ", "]),
+).map(lambda parts: parts[1].join(parts[0]))
+# Captions may cite figures too; those are never hits.
+caption_paragraphs = st.tuples(st.sampled_from(CAPTION_HEADS), body_paragraphs).map(" ".join)
+documents = st.lists(st.one_of(caption_paragraphs, body_paragraphs), max_size=10).map(
+    lambda paragraphs: evidence.DocumentText(paper_id="p", paragraphs=tuple(paragraphs))
+)
+
+
+class TestPrefilterProperty:
+    """`extract_all_evidence` searches only the paragraphs citing a figure's number."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(documents)
+    @example(evidence.DocumentText("p", ("Figure 3: c", "see Figure 3\u0663 here")))
+    @example(evidence.DocumentText("p", ("Figure 3b: c", "Figure 3ab and Fig. 3(b)", "Figure 3 b")))
+    @example(evidence.DocumentText("p", ("Figure 3: c", "Figure 03 or Figure \u0663", "fig.3b")))
+    def test_equals_per_figure_search_of_every_paragraph(self, doc):
+        expected = [evidence.extract_evidence(doc, figure_id)
+                    for figure_id, _ in evidence.detect_captions(doc)]
+        assert evidence.extract_all_evidence(doc) == expected

@@ -253,6 +253,35 @@ class TestParseVerdict:
         assert gw.parse_verdict('{"relevant": "no"}').decision is False
 
 
+def nested(depth: int) -> str:
+    return '{"a":' * depth + "1" + "}" * depth
+
+
+# Plain text, JSON punctuation, and objects at the decoder's limits: nesting
+# deeper than its recursion limit and integers longer than int() converts.
+payload_text = st.lists(
+    st.one_of(
+        st.text(max_size=20),
+        st.sampled_from(["{", "}", '"', "\\", ":", "[", "]", '{"a": 1}', '{"a": [}']),
+        st.integers(min_value=0, max_value=3000).map(nested),
+        st.integers(min_value=1, max_value=6000).map(lambda n: '{"n": ' + "7" * n + "}"),
+    ),
+    max_size=6,
+).map("".join)
+
+
+class TestParseJsonPayload:
+    @settings(max_examples=200, deadline=None)
+    @given(payload_text)
+    def test_never_raises(self, raw):
+        payload = gw.parse_json_payload(raw)
+        assert payload is None or isinstance(payload, dict)
+
+    def test_nesting_deeper_than_the_decoder_is_none(self):
+        assert gw.parse_json_payload(nested(5000)) is None
+        assert gw.parse_verdict(nested(5000), "b1") == gw.ModelVerdict("b1", False, 0.0, "(malformed)")
+
+
 class TestConsensus:
     def verdict(self, decision, backend="b"):
         return gw.ModelVerdict(backend, decision, 0.5, "e")
