@@ -5,27 +5,38 @@ exemplar sampling, figure-level label retrieval) goes through this module,
 so scoring stays deterministic and auditable: fixed parameters, a
 nonnegative IDF, and doc-id tie-breaking.
 
+Building an index costs one step per document, not one per posting: a
+`TokenizedDoc` counts its terms once, on first use, and keeps the counts,
+so a document that joins many indexes (one per leave-one-out fold) is
+counted once.  The index keeps the documents' lengths and counts and the
+average length, and posts a term only when a query first asks for it:
+every term of the query that the index has not seen yet is posted in one
+pass over the documents, in document order, and terms found in no
+document are remembered as empty.  An index queried many times stops
+paying one pass per query: once its passes have visited as many documents
+as it has postings, the next pass posts every remaining term, so posting
+costs at most about twice what posting every term at build time would.
+
 Queries are evaluated term at a time (Turtle & Flood 1995): `top_k` and
 `rank_all` walk the postings of each query token in query order and add
 that term's contribution to one score accumulator, so a query costs the
 total length of its terms' posting lists rather than one `score()` call
-per document.  The average document length is computed at build time.
-A term's contribution to a document, `idf * tf * (k1 + 1) / norm`, depends
-only on the index and the fixed parameters, so each term's list of
-`(doc_id, contribution)` pairs is computed on the term's first query and
-kept; every later query adds the stored values.  Each contribution is
-`score()`'s expression with `score()`'s operand order, and each query
-adds them in `score()`'s per-document order, repeated query tokens
-included, so the accumulated scores equal `score()` bit for bit and
-rankings are exact.
+per document.  A term's contribution to a document,
+`idf * tf * (k1 + 1) / norm`, depends only on the index and the fixed
+parameters, so it is computed when the term is posted and kept as the
+term's list of `(doc_id, contribution)` pairs; every later query adds the
+stored values.  Each contribution is `score()`'s expression with
+`score()`'s operand order, and each query adds them in `score()`'s
+per-document order, repeated query tokens included, so the accumulated
+scores equal `score()` bit for bit and rankings are exact.
 """
-
 from __future__ import annotations
 
 import math
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import RetrievalError
@@ -58,31 +69,44 @@ class TokenizedDoc:
     def length(self) -> int:
         return len(self.tokens)
 
+    @cached_property
+    def counts(self) -> Counter:
+        """Occurrences of each term, counted on first use and kept."""
+        return Counter(self.tokens)
+
 
 class Bm25Index:
-    """Immutable-after-build index: postings, lengths, corpus stats."""
+    """Immutable-after-build index: lengths, term counts, corpus stats.
+
+    Postings are made on demand; see the module docstring.
+    """
 
     def __init__(self, docs: Sequence[TokenizedDoc]):
         self._doc_lengths: dict[str, int] = {}
-        self._postings: dict[str, dict[str, int]] = {}
+        self._doc_counts: dict[str, Counter] = {}
         for doc in docs:
             if doc.doc_id in self._doc_lengths:
                 raise RetrievalError(f"duplicate doc_id: {doc.doc_id!r}")
             self._doc_lengths[doc.doc_id] = doc.length
-            counts = Counter(doc.tokens)
+            counts = doc.counts
             if "" in counts:
                 raise RetrievalError(f"empty token in doc {doc.doc_id!r}")
-            for token, tf in counts.items():
-                self._postings.setdefault(token, {})[doc.doc_id] = tf
+            self._doc_counts[doc.doc_id] = counts
         self._avg_doc_length = (
             sum(self._doc_lengths.values()) / len(self._doc_lengths)
             if self._doc_lengths else 0.0
         )
-        # term -> [(doc_id, contribution)], filled on the term's first query,
-        # so an index built per LOO fold pays only for the terms its queries
-        # touch.  Each list is complete before it is stored, so threads
-        # sharing an index can at worst compute the same list twice.
+        # term -> [(doc_id, contribution)] in document order, one pair per
+        # document holding the term, stored when the term is first queried.
+        # Each list is complete before it is stored, so threads sharing an
+        # index can at worst post the same term twice.
         self._contributions: dict[str, list[tuple[str, float]]] = {}
+        # Documents visited by posting passes so far, against the number of
+        # (term, document) postings that posting every term would make.
+        # Threads may lose an update to the count; it only times the switch.
+        self._pass_cost = 0
+        self._posting_count = sum(len(counts) for counts in self._doc_counts.values())
+        self._all_posted = False
 
     @property
     def doc_count(self) -> int:
@@ -105,54 +129,91 @@ class Bm25Index:
         return self._doc_lengths[doc_id]
 
     def document_frequency(self, term: str) -> int:
-        return len(self._postings.get(term, {}))
-
-    def term_frequency(self, term: str, doc_id: str) -> int:
-        return self._postings.get(term, {}).get(doc_id, 0)
-
-    def _term_contributions(self, term: str) -> list[tuple[str, float]]:
-        """`score()`'s addend for `term` in each document of its posting list."""
         contributions = self._contributions.get(term)
         if contributions is None:
-            k1, b = DEFAULT_K1, DEFAULT_B
-            avgdl = self._avg_doc_length
-            lengths = self._doc_lengths
-            term_idf = idf(self, term)
-            contributions = []
-            for doc_id, tf in self._postings[term].items():
-                norm = tf + k1 * (1.0 - b + b * lengths[doc_id] / avgdl)
-                contributions.append((doc_id, term_idf * tf * (k1 + 1.0) / norm))
-            self._contributions[term] = contributions
-        return contributions
+            self._post({term})
+            contributions = self._contributions[term]
+        return len(contributions)
+
+    def term_frequency(self, term: str, doc_id: str) -> int:
+        return self._doc_counts.get(doc_id, {}).get(term, 0)
+
+    def _post(self, terms: set[str]) -> None:
+        """Store `score()`'s addend for each of `terms` in each document holding it.
+
+        One pass over the documents, in document order, finds the
+        documents holding each term; a document's length normalization,
+        `k1 * (1 - b + b * dl / avgdl)`, is computed once for all its terms.
+        Once the passes have visited as many documents as there are
+        postings, the pass posts every remaining term instead, so an index
+        queried many times costs at most about twice an eager build.
+        """
+        memo = self._contributions
+        if self._all_posted:
+            # Every term of every document is posted, some perhaps by
+            # another thread since the caller looked: keep those.
+            for term in terms:
+                memo.setdefault(term, [])
+            return
+        self._pass_cost += len(self._doc_counts)
+        post_all = self._pass_cost >= self._posting_count
+        if post_all:
+            terms = terms.union(*self._doc_counts.values()) - memo.keys()
+        k1, b = DEFAULT_K1, DEFAULT_B
+        avgdl = self._avg_doc_length
+        lengths = self._doc_lengths
+        postings: dict[str, list[tuple[str, int, float]]] = {term: [] for term in terms}
+        for doc_id, counts in self._doc_counts.items():
+            shared = counts.keys() & terms
+            if shared:
+                length_norm = k1 * (1.0 - b + b * lengths[doc_id] / avgdl)
+                for term in shared:
+                    postings[term].append((doc_id, counts[term], length_norm))
+        doc_count = len(lengths)
+        for term, posting in postings.items():
+            term_idf = _idf(doc_count, len(posting))
+            memo[term] = [
+                (doc_id, term_idf * tf * (k1 + 1.0) / (tf + length_norm))
+                for doc_id, tf, length_norm in posting
+            ]
+        if post_all:
+            self._all_posted = True
 
     def _accumulate(self, query_tokens: Sequence[str]) -> dict[str, float]:
         """Score of every document sharing a term with the query.
 
-        Walks the query tokens in order, repetitions included, and adds each
-        term's stored contributions to the documents in its posting list, so
-        every value equals `score(self, query_tokens, doc_id)` exactly;
-        documents sharing no term are absent (score 0.0).
+        Posts the query's unseen terms, then walks the query tokens in
+        order, repetitions included, and adds each term's stored
+        contributions to the documents holding it, so every value equals
+        `score(self, query_tokens, doc_id)` exactly; documents sharing no
+        term are absent (score 0.0).
         """
         scores: dict[str, float] = {}
         if self._avg_doc_length == 0.0:
             return scores
+        memo = self._contributions
+        unseen = {term for term in query_tokens if term not in memo}
+        if unseen:
+            self._post(unseen)
         get = scores.get
         for term in query_tokens:
-            if term not in self._postings:
-                continue
-            for doc_id, contribution in self._term_contributions(term):
+            for doc_id, contribution in memo[term]:
                 scores[doc_id] = get(doc_id, 0.0) + contribution
         return scores
 
     def dump(self) -> dict:
         """JSON-friendly snapshot for debugging."""
+        postings: dict[str, dict[str, int]] = {}
+        for doc_id, counts in self._doc_counts.items():
+            for term, tf in counts.items():
+                postings.setdefault(term, {})[doc_id] = tf
         return {
             "doc_count": self.doc_count,
             "avg_doc_length": self.avg_doc_length,
             "doc_lengths": dict(sorted(self._doc_lengths.items())),
             "postings": {
                 term: dict(sorted(posting.items()))
-                for term, posting in sorted(self._postings.items())
+                for term, posting in sorted(postings.items())
             },
         }
 
@@ -161,11 +222,13 @@ def build_index(docs: Iterable[TokenizedDoc]) -> Bm25Index:
     return Bm25Index(list(docs))
 
 
+def _idf(doc_count: int, df: int) -> float:
+    return max(0.0, math.log((doc_count - df + 0.5) / (df + 0.5) + 1.0))
+
+
 def idf(index: Bm25Index, term: str) -> float:
     """log((N - df + 0.5) / (df + 0.5) + 1); never negative."""
-    df = index.document_frequency(term)
-    value = math.log((index.doc_count - df + 0.5) / (df + 0.5) + 1.0)
-    return max(0.0, value)
+    return _idf(index.doc_count, index.document_frequency(term))
 
 
 def score(

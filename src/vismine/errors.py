@@ -6,7 +6,8 @@ class VismineError(Exception):
 
 
 class InputError(VismineError):
-    """Input cannot be read as data: a line that is not JSON, a field that
+    """Input cannot be read as data: a line that is not JSON or holds an
+    unpaired surrogate escape, a text file that is not UTF-8, a field that
     must be an integer holding something else, or a missing or malformed
     command-line flag."""
 

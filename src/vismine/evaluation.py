@@ -324,7 +324,7 @@ def run_stage2_loo(
     # the other papers' documents, in library order.
     docs = [paper_doc(p.record) for p in coded]
     folds = 0
-    for target in coded:
+    for target, target_doc in zip(coded, docs):
         labeled = [
             (figure, evidence_lookup(target.paper_id, figure.figure_id))
             for figure in target.labeled_figures()
@@ -342,7 +342,7 @@ def run_stage2_loo(
             method = f"{shot}-shot"
             verdicts, failed, log = judge_paper_figures(
                 target.record, [evidence for _, evidence in labeled], rest, rest_index,
-                evidence_lookup, gateway, backend_id, shot,
+                evidence_lookup, gateway, backend_id, shot, query_tokens=target_doc.tokens,
             )
             report.folds.append(
                 FoldLog(
@@ -389,10 +389,11 @@ def run_stage3_loo(
     report = report if report is not None else LooReport()
     aggregates: dict[tuple[str, str], ConfusionCounts] = {}
     # Each figure is tokenized once per run; a fold's corpus indexes the
-    # other papers' figures, in library order.
+    # other papers' figures, in library order, and a figure's query is its
+    # own document's tokens.
     figures = [figure_docs(coded_figure_entries(p, evidence_lookup)) for p in coded]
     folds = 0
-    for target in coded:
+    for target, target_figures in zip(coded, figures):
         gold_figures = [
             (figure, evidence_lookup(target.paper_id, figure.figure_id))
             for figure in target.coded_figures()
@@ -405,11 +406,13 @@ def run_stage3_loo(
             d for p, paper_figures in zip(coded, figures) if p.paper_id != target.paper_id
             for d in paper_figures
         ])
+        queries = {d.evidence.figure_id: d.doc.tokens for d in target_figures}
         for shot in shots:
             method = f"{shot}-shot"
             for figure, evidence in gold_figures:
                 predicted, doc_ids, error = label_figure(
-                    evidence, corpus, vocab, gateway, backend_id, shot, per_paper_cap
+                    evidence, corpus, vocab, gateway, backend_id, shot, per_paper_cap,
+                    query_tokens=queries.get(evidence.figure_id),
                 )
                 report.folds.append(
                     FoldLog(

@@ -12,6 +12,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import threading
 import time
 import weakref
@@ -147,9 +148,11 @@ class HttpBackend:
 
 def prompt_hash(backend_id: str, prompt: str) -> str:
     digest = hashlib.sha256()
-    digest.update(backend_id.encode("utf-8"))
+    # `surrogatepass` encodes a lone surrogate (a JSON `\ud800` escape
+    # decodes to one) and gives every other string its usual UTF-8 bytes.
+    digest.update(backend_id.encode("utf-8", "surrogatepass"))
     digest.update(b"\x00")
-    digest.update(prompt.encode("utf-8"))
+    digest.update(prompt.encode("utf-8", "surrogatepass"))
     return digest.hexdigest()
 
 
@@ -277,11 +280,20 @@ class Gateway:
             raise GatewayError(f"unknown backend {backend_id!r}")
         return self.backends[backend_id]
 
-    def complete(self, backend_id: str, request: PromptRequest) -> str:
-        """Raw response text; cached by content hash of the prompt."""
+    def complete(
+        self, backend_id: str, request: PromptRequest,
+        *, prompt: str | None = None, key: str | None = None,
+    ) -> str:
+        """Raw response text; cached by content hash of the prompt.
+
+        `prompt` and `key`, when given, must be `request.render()` and
+        `prompt_hash(backend_id, prompt)`, already computed.
+        """
         backend = self.backend(backend_id)
-        prompt = request.render()
-        key = prompt_hash(backend_id, prompt)
+        if prompt is None:
+            prompt = request.render()
+        if key is None:
+            key = prompt_hash(backend_id, prompt)
         with self._stats_lock:
             self.stats.requests += 1
         if self.cache is not None:
@@ -337,43 +349,101 @@ class Gateway:
             self._last_call[backend_id] = time.monotonic()
 
 
+# The characters that move the brace-matching scans of `_candidates`.
+_SCAN_CHARS = re.compile(r'[{}"\\]')
+# How every JSON object begins; a candidate that does not is skipped
+# without copying it out for the decoder.
+_OBJECT_HEAD = re.compile(r'\{[ \t\n\r]*["}]')
+_DECODER = json.JSONDecoder()
+
+
+def _merge_scans(a: list | None, b: list | None) -> list | None:
+    """One group of the scans in `a` and `b`, which now share a string state.
+
+    A group is `[level, {base: [start, ...]}, size]`; a scan from `start`
+    is at depth `level - base`.  The smaller group is rebased into the
+    larger, so each scan moves O(log n) times.
+    """
+    if a is None or b is None:
+        return a if b is None else b
+    if a[2] < b[2]:
+        a, b = b, a
+    shift = a[0] - b[0]
+    for base, starts in b[1].items():
+        a[1].setdefault(base + shift, []).extend(starts)
+    a[2] += b[2]
+    return a
+
+
+def _candidates(raw: str) -> list[tuple[int, int]]:
+    """`(start, end)` of each `{` whose scan closes, in order of start.
+
+    A scan from `start` skips quoted strings with their backslash escapes
+    and ends just after the `}` where it has closed as many braces as it
+    opened.  Scans from different starts may disagree about what is
+    quoted, but scans in the same string state (outside, inside, just
+    after a backslash) move together, so one pass keeps at most three
+    groups of scans and takes O(n log n) time.
+    """
+    ends: dict[int, int] = {}
+    starts: list[int] = []
+    outside = inside = escaped = None  # groups by string state
+    last = -2
+    for match in _SCAN_CHARS.finditer(raw):
+        pos = match.start()
+        if escaped is not None and pos > last + 1:
+            # The character after a backslash was an ordinary one.
+            inside, escaped = _merge_scans(inside, escaped), None
+        last = pos
+        c = raw[pos]
+        if c == "\\":
+            inside, escaped = escaped, inside
+        elif c == '"':
+            outside, inside, escaped = inside, _merge_scans(outside, escaped), None
+        else:
+            inside, escaped = _merge_scans(inside, escaped), None
+            if c == "{":
+                starts.append(pos)
+                if outside is None:
+                    outside = [0, {}, 0]
+                outside[1].setdefault(outside[0], []).append(pos)
+                outside[0] += 1
+                outside[2] += 1
+            elif outside is not None:
+                outside[0] -= 1
+                closed = outside[1].pop(outside[0], ())
+                for start in closed:
+                    ends[start] = pos + 1
+                outside[2] -= len(closed)
+    return [(start, ends[start]) for start in starts if start in ends]
+
+
 def parse_json_payload(raw: str) -> dict | None:
     """First balanced JSON object embedded in a response, or None; never raises.
 
-    A response nested too deeply for the decoder gives None.
+    Each `{` whose scan closes (see `_candidates`) is a candidate, and the
+    first candidate that decodes to an object wins.  A response nested too
+    deeply for the decoder gives None.
     """
-    start = raw.find("{")
-    while start != -1:
-        depth = 0
-        in_string = False
-        escaped = False
-        for i in range(start, len(raw)):
-            c = raw[i]
-            if in_string:
-                if escaped:
-                    escaped = False
-                elif c == "\\":
-                    escaped = True
-                elif c == '"':
-                    in_string = False
-                continue
-            if c == '"':
-                in_string = True
-            elif c == "{":
-                depth += 1
-            elif c == "}":
-                depth -= 1
-                if depth == 0:
-                    try:
-                        payload = json.loads(raw[start : i + 1])
-                    except RecursionError:
-                        return None
-                    except ValueError:  # JSONDecodeError, or an over-long integer
-                        break
-                    if isinstance(payload, dict):
-                        return payload
-                    break
-        start = raw.find("{", start + 1)
+    first = raw.find("{")
+    if first == -1:
+        return None
+    try:
+        # An object that decodes from the first brace is the first candidate.
+        candidates = [(first, _DECODER.raw_decode(raw, first)[1])]
+    except (RecursionError, ValueError):
+        candidates = _candidates(raw)
+    for start, end in candidates:
+        if not _OBJECT_HEAD.match(raw, start):
+            continue
+        try:
+            payload = json.loads(raw[start:end])
+        except RecursionError:
+            return None
+        except ValueError:  # JSONDecodeError, or an over-long integer
+            continue
+        if isinstance(payload, dict):
+            return payload
     return None
 
 

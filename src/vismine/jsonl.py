@@ -13,14 +13,41 @@ from .errors import InputError
 
 def read_jsonl(path: str | Path) -> Iterator[dict]:
     with open(path, encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{path}:{line_number}: invalid JSON: {exc}") from exc
+        try:
+            for line_number, line in enumerate(handle, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise InputError(f"{path}:{line_number}: invalid JSON: {exc}") from exc
+                if "\\u" in line:
+                    # Only a `\u` escape can decode to a lone surrogate, which
+                    # no UTF-8 output file can hold.
+                    try:
+                        json.dumps(record, ensure_ascii=False).encode("utf-8")
+                    except UnicodeEncodeError as exc:
+                        raise InputError(
+                            f"{path}:{line_number}: unpaired surrogate escape in a string"
+                        ) from exc
+                yield record
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}:{_undecodable_line(path)}: not UTF-8 text") from exc
+
+
+def _undecodable_line(path: str | Path) -> int:
+    """Line of a file's first byte that is not UTF-8.
+
+    A text file is decoded in blocks, so the line being read when decoding
+    fails can be an earlier one.
+    """
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return data.count(b"\n", 0, exc.start) + 1
+    return 0
 
 
 def dumps_stable(obj) -> str:

@@ -24,7 +24,7 @@ from . import stage1 as stage1_mod
 from . import stage2 as stage2_mod
 from . import stage3 as stage3_mod
 from .config import RunConfig, build_gateway, validate_config
-from .errors import ConfigError, PipelineError
+from .errors import ConfigError, InputError, PipelineError
 from .gateway import Gateway
 from .jsonl import atomic_write_text, dumps_stable, file_sha256, read_jsonl, write_json, write_jsonl
 from .library import load_library
@@ -167,7 +167,10 @@ def run_evidence_step(manifest_path: str | Path, docs_dir: Path, out_path: str |
     for entry in read_jsonl(manifest_path):
         paper_id = str(entry["paper_id"])
         doc_path = docs_dir / str(entry["path"])
-        raw_text = doc_path.read_text(encoding="utf-8")
+        try:
+            raw_text = doc_path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{doc_path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
         doc = evidence_mod.segment_paragraphs(paper_id, raw_text, provenance=str(entry.get("provenance", "")))
         doc = evidence_mod.filter_nonbody(doc)
         for ev in evidence_mod.extract_all_evidence(doc):

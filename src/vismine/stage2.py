@@ -89,15 +89,20 @@ def retrieve_neighbor_papers(
     library: Sequence[CodedPaper],
     k: int = DEFAULT_K,
     index: bm25.Bm25Index | None = None,
+    query_tokens: Sequence[str] | None = None,
 ) -> list[str]:
-    """Up to k similar coded papers by title+abstract BM25; target excluded."""
+    """Up to k similar coded papers by title+abstract BM25; target excluded.
+
+    `query_tokens`, when given, must be `paper_query_tokens(target_record)`,
+    already computed.
+    """
     if not library:
         raise StageError("empty coded-paper library")
     if index is None:
         index = library_index(library)
-    return bm25.top_k(
-        index, paper_query_tokens(target_record), k, exclude={target_record.paper_id}
-    )
+    if query_tokens is None:
+        query_tokens = paper_query_tokens(target_record)
+    return bm25.top_k(index, query_tokens, k, exclude={target_record.paper_id})
 
 
 def sample_exemplars(
@@ -208,15 +213,18 @@ def select_representatives(
 def judge_paper_figures(
     record, figures: Sequence[FigureEvidence], library: Sequence[CodedPaper],
     index: bm25.Bm25Index, evidence_lookup: EvidenceLookup, gateway: Gateway,
-    backend_id: str, k: int,
+    backend_id: str, k: int, query_tokens: Sequence[str] | None = None,
 ) -> tuple[list[RelevanceVerdict], list[tuple[str, str, str]], dict]:
     """Verdicts, failures and neighbour/exemplar log of one paper's figures.
 
     Exemplars come from the k nearest library papers; none when k is 0. A
     figure with empty evidence, or whose backend call raises a `GatewayError`
     other than `AuthenticationError`, fails alone as (paper_id, figure_id, message).
+    `query_tokens` is passed on to `retrieve_neighbor_papers`.
     """
-    neighbors = retrieve_neighbor_papers(record, library, k=k, index=index) if k else []
+    neighbors = retrieve_neighbor_papers(
+        record, library, k=k, index=index, query_tokens=query_tokens
+    ) if k else []
     exemplars = sample_exemplars(neighbors, library, evidence_lookup)
     verdicts: list[RelevanceVerdict] = []
     failed: list[tuple[str, str, str]] = []

@@ -143,14 +143,18 @@ def retrieve_similar_figures(
     k: int = DEFAULT_K,
     per_paper_cap: int = DEFAULT_PER_PAPER_CAP,
     exclude_paper: str | None = None,
+    query_tokens: Sequence[str] | None = None,
 ) -> list[str]:
     """Top-k similar figure doc ids with a per-source-paper cap.
 
     The cap stops one source paper from dominating the exemplar slate. In
     leave-one-out mode pass the target's own paper id to exclude it.
+    `query_tokens`, when given, must be `figure_tokens(target)`, already
+    computed.
     """
-    query = figure_tokens(target)
-    ranked = bm25.top_k(corpus.index, query, k=max(k, corpus.index.doc_count) or 1)
+    if query_tokens is None:
+        query_tokens = figure_tokens(target)
+    ranked = bm25.top_k(corpus.index, query_tokens, k=max(k, corpus.index.doc_count) or 1)
     result: list[str] = []
     per_paper: Counter = Counter()
     for doc_id in ranked:
@@ -325,14 +329,17 @@ def aggregate_subfigures(parts: Sequence[FrameworkLabels], vocab: LabelVocabular
 def label_figure(
     evidence: FigureEvidence, corpus: FigureCorpus, vocab: LabelVocabulary,
     gateway: Gateway, backend_id: str, k: int, per_paper_cap: int,
+    query_tokens: Sequence[str] | None = None,
 ) -> tuple[FrameworkLabels | None, list[str], str]:
     """Normalized labels, exemplar doc ids and error message of one figure.
 
     Exemplars are other papers' figures; none when k is 0. A `GatewayError`
     other than `AuthenticationError` fails this figure alone: no labels.
+    `query_tokens` is passed on to `retrieve_similar_figures`.
     """
     doc_ids = retrieve_similar_figures(
-        evidence, corpus, k=k, per_paper_cap=per_paper_cap, exclude_paper=evidence.paper_id
+        evidence, corpus, k=k, per_paper_cap=per_paper_cap, exclude_paper=evidence.paper_id,
+        query_tokens=query_tokens,
     ) if k else []
     exemplars = [(corpus.evidence[d], corpus.labels[d]) for d in doc_ids]
     try:

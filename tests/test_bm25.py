@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -318,3 +320,180 @@ class TestTermAtATimeProperties:
                 assert value == bm25.score(index, query, doc_id)
             positive = [d for d, s in ranked if s > 0.0]
             assert bm25.top_k(index, query, 3) == positive[:3]
+
+
+class EagerReference:
+    """Every posting built up front from the documents: the index as it
+    would be if each term were posted at build time."""
+
+    def __init__(self, docs: dict[str, list[str]]):
+        self.docs = docs
+        self.postings: dict[str, dict[str, int]] = {}
+        for doc_id, tokens in docs.items():
+            for term in tokens:
+                posting = self.postings.setdefault(term, {})
+                posting[doc_id] = posting.get(doc_id, 0) + 1
+        self.avgdl = sum(len(t) for t in docs.values()) / len(docs) if docs else 0.0
+
+    def document_frequency(self, term: str) -> int:
+        return len(self.postings.get(term, {}))
+
+    def dump(self) -> dict:
+        return {
+            "doc_count": len(self.docs),
+            "avg_doc_length": self.avgdl,
+            "doc_lengths": {d: len(t) for d, t in sorted(self.docs.items())},
+            "postings": {t: dict(sorted(p.items())) for t, p in sorted(self.postings.items())},
+        }
+
+    def rank_all(self, query: list[str]) -> list[tuple[str, float]]:
+        n = len(self.docs)
+        scores = dict.fromkeys(self.docs, 0.0)
+        if self.avgdl:
+            for term in query:
+                df = self.document_frequency(term)
+                idf = max(0.0, math.log((n - df + 0.5) / (df + 0.5) + 1.0))
+                for doc_id, tf in self.postings.get(term, {}).items():
+                    norm = tf + K1 * (1.0 - B + B * len(self.docs[doc_id]) / self.avgdl)
+                    scores[doc_id] += idf * tf * (K1 + 1.0) / norm
+        return sorted(scores.items(), key=lambda pair: (-pair[1], pair[0]))
+
+
+# Queries over overlapping vocabularies: each draws from its own slice of a
+# larger vocabulary, so later queries meet terms that are partly posted.
+WIDE_VOCABULARY = VOCABULARY + ["unseen", "absent", "token", "figure"]
+overlapping_queries = st.lists(
+    st.integers(min_value=0, max_value=len(WIDE_VOCABULARY) - 3).flatmap(
+        lambda lo: st.lists(st.sampled_from(WIDE_VOCABULARY[lo:lo + 4]), max_size=6)
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestPostingsOnFirstQuery:
+    """Postings are made when a query first asks for a term; the index must
+    still read as if every posting had been built eagerly."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(corpora, overlapping_queries)
+    def test_any_query_sequence_equals_eager_reference(self, docs, query_list):
+        index = make_index(docs)
+        reference = EagerReference(docs)
+        for query in query_list:
+            assert bm25.rank_all(index, query) == reference.rank_all(query)
+        assert index.dump() == reference.dump()
+        for term in WIDE_VOCABULARY:
+            assert index.document_frequency(term) == reference.document_frequency(term)
+        for query in query_list:
+            assert bm25.rank_all(index, query) == reference.rank_all(query)
+
+    def test_document_counted_once_across_indexes(self, monkeypatch):
+        counted: list[tuple[str, ...]] = []
+
+        class CountingCounter(bm25.Counter):
+            def __init__(self, tokens):
+                counted.append(tuple(tokens))
+                super().__init__(tokens)
+
+        monkeypatch.setattr(bm25, "Counter", CountingCounter)
+        docs = [bm25.TokenizedDoc(d, tuple(t)) for d, t in THREE_DOCS.items()]
+        # One index per held-out document, as the leave-one-out folds build them.
+        for held_out in docs:
+            index = bm25.build_index(d for d in docs if d is not held_out)
+            bm25.rank_all(index, ["model", "visualization"])
+        assert sorted(counted) == sorted(tuple(t) for t in THREE_DOCS.values())
+
+    def test_reader_never_sees_a_term_half_posted(self, monkeypatch):
+        # One thread's posting pass is held at its first document while a
+        # second thread queries the same terms on the same index.
+        paused, resume = threading.Event(), threading.Event()
+        holder: list[threading.Thread] = []
+
+        class PausingCounter(bm25.Counter):
+            def keys(self):
+                if threading.current_thread() in holder and not paused.is_set():
+                    paused.set()
+                    resume.wait(timeout=10)
+                return super().keys()
+
+        monkeypatch.setattr(bm25, "Counter", PausingCounter)
+        docs = {"d1": ["model", "chart"], "d2": ["model", "loss"], "d3": ["chart", "model"]}
+        index = make_index(docs)
+        expected = EagerReference(docs).rank_all(["model", "chart"])
+        results = {}
+
+        def query(name):
+            results[name] = bm25.rank_all(index, ["model", "chart"])
+
+        holder.append(threading.Thread(target=query, args=("held",)))
+        holder[0].start()
+        assert paused.wait(timeout=10)
+        query("reader")
+        resume.set()
+        holder[0].join(timeout=10)
+        assert not holder[0].is_alive()
+        assert results == {"held": expected, "reader": expected}
+
+    def test_late_reader_keeps_terms_posted_meanwhile(self, monkeypatch):
+        # Each document holds one distinct term, so the first posting pass
+        # already costs as much as posting every term, and posts them all.
+        # A reader that found "model" unposted reaches `_post` only after
+        # that pass has posted it.
+        docs = {"d1": ["model"], "d2": ["chart"], "d3": ["model", "model"]}
+        index = make_index(docs)
+        reference = EagerReference(docs)
+        entered, go = threading.Event(), threading.Event()
+        post = bm25.Bm25Index._post
+
+        def gated_post(self, terms):
+            if threading.current_thread() is reader:
+                entered.set()
+                go.wait(timeout=10)
+            post(self, terms)
+
+        monkeypatch.setattr(bm25.Bm25Index, "_post", gated_post)
+        results = {}
+        reader = threading.Thread(
+            target=lambda: results.update(model=bm25.rank_all(index, ["model"]))
+        )
+        reader.start()
+        assert entered.wait(timeout=10)
+        assert bm25.rank_all(index, ["chart"]) == reference.rank_all(["chart"])
+        go.set()
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert results == {"model": reference.rank_all(["model"])}
+        assert bm25.rank_all(index, ["model"]) == reference.rank_all(["model"])
+
+    def test_threads_sharing_an_index_get_reference_rankings(self):
+        rng = random.Random(5)
+        docs = {
+            f"d{i:02d}": [rng.choice(WIDE_VOCABULARY) for _ in range(rng.randint(0, 12))]
+            for i in range(40)
+        }
+        reference = EagerReference(docs)
+        queries = [[rng.choice(WIDE_VOCABULARY) for _ in range(rng.randint(1, 6))]
+                   for _ in range(24)]
+        expected = [reference.rank_all(q) for q in queries]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                index = make_index(docs)
+                results: list[bool] = []
+
+                def work(offset):
+                    for i in range(len(queries)):
+                        j = (i + offset) % len(queries)
+                        results.append(bm25.rank_all(index, queries[j]) == expected[j])
+
+                threads = [threading.Thread(target=work, args=(n,)) for n in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert results == [True] * (6 * len(queries))
+        finally:
+            sys.setswitchinterval(interval)

@@ -1,12 +1,14 @@
 """Command-line interface: subcommands, exit codes, file handoffs."""
 
 import json
+import shutil
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from vismine.cli import main
+from vismine.errors import InputError
 from vismine.jsonl import read_jsonl
 from tests.conftest import FIXTURE_DIR
 
@@ -241,6 +243,62 @@ class TestMalformedInput:
         assert err.count("\n") == 1
         assert "'P02'" in err and repr(field) in err
         assert "Traceback" not in err
+
+
+class TestTextEncoding:
+    """Text no output could hold is a one-line input error, not a traceback."""
+
+    def run_on_copy(self, tmp_path, fixture_config, capsys, corrupt) -> str:
+        inputs = tmp_path / "inputs"
+        shutil.copytree(FIXTURE_DIR, inputs, ignore=shutil.ignore_patterns("out"))
+        corrupt(inputs)
+        config = fixture_config(
+            "enc", corpus=str(inputs / "corpus.jsonl"), docs_dir=str(inputs / "docs"),
+        )
+        assert main(["run", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        return err
+
+    def test_unpaired_surrogate_escape_names_file_and_line(self, tmp_path, fixture_config, capsys):
+        def corrupt(inputs):
+            corpus = inputs / "corpus.jsonl"
+            lines = corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+            lines[2] = lines[2].replace('"title": "', '"title": "\\ud800', 1)
+            corpus.write_text("".join(lines), encoding="utf-8")
+
+        err = self.run_on_copy(tmp_path, fixture_config, capsys, corrupt)
+        assert f"{tmp_path / 'inputs' / 'corpus.jsonl'}:3: unpaired surrogate" in err
+
+    def test_jsonl_not_utf8_names_file_and_line(self, tmp_path, fixture_config, capsys):
+        def corrupt(inputs):
+            corpus = inputs / "corpus.jsonl"
+            lines = corpus.read_bytes().splitlines(keepends=True)
+            lines[1] = lines[1].replace(b'"title": "', b'"title": "\xff', 1)
+            corpus.write_bytes(b"".join(lines))
+
+        err = self.run_on_copy(tmp_path, fixture_config, capsys, corrupt)
+        assert f"{tmp_path / 'inputs' / 'corpus.jsonl'}:2: not UTF-8 text" in err
+
+    def test_undecodable_line_found_past_the_first_block(self, tmp_path):
+        path = tmp_path / "big.jsonl"
+        good = b'{"a": "' + b"x" * 40 + b'"}\n'
+        path.write_bytes(good * 1000 + b'{"a": "\xff"}\n' + good)
+        with pytest.raises(InputError, match=r"big\.jsonl:1001: not UTF-8 text"):
+            list(read_jsonl(path))
+
+    def test_paired_surrogate_escapes_are_read(self, tmp_path):
+        path = tmp_path / "ok.jsonl"
+        path.write_text('{"title": "\\ud83d\\ude00 C:\\\\users"}\n', encoding="utf-8")
+        assert list(read_jsonl(path)) == [{"title": "\U0001f600 C:\\users"}]
+
+    def test_converted_text_not_utf8_names_file(self, tmp_path, fixture_config, capsys):
+        def corrupt(inputs):
+            doc = inputs / "docs" / "P02.txt"
+            doc.write_bytes(doc.read_bytes() + b"\xff\xfe\n")
+
+        err = self.run_on_copy(tmp_path, fixture_config, capsys, corrupt)
+        assert f"{tmp_path / 'inputs' / 'docs' / 'P02.txt'}: not UTF-8 text" in err
 
 
 class TestEvalFlags:

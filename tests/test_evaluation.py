@@ -10,8 +10,8 @@ from vismine.evidence import FigureEvidence
 from vismine.gateway import Gateway, KeywordStubBackend, StubRules
 from vismine.library import CodedFigure, CodedPaper
 from vismine.stage1 import pool_index
-from vismine.stage2 import library_index
-from vismine.stage3 import library_figure_corpus
+from vismine.stage2 import library_index, retrieve_neighbor_papers
+from vismine.stage3 import library_figure_corpus, retrieve_similar_figures
 from vismine.vocab import default_vocabulary, FrameworkLabels
 from tests.conftest import ITEM_FAILURES, RaisingBackend
 
@@ -427,6 +427,33 @@ class TestLibraryFoldIndexes:
             rest = [p for p in papers if p.paper_id != held_out.paper_id]
             assert not any(d.startswith(f"{held_out.paper_id}::") for d in index.doc_ids)
             assert index.dump() == library_figure_corpus(rest, lookup).index.dump()
+
+    def test_stage2_queries_are_the_fold_documents_tokens(self, monkeypatch):
+        papers, lookup = coded_library(4)
+        _, tokenized = recording_bm25(monkeypatch)
+        report = ev.run_stage2_loo(papers, lookup, figure_gateway(), "primary", shots=(0, 2))
+        monkeypatch.undo()
+        assert len(tokenized) == len(papers)
+        for fold in (f for f in report.folds if f.method == "2-shot"):
+            target = next(p for p in papers if p.paper_id == fold.held_out)
+            rest = [p for p in papers if p is not target]
+            assert fold.neighbors == retrieve_neighbor_papers(target.record, rest, k=2)
+
+    def test_stage3_queries_are_the_fold_documents_tokens(self, monkeypatch):
+        papers, lookup = coded_library(4)
+        _, tokenized = recording_bm25(monkeypatch)
+        report = ev.run_stage3_loo(papers, lookup, VOCAB, figure_gateway(), "primary",
+                                   shots=(0, 2), per_paper_cap=1)
+        monkeypatch.undo()
+        assert len(tokenized) == 2 * len(papers)
+        for fold in (f for f in report.folds if f.method == "2-shot"):
+            target = next(p for p in papers if p.paper_id == fold.held_out)
+            rest = [p for p in papers if p is not target]
+            evidence = lookup(target.paper_id, "Figure 1")
+            assert fold.exemplars == retrieve_similar_figures(
+                evidence, library_figure_corpus(rest, lookup), k=2, per_paper_cap=1,
+                exclude_paper=target.paper_id,
+            )
 
 
 class TestRunLoo:

@@ -1,12 +1,14 @@
 """Gateway behavior: stubs, caching, retries, parsing, consensus."""
 
+import hashlib
 import itertools
 import json
 import sys
 import threading
+import time
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from vismine import gateway as gw
@@ -136,6 +138,7 @@ class TestPromptCacheLog:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.text(st.one_of(st.sampled_from("\n\r\x00\u2028\U0001f600\"\\"),
                              st.characters())))
+    @example("\ud800")
     def test_any_text_round_trips(self, tmp_path, text):
         cache = gw.PromptCache(tmp_path)
         k = gw.prompt_hash("stub", text)
@@ -270,6 +273,17 @@ payload_text = st.lists(
 ).map("".join)
 
 
+# Dense JSON punctuation and objects whose strings hold escapes, so that
+# scans from different braces disagree about what is quoted and escaped.
+punctuation_text = st.lists(
+    st.sampled_from(["{", "}", '"', "\\", '\\"', ":", ",", " ", "\n", "1", "a", "[", "]",
+                     '"a"', "{}", '{"a": 1}', '{"b": "x{"}', '"}"', "true",
+                     '{"a\\"b": 1}', '{"c": "\\u00e9"}', '{"d": "\\\\"}', '"\\n{"',
+                     '{ "e": [1]}', '{\n"f": "a\\tb"}']),
+    max_size=40,
+).map("".join)
+
+
 class TestParseJsonPayload:
     @settings(max_examples=200, deadline=None)
     @given(payload_text)
@@ -280,6 +294,68 @@ class TestParseJsonPayload:
     def test_nesting_deeper_than_the_decoder_is_none(self):
         assert gw.parse_json_payload(nested(5000)) is None
         assert gw.parse_verdict(nested(5000), "b1") == gw.ModelVerdict("b1", False, 0.0, "(malformed)")
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(payload_text, punctuation_text))
+    def test_same_value_as_rescanning_from_every_brace(self, raw):
+        assert gw.parse_json_payload(raw) == rescanning_parse_json_payload(raw)
+
+    def test_unclosed_braces_take_linear_time(self):
+        start = time.perf_counter()
+        assert gw.parse_json_payload("{" * 100_000) is None
+        assert time.perf_counter() - start < 2.0
+
+
+def rescanning_parse_json_payload(raw: str) -> dict | None:
+    """The definition `parse_json_payload` must match: from each `{` in
+    turn, scan to the first point where as many braces closed as opened,
+    skipping quoted strings, and decode that candidate."""
+    start = raw.find("{")
+    while start != -1:
+        depth = 0
+        in_string = False
+        escaped = False
+        for i in range(start, len(raw)):
+            c = raw[i]
+            if in_string:
+                if escaped:
+                    escaped = False
+                elif c == "\\":
+                    escaped = True
+                elif c == '"':
+                    in_string = False
+                continue
+            if c == '"':
+                in_string = True
+            elif c == "{":
+                depth += 1
+            elif c == "}":
+                depth -= 1
+                if depth == 0:
+                    try:
+                        payload = json.loads(raw[start : i + 1])
+                    except RecursionError:
+                        return None
+                    except ValueError:
+                        break
+                    if isinstance(payload, dict):
+                        return payload
+                    break
+        start = raw.find("{", start + 1)
+    return None
+
+
+class TestPromptHash:
+    @given(st.text(st.characters(exclude_categories=("Cs",))),
+           st.text(st.characters(exclude_categories=("Cs",))))
+    def test_key_is_sha256_of_utf8_for_text_without_surrogates(self, backend_id, prompt):
+        expected = hashlib.sha256(
+            backend_id.encode("utf-8") + b"\x00" + prompt.encode("utf-8")
+        ).hexdigest()
+        assert gw.prompt_hash(backend_id, prompt) == expected
+
+    def test_lone_surrogate_has_a_key(self):
+        assert gw.prompt_hash("stub", "\ud800") != gw.prompt_hash("stub", "\udc00")
 
 
 class TestConsensus:
