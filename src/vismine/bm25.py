@@ -12,10 +12,7 @@ counted once.  The index keeps the documents' lengths and counts and the
 average length, and posts a term only when a query first asks for it:
 every term of the query that the index has not seen yet is posted in one
 pass over the documents, in document order, and terms found in no
-document are remembered as empty.  An index queried many times stops
-paying one pass per query: once its passes have visited as many documents
-as it has postings, the next pass posts every remaining term, so posting
-costs at most about twice what posting every term at build time would.
+document are remembered as empty.
 
 Queries are evaluated term at a time (Turtle & Flood 1995): `top_k` and
 `rank_all` walk the postings of each query token in query order and add
@@ -30,6 +27,7 @@ stored values.  Each contribution is `score()`'s expression with
 per-document order, repeated query tokens included, so the accumulated
 scores equal `score()` bit for bit and rankings are exact.
 """
+
 from __future__ import annotations
 
 import math
@@ -101,12 +99,6 @@ class Bm25Index:
         # Each list is complete before it is stored, so threads sharing an
         # index can at worst post the same term twice.
         self._contributions: dict[str, list[tuple[str, float]]] = {}
-        # Documents visited by posting passes so far, against the number of
-        # (term, document) postings that posting every term would make.
-        # Threads may lose an update to the count; it only times the switch.
-        self._pass_cost = 0
-        self._posting_count = sum(len(counts) for counts in self._doc_counts.values())
-        self._all_posted = False
 
     @property
     def doc_count(self) -> int:
@@ -144,21 +136,7 @@ class Bm25Index:
         One pass over the documents, in document order, finds the
         documents holding each term; a document's length normalization,
         `k1 * (1 - b + b * dl / avgdl)`, is computed once for all its terms.
-        Once the passes have visited as many documents as there are
-        postings, the pass posts every remaining term instead, so an index
-        queried many times costs at most about twice an eager build.
         """
-        memo = self._contributions
-        if self._all_posted:
-            # Every term of every document is posted, some perhaps by
-            # another thread since the caller looked: keep those.
-            for term in terms:
-                memo.setdefault(term, [])
-            return
-        self._pass_cost += len(self._doc_counts)
-        post_all = self._pass_cost >= self._posting_count
-        if post_all:
-            terms = terms.union(*self._doc_counts.values()) - memo.keys()
         k1, b = DEFAULT_K1, DEFAULT_B
         avgdl = self._avg_doc_length
         lengths = self._doc_lengths
@@ -172,12 +150,10 @@ class Bm25Index:
         doc_count = len(lengths)
         for term, posting in postings.items():
             term_idf = _idf(doc_count, len(posting))
-            memo[term] = [
+            self._contributions[term] = [
                 (doc_id, term_idf * tf * (k1 + 1.0) / (tf + length_norm))
                 for doc_id, tf, length_norm in posting
             ]
-        if post_all:
-            self._all_posted = True
 
     def _accumulate(self, query_tokens: Sequence[str]) -> dict[str, float]:
         """Score of every document sharing a term with the query.

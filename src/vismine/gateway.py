@@ -280,20 +280,11 @@ class Gateway:
             raise GatewayError(f"unknown backend {backend_id!r}")
         return self.backends[backend_id]
 
-    def complete(
-        self, backend_id: str, request: PromptRequest,
-        *, prompt: str | None = None, key: str | None = None,
-    ) -> str:
-        """Raw response text; cached by content hash of the prompt.
-
-        `prompt` and `key`, when given, must be `request.render()` and
-        `prompt_hash(backend_id, prompt)`, already computed.
-        """
+    def complete(self, backend_id: str, request: PromptRequest) -> str:
+        """Raw response text; cached by content hash of the prompt."""
         backend = self.backend(backend_id)
-        if prompt is None:
-            prompt = request.render()
-        if key is None:
-            key = prompt_hash(backend_id, prompt)
+        prompt = request.render()
+        key = prompt_hash(backend_id, prompt)
         with self._stats_lock:
             self.stats.requests += 1
         if self.cache is not None:

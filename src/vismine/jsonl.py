@@ -5,10 +5,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import InputError
+
+# A `\u` escape of a UTF-16 surrogate, the only JSON text that decodes to
+# a string no UTF-8 file can hold (when the surrogate is unpaired).
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
 def read_jsonl(path: str | Path) -> Iterator[dict]:
@@ -22,9 +27,11 @@ def read_jsonl(path: str | Path) -> Iterator[dict]:
                     record = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise InputError(f"{path}:{line_number}: invalid JSON: {exc}") from exc
-                if "\\u" in line:
-                    # Only a `\u` escape can decode to a lone surrogate, which
-                    # no UTF-8 output file can hold.
+                if "\\" in line and _SURROGATE_ESCAPE.search(line):
+                    # Only a `\uD800`-`\uDFFF` escape can decode to a lone
+                    # surrogate, which no UTF-8 output file can hold.  Most
+                    # lines hold no backslash, and finding one character is
+                    # several times faster than the pattern search.
                     try:
                         json.dumps(record, ensure_ascii=False).encode("utf-8")
                     except UnicodeEncodeError as exc:

@@ -171,17 +171,16 @@ def screen_paper(
         raise StageError(f"target {target.paper_id!r} leaked into its own exemplars")
     request = screening_request(target, context)
     prompt = request.render()
-    keys = {b: prompt_hash(b, prompt) for b in backend_ids}
     decision = ScreenDecision(
         paper_id=target.paper_id,
         decision=UNDECIDED,
         source="consensus",
         neighbors=list(context.exemplar_ids),
-        prompt_hashes=keys,
+        prompt_hashes={b: prompt_hash(b, prompt) for b in backend_ids},
     )
     try:
         for backend_id in backend_ids:
-            raw = gateway.complete(backend_id, request, prompt=prompt, key=keys[backend_id])
+            raw = gateway.complete(backend_id, request)
             decision.verdicts.append(parse_verdict(raw, backend_id))
     except AuthenticationError:
         raise

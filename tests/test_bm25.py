@@ -435,37 +435,6 @@ class TestPostingsOnFirstQuery:
         assert not holder[0].is_alive()
         assert results == {"held": expected, "reader": expected}
 
-    def test_late_reader_keeps_terms_posted_meanwhile(self, monkeypatch):
-        # Each document holds one distinct term, so the first posting pass
-        # already costs as much as posting every term, and posts them all.
-        # A reader that found "model" unposted reaches `_post` only after
-        # that pass has posted it.
-        docs = {"d1": ["model"], "d2": ["chart"], "d3": ["model", "model"]}
-        index = make_index(docs)
-        reference = EagerReference(docs)
-        entered, go = threading.Event(), threading.Event()
-        post = bm25.Bm25Index._post
-
-        def gated_post(self, terms):
-            if threading.current_thread() is reader:
-                entered.set()
-                go.wait(timeout=10)
-            post(self, terms)
-
-        monkeypatch.setattr(bm25.Bm25Index, "_post", gated_post)
-        results = {}
-        reader = threading.Thread(
-            target=lambda: results.update(model=bm25.rank_all(index, ["model"]))
-        )
-        reader.start()
-        assert entered.wait(timeout=10)
-        assert bm25.rank_all(index, ["chart"]) == reference.rank_all(["chart"])
-        go.set()
-        reader.join(timeout=10)
-        assert not reader.is_alive()
-        assert results == {"model": reference.rank_all(["model"])}
-        assert bm25.rank_all(index, ["model"]) == reference.rank_all(["model"])
-
     def test_threads_sharing_an_index_get_reference_rankings(self):
         rng = random.Random(5)
         docs = {

@@ -1,11 +1,14 @@
 """Command-line interface: subcommands, exit codes, file handoffs."""
 
 import json
+import re
 import shutil
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vismine.cli import main
 from vismine.errors import InputError
@@ -291,6 +294,29 @@ class TestTextEncoding:
         path = tmp_path / "ok.jsonl"
         path.write_text('{"title": "\\ud83d\\ude00 C:\\\\users"}\n', encoding="utf-8")
         assert list(read_jsonl(path)) == [{"title": "\U0001f600 C:\\users"}]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.text(st.one_of(st.characters(), st.integers(0xD800, 0xDFFF).map(chr)), max_size=8),
+        st.randoms(use_true_random=False),
+    )
+    def test_any_escaped_string_reads_or_is_an_input_error(self, tmp_path_factory, text, rng):
+        # Every non-ASCII character escaped, hex digits in either case.
+        line = re.sub(
+            r"\\u[0-9a-f]{4}",
+            lambda m: "\\u" + m.group()[2:].upper() if rng.random() < 0.5 else m.group(),
+            json.dumps({"t": text}),
+        )
+        path = tmp_path_factory.mktemp("escaped") / "in.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        record = json.loads(line)
+        try:
+            json.dumps(record, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError:
+            with pytest.raises(InputError, match=r"in\.jsonl:1: unpaired surrogate"):
+                list(read_jsonl(path))
+        else:
+            assert list(read_jsonl(path)) == [record]
 
     def test_converted_text_not_utf8_names_file(self, tmp_path, fixture_config, capsys):
         def corrupt(inputs):

@@ -158,30 +158,13 @@ class TestScreenPaper:
         assert set(decision.prompt_hashes) == {"primary", "secondary"}
         assert all(len(h) == 64 for h in decision.prompt_hashes.values())
 
-    def test_one_render_and_one_hash_per_request(self, monkeypatch, tmp_path):
-        renders, hashes = [], []
-        render, prompt_hash = gateway_mod.PromptRequest.render, gateway_mod.prompt_hash
-
-        def counting_render(request):
-            renders.append(request)
-            return render(request)
-
-        def counting_hash(backend_id, prompt):
-            hashes.append(backend_id)
-            return prompt_hash(backend_id, prompt)
-
-        monkeypatch.setattr(gateway_mod.PromptRequest, "render", counting_render)
-        monkeypatch.setattr(gateway_mod, "prompt_hash", counting_hash)
-        monkeypatch.setattr(stage1, "prompt_hash", counting_hash)
+    def test_recorded_hashes_are_the_cache_keys(self, tmp_path):
         gateway = dual_stub_gateway(cache_dir=tmp_path / "cache")
-        decision = stage1.screen_paper(
-            paper("t", "saliency model"), self.context(), gateway, ["primary", "secondary"]
-        )
-        assert len(renders) == 1 and sorted(hashes) == ["primary", "secondary"]
-        # The recorded hashes are the cache keys the gateway stored under.
-        prompt = render(renders[0])
+        target, context = paper("t", "saliency model"), self.context()
+        decision = stage1.screen_paper(target, context, gateway, ["primary", "secondary"])
+        prompt = stage1.screening_request(target, context).render()
         for backend_id, key in decision.prompt_hashes.items():
-            assert key == prompt_hash(backend_id, prompt)
+            assert key == gateway_mod.prompt_hash(backend_id, prompt)
             assert gateway.cache.get(key) is not None
 
 
