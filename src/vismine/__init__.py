@@ -8,72 +8,9 @@ analytics.
 
 __version__ = "0.1.0"
 
-from .corpus import (
-    IngestReport,
-    LabeledPool,
-    PaperRecord,
-    ingest_metadata,
-    keyword_prefilter,
-    load_labeled_pool,
-)
-from .bm25 import Bm25Index, TokenizedDoc, build_index, score, tokenize, top_k
-from .evidence import (
-    DocumentText,
-    FigureEvidence,
-    detect_captions,
-    extract_all_evidence,
-    extract_evidence,
-    filter_nonbody,
-    segment_paragraphs,
-)
-from .gateway import (
-    Gateway,
-    HttpBackend,
-    KeywordStubBackend,
-    ModelVerdict,
-    PromptRequest,
-    StubBackend,
-    StubRules,
-    consensus,
-    parse_verdict,
-)
-from .stage1 import FewShotContext, build_fewshot_context, run_stage1, screen_paper
-from .stage2 import (
-    FigureExemplarSet,
-    RelevanceVerdict,
-    classify_figure,
-    retrieve_neighbor_papers,
-    run_stage2,
-    select_representatives,
-)
-from .stage3 import (
-    aggregate_subfigures,
-    build_figure_corpus,
-    extract_labels,
-    normalize_labels,
-    retrieve_similar_figures,
-    run_stage3,
-)
-from .vocab import FrameworkLabels, LabelVocabulary, default_vocabulary, load_vocabulary
-from .evaluation import (
-    ConfusionCounts,
-    bm25_majority_baseline,
-    f1,
-    find_leakage,
-    micro_f1,
-    multilabel_counts,
-    precision,
-    recall,
-    run_loo,
-)
-from .analysis import (
-    PathRecord,
-    citation_weight,
-    expand_paths,
-    paper_level_labels,
-    sankey_export,
-    weighted_coverage,
-    yearly_proportions,
-)
-from .config import RunConfig, build_gateway, load_config, validate_config
-from .pipeline import RunManifest, run_pipeline
+from .config import build_gateway, load_config, validate_config
+from .corpus import ingest_metadata, keyword_prefilter, load_labeled_pool
+from .evaluation import find_leakage, run_loo
+from .gateway import KeywordStubBackend
+from .pipeline import run_pipeline
+from .vocab import load_vocabulary

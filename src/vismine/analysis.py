@@ -17,8 +17,6 @@ from .corpus import PaperRecord
 from .errors import AnalysisError
 from .vocab import DATA_TYPE, FIELDS, FrameworkLabels, MODEL_LISTENER, VIS_PURPOSE, VIS_TYPE
 
-DEFAULT_REFERENCE_YEAR = 2026
-
 STAGE_ORDER = FIELDS  # listener -> data type -> vis type -> purpose
 
 
@@ -220,11 +218,7 @@ def yearly_proportions(
     return rows
 
 
-def citation_weight(
-    citations: int,
-    year: int,
-    reference_year: int = DEFAULT_REFERENCE_YEAR,
-) -> float:
+def citation_weight(citations: int, year: int, reference_year: int) -> float:
     """Annualized citation weight: citations / (reference_year - year + 1)."""
     if year > reference_year:
         raise AnalysisError(f"year {year} is after reference year {reference_year}")
@@ -236,8 +230,7 @@ def citation_weight(
 def weighted_coverage(
     paper_labels: Sequence[PaperLabels],
     fname: str,
-    reference_year: int = DEFAULT_REFERENCE_YEAR,
-    categories: Sequence[str] | None = None,
+    reference_year: int,
 ) -> list[dict]:
     """Unweighted prevalence vs citation-weighted share per category.
 
@@ -247,8 +240,7 @@ def weighted_coverage(
     """
     if not paper_labels:
         raise AnalysisError("no papers in scope")
-    if categories is None:
-        categories = sorted({c for p in paper_labels for c in p.values.get(fname, ())})
+    categories = sorted({c for p in paper_labels for c in p.values.get(fname, ())})
     weights: dict[str, float] = {}
     for paper in paper_labels:
         if paper.citation_count is None or paper.year is None:

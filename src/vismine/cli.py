@@ -15,7 +15,7 @@ from pathlib import Path
 from . import corpus as corpus_mod
 from . import evaluation as eval_mod
 from . import pipeline as pipeline_mod
-from .config import load_config, validate_config, build_gateway
+from .config import DEFAULT_REFERENCE_YEAR, load_config, validate_config, build_gateway
 from .errors import ConfigError, InputError, VismineError
 from .jsonl import read_jsonl, write_json
 from .library import load_library
@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--papers", required=True)
     p.add_argument("--library", default="")
-    p.add_argument("--ref-year", type=int, default=2026)
+    p.add_argument("--ref-year", type=int, default=DEFAULT_REFERENCE_YEAR)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_analyze)
 

@@ -138,31 +138,29 @@ def load_config(path: str | Path) -> RunConfig:
     )
 
 
-def validate_config(config: RunConfig, require: tuple[str, ...] = ()) -> list[str]:
-    """Every violation at once; an empty list means the config is usable."""
+def validate_config(config: RunConfig) -> list[str]:
+    """Every violation at once; an empty list means the config is usable.
+
+    A path the config leaves out is not checked here; the step that needs
+    it fails naming the missing key.
+    """
     errors: list[str] = []
 
-    def check_file(name: str, path: Path | None, required: bool) -> None:
-        if path is None:
-            if required:
-                errors.append(f"{name}: required path missing from config")
-            return
+    for name, path in (
+        ("corpus", config.corpus_path),
+        ("pool", config.pool_path),
+        ("docs_manifest", config.docs_manifest_path),
+        ("library", config.library_path),
+        ("vocabulary", config.vocab_path),
+        ("aliases", config.alias_path),
+    ):
         resolved = config.resolve(path)
-        if resolved is None or not resolved.exists():
+        if resolved is not None and not resolved.exists():
             errors.append(f"{name}: file not found: {resolved}")
-
-    check_file("corpus", config.corpus_path, "corpus" in require)
-    check_file("pool", config.pool_path, "pool" in require)
-    check_file("docs_manifest", config.docs_manifest_path, "docs_manifest" in require)
-    check_file("library", config.library_path, "library" in require)
-    check_file("vocabulary", config.vocab_path, False)
-    check_file("aliases", config.alias_path, False)
     if config.docs_dir is not None:
         docs_dir = config.resolve(config.docs_dir)
-        if docs_dir is None or not docs_dir.is_dir():
+        if not docs_dir.is_dir():
             errors.append(f"docs_dir: directory not found: {docs_dir}")
-    elif "docs_manifest" in require:
-        errors.append("docs_dir: required path missing from config")
 
     for name, k in (
         ("stage1.k", config.stage1_k),

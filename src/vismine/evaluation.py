@@ -16,14 +16,7 @@ from .corpus import LabeledPool, NEGATIVE, POSITIVE
 from .errors import EvaluationError, StageError
 from .gateway import Gateway
 from .library import CodedPaper
-from .stage1 import (
-    FewShotContext,
-    build_fewshot_context,
-    paper_doc,
-    paper_query_tokens,
-    pool_index,
-    screen_paper,
-)
+from .stage1 import FewShotContext, build_fewshot_context, paper_doc, screen_paper
 from .stage2 import EvidenceLookup, judge_paper_figures
 from .stage3 import coded_figure_entries, figure_docs, index_figures, label_figure
 from .vocab import FIELDS, LabelVocabulary
@@ -114,15 +107,6 @@ def _majority_label(pool: LabeledPool, neighbors: Sequence[str]) -> str:
     positive_votes = sum(1 for v in votes if v == POSITIVE)
     negative_votes = sum(1 for v in votes if v == NEGATIVE)
     return POSITIVE if positive_votes >= negative_votes else NEGATIVE
-
-
-def bm25_majority_baseline(target, pool: LabeledPool, k: int) -> str:
-    """Majority label among BM25 top-k neighbors; ties resolve positive."""
-    if not pool.records:
-        raise EvaluationError("empty pool for baseline")
-    neighbors = bm25.top_k(pool_index(pool), paper_query_tokens(target), k,
-                           exclude={target.paper_id})
-    return _majority_label(pool, neighbors)
 
 
 @dataclass

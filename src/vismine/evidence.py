@@ -164,11 +164,6 @@ def _scan_captions(doc: DocumentText) -> list[tuple[int, str, str]]:
     return found
 
 
-def detect_captions(doc: DocumentText) -> list[tuple[str, str]]:
-    """Caption-header paragraphs as (canonical figure_id, full paragraph)."""
-    return [(figure_id, caption) for _, figure_id, caption in _scan_captions(doc)]
-
-
 def _reference_pattern(figure_id: str) -> re.Pattern:
     m = _FIGURE_ID_RE.match(figure_id)
     if not m:

@@ -16,6 +16,7 @@ import re
 import threading
 import time
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Protocol, Sequence
@@ -260,7 +261,6 @@ class Gateway:
         max_attempts: int = 3,
         backoff_base: float = 0.5,
         concurrency: int = 8,
-        min_interval: float = 0.0,
     ):
         if max_attempts < 1:
             raise GatewayError("max_attempts must be >= 1")
@@ -268,23 +268,24 @@ class Gateway:
         self.cache = PromptCache(cache_dir) if cache_dir is not None else None
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
-        self.min_interval = min_interval
         self.stats = GatewayStats()
         self._stats_lock = threading.Lock()
         self._limits = {name: threading.Semaphore(concurrency) for name in self.backends}
-        self._pace_locks = {name: threading.Lock() for name in self.backends}
-        self._last_call = {name: 0.0 for name in self.backends}
 
     def backend(self, backend_id: str) -> Backend:
         if backend_id not in self.backends:
             raise GatewayError(f"unknown backend {backend_id!r}")
         return self.backends[backend_id]
 
+    def cache_key(self, backend_id: str, prompt: str) -> str:
+        """The key `complete` caches `backend_id`'s response to `prompt` under."""
+        return prompt_hash(backend_id, prompt)
+
     def complete(self, backend_id: str, request: PromptRequest) -> str:
-        """Raw response text; cached by content hash of the prompt."""
+        """Raw response text; cached under `cache_key`."""
         backend = self.backend(backend_id)
         prompt = request.render()
-        key = prompt_hash(backend_id, prompt)
+        key = self.cache_key(backend_id, prompt)
         with self._stats_lock:
             self.stats.requests += 1
         if self.cache is not None:
@@ -305,7 +306,6 @@ class Gateway:
         for attempt in range(self.max_attempts):
             try:
                 with self._limits[backend_id]:
-                    self._pace(backend_id)
                     with self._stats_lock:
                         self.stats.network_calls += 1
                     return backend.complete(prompt)
@@ -329,15 +329,18 @@ class Gateway:
             request_id=key,
         )
 
-    def _pace(self, backend_id: str) -> None:
-        """Per-backend rate limiting: at most one call per min_interval."""
-        if self.min_interval <= 0:
-            return
-        with self._pace_locks[backend_id]:
-            wait = self._last_call[backend_id] + self.min_interval - time.monotonic()
-            if wait > 0:
-                time.sleep(wait)
-            self._last_call[backend_id] = time.monotonic()
+
+def map_items(fn: Callable, items: Sequence, max_workers: int) -> list:
+    """`fn` of each item, in item order, on `max_workers` threads.
+
+    The threads overlap backend calls; the gateway's per-backend
+    semaphores bound how many reach a backend at once.  With one worker
+    every call runs in the caller's thread.
+    """
+    if max_workers > 1:
+        with ThreadPoolExecutor(max_workers=max_workers) as executor:
+            return list(executor.map(fn, items))
+    return [fn(item) for item in items]
 
 
 # The characters that move the brace-matching scans of `_candidates`.
@@ -441,7 +444,7 @@ def parse_json_payload(raw: str) -> dict | None:
 def clip_confidence(value) -> float:
     try:
         number = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int past float range
         return 0.0
     if number != number:  # NaN
         return 0.0

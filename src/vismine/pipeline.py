@@ -14,7 +14,7 @@ import logging
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import __version__
 from . import analysis as analysis_mod
@@ -88,6 +88,15 @@ def _load_corpus_file(path: str | Path) -> list[corpus_mod.PaperRecord]:
     return [corpus_mod.record_from_dict(raw) for raw in read_jsonl(path)]
 
 
+def _rows_with(path: str | Path, keys: Sequence[str]) -> Iterator[dict]:
+    """The records of JSONL file `path`; one lacking any of `keys` is an `InputError`."""
+    for number, row in enumerate(read_jsonl(path), 1):
+        for key in keys:
+            if not isinstance(row, dict) or key not in row:
+                raise InputError(f"{path}: record {number} has no {key!r}")
+        yield row
+
+
 def load_pool(
     pool_path: str | Path, records: Sequence[corpus_mod.PaperRecord],
 ) -> corpus_mod.LabeledPool:
@@ -95,7 +104,7 @@ def load_pool(
 
     `records` come first; pool rows with a title add papers they lack.
     """
-    pool_rows = list(read_jsonl(pool_path))
+    pool_rows = list(_rows_with(pool_path, ("paper_id", "label")))
     have = {r.paper_id for r in records}
     extras = [corpus_mod.record_from_dict(row) for row in pool_rows
               if row.get("paper_id") not in have and "title" in row]
@@ -113,7 +122,7 @@ def _config_path(config: RunConfig, path: Path | None, name: str) -> Path:
 def load_evidence_table(path: str | Path) -> dict[tuple[str, str], evidence_mod.FigureEvidence]:
     """Evidence file rows keyed by (paper_id, figure_id), in file order; a later row wins."""
     table: dict[tuple[str, str], evidence_mod.FigureEvidence] = {}
-    for raw in read_jsonl(path):
+    for raw in _rows_with(path, ("paper_id", "figure_id")):
         ev = evidence_mod.evidence_from_dict(raw)
         table[(ev.paper_id, ev.figure_id)] = ev
     return table

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import bm25
 from .corpus import LabeledPool, PaperRecord, POSITIVE, NEGATIVE
 from .errors import AuthenticationError, GatewayError, StageError
-from .gateway import Gateway, ModelVerdict, PromptRequest, consensus, parse_verdict, prompt_hash
+from .gateway import Gateway, ModelVerdict, PromptRequest, consensus, map_items, parse_verdict
 from .prompts import SCREEN_SCHEMA, SCREEN_SYSTEM
 
 logger = logging.getLogger(__name__)
@@ -52,14 +51,6 @@ class FewShotContext:
     exemplars: tuple[tuple[PaperRecord, str], ...]
 
     @property
-    def positive_count(self) -> int:
-        return sum(1 for _, label in self.exemplars if label == POSITIVE)
-
-    @property
-    def negative_count(self) -> int:
-        return sum(1 for _, label in self.exemplars if label == NEGATIVE)
-
-    @property
     def exemplar_ids(self) -> tuple[str, ...]:
         return tuple(record.paper_id for record, _ in self.exemplars)
 
@@ -67,7 +58,7 @@ class FewShotContext:
 def build_fewshot_context(
     target: PaperRecord,
     pool: LabeledPool,
-    index: bm25.Bm25Index | None = None,
+    index: bm25.Bm25Index,
     k: int = DEFAULT_K,
     min_pos: int = DEFAULT_MIN_POS,
     min_neg: int = DEFAULT_MIN_NEG,
@@ -75,6 +66,7 @@ def build_fewshot_context(
 ) -> FewShotContext:
     """Top-k retrieval neighbors rebalanced to meet class minimums.
 
+    `index` holds `pool`'s papers, as `pool_index` builds it.
     When one class is underrepresented, the lowest-ranked members of the
     other class are swapped for the best-ranked missing-class members;
     the survivors keep retrieval-score order. The target itself is always
@@ -90,8 +82,6 @@ def build_fewshot_context(
             f"pool too small for constraints: {len(pool.positives)} positives / "
             f"{len(pool.negatives)} negatives, need {min_pos}/{min_neg}"
         )
-    if index is None:
-        index = pool_index(pool)
     if query_tokens is None:
         query_tokens = paper_query_tokens(target)
     ranked = bm25.rank_all(index, query_tokens, exclude={target.paper_id})
@@ -176,7 +166,7 @@ def screen_paper(
         decision=UNDECIDED,
         source="consensus",
         neighbors=list(context.exemplar_ids),
-        prompt_hashes={b: prompt_hash(b, prompt) for b in backend_ids},
+        prompt_hashes={b: gateway.cache_key(b, prompt) for b in backend_ids},
     )
     try:
         for backend_id in backend_ids:
@@ -227,11 +217,7 @@ def run_stage1(
         )
         return screen_paper(candidate, context, gateway, backend_ids)
 
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool_exec:
-            decisions = list(pool_exec.map(decide, candidates))
-    else:
-        decisions = [decide(c) for c in candidates]
+    decisions = map_items(decide, candidates, max_workers)
 
     positive_ids = {d.paper_id for d in decisions if d.decision == POSITIVE}
     by_id = {c.paper_id: c for c in candidates}

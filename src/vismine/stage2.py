@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 from . import bm25
 from .errors import AuthenticationError, GatewayError, StageError
 from .evidence import FigureEvidence, figure_sort_key
-from .gateway import Gateway, PromptRequest, clip_confidence, parse_json_payload, parse_verdict
+from .gateway import (
+    Gateway, PromptRequest, clip_confidence, map_items, parse_json_payload, parse_verdict,
+)
 from .library import CodedPaper
 from .prompts import FIGURE_SCHEMA, FIGURE_SYSTEM
 from .stage1 import paper_doc, paper_query_tokens
@@ -87,19 +88,18 @@ def library_index(library: Sequence[CodedPaper]) -> bm25.Bm25Index:
 def retrieve_neighbor_papers(
     target_record,
     library: Sequence[CodedPaper],
+    index: bm25.Bm25Index,
     k: int = DEFAULT_K,
-    index: bm25.Bm25Index | None = None,
     query_tokens: Sequence[str] | None = None,
 ) -> list[str]:
     """Up to k similar coded papers by title+abstract BM25; target excluded.
 
+    `index` holds `library`'s papers, as `library_index` builds it.
     `query_tokens`, when given, must be `paper_query_tokens(target_record)`,
     already computed.
     """
     if not library:
         raise StageError("empty coded-paper library")
-    if index is None:
-        index = library_index(library)
     if query_tokens is None:
         query_tokens = paper_query_tokens(target_record)
     return bm25.top_k(index, query_tokens, k, exclude={target_record.paper_id})
@@ -223,7 +223,7 @@ def judge_paper_figures(
     `query_tokens` is passed on to `retrieve_neighbor_papers`.
     """
     neighbors = retrieve_neighbor_papers(
-        record, library, k=k, index=index, query_tokens=query_tokens
+        record, library, index, k=k, query_tokens=query_tokens
     ) if k else []
     exemplars = sample_exemplars(neighbors, library, evidence_lookup)
     verdicts: list[RelevanceVerdict] = []
@@ -246,9 +246,6 @@ class Stage2Result:
     selected: dict[str, list[RelevanceVerdict]]
     retry: list[tuple[str, str]] = field(default_factory=list)
     exemplar_log: dict[str, dict] = field(default_factory=dict)
-
-    def papers_with_selection(self) -> list[str]:
-        return sorted(pid for pid, sel in self.selected.items() if sel)
 
 
 def run_stage2(
@@ -275,11 +272,7 @@ def run_stage2(
             record, figures, library, index, evidence_lookup, gateway, backend_id, k
         )
 
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool_exec:
-            processed = list(pool_exec.map(process, targets))
-    else:
-        processed = [process(t) for t in targets]
+    processed = map_items(process, targets, max_workers)
 
     result = Stage2Result(verdicts=[], selected={})
     for (record, _), (verdicts, failed, log) in zip(targets, processed):

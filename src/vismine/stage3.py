@@ -12,14 +12,13 @@ from __future__ import annotations
 import json
 import logging
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from . import bm25
 from .errors import AuthenticationError, GatewayError, StageError
 from .evidence import FigureEvidence
-from .gateway import Gateway, PromptRequest, clip_confidence, parse_json_payload
+from .gateway import Gateway, PromptRequest, clip_confidence, map_items, parse_json_payload
 from .library import CodedPaper
 from .prompts import LABELS_SCHEMA, LABELS_SYSTEM
 from .stage2 import EvidenceLookup
@@ -215,6 +214,10 @@ def _as_values(raw_value) -> list[str]:
     return [str(raw_value)]
 
 
+def _as_mapping(raw_value) -> Mapping:
+    return raw_value if isinstance(raw_value, Mapping) else {}
+
+
 def normalize_labels(
     raw: Mapping,
     vocab: LabelVocabulary,
@@ -225,7 +228,8 @@ def normalize_labels(
 
     Unmatched values fall back to "other" where the field has one; the
     model-listener field has no "other", so unmatched values are dropped
-    and logged, and a figure left with no listener is flagged.
+    and logged, and a figure left with no listener is flagged.  A
+    `confidences` or `evidence` value that is not a mapping reads as {}.
     """
     normalized: dict[str, tuple[str, ...]] = {}
     flags: list[str] = []
@@ -253,8 +257,8 @@ def normalize_labels(
         canonical = vocab.canonical(fname, raw_values[0]) if raw_values else None
         singles[fname] = canonical if canonical is not None else OTHER
 
-    raw_conf = raw.get("confidences") or {}
-    raw_evidence = raw.get("evidence") or {}
+    raw_conf = _as_mapping(raw.get("confidences"))
+    raw_evidence = _as_mapping(raw.get("evidence"))
     confidences = {fname: clip_confidence(raw_conf.get(fname)) for fname in FIELDS}
     evidence = {
         fname: str(raw_evidence.get(fname) or "")[:MAX_EVIDENCE_CHARS] for fname in FIELDS
@@ -379,11 +383,7 @@ def run_stage3(
     def process(evidence: FigureEvidence):
         return label_figure(evidence, corpus, vocab, gateway, backend_id, k, per_paper_cap)
 
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool_exec:
-            processed = list(pool_exec.map(process, targets))
-    else:
-        processed = [process(t) for t in targets]
+    processed = map_items(process, targets, max_workers)
 
     result = Stage3Result(labels=[])
     grouped: dict[tuple[str, str], list[FrameworkLabels]] = {}

@@ -110,10 +110,6 @@ def load_vocabulary(
     return LabelVocabulary(categories=categories, aliases=aliases)
 
 
-def default_vocabulary() -> LabelVocabulary:
-    return load_vocabulary()
-
-
 @dataclass(frozen=True)
 class FrameworkLabels:
     """Four-field annotation for one (base) figure."""

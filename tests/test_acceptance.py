@@ -28,11 +28,11 @@ from vismine.gateway import ModelVerdict, consensus
 from vismine.jsonl import read_jsonl
 from vismine.library import load_library
 from vismine.pipeline import run_pipeline, stage_outputs
-from vismine.vocab import FIELDS, FrameworkLabels, default_vocabulary
+from vismine.vocab import FIELDS, FrameworkLabels, load_vocabulary
 
 from tests.conftest import FIXTURE_DIR, make_fixture_config
 
-VOCAB = default_vocabulary()
+VOCAB = load_vocabulary()
 
 
 def passed(number: int, summary: str) -> None:
@@ -483,7 +483,7 @@ class TestCriterion09CitationWeighting:
         coverage = {
             (row["field"], row["category"]): row["prevalence"]
             for fname in FIELDS
-            for row in analysis.weighted_coverage(lifted, fname)
+            for row in analysis.weighted_coverage(lifted, fname, 2026)
         }
         assert coverage[("model_listener", "output results")] == pytest.approx(0.938, abs=5e-3)
         assert coverage[("data_type", "nominal")] == pytest.approx(0.789, abs=5e-3)

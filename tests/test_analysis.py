@@ -8,9 +8,9 @@ import pytest
 from vismine import analysis
 from vismine.corpus import PaperRecord
 from vismine.errors import AnalysisError
-from vismine.vocab import FIELDS, FrameworkLabels, default_vocabulary
+from vismine.vocab import FIELDS, FrameworkLabels, load_vocabulary
 
-VOCAB = default_vocabulary()
+VOCAB = load_vocabulary()
 
 
 def labels(paper_id="p1", base="Figure 1", listeners=("output results",),
@@ -252,14 +252,14 @@ class TestWeightedCoverage:
 
     def test_single_paper_everything_full(self):
         rows = analysis.weighted_coverage(
-            [paper_label("a", 2020, 4, ("output results",))], "model_listener"
+            [paper_label("a", 2020, 4, ("output results",))], "model_listener", 2026
         )
         assert rows[0]["prevalence"] == 1.0
         assert rows[0]["weighted_share"] == 1.0
 
     def test_zero_total_weight_flagged(self):
         rows = analysis.weighted_coverage(
-            [paper_label("a", 2020, 0), paper_label("b", 2021, 0)], "model_listener"
+            [paper_label("a", 2020, 0), paper_label("b", 2021, 0)], "model_listener", 2026
         )
         assert all(r["weighted_flagged"] for r in rows)
         assert all(r["weighted_share"] is None for r in rows)
@@ -270,7 +270,7 @@ class TestWeightedCoverage:
             analysis.PaperLabels(paper_id="b", year=2020, citation_count=None,
                                  values={"model_listener": ("output results",)}),
         ]
-        rows = analysis.weighted_coverage(papers, "model_listener")
+        rows = analysis.weighted_coverage(papers, "model_listener", 2026)
         row = rows[0]
         assert row["prevalence"] == 1.0
         assert row["weighted_share"] == 1.0  # paper b excluded from weights
@@ -283,10 +283,10 @@ class TestWeightedCoverage:
                         tuple(rng.sample(listeners_all, rng.randint(1, 3))))
             for i in range(20)
         ]
-        for row in analysis.weighted_coverage(papers, "model_listener"):
+        for row in analysis.weighted_coverage(papers, "model_listener", 2026):
             assert 0.0 <= row["prevalence"] <= 1.0
             assert 0.0 <= row["weighted_share"] <= 1.0
 
     def test_empty_scope_rejected(self):
         with pytest.raises(AnalysisError):
-            analysis.weighted_coverage([], "model_listener")
+            analysis.weighted_coverage([], "model_listener", 2026)

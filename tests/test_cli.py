@@ -247,6 +247,36 @@ class TestMalformedInput:
         assert "'P02'" in err and repr(field) in err
         assert "Traceback" not in err
 
+    def test_pool_row_without_label_names_file_and_key(self, tmp_path, fixture_config, capsys):
+        pool = tmp_path / "pool.jsonl"
+        pool.write_text('{"paper_id": "P01", "label": "positive"}\n{"paper_id": "P02"}\n',
+                        encoding="utf-8")
+        code = main([
+            "stage1", "--corpus", fx("corpus.jsonl"), "--pool", str(pool),
+            "--out", str(tmp_path / "subset.jsonl"), "--config", str(fixture_config("pool")),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert f"{pool}: record 2 has no 'label'" in err
+
+    @pytest.mark.parametrize("key", ["paper_id", "figure_id"])
+    def test_evidence_row_without_id_names_file_and_key(self, tmp_path, fixture_config, capsys,
+                                                         key):
+        row = {"paper_id": "P01", "figure_id": "Figure 1", "caption": "Figure 1: c"}
+        del row[key]
+        evidence_file = tmp_path / "evidence.jsonl"
+        evidence_file.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        code = main([
+            "stage2", "--papers", fx("corpus.jsonl"), "--evidence", str(evidence_file),
+            "--library", fx("library.jsonl"), "--out", str(tmp_path / "verdicts.jsonl"),
+            "--config", str(fixture_config("evidence")),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert f"{evidence_file}: record 1 has no {key!r}" in err
+
 
 class TestTextEncoding:
     """Text no output could hold is a one-line input error, not a traceback."""

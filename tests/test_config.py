@@ -24,7 +24,7 @@ class TestLoadAndValidate:
             corpus="does-not-exist.jsonl",
             stage2={"k": 0, "backend": "primary"},
         )
-        errors = validate_config(load_config(path), require=("corpus",))
+        errors = validate_config(load_config(path))
         assert len(errors) >= 2
         assert any("corpus" in e for e in errors)
         assert any("stage2.k" in e for e in errors)

@@ -9,13 +9,13 @@ from vismine.errors import AuthenticationError, EvaluationError
 from vismine.evidence import FigureEvidence
 from vismine.gateway import Gateway, KeywordStubBackend, StubRules
 from vismine.library import CodedFigure, CodedPaper
-from vismine.stage1 import pool_index
+from vismine.stage1 import paper_query_tokens, pool_index
 from vismine.stage2 import library_index, retrieve_neighbor_papers
 from vismine.stage3 import library_figure_corpus, retrieve_similar_figures
-from vismine.vocab import default_vocabulary, FrameworkLabels
+from vismine.vocab import load_vocabulary, FrameworkLabels
 from tests.conftest import ITEM_FAILURES, RaisingBackend
 
-VOCAB = default_vocabulary()
+VOCAB = load_vocabulary()
 
 
 def counts(tp=0, fp=0, fn=0, tn=0):
@@ -114,28 +114,35 @@ def tiered_pool(tiers):
 
 
 class TestBaseline:
+    """`run_stage1_loo`'s majority vote over a paper's BM25 top-k pool neighbours."""
+
     TARGET = PaperRecord(paper_id="target", title="saliency saliency probe")
+
+    def baseline(self, pool, k):
+        neighbors = bm25.top_k(pool_index(pool), paper_query_tokens(self.TARGET), k,
+                               exclude={self.TARGET.paper_id})
+        return ev._majority_label(pool, neighbors)
 
     def test_majority_positive(self):
         pool = tiered_pool(
             [("p1", "positive", 3), ("p2", "positive", 2), ("n1", "negative", 1)]
         )
-        assert ev.bm25_majority_baseline(self.TARGET, pool, k=3) == "positive"
+        assert self.baseline(pool, k=3) == "positive"
 
     def test_majority_negative(self):
         pool = tiered_pool(
             [("n1", "negative", 5), ("n2", "negative", 4), ("n3", "negative", 3),
              ("p1", "positive", 2), ("p2", "positive", 1)]
         )
-        assert ev.bm25_majority_baseline(self.TARGET, pool, k=5) == "negative"
+        assert self.baseline(pool, k=5) == "negative"
 
     def test_tie_resolves_positive(self):
         pool = tiered_pool([("p1", "positive", 2), ("n1", "negative", 2)])
-        assert ev.bm25_majority_baseline(self.TARGET, pool, k=2) == "positive"
+        assert self.baseline(pool, k=2) == "positive"
 
     def test_no_neighbors_resolves_positive(self):
         pool = tiered_pool([("p1", "positive", 0), ("n1", "negative", 0)])
-        assert ev.bm25_majority_baseline(self.TARGET, pool, k=2) == "positive"
+        assert self.baseline(pool, k=2) == "positive"
 
 
 def dual_stub_gateway():
@@ -437,7 +444,8 @@ class TestLibraryFoldIndexes:
         for fold in (f for f in report.folds if f.method == "2-shot"):
             target = next(p for p in papers if p.paper_id == fold.held_out)
             rest = [p for p in papers if p is not target]
-            assert fold.neighbors == retrieve_neighbor_papers(target.record, rest, k=2)
+            assert fold.neighbors == retrieve_neighbor_papers(target.record, rest,
+                                                              library_index(rest), k=2)
 
     def test_stage3_queries_are_the_fold_documents_tokens(self, monkeypatch):
         papers, lookup = coded_library(4)

@@ -130,14 +130,19 @@ class TestFilterNonbody:
         assert len(doc.paragraphs) == 1
 
 
+def detect_captions(doc):
+    """(figure_id, caption paragraph) of each caption header, as extraction finds them."""
+    return [(figure_id, caption) for _, figure_id, caption in evidence._scan_captions(doc)]
+
+
 class TestDetectCaptions:
     def test_caption_header(self):
         doc = filtered(MAIN_DOC)
-        captions = dict(evidence.detect_captions(doc))
+        captions = dict(detect_captions(doc))
         assert captions["Figure 2"].startswith("Figure 2: Accuracy curves")
 
     def test_mid_sentence_reference_not_a_caption(self):
-        captions = dict(evidence.detect_captions(filtered(MAIN_DOC)))
+        captions = dict(detect_captions(filtered(MAIN_DOC)))
         assert "As shown in Figure 1" not in captions.values()
         assert len(captions) == 3
 
@@ -146,7 +151,7 @@ class TestDetectCaptions:
             "Fig. 1: Short form caption with a handful of tokens.\n\n"
             "Figure 10: Two digit figure caption with several descriptive tokens."
         )
-        captions = evidence.detect_captions(filtered(text))
+        captions = detect_captions(filtered(text))
         assert [fid for fid, _ in captions] == ["Figure 1", "Figure 10"]
 
     def test_duplicate_caption_keeps_first(self, caplog):
@@ -156,13 +161,13 @@ class TestDetectCaptions:
             "Some body paragraph mentioning Figure 1 for the record."
         )
         with caplog.at_level(logging.WARNING):
-            captions = evidence.detect_captions(filtered(text))
+            captions = detect_captions(filtered(text))
         assert len(captions) == 1
         assert captions[0][1].startswith("Figure 1: First")
         assert any("duplicate caption" in r.message for r in caplog.records)
 
     def test_subfigure_ids(self):
-        captions = evidence.detect_captions(filtered(SUBFIGURE_DOC))
+        captions = detect_captions(filtered(SUBFIGURE_DOC))
         assert [fid for fid, _ in captions] == ["Figure 4a", "Figure 4b"]
 
 
@@ -324,5 +329,5 @@ class TestPrefilterProperty:
     @example(evidence.DocumentText("p", ("Figure 3: c", "Figure 03 or Figure \u0663", "fig.3b")))
     def test_equals_per_figure_search_of_every_paragraph(self, doc):
         expected = [evidence.extract_evidence(doc, figure_id)
-                    for figure_id, _ in evidence.detect_captions(doc)]
+                    for _, figure_id, _ in evidence._scan_captions(doc)]
         assert evidence.extract_all_evidence(doc) == expected

@@ -119,15 +119,6 @@ class TestComplete:
         assert g.stats.cache_hits == 0
         assert g.stats.network_calls == 2
 
-    def test_rate_limiter_spaces_calls(self):
-        import time
-
-        g = gw.Gateway({"stub": saliency_stub()}, min_interval=0.05)
-        started = time.monotonic()
-        g.complete("stub", request("first prompt"))
-        g.complete("stub", request("second prompt"))
-        assert time.monotonic() - started >= 0.05
-
 
 def key(n):
     return gw.prompt_hash("stub", f"prompt {n}")
@@ -392,6 +383,15 @@ class TestConsensus:
     def test_generalizes_to_n_backends(self):
         assert gw.consensus([self.verdict(True)] * 5) is True
         assert gw.consensus([self.verdict(True)] * 4 + [self.verdict(False)]) is False
+
+
+class TestMapItems:
+    def test_one_worker_runs_in_the_callers_thread(self):
+        assert gw.map_items(lambda _: threading.get_ident(), range(3), 1) == \
+            [threading.get_ident()] * 3
+
+    def test_workers_keep_item_order(self):
+        assert gw.map_items(lambda n: n * n, range(50), 4) == [n * n for n in range(50)]
 
 
 class TestKeywordStub:

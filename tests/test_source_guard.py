@@ -1,0 +1,57 @@
+"""Every function, class and method in `src/vismine` has a caller there.
+
+A definition that only tests reach is code the pipeline carries for
+nothing.  Names are matched, not objects: a definition counts as used
+when its name appears as a Name, an Attribute or an imported name in any
+module other than `__init__.py`, whose re-exports call nothing.
+"""
+
+import ast
+from pathlib import Path
+
+import vismine
+
+SRC = Path(vismine.__file__).parent
+
+# Definitions kept although nothing in `src/vismine` calls them.
+ALLOWED = {
+    "dump": "Bm25Index's snapshot is the tests' view of the postings it builds on demand",
+    "StubBackend": "the response-function backend the tests drive the gateway with",
+    "recall": "the score arithmetic's third ratio, next to precision and f1",
+    "micro_f1": "the stage-3 metric's definition, which the tests check the reports against",
+}
+
+
+def _defined_and_referenced() -> tuple[dict[str, str], set[str]]:
+    defined: dict[str, str] = {}
+    referenced: set[str] = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+            if path.name == "__init__.py":
+                continue
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    return defined, referenced
+
+
+def test_no_definition_is_reached_only_from_tests():
+    defined, referenced = _defined_and_referenced()
+    unused = sorted(
+        f"{name} ({where})" for name, where in defined.items()
+        if name not in referenced and name not in ALLOWED
+    )
+    assert not unused, "defined in src/vismine but never referenced there: " + ", ".join(unused)
+
+
+def test_allowlist_names_only_unreferenced_definitions():
+    defined, referenced = _defined_and_referenced()
+    stale = sorted(name for name in ALLOWED if name not in defined or name in referenced)
+    assert not stale, f"allowlisted names that are gone or now referenced: {stale}"

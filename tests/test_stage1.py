@@ -60,10 +60,11 @@ class TestBuildFewshotContext:
                 ("neg3", "negative", 0),
             ]
         )
-        context = stage1.build_fewshot_context(TARGET, pool, k=6)
+        context = stage1.build_fewshot_context(TARGET, pool, stage1.pool_index(pool), k=6)
         assert context.exemplar_ids == ("pos1", "pos2", "pos3", "pos4", "neg1", "neg2")
-        assert context.positive_count == 4
-        assert context.negative_count == 2
+        labels = [label for _, label in context.exemplars]
+        assert labels.count("positive") == 4
+        assert labels.count("negative") == 2
 
     def test_all_positive_top_k_rebalanced(self):
         # Scores are known by construction: pos1..pos7 rank strictly by tf,
@@ -79,9 +80,9 @@ class TestBuildFewshotContext:
                 ("neg3", "negative", 0),
             ]
         )
-        context = stage1.build_fewshot_context(TARGET, pool, k=6)
+        context = stage1.build_fewshot_context(TARGET, pool, stage1.pool_index(pool), k=6)
         assert context.exemplar_ids == ("pos1", "pos2", "pos3", "pos4", "neg1", "neg2")
-        assert context.negative_count == 2
+        assert [label for _, label in context.exemplars].count("negative") == 2
 
     def test_target_in_pool_never_leaks(self):
         pool = tiered_pool(
@@ -92,13 +93,14 @@ class TestBuildFewshotContext:
                 ("pos4", "positive", 4), ("neg3", "negative", 1),
             ]
         )
-        context = stage1.build_fewshot_context(TARGET, pool, k=6)
+        context = stage1.build_fewshot_context(TARGET, pool, stage1.pool_index(pool), k=6)
         assert "target" not in context.exemplar_ids
 
     def test_pool_too_small(self):
         pool = tiered_pool([("pos1", "positive", 3), ("neg1", "negative", 2)])
         with pytest.raises(StageError):
-            stage1.build_fewshot_context(TARGET, pool, k=6, min_pos=2, min_neg=2)
+            stage1.build_fewshot_context(TARGET, pool, stage1.pool_index(pool), k=6,
+                                         min_pos=2, min_neg=2)
 
     def test_k_smaller_than_minimums(self):
         pool = tiered_pool(
@@ -106,7 +108,8 @@ class TestBuildFewshotContext:
              ("neg1", "negative", 1), ("neg2", "negative", 0)]
         )
         with pytest.raises(StageError):
-            stage1.build_fewshot_context(TARGET, pool, k=3, min_pos=2, min_neg=2)
+            stage1.build_fewshot_context(TARGET, pool, stage1.pool_index(pool), k=3,
+                                         min_pos=2, min_neg=2)
 
 
 class TestScreenPaper:
@@ -117,7 +120,8 @@ class TestScreenPaper:
         )
 
     def context(self):
-        return stage1.build_fewshot_context(TARGET, self.pool(), k=4)
+        pool = self.pool()
+        return stage1.build_fewshot_context(TARGET, pool, stage1.pool_index(pool), k=4)
 
     def test_both_positive(self):
         gateway = dual_stub_gateway()

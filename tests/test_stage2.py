@@ -77,26 +77,30 @@ def figure_gateway():
 
 
 class TestRetrieveNeighbors:
+    @staticmethod
+    def neighbors(target, library, k=5):
+        return stage2.retrieve_neighbor_papers(target, library, stage2.library_index(library), k=k)
+
     def test_full_library_returns_k(self):
         library = coded_library(46)
         target = record("T", "saliency study of models")
-        neighbors = stage2.retrieve_neighbor_papers(target, library, k=5)
+        neighbors = self.neighbors(target, library, k=5)
         assert len(neighbors) == 5
 
     def test_small_library_truncates(self):
         library = coded_library(3)
         target = record("T", "saliency study of models")
-        assert len(stage2.retrieve_neighbor_papers(target, library, k=5)) == 3
+        assert len(self.neighbors(target, library, k=5)) == 3
 
     def test_loo_target_excluded(self):
         library = coded_library(6)
         target = library[0].record
-        neighbors = stage2.retrieve_neighbor_papers(target, library, k=5)
+        neighbors = self.neighbors(target, library, k=5)
         assert target.paper_id not in neighbors
 
     def test_empty_library_error(self):
         with pytest.raises(StageError):
-            stage2.retrieve_neighbor_papers(record("T", "anything"), [], k=5)
+            self.neighbors(record("T", "anything"), [], k=5)
 
 
 class TestSampleExemplars:
@@ -327,7 +331,7 @@ class TestRunStage2:
         targets, library, lookup = self.make_inputs()
         result = stage2.run_stage2(targets, library, lookup, figure_gateway(), "primary")
         assert result.selected["T2"] == []
-        assert result.papers_with_selection() == ["T1"]
+        assert sorted(pid for pid, sel in result.selected.items() if sel) == ["T1"]
 
     def test_selected_within_relevant(self):
         targets, library, lookup = self.make_inputs()

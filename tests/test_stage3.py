@@ -4,12 +4,14 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vismine import stage3
 from vismine.errors import StageError
 from vismine.evidence import FigureEvidence
 from vismine.gateway import Gateway, StubBackend
-from vismine.vocab import FrameworkLabels, default_vocabulary
+from vismine.vocab import FIELDS, FrameworkLabels, load_vocabulary
 from tests.conftest import ITEM_FAILURES, RaisingBackend
 
 
@@ -40,7 +42,7 @@ def labels(paper_id="p", base="Figure 1", listeners=("output results",),
     )
 
 
-VOCAB = default_vocabulary()
+VOCAB = load_vocabulary()
 
 
 class TestBuildFigureCorpus:
@@ -220,6 +222,21 @@ class TestExtractLabels:
             assert payload == gold.as_payload()
 
 
+# What `parse_json_payload` can hand `normalize_labels`: an object of any
+# JSON values, keyed mostly by the payload's own field names, with
+# vocabulary and alias surface forms among the strings.
+PAYLOAD_KEYS = st.sampled_from((*FIELDS, "confidences", "evidence")) | st.text(max_size=6)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.sampled_from(sorted({v for f in FIELDS for v in VOCAB.values(f)}
+                             | {a for table in VOCAB.aliases.values() for a in table})),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(PAYLOAD_KEYS, children, max_size=4),
+    max_leaves=16,
+)
+json_payloads = st.dictionaries(PAYLOAD_KEYS, json_values, max_size=6)
+
+
 class TestNormalizeLabels:
     def norm(self, raw):
         return stage3.normalize_labels(raw, VOCAB, "p1", "Figure 1")
@@ -282,6 +299,16 @@ class TestNormalizeLabels:
             once = self.norm(raw)
             twice = stage3.normalize_labels(once.as_payload(), VOCAB, "p1", "Figure 1")
             assert twice == once
+
+    @settings(max_examples=300, deadline=None)
+    @given(json_payloads)
+    @example({"evidence": "quoted text"})
+    @example({"confidences": [0.9]})
+    @example({"confidences": {"data_type": 10**400}})
+    def test_any_json_payload_is_total_and_idempotent(self, raw):
+        once = self.norm(raw)
+        twice = stage3.normalize_labels(once.as_payload(), VOCAB, "p1", "Figure 1")
+        assert twice == once
 
 
 class TestAggregateSubfigures:

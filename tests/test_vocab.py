@@ -8,7 +8,7 @@ from vismine.errors import VocabularyError
 
 class TestDefaultVocabulary:
     def test_canonical_sets(self):
-        v = vocab.default_vocabulary()
+        v = vocab.load_vocabulary()
         assert v.values("model_listener") == (
             "input data", "training configuration", "model structure",
             "learnable parameters", "transient state", "dynamics (time)",
@@ -28,7 +28,7 @@ class TestDefaultVocabulary:
         )
 
     def test_other_presence(self):
-        v = vocab.default_vocabulary()
+        v = vocab.load_vocabulary()
         assert not v.has_other("model_listener")
         assert v.has_other("data_type")
         assert v.has_other("visualization_type")
@@ -36,7 +36,7 @@ class TestDefaultVocabulary:
 
     def test_alias_targets_all_valid(self):
         # Construction validates every alias target; loading must not raise.
-        v = vocab.default_vocabulary()
+        v = vocab.load_vocabulary()
         for fname, table in v.aliases.items():
             for target in table.values():
                 assert v.canonical(fname, target) is not None
@@ -44,28 +44,28 @@ class TestDefaultVocabulary:
 
 class TestCanonicalLookup:
     def test_exact_match_case_insensitive(self):
-        v = vocab.default_vocabulary()
+        v = vocab.load_vocabulary()
         assert v.canonical("visualization_type", "HeatMap") == "heatmap"
         assert v.canonical("visualization_type", "sankey DIAGRAM") == "Sankey diagram"
 
     def test_alias_lookup(self):
-        v = vocab.default_vocabulary()
+        v = vocab.load_vocabulary()
         assert v.canonical("visualization_type", "node link graph") == "node-link diagram"
         assert v.canonical("visualization_type", "confusion matrix") == "heatmap"
         assert v.canonical("model_listener", "predictions") == "output results"
 
     def test_unknown_returns_none(self):
-        v = vocab.default_vocabulary()
+        v = vocab.load_vocabulary()
         assert v.canonical("visualization_type", "3D surface") is None
         assert v.canonical("model_listener", "") is None
 
     def test_unknown_field_rejected(self):
-        v = vocab.default_vocabulary()
+        v = vocab.load_vocabulary()
         with pytest.raises(VocabularyError):
             v.canonical("color_scheme", "viridis")
 
     def test_sort_values_vocabulary_order(self):
-        v = vocab.default_vocabulary()
+        v = vocab.load_vocabulary()
         values = ["output results", "input data", "transient state", "input data"]
         assert v.sort_values("model_listener", values) == (
             "input data", "transient state", "output results",
