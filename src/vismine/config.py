@@ -184,6 +184,8 @@ def validate_config(config: RunConfig) -> list[str]:
         errors.append(f"max_workers must be >= 1, got {config.max_workers}")
     if config.max_attempts < 1:
         errors.append(f"max_attempts must be >= 1, got {config.max_attempts}")
+    if config.concurrency < 1:
+        errors.append(f"concurrency must be >= 1, got {config.concurrency}")
     if config.reference_year < 1990:
         errors.append(f"reference_year is implausible: {config.reference_year}")
     corpus_path = config.resolve(config.corpus_path)

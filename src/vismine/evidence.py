@@ -6,13 +6,20 @@ are located, and each figure's evidence is assembled as caption plus a
 one-paragraph window around every in-text reference.
 
 A hit is what the figure's own `_reference_pattern` finds in a non-caption
-paragraph.  `extract_all_evidence` first scans each paragraph once for
-`fig.`/`figure` followed by an ASCII digit run and lists the paragraphs
-under each run; each figure's pattern then searches only the paragraphs
-listed under its number.  The prefilter is exact: every figure's pattern
-is the same prefix, then its number, then a character that is not
-`[0-9]`, so wherever a hit starts the scan reads exactly that number.
-The scan reads `[0-9]` like the patterns, not every Unicode digit
+paragraph.  `extract_all_evidence` reads each paragraph once for the places
+where a reference can start, and there matches the reference scan and the
+cited number anchored (`pattern.match(paragraph, start)` still tests the
+word boundary against the character before).  On an ASCII paragraph those
+places are where its lower-case copy holds `fig`, which is exact because
+on ASCII text IGNORECASE matches `fig` nowhere else.  Any other paragraph
+is read with one `_REF_START_RE` search, because there `lower()` is not
+exact: `İ` and `ı` match `i`, and `"FİGURE".lower()` is longer.  The
+paragraphs citing each number, `fig.`/`figure` followed by an ASCII digit
+run, are listed, and each figure's pattern then searches only the
+paragraphs listed under its number.  That prefilter is exact: every
+figure's pattern is the same prefix, then its number, then a character
+that is not `[0-9]`, so wherever a hit starts the scan reads exactly that
+number.  The scan reads `[0-9]` like the patterns, not every Unicode digit
 (`Figure 3٣` cites figure 3), and leaves the sub-figure letter rules to
 the patterns.
 """
@@ -22,7 +29,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import DocumentError
 
@@ -46,6 +53,8 @@ _REF_SCAN_RE = re.compile(
 )
 # The prefix every `_reference_pattern` starts with, and the number after it.
 _CITED_NUMBER_RE = re.compile(r"\b(?:fig\.|figure)\s*([0-9]+)", re.IGNORECASE)
+# Where either can start, searched for in paragraphs that are not ASCII.
+_REF_START_RE = re.compile(r"\b(?:fig\.|figure)", re.IGNORECASE)
 
 
 @dataclass(frozen=True)
@@ -107,8 +116,10 @@ def _is_cutoff_header(paragraph: str) -> bool:
 
 def _is_nonbody(paragraph: str) -> bool:
     """Too short, or no letter that is not upper case (numbers, all-caps headers)."""
-    if len(paragraph.split()) < MIN_BODY_TOKENS:
+    if len(paragraph.split(None, MIN_BODY_TOKENS - 1)) < MIN_BODY_TOKENS:
         return True
+    if paragraph.isascii():
+        return paragraph.upper() == paragraph
     return not any(c.isalpha() and not c.isupper() for c in paragraph)
 
 
@@ -223,6 +234,22 @@ def extract_evidence(
     )
 
 
+def _reference_starts(paragraph: str) -> Iterator[int]:
+    """Every position of `paragraph` where `_REF_SCAN_RE` or `_CITED_NUMBER_RE` can match.
+
+    Some positions may match neither (`xfig`); the anchored match decides.
+    """
+    if paragraph.isascii():
+        lowered = paragraph.lower()
+        start = lowered.find("fig")
+        while start >= 0:
+            yield start
+            start = lowered.find("fig", start + 3)
+    else:
+        for m in _REF_START_RE.finditer(paragraph):
+            yield m.start()
+
+
 def extract_all_evidence(doc: DocumentText) -> list[FigureEvidence]:
     """Evidence for every captioned figure, in document order.
 
@@ -238,9 +265,15 @@ def extract_all_evidence(doc: DocumentText) -> list[FigureEvidence]:
     for pos, paragraph in enumerate(doc.paragraphs):
         if pos in caption_positions:
             continue
-        for m in _REF_SCAN_RE.finditer(paragraph):
-            referenced.add(canonical_figure_id(m.group(1), m.group(2) or m.group(3)))
-        for number in set(_CITED_NUMBER_RE.findall(paragraph)):
+        numbers: set[str] = set()
+        for start in _reference_starts(paragraph):
+            m = _REF_SCAN_RE.match(paragraph, start)
+            if m:
+                referenced.add(canonical_figure_id(m.group(1), m.group(2) or m.group(3)))
+            m = _CITED_NUMBER_RE.match(paragraph, start)
+            if m:
+                numbers.add(m.group(1))
+        for number in numbers:
             cited_at.setdefault(number, []).append(pos)
     for figure_id in sorted(referenced - captioned, key=figure_sort_key):
         if base_figure_id(figure_id) in captioned:

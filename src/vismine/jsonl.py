@@ -27,6 +27,8 @@ def read_jsonl(path: str | Path) -> Iterator[dict]:
                     record = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise InputError(f"{path}:{line_number}: invalid JSON: {exc}") from exc
+                if not isinstance(record, dict):
+                    raise InputError(f"{path}:{line_number}: not a JSON object")
                 if "\\" in line and _SURROGATE_ESCAPE.search(line):
                     # Only a `\uD800`-`\uDFFF` escape can decode to a lone
                     # surrogate, which no UTF-8 output file can hold.  Most

@@ -92,9 +92,23 @@ def _rows_with(path: str | Path, keys: Sequence[str]) -> Iterator[dict]:
     """The records of JSONL file `path`; one lacking any of `keys` is an `InputError`."""
     for number, row in enumerate(read_jsonl(path), 1):
         for key in keys:
-            if not isinstance(row, dict) or key not in row:
+            if key not in row:
                 raise InputError(f"{path}: record {number} has no {key!r}")
         yield row
+
+
+def retry_path(out_path: str | Path, stage: str) -> Path:
+    """Where `stage`'s retry queue goes: `<stage>_retry.jsonl` beside its output."""
+    return Path(out_path).with_name(f"{stage}_retry.jsonl")
+
+
+def _write_retry_queue(path: Path, retry: Sequence[tuple[str, str, str]]) -> None:
+    """One (paper_id, figure_id, message) row per failed figure; no file when none failed."""
+    if retry:
+        write_jsonl(path, ({"paper_id": paper_id, "figure_id": figure_id, "message": message}
+                           for paper_id, figure_id, message in retry))
+    else:
+        path.unlink(missing_ok=True)
 
 
 def load_pool(
@@ -173,7 +187,7 @@ def run_stage1_step(
 def run_evidence_step(manifest_path: str | Path, docs_dir: Path, out_path: str | Path) -> int:
     """Extract every figure's evidence from the converted texts; returns the figure count."""
     rows = []
-    for entry in read_jsonl(manifest_path):
+    for entry in _rows_with(manifest_path, ("paper_id", "path")):
         paper_id = str(entry["paper_id"])
         doc_path = docs_dir / str(entry["path"])
         try:
@@ -192,7 +206,10 @@ def run_stage2_step(
     out_path: str | Path, gateway: Gateway, backend_id: str,
     *, k: int, max_figs: int, max_workers: int,
 ) -> stage2_mod.Stage2Result:
-    """Judge every figure of each paper that the coded library does not hold."""
+    """Judge every figure of each paper that the coded library does not hold.
+
+    Failed figures are queued in `retry_path(out_path, "stage2")`.
+    """
     papers = _load_corpus_file(papers_path)
     library = load_library(read_jsonl(library_path))
     library_ids = {p.paper_id for p in library}
@@ -218,6 +235,7 @@ def run_stage2_step(
         max_workers=max_workers,
     )
     write_jsonl(out_path, (v.to_dict() for v in result.verdicts))
+    _write_retry_queue(retry_path(out_path, "stage2"), result.retry)
     return result
 
 
@@ -226,13 +244,16 @@ def run_stage3_step(
     out_path: str | Path, vocab: LabelVocabulary, gateway: Gateway, backend_id: str,
     *, k: int, per_paper_cap: int, max_workers: int,
 ) -> stage3_mod.Stage3Result:
-    """Label every selected figure, with the coded library's figures as exemplars."""
+    """Label every selected figure, with the coded library's figures as exemplars.
+
+    Failed figures are queued in `retry_path(out_path, "stage3")`.
+    """
     library = load_library(read_jsonl(library_path))
     table = load_evidence_table(evidence_path)
     corpus = stage3_mod.library_figure_corpus(
         library, lambda paper_id, figure_id: table.get((paper_id, figure_id)))
     targets = []
-    for raw in read_jsonl(verdicts_path):
+    for raw in _rows_with(verdicts_path, ("paper_id", "figure_id")):
         verdict = stage2_mod.verdict_from_dict(raw)
         if not verdict.selected:
             continue
@@ -253,6 +274,7 @@ def run_stage3_step(
         max_workers=max_workers,
     )
     write_jsonl(out_path, (l.to_dict() for l in result.labels))
+    _write_retry_queue(retry_path(out_path, "stage3"), result.retry)
     return result
 
 
@@ -320,7 +342,9 @@ def run_pipeline(config: RunConfig, stages: list[str] | None = None) -> RunManif
     """Execute the requested stages in order and emit a manifest.
 
     A downstream stage whose upstream outputs are missing fails fast,
-    naming the stage to run first.
+    naming the stage to run first.  When figures fail in stage 2 or 3, the
+    remaining stages still run and the manifest is written; then a
+    `PipelineError` names each stage's retry queue.
     """
     stages = list(stages) if stages is not None else list(STAGES)
     unknown = [s for s in stages if s not in STAGES]
@@ -341,6 +365,7 @@ def run_pipeline(config: RunConfig, stages: list[str] | None = None) -> RunManif
     manifest = RunManifest(config_hash=_config_hash(config))
     needs_gateway = any(s in stages for s in ("stage1", "stage2", "stage3"))
     gateway = build_gateway(config) if needs_gateway else None
+    failed: list[str] = []
 
     for stage in stages:
         for upstream in UPSTREAM.get(stage, ()):
@@ -375,20 +400,24 @@ def run_pipeline(config: RunConfig, stages: list[str] | None = None) -> RunManif
             run_evidence_step(manifest_path, docs_dir, evidence_out)
         elif stage == "stage2":
             library_path = _config_path(config, config.library_path, "library file")
-            run_stage2_step(
+            result = run_stage2_step(
                 subset_out, evidence_out, library_path, verdicts_out, gateway,
                 config.stage2_backend, k=config.stage2_k, max_figs=config.stage2_max_figs,
                 max_workers=config.max_workers,
             )
+            if result.retry:
+                failed.append(f"{len(result.retry)} in {retry_path(verdicts_out, stage)}")
         elif stage == "stage3":
             library_path = _config_path(config, config.library_path, "library file")
             vocab = load_vocabulary(config.resolve(config.vocab_path),
                                     config.resolve(config.alias_path))
-            run_stage3_step(
+            result = run_stage3_step(
                 verdicts_out, evidence_out, library_path, labels_out, vocab, gateway,
                 config.stage3_backend, k=config.stage3_k,
                 per_paper_cap=config.stage3_per_paper_cap, max_workers=config.max_workers,
             )
+            if result.retry:
+                failed.append(f"{len(result.retry)} in {retry_path(labels_out, stage)}")
         elif stage == "analyze":
             papers_path = corpus_out if corpus_out.exists() else None
             run_analyze_step(labels_out, papers_path, config.resolve(config.library_path),
@@ -402,4 +431,6 @@ def run_pipeline(config: RunConfig, stages: list[str] | None = None) -> RunManif
     if gateway is not None:
         manifest.gateway = gateway.stats.to_dict()
     write_json(out_dir / "manifest.json", manifest.to_dict())
+    if failed:
+        raise PipelineError(f"figures failed and were queued for retry: {'; '.join(failed)}")
     return manifest

@@ -244,7 +244,7 @@ def judge_paper_figures(
 class Stage2Result:
     verdicts: list[RelevanceVerdict]
     selected: dict[str, list[RelevanceVerdict]]
-    retry: list[tuple[str, str]] = field(default_factory=list)
+    retry: list[tuple[str, str, str]] = field(default_factory=list)
     exemplar_log: dict[str, dict] = field(default_factory=dict)
 
 
@@ -262,7 +262,8 @@ def run_stage2(
 
     Role tags survive only on selected figures; every successfully
     classified figure appears exactly once in the output, and failures go
-    to the retry queue instead of being dropped silently.
+    to the retry queue as (paper_id, figure_id, message) instead of being
+    dropped silently.
     """
     index = library_index(library)
 
@@ -287,6 +288,6 @@ def run_stage2(
         ]
         result.verdicts.extend(final)
         result.selected[paper_id] = selected
-        result.retry.extend((p, f) for p, f, _ in failed)
+        result.retry.extend(failed)
         result.exemplar_log[paper_id] = log
     return result

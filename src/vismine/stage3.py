@@ -359,7 +359,7 @@ def label_figure(
 @dataclass
 class Stage3Result:
     labels: list[FrameworkLabels]
-    retry: list[tuple[str, str]] = field(default_factory=list)
+    retry: list[tuple[str, str, str]] = field(default_factory=list)
     retrieval_log: dict[str, list[str]] = field(default_factory=dict)
 
 
@@ -375,7 +375,8 @@ def run_stage3(
 ) -> Stage3Result:
     """Label every target figure, then aggregate at base-figure level.
 
-    A figure's own paper never supplies its exemplars.
+    A figure's own paper never supplies its exemplars.  A figure whose
+    labeling fails goes to the retry queue as (paper_id, figure_id, message).
     Output order follows (paper_id, base figure) of the input, so reruns
     are byte-stable.
     """
@@ -388,10 +389,10 @@ def run_stage3(
     result = Stage3Result(labels=[])
     grouped: dict[tuple[str, str], list[FrameworkLabels]] = {}
     group_order: list[tuple[str, str]] = []
-    for evidence, (labels, doc_ids, _) in zip(targets, processed):
+    for evidence, (labels, doc_ids, message) in zip(targets, processed):
         result.retrieval_log[figure_doc_id(evidence.paper_id, evidence.figure_id)] = doc_ids
         if labels is None:
-            result.retry.append((evidence.paper_id, evidence.figure_id))
+            result.retry.append((evidence.paper_id, evidence.figure_id, message))
             continue
         key = (evidence.paper_id, evidence.base_figure_id)
         if key not in grouped:

@@ -10,9 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vismine import cli, pipeline
 from vismine.cli import main
-from vismine.errors import InputError
+from vismine.errors import GatewayError, InputError
+from vismine.gateway import KeywordStubBackend
 from vismine.jsonl import read_jsonl
+from vismine.prompts import LABELS_SCHEMA
 from tests.conftest import FIXTURE_DIR
 
 
@@ -41,6 +44,20 @@ class TestRunCommand:
     def test_missing_upstream_is_runtime_failure(self, fixture_config):
         config = fixture_config("cli_partial")
         assert main(["run", "--config", str(config), "--stages", "stage3"]) == 2
+
+    @pytest.mark.parametrize("concurrency", [0, -1])
+    def test_concurrency_below_one_exits_1_before_any_gateway(self, fixture_config, monkeypatch,
+                                                              capsys, concurrency):
+        def no_gateway(config):
+            raise AssertionError("a gateway was built")
+
+        monkeypatch.setattr(pipeline, "build_gateway", no_gateway)
+        monkeypatch.setattr(cli, "build_gateway", no_gateway)
+        config = fixture_config("cli_concurrency", concurrency=concurrency)
+        assert main(["run", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert f"concurrency must be >= 1, got {concurrency}" in err
+        assert "Traceback" not in err
 
 
 class TestStageCommands:
@@ -278,6 +295,43 @@ class TestMalformedInput:
         assert f"{evidence_file}: record 1 has no {key!r}" in err
 
 
+    def test_non_object_line_names_file_and_line(self, tmp_path, capsys):
+        code, corpus = self.ingest(tmp_path, [json.dumps(self.GOOD), "[1, 2]"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert f"{corpus}:2: not a JSON object" in err
+
+    def test_docs_manifest_row_without_path_names_file_and_key(self, tmp_path, capsys):
+        manifest = tmp_path / "docs_manifest.jsonl"
+        manifest.write_text('{"paper_id": "P01", "path": "P01.txt"}\n{"paper_id": "P02"}\n',
+                            encoding="utf-8")
+        code = main([
+            "evidence", "--docs-manifest", str(manifest), "--docs-dir", fx("docs"),
+            "--out", str(tmp_path / "evidence.jsonl"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert f"{manifest}: record 2 has no 'path'" in err
+
+    def test_verdict_row_without_figure_id_names_file_and_key(self, tmp_path, fixture_config,
+                                                               capsys):
+        verdicts = tmp_path / "verdicts.jsonl"
+        verdicts.write_text('{"paper_id": "P07", "selected": true}\n', encoding="utf-8")
+        evidence_file = tmp_path / "evidence.jsonl"
+        evidence_file.write_text("", encoding="utf-8")
+        code = main([
+            "stage3", "--figures", str(verdicts), "--evidence", str(evidence_file),
+            "--library", fx("library.jsonl"), "--out", str(tmp_path / "labels.jsonl"),
+            "--config", str(fixture_config("verdicts")),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert f"{verdicts}: record 1 has no 'figure_id'" in err
+
+
 class TestTextEncoding:
     """Text no output could hold is a one-line input error, not a traceback."""
 
@@ -413,6 +467,81 @@ class TestAuthenticationFailure:
         assert "VISMINE_TEST_UNSET_KEY" in capsys.readouterr().err
         assert not report.exists()
         assert main(["run", "--config", config]) == 2
+
+
+def fail_some_figures(monkeypatch) -> set[tuple[str, str]]:
+    """Make the stub answer HTTP 400 for three figures; returns their ids.
+
+    Stage 2 fails two figures that are not relevant, so every paper's
+    selection stays what a clean run selects; stage 3 fails one label.
+    """
+    complete = KeywordStubBackend.complete
+
+    def failing(self, prompt):
+        target = prompt.rsplit("### Target", 1)[-1]
+        labeling = f"Schema: {LABELS_SCHEMA}\n" in prompt
+        if ("Venue map" in target or "Workshop schedule" in target
+                or (labeling and "Activation patterns" in target)):
+            raise GatewayError("HTTP 400")
+        return complete(self, prompt)
+
+    monkeypatch.setattr(KeywordStubBackend, "complete", failing)
+    return {("P12", "Figure 2"), ("P12", "Figure 3"), ("P07", "Figure 3")}
+
+
+def retry_rows(out_dir: Path) -> list[dict]:
+    return [row for stage in ("stage2", "stage3")
+            if (out_dir / f"{stage}_retry.jsonl").exists()
+            for row in read_jsonl(out_dir / f"{stage}_retry.jsonl")]
+
+
+class TestRetryQueues:
+    """A figure whose backend call fails is queued beside its stage's output."""
+
+    def test_run_exits_2_and_rerun_sends_only_the_failed_requests(
+            self, fixture_config, monkeypatch, capsys):
+        clean_dir = run_composite(fixture_config("clean"))
+        assert retry_rows(clean_dir) == []
+        config = fixture_config("failing")
+        out_dir = Path(json.loads(config.read_text())["out_dir"])
+        with monkeypatch.context() as patch:
+            failed = fail_some_figures(patch)
+            assert main(["run", "--config", str(config)]) == 2
+        assert "queued for retry" in capsys.readouterr().err
+        rows = retry_rows(out_dir)
+        assert len(rows) == len(failed)
+        assert {(row["paper_id"], row["figure_id"]) for row in rows} == failed
+        assert all(row["message"] == "HTTP 400" for row in rows)
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert sorted(manifest["stages"]) == sorted(pipeline.STAGES)
+        assert len(list(read_jsonl(out_dir / "stage2_verdicts.jsonl"))) == 8
+
+        assert main(["run", "--config", str(config)]) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["gateway"]["network_calls"] == len(failed)
+        assert retry_rows(out_dir) == []
+        for name in RUN_OUTPUTS:
+            assert (out_dir / name).read_bytes() == (clean_dir / name).read_bytes(), name
+
+    def test_stage_commands_exit_2_with_queue_beside_output(self, fixture_config, tmp_path,
+                                                            monkeypatch, capsys):
+        config = fixture_config("stagewise_failing")
+        out_dir = Path(json.loads(config.read_text())["out_dir"])
+        assert main(["run", "--config", str(config),
+                     "--stages", "ingest,stage1,evidence"]) == 0
+        work = tmp_path / "work"
+        fail_some_figures(monkeypatch)
+        common = ["--evidence", str(out_dir / "evidence.jsonl"),
+                  "--library", fx("library.jsonl"), "--config", str(config)]
+        assert main(["stage2", "--papers", str(out_dir / "stage1_subset.jsonl"),
+                     "--out", str(work / "verdicts.jsonl"), *common]) == 2
+        assert main(["stage3", "--figures", str(work / "verdicts.jsonl"),
+                     "--out", str(work / "labels.jsonl"), *common]) == 2
+        assert capsys.readouterr().err.count(f"queued for retry in {work}") == 2
+        assert [(r["paper_id"], r["figure_id"]) for r in read_jsonl(work / "stage2_retry.jsonl")] \
+            == [("P12", "Figure 2"), ("P12", "Figure 3")]
+        assert [(r["paper_id"], r["figure_id"]) for r in read_jsonl(work / "stage3_retry.jsonl")] \
+            == [("P07", "Figure 3")]
 
 
 class TestEntryPoint:

@@ -60,6 +60,11 @@ class TestLoadAndValidate:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize("concurrency", [0, -2])
+    def test_concurrency_below_one_reported(self, fixture_config, concurrency):
+        errors = validate_config(load_config(fixture_config(concurrency=concurrency)))
+        assert f"concurrency must be >= 1, got {concurrency}" in errors
+
     def test_reference_year_must_cover_corpus(self, fixture_config):
         path = fixture_config(reference_year=2020)  # fixture corpus reaches 2024
         errors = validate_config(load_config(path))

@@ -1,6 +1,8 @@
 """Metric arithmetic and the leave-one-out harness."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vismine import bm25
 from vismine import evaluation as ev
@@ -518,6 +520,64 @@ class TestFindLeakage:
         )
         violations = ev.find_leakage(report)
         assert len(violations) == 2
+
+
+TITLE_WORDS = ["saliency", "model", "probe", "layer", "treemap", "atlas"]
+CAPTION_WORDS = ["accuracy", "gradient", "chart", "heatmap", "flowers", "layer"]
+
+
+@st.composite
+def loo_inputs(draw):
+    """A labeled pool and a coded library whose texts share most words, so
+    every paper is a strong neighbour of the others."""
+    def words(vocabulary):
+        return " ".join(draw(st.lists(st.sampled_from(vocabulary), min_size=1, max_size=4)))
+
+    size = draw(st.integers(2, 7))
+    records = [PaperRecord(paper_id=f"P{i}", title=words(TITLE_WORDS)) for i in range(size)]
+    pool_labels = draw(st.lists(st.sampled_from(["positive", "negative"]),
+                                min_size=size, max_size=size))
+    pool = load_labeled_pool(records, [(r.paper_id, label)
+                                       for r, label in zip(records, pool_labels)])
+
+    papers = []
+    captions = {}
+    for i in range(draw(st.integers(2, 5))):
+        paper_id = f"C{i}"
+        figures = []
+        for j in range(1, draw(st.integers(1, 3)) + 1):
+            figure_id = f"Figure {j}"
+            captions[(paper_id, figure_id)] = f"{figure_id}: {words(CAPTION_WORDS)}"
+            relevant = draw(st.booleans())
+            gold = FrameworkLabels(
+                paper_id=paper_id, base_figure_id=figure_id,
+                listeners=(draw(st.sampled_from(VOCAB.values("model_listener"))),),
+                data_types=(draw(st.sampled_from(VOCAB.values("data_type"))),),
+                vis_type=draw(st.sampled_from(VOCAB.values("visualization_type"))),
+                vis_purpose=draw(st.sampled_from(VOCAB.values("visualization_purpose"))),
+                confidences={}, evidence={},
+            ) if relevant and draw(st.booleans()) else None
+            figures.append(CodedFigure(figure_id, relevant=relevant, labels=gold))
+        papers.append(CodedPaper(record=PaperRecord(paper_id=paper_id, title=words(TITLE_WORDS)),
+                                 figures=tuple(figures)))
+
+    def lookup(paper_id, figure_id):
+        caption = captions.get((paper_id, figure_id))
+        return caption and FigureEvidence(paper_id=paper_id, figure_id=figure_id,
+                                          base_figure_id=figure_id, caption=caption, context=())
+
+    return pool, papers, lookup
+
+
+class TestLeakageProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(loo_inputs())
+    def test_no_leakage_for_any_generated_pool(self, inputs):
+        pool, papers, lookup = inputs
+        report = ev.run_loo(pool=pool, coded=papers, evidence_lookup=lookup, vocab=VOCAB,
+                            gateway=dual_stub_gateway_with_figures())
+        assert report.folds
+        assert ev.find_leakage(report) == []
 
 
 def failing_screen_gateway(error_type, marker):

@@ -297,15 +297,20 @@ class TestNonbodyProperty:
 
 # Reference forms the per-figure patterns and the number scan could read
 # differently: no space, leading zeros, upper case, non-ASCII digits after or
-# instead of the number, two letters, parenthesised and spaced letters.
+# instead of the number, two letters, parenthesised and spaced letters.  The
+# non-ASCII ones are where lower-casing is not exact: dotted capital I and
+# dotless i match `i`, the Kelvin sign matches a letter, and the `fi`
+# ligature is no reference at all.  Then a word-internal `fig` and a tab.
+NON_ASCII_REFERENCES = ["F\u0130GURE 3", "f\u0131g. 3", "Figure 3\u212a", "\ufb01gure 3"]
 REFERENCE_FRAGMENTS = [
     "fig.3b", "Figure 03", "FIGURE 12", "Figure 3\u0663", "Figure \u0663", "Figure 3ab",
     "Fig. 3(b)", "Figure 3 b", "Figure 3a", "figure 1", "Fig.12", "Figure 10", "Figure\n3",
     "Figures 3", "prefigure 3", "fig 2", "Figure 12b", "the model", "(", "3",
+    *NON_ASCII_REFERENCES, "xfig 3", "Fig.\t3",
 ]
 CAPTION_HEADS = [
     "Figure 3:", "Fig. 3b.", "FIGURE 12 -", "Figure \u0663:", "Figure 03:", "Figure 3 (a):",
-    "Fig.1:", "Figure 10.", "Figure 12b:", "figure 2:",
+    "Fig.1:", "Figure 10.", "Figure 12b:", "figure 2:", "F\u0130GURE 3:", "Fig.\t3:",
 ]
 
 body_paragraphs = st.tuples(
@@ -324,6 +329,7 @@ class TestPrefilterProperty:
 
     @settings(max_examples=300, deadline=None)
     @given(documents)
+    @example(evidence.DocumentText("p", ("Figure 3: c", "see F\u0130GURE 3 here", "plain text")))
     @example(evidence.DocumentText("p", ("Figure 3: c", "see Figure 3\u0663 here")))
     @example(evidence.DocumentText("p", ("Figure 3b: c", "Figure 3ab and Fig. 3(b)", "Figure 3 b")))
     @example(evidence.DocumentText("p", ("Figure 3: c", "Figure 03 or Figure \u0663", "fig.3b")))
@@ -331,3 +337,77 @@ class TestPrefilterProperty:
         expected = [evidence.extract_evidence(doc, figure_id)
                     for _, figure_id, _ in evidence._scan_captions(doc)]
         assert evidence.extract_all_evidence(doc) == expected
+
+    @pytest.mark.parametrize("fragment", REFERENCE_FRAGMENTS)
+    def test_each_fragment_after_a_caption(self, fragment):
+        doc = evidence.DocumentText("p", ("Figure 3: c", f"see {fragment} here", "plain text"))
+        expected = [evidence.extract_evidence(doc, figure_id)
+                    for _, figure_id, _ in evidence._scan_captions(doc)]
+        assert evidence.extract_all_evidence(doc) == expected
+
+
+@pytest.mark.parametrize("fragment", NON_ASCII_REFERENCES[:3])
+def test_non_ascii_reference_is_a_hit(fragment):
+    doc = evidence.DocumentText("p", ("Figure 3: c", f"see {fragment} here", "plain text"))
+    [figure] = evidence.extract_all_evidence(doc)
+    assert figure.context == doc.paragraphs[1:]
+
+
+def two_scan_uncaptioned_lines(doc: evidence.DocumentText) -> list[str]:
+    """The "referenced but never captioned" lines of the earlier extraction,
+    which scanned every non-caption paragraph in full with `_REF_SCAN_RE`."""
+    captions = evidence._scan_captions(doc)
+    captioned = {figure_id for _, figure_id, _ in captions}
+    caption_positions = {pos for pos, _, _ in captions}
+    referenced: set[str] = set()
+    for pos, paragraph in enumerate(doc.paragraphs):
+        if pos in caption_positions:
+            continue
+        for m in evidence._REF_SCAN_RE.finditer(paragraph):
+            referenced.add(evidence.canonical_figure_id(m.group(1), m.group(2) or m.group(3)))
+    return [
+        f"{doc.paper_id}: {figure_id} referenced but never captioned; skipped"
+        for figure_id in sorted(referenced - captioned, key=evidence.figure_sort_key)
+        if evidence.base_figure_id(figure_id) not in captioned
+    ]
+
+
+class _Lines(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.INFO)
+        self.lines: list[str] = []
+
+    def emit(self, record):
+        if record.levelno == logging.INFO:
+            self.lines.append(record.getMessage())
+
+
+def uncaptioned_lines(doc: evidence.DocumentText) -> list[str]:
+    handler = _Lines()
+    logger = logging.getLogger(evidence.__name__)
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        evidence.extract_all_evidence(doc)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    return handler.lines
+
+
+class TestUncaptionedLogProperty:
+    """The one-scan extraction logs the uncaptioned references the full scan found."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(documents)
+    @example(evidence.DocumentText("p", ("see F\u0130GURE 3 and f\u0131g. 4", "Figure 5\u212a")))
+    @example(evidence.DocumentText("p", ("xfig 3, Fig.\t4 and \ufb01gure 5", "Figure 2: c")))
+    def test_equals_two_scan_reference(self, doc):
+        assert uncaptioned_lines(doc) == two_scan_uncaptioned_lines(doc)
+
+    def test_example_lines(self):
+        doc = evidence.DocumentText("p", ("see F\u0130GURE 3 and f\u0131g. 4", "Figure 5\u212a"))
+        assert uncaptioned_lines(doc) == [
+            f"p: Figure {n} referenced but never captioned; skipped" for n in ("3", "4", "5k")
+        ]

@@ -354,7 +354,9 @@ class TestRunStage2:
         backend = RaisingBackend(figure_gateway().backend("primary"), error_type, "scenic")
         gateway = Gateway({"primary": backend}, max_attempts=1, backoff_base=0.0)
         result = stage2.run_stage2(targets, library, lookup, gateway, "primary")
-        assert result.retry == [("T1", "Figure 2")]
+        [(paper_id, figure_id, message)] = result.retry
+        assert (paper_id, figure_id) == ("T1", "Figure 2")
+        assert "injected failure" in message
         assert [(v.paper_id, v.figure_id) for v in result.verdicts] == [
             ("T1", "Figure 1"), ("T1", "Figure 3"), ("T2", "Figure 1"),
         ]
@@ -363,7 +365,7 @@ class TestRunStage2:
         targets, library, lookup = self.make_inputs()
         targets[1][1].append(fig_evidence("T2", "Figure 2", ""))
         result = stage2.run_stage2(targets, library, lookup, figure_gateway(), "primary")
-        assert result.retry == [("T2", "Figure 2")]
+        assert result.retry == [("T2", "Figure 2", "empty evidence for T2::Figure 2")]
         assert len(result.verdicts) == 4
 
     def test_backend_failure_queues_retry(self):
@@ -377,6 +379,7 @@ class TestRunStage2:
         gateway = Gateway({"down": AlwaysDown()}, max_attempts=2, backoff_base=0.0)
         result = stage2.run_stage2(targets, library, lookup, gateway, "down")
         assert result.verdicts == []
-        assert sorted(result.retry) == sorted(
+        assert sorted((p, f) for p, f, _ in result.retry) == sorted(
             [(rec.paper_id, ev.figure_id) for rec, evs in targets for ev in evs]
         )
+        assert all("offline" in message for _, _, message in result.retry)

@@ -372,6 +372,28 @@ class TestAggregateSubfigures:
             rng.shuffle(shuffled)
             assert stage3.aggregate_subfigures(shuffled, VOCAB) == baseline
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_any_order_of_any_parts_gives_one_result(self, data):
+        def values(field):
+            return st.lists(st.sampled_from(sorted(VOCAB.values(field))), max_size=3)
+
+        unit = st.floats(min_value=0.0, max_value=1.0)
+        part = st.builds(
+            labels,
+            listeners=values("model_listener"),
+            data=values("data_type"),
+            vis=st.sampled_from(sorted(VOCAB.values("visualization_type"))),
+            purpose=st.sampled_from(sorted(VOCAB.values("visualization_purpose"))),
+            confidences=st.fixed_dictionaries({f: unit for f in FIELDS}),
+            evidence=st.fixed_dictionaries({f: st.sampled_from(["", "a", "b"]) for f in FIELDS}),
+            flags=st.lists(st.sampled_from(["low_confidence", "out_of_vocabulary"]), max_size=2),
+        )
+        parts = data.draw(st.lists(part, min_size=1, max_size=5))
+        shuffled = data.draw(st.permutations(parts))
+        assert stage3.aggregate_subfigures(shuffled, VOCAB) == (
+            stage3.aggregate_subfigures(parts, VOCAB))
+
     def test_union_never_loses_values(self):
         rng = random.Random(3)
         listeners_all = list(VOCAB.values("model_listener"))
@@ -409,7 +431,9 @@ class TestRunStage3:
         backend = RaisingBackend(echo_stub(), error_type, "scenic")
         gateway = Gateway({"echo": backend}, max_attempts=1, backoff_base=0.0)
         result = stage3.run_stage3(targets, corpus, VOCAB, gateway, "echo")
-        assert result.retry == [("T1", "Figure 2")]
+        [(paper_id, figure_id, message)] = result.retry
+        assert (paper_id, figure_id) == ("T1", "Figure 2")
+        assert "injected failure" in message
         assert [(l.paper_id, l.base_figure_id, l.vis_type) for l in result.labels] == [
             ("T1", "Figure 1", "heatmap"), ("T2", "Figure 1", "heatmap"),
         ]
