@@ -76,12 +76,12 @@ def cmd_evidence(args) -> int:
     return EXIT_OK
 
 
-def _retry_exit(retry: list, out_path: str, stage: str) -> int:
+def _retry_exit(retry: list, out_path: str) -> int:
     """EXIT_RUNTIME, naming the retry queue, when any figure failed."""
     if not retry:
         return EXIT_OK
     print(f"error: {len(retry)} figure(s) failed and were queued for retry in "
-          f"{pipeline_mod.retry_path(out_path, stage)}", file=sys.stderr)
+          f"{pipeline_mod.retry_path(out_path)}", file=sys.stderr)
     return EXIT_RUNTIME
 
 
@@ -93,7 +93,7 @@ def cmd_stage2(args) -> int:
     )
     kept = sum(1 for sel in result.selected.values() if sel)
     print(f"stage2: {len(result.verdicts)} verdicts, {kept} papers with representatives")
-    return _retry_exit(result.retry, args.out, "stage2")
+    return _retry_exit(result.retry, args.out)
 
 
 def cmd_stage3(args) -> int:
@@ -104,7 +104,7 @@ def cmd_stage3(args) -> int:
         k=args.k, per_paper_cap=args.cap, max_workers=config.max_workers,
     )
     print(f"stage3: {len(result.labels)} base figures labeled")
-    return _retry_exit(result.retry, args.out, "stage3")
+    return _retry_exit(result.retry, args.out)
 
 
 def cmd_eval(args) -> int:

@@ -118,8 +118,6 @@ def _is_nonbody(paragraph: str) -> bool:
     """Too short, or no letter that is not upper case (numbers, all-caps headers)."""
     if len(paragraph.split(None, MIN_BODY_TOKENS - 1)) < MIN_BODY_TOKENS:
         return True
-    if paragraph.isascii():
-        return paragraph.upper() == paragraph
     return not any(c.isalpha() and not c.isupper() for c in paragraph)
 
 

@@ -97,9 +97,13 @@ def _rows_with(path: str | Path, keys: Sequence[str]) -> Iterator[dict]:
         yield row
 
 
-def retry_path(out_path: str | Path, stage: str) -> Path:
-    """Where `stage`'s retry queue goes: `<stage>_retry.jsonl` beside its output."""
-    return Path(out_path).with_name(f"{stage}_retry.jsonl")
+def retry_path(out_path: str | Path) -> Path:
+    """Where the retry queue of the stage writing `out_path` goes: `<name>.retry.jsonl` beside it.
+
+    Named after the output, so two runs writing two outputs into one
+    directory keep two queues.
+    """
+    return Path(out_path).with_suffix(".retry.jsonl")
 
 
 def _write_retry_queue(path: Path, retry: Sequence[tuple[str, str, str]]) -> None:
@@ -208,7 +212,7 @@ def run_stage2_step(
 ) -> stage2_mod.Stage2Result:
     """Judge every figure of each paper that the coded library does not hold.
 
-    Failed figures are queued in `retry_path(out_path, "stage2")`.
+    Failed figures are queued in `retry_path(out_path)`.
     """
     papers = _load_corpus_file(papers_path)
     library = load_library(read_jsonl(library_path))
@@ -235,7 +239,7 @@ def run_stage2_step(
         max_workers=max_workers,
     )
     write_jsonl(out_path, (v.to_dict() for v in result.verdicts))
-    _write_retry_queue(retry_path(out_path, "stage2"), result.retry)
+    _write_retry_queue(retry_path(out_path), result.retry)
     return result
 
 
@@ -246,7 +250,7 @@ def run_stage3_step(
 ) -> stage3_mod.Stage3Result:
     """Label every selected figure, with the coded library's figures as exemplars.
 
-    Failed figures are queued in `retry_path(out_path, "stage3")`.
+    Failed figures are queued in `retry_path(out_path)`.
     """
     library = load_library(read_jsonl(library_path))
     table = load_evidence_table(evidence_path)
@@ -274,7 +278,7 @@ def run_stage3_step(
         max_workers=max_workers,
     )
     write_jsonl(out_path, (l.to_dict() for l in result.labels))
-    _write_retry_queue(retry_path(out_path, "stage3"), result.retry)
+    _write_retry_queue(retry_path(out_path), result.retry)
     return result
 
 
@@ -406,7 +410,7 @@ def run_pipeline(config: RunConfig, stages: list[str] | None = None) -> RunManif
                 max_workers=config.max_workers,
             )
             if result.retry:
-                failed.append(f"{len(result.retry)} in {retry_path(verdicts_out, stage)}")
+                failed.append(f"{len(result.retry)} in {retry_path(verdicts_out)}")
         elif stage == "stage3":
             library_path = _config_path(config, config.library_path, "library file")
             vocab = load_vocabulary(config.resolve(config.vocab_path),
@@ -417,7 +421,7 @@ def run_pipeline(config: RunConfig, stages: list[str] | None = None) -> RunManif
                 per_paper_cap=config.stage3_per_paper_cap, max_workers=config.max_workers,
             )
             if result.retry:
-                failed.append(f"{len(result.retry)} in {retry_path(labels_out, stage)}")
+                failed.append(f"{len(result.retry)} in {retry_path(labels_out)}")
         elif stage == "analyze":
             papers_path = corpus_out if corpus_out.exists() else None
             run_analyze_step(labels_out, papers_path, config.resolve(config.library_path),

@@ -490,9 +490,9 @@ def fail_some_figures(monkeypatch) -> set[tuple[str, str]]:
 
 
 def retry_rows(out_dir: Path) -> list[dict]:
-    return [row for stage in ("stage2", "stage3")
-            if (out_dir / f"{stage}_retry.jsonl").exists()
-            for row in read_jsonl(out_dir / f"{stage}_retry.jsonl")]
+    return [row for name in ("stage2_verdicts", "stage3_labels")
+            if (out_dir / f"{name}.retry.jsonl").exists()
+            for row in read_jsonl(out_dir / f"{name}.retry.jsonl")]
 
 
 class TestRetryQueues:
@@ -538,10 +538,32 @@ class TestRetryQueues:
         assert main(["stage3", "--figures", str(work / "verdicts.jsonl"),
                      "--out", str(work / "labels.jsonl"), *common]) == 2
         assert capsys.readouterr().err.count(f"queued for retry in {work}") == 2
-        assert [(r["paper_id"], r["figure_id"]) for r in read_jsonl(work / "stage2_retry.jsonl")] \
+        assert [(r["paper_id"], r["figure_id"]) for r in read_jsonl(work / "verdicts.retry.jsonl")] \
             == [("P12", "Figure 2"), ("P12", "Figure 3")]
-        assert [(r["paper_id"], r["figure_id"]) for r in read_jsonl(work / "stage3_retry.jsonl")] \
+        assert [(r["paper_id"], r["figure_id"]) for r in read_jsonl(work / "labels.retry.jsonl")] \
             == [("P07", "Figure 3")]
+
+    def test_two_outputs_in_one_directory_keep_two_queues(self, fixture_config, tmp_path,
+                                                          monkeypatch, capsys):
+        config = fixture_config("two_outputs")
+        out_dir = Path(json.loads(config.read_text())["out_dir"])
+        assert main(["run", "--config", str(config),
+                     "--stages", "ingest,stage1,evidence"]) == 0
+        work = tmp_path / "work"
+        stage2 = ["stage2", "--papers", str(out_dir / "stage1_subset.jsonl"),
+                  "--evidence", str(out_dir / "evidence.jsonl"),
+                  "--library", fx("library.jsonl"), "--config", str(config)]
+        with monkeypatch.context() as patch:
+            fail_some_figures(patch)
+            assert main([*stage2, "--out", str(work / "a.jsonl")]) == 2
+            queued = (work / "a.retry.jsonl").read_bytes()
+            assert main([*stage2, "--out", str(work / "b.jsonl")]) == 2
+        assert (work / "a.retry.jsonl").read_bytes() == queued
+        assert (work / "b.retry.jsonl").read_bytes() == queued
+        assert main([*stage2, "--out", str(work / "c.jsonl")]) == 0
+        assert not (work / "c.retry.jsonl").exists()
+        assert (work / "a.retry.jsonl").read_bytes() == queued
+        assert (work / "b.retry.jsonl").read_bytes() == queued
 
 
 class TestEntryPoint:
