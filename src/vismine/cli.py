@@ -67,7 +67,7 @@ def cmd_stage1(args) -> int:
         k=args.k, min_pos=args.min_pos, min_neg=args.min_neg, max_workers=config.max_workers,
     )
     print(f"stage1: {len(result.subset)} positives, {len(result.retry)} undecided")
-    return EXIT_OK
+    return _retry_exit(result.retry, args.out, "paper")
 
 
 def cmd_evidence(args) -> int:
@@ -76,11 +76,11 @@ def cmd_evidence(args) -> int:
     return EXIT_OK
 
 
-def _retry_exit(retry: list, out_path: str) -> int:
-    """EXIT_RUNTIME, naming the retry queue, when any figure failed."""
+def _retry_exit(retry: list, out_path: str, item: str) -> int:
+    """EXIT_RUNTIME, naming the retry queue, when any `item` (paper or figure) failed."""
     if not retry:
         return EXIT_OK
-    print(f"error: {len(retry)} figure(s) failed and were queued for retry in "
+    print(f"error: {len(retry)} {item}(s) failed and were queued for retry in "
           f"{pipeline_mod.retry_path(out_path)}", file=sys.stderr)
     return EXIT_RUNTIME
 
@@ -93,7 +93,7 @@ def cmd_stage2(args) -> int:
     )
     kept = sum(1 for sel in result.selected.values() if sel)
     print(f"stage2: {len(result.verdicts)} verdicts, {kept} papers with representatives")
-    return _retry_exit(result.retry, args.out)
+    return _retry_exit(result.retry, args.out, "figure")
 
 
 def cmd_stage3(args) -> int:
@@ -104,7 +104,7 @@ def cmd_stage3(args) -> int:
         k=args.k, per_paper_cap=args.cap, max_workers=config.max_workers,
     )
     print(f"stage3: {len(result.labels)} base figures labeled")
-    return _retry_exit(result.retry, args.out)
+    return _retry_exit(result.retry, args.out, "figure")
 
 
 def cmd_eval(args) -> int:
@@ -128,7 +128,7 @@ def cmd_eval(args) -> int:
     table = None
     if figure_stages:
         coded = load_library(read_jsonl(args.figures))
-        table = load_evidence_table(args.evidence)
+        table = load_evidence_table(args.evidence, {p.paper_id for p in coded})
     vocab = _vocabulary(args, config) if 3 in stages else None
     report = eval_mod.run_loo(
         pool=pool,

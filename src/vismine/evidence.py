@@ -153,24 +153,30 @@ def figure_sort_key(figure_id: str) -> tuple[int, str]:
     return (int(m.group(1)), m.group(2) or "")
 
 
-def _scan_captions(doc: DocumentText) -> list[tuple[int, str, str]]:
-    """(position, figure_id, caption) for every caption paragraph; first wins."""
-    found: list[tuple[int, str, str]] = []
-    seen: set[str] = set()
+@dataclass(frozen=True)
+class _Captions:
+    """A document's captions: (position, caption) by figure id, in document order."""
+
+    by_id: dict[str, tuple[int, str]]
+    positions: frozenset[int]
+
+
+def _scan_captions(doc: DocumentText) -> _Captions:
+    """Every caption paragraph of `doc`; for a figure captioned twice the first wins."""
+    by_id: dict[str, tuple[int, str]] = {}
     for pos, paragraph in enumerate(doc.paragraphs):
         m = _CAPTION_RE.match(paragraph)
         if not m:
             continue
         figure_id = canonical_figure_id(m.group(1), m.group(2))
-        if figure_id in seen:
+        if figure_id in by_id:
             logger.warning(
                 "%s: duplicate caption for %s at paragraph %d; keeping first",
                 doc.paper_id, figure_id, pos,
             )
             continue
-        seen.add(figure_id)
-        found.append((pos, figure_id, paragraph))
-    return found
+        by_id[figure_id] = (pos, paragraph)
+    return _Captions(by_id=by_id, positions=frozenset(pos for pos, _ in by_id.values()))
 
 
 def _reference_pattern(figure_id: str) -> re.Pattern:
@@ -189,24 +195,24 @@ def _reference_pattern(figure_id: str) -> re.Pattern:
 def extract_evidence(
     doc: DocumentText,
     figure_id: str,
-    captions: list[tuple[int, str, str]] | None = None,
+    captions: _Captions | None = None,
     candidates: Iterable[int] | None = None,
 ) -> FigureEvidence:
     """Caption plus merged one-paragraph windows around each in-text hit.
 
     Caption paragraphs never count as hits; the figure's own caption is
     also excluded from the context window because it already leads the
-    assembled evidence.  Only the paragraph positions in `candidates` are
-    searched, every paragraph when it is None; a caller passing positions
-    must list every paragraph that can hold a hit.
+    assembled evidence.  `captions`, when given, must be
+    `_scan_captions(doc)`.  Only the paragraph positions in `candidates`
+    are searched, every paragraph when it is None; a caller passing
+    positions must list every paragraph that can hold a hit.
     """
     if captions is None:
         captions = _scan_captions(doc)
-    caption_by_id = {fid: (pos, text) for pos, fid, text in captions}
-    if figure_id not in caption_by_id:
+    if figure_id not in captions.by_id:
         raise DocumentError(f"{doc.paper_id}: no caption found for {figure_id!r}")
-    own_pos, caption = caption_by_id[figure_id]
-    caption_positions = {pos for pos, _, _ in captions}
+    own_pos, caption = captions.by_id[figure_id]
+    caption_positions = captions.positions
 
     pattern = _reference_pattern(figure_id)
     if candidates is None:
@@ -253,11 +259,12 @@ def extract_all_evidence(doc: DocumentText) -> list[FigureEvidence]:
 
     Figures referenced in the text but never captioned are skipped and
     logged; they carry no caption to anchor the evidence on.  Each figure
-    is searched for only in the paragraphs that cite its number.
+    is searched for only in the paragraphs that cite its number.  The
+    captions are scanned once per document, not once per figure.
     """
     captions = _scan_captions(doc)
-    captioned = {figure_id for _, figure_id, _ in captions}
-    caption_positions = {pos for pos, _, _ in captions}
+    captioned = captions.by_id.keys()
+    caption_positions = captions.positions
     referenced: set[str] = set()
     cited_at: dict[str, list[int]] = {}
     for pos, paragraph in enumerate(doc.paragraphs):
@@ -280,5 +287,5 @@ def extract_all_evidence(doc: DocumentText) -> list[FigureEvidence]:
     return [
         extract_evidence(doc, figure_id, captions,
                          cited_at.get(_FIGURE_ID_RE.match(figure_id).group(1), ()))
-        for _, figure_id, _ in captions
+        for figure_id in captions.by_id
     ]

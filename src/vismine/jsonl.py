@@ -63,19 +63,42 @@ def dumps_stable(obj) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via temp file + rename so interrupts never truncate outputs."""
+def _write_atomically(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write `chunks` to a temp file beside `path`, then rename it over `path`.
+
+    Chunks are written as `chunks` yields them.  If a write, the rename or
+    `chunks` itself raises, the temp file is deleted and `path` is left as
+    it was, so an interrupted write never truncates an output.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_text(text, encoding="utf-8")
-    tmp.replace(path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.writelines(chunks)
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """Write `text` via temp file + rename so interrupts never truncate outputs."""
+    _write_atomically(path, (text,))
 
 
 def write_jsonl(path: str | Path, rows: Iterable[dict]) -> int:
-    lines = [dumps_stable(row) for row in rows]
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
-    return len(lines)
+    """Write one `dumps_stable` line per row, each as `rows` yields it; returns the row count."""
+    count = 0
+
+    def lines() -> Iterator[str]:
+        nonlocal count
+        for row in rows:
+            count += 1
+            yield dumps_stable(row) + "\n"
+
+    _write_atomically(path, lines())
+    return count
 
 
 def write_json(path: str | Path, obj) -> None:

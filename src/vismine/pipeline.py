@@ -14,7 +14,7 @@ import logging
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Collection, Iterator, Sequence
 
 from . import __version__
 from . import analysis as analysis_mod
@@ -106,11 +106,10 @@ def retry_path(out_path: str | Path) -> Path:
     return Path(out_path).with_suffix(".retry.jsonl")
 
 
-def _write_retry_queue(path: Path, retry: Sequence[tuple[str, str, str]]) -> None:
-    """One (paper_id, figure_id, message) row per failed figure; no file when none failed."""
+def _write_retry_queue(path: Path, keys: Sequence[str], retry: Sequence[tuple[str, ...]]) -> None:
+    """One row per failed item, its values under `keys`; no file when none failed."""
     if retry:
-        write_jsonl(path, ({"paper_id": paper_id, "figure_id": figure_id, "message": message}
-                           for paper_id, figure_id, message in retry))
+        write_jsonl(path, (dict(zip(keys, item)) for item in retry))
     else:
         path.unlink(missing_ok=True)
 
@@ -137,12 +136,19 @@ def _config_path(config: RunConfig, path: Path | None, name: str) -> Path:
     return resolved
 
 
-def load_evidence_table(path: str | Path) -> dict[tuple[str, str], evidence_mod.FigureEvidence]:
-    """Evidence file rows keyed by (paper_id, figure_id), in file order; a later row wins."""
+def load_evidence_table(
+    path: str | Path, paper_ids: Collection[str],
+) -> dict[tuple[str, str], evidence_mod.FigureEvidence]:
+    """The evidence file's rows of the papers in `paper_ids`, keyed by (paper_id, figure_id).
+
+    In file order; a later row wins.  Every row is checked for both keys,
+    but only the listed papers' rows are kept.
+    """
     table: dict[tuple[str, str], evidence_mod.FigureEvidence] = {}
     for raw in _rows_with(path, ("paper_id", "figure_id")):
-        ev = evidence_mod.evidence_from_dict(raw)
-        table[(ev.paper_id, ev.figure_id)] = ev
+        if str(raw["paper_id"]) in paper_ids:
+            ev = evidence_mod.evidence_from_dict(raw)
+            table[(ev.paper_id, ev.figure_id)] = ev
     return table
 
 
@@ -170,6 +176,7 @@ def run_stage1_step(
     """Screen the candidates against the pool `load_pool` reads.
 
     The decision log is written unless `decisions_path` is None.
+    Undecided papers are queued in `retry_path(out_path)`.
     """
     candidates = _load_corpus_file(corpus_path)
     result = stage1_mod.run_stage1(
@@ -185,24 +192,35 @@ def run_stage1_step(
     write_jsonl(out_path, (r.to_dict() for r in result.subset))
     if decisions_path is not None:
         write_jsonl(decisions_path, (d.to_dict() for d in result.decisions))
+    error_of = {d.paper_id: d.error for d in result.decisions}
+    _write_retry_queue(retry_path(out_path), ("paper_id", "message"),
+                       [(paper_id, error_of[paper_id]) for paper_id in result.retry])
     return result
 
 
 def run_evidence_step(manifest_path: str | Path, docs_dir: Path, out_path: str | Path) -> int:
-    """Extract every figure's evidence from the converted texts; returns the figure count."""
-    rows = []
-    for entry in _rows_with(manifest_path, ("paper_id", "path")):
-        paper_id = str(entry["paper_id"])
-        doc_path = docs_dir / str(entry["path"])
-        try:
-            raw_text = doc_path.read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise InputError(f"{doc_path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
-        doc = evidence_mod.segment_paragraphs(paper_id, raw_text, provenance=str(entry.get("provenance", "")))
-        doc = evidence_mod.filter_nonbody(doc)
-        for ev in evidence_mod.extract_all_evidence(doc):
-            rows.append(ev.to_dict())
-    return write_jsonl(out_path, rows)
+    """Extract every figure's evidence from the converted texts; returns the figure count.
+
+    Each document's rows are written as they are made, so one document is
+    held at a time.
+    """
+
+    def rows() -> Iterator[dict]:
+        for entry in _rows_with(manifest_path, ("paper_id", "path")):
+            paper_id = str(entry["paper_id"])
+            doc_path = docs_dir / str(entry["path"])
+            try:
+                raw_text = doc_path.read_text(encoding="utf-8")
+            except UnicodeDecodeError as exc:
+                raise InputError(
+                    f"{doc_path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+            doc = evidence_mod.segment_paragraphs(
+                paper_id, raw_text, provenance=str(entry.get("provenance", "")))
+            doc = evidence_mod.filter_nonbody(doc)
+            for ev in evidence_mod.extract_all_evidence(doc):
+                yield ev.to_dict()
+
+    return write_jsonl(out_path, rows())
 
 
 def run_stage2_step(
@@ -217,7 +235,7 @@ def run_stage2_step(
     papers = _load_corpus_file(papers_path)
     library = load_library(read_jsonl(library_path))
     library_ids = {p.paper_id for p in library}
-    table = load_evidence_table(evidence_path)
+    table = load_evidence_table(evidence_path, {r.paper_id for r in papers} | library_ids)
     by_paper: dict[str, list[evidence_mod.FigureEvidence]] = {}
     for ev in table.values():
         by_paper.setdefault(ev.paper_id, []).append(ev)
@@ -239,7 +257,7 @@ def run_stage2_step(
         max_workers=max_workers,
     )
     write_jsonl(out_path, (v.to_dict() for v in result.verdicts))
-    _write_retry_queue(retry_path(out_path), result.retry)
+    _write_retry_queue(retry_path(out_path), ("paper_id", "figure_id", "message"), result.retry)
     return result
 
 
@@ -253,14 +271,17 @@ def run_stage3_step(
     Failed figures are queued in `retry_path(out_path)`.
     """
     library = load_library(read_jsonl(library_path))
-    table = load_evidence_table(evidence_path)
+    selected = []
+    for raw in _rows_with(verdicts_path, ("paper_id", "figure_id")):
+        verdict = stage2_mod.verdict_from_dict(raw)
+        if verdict.selected:
+            selected.append(verdict)
+    table = load_evidence_table(
+        evidence_path, {v.paper_id for v in selected} | {p.paper_id for p in library})
     corpus = stage3_mod.library_figure_corpus(
         library, lambda paper_id, figure_id: table.get((paper_id, figure_id)))
     targets = []
-    for raw in _rows_with(verdicts_path, ("paper_id", "figure_id")):
-        verdict = stage2_mod.verdict_from_dict(raw)
-        if not verdict.selected:
-            continue
+    for verdict in selected:
         ev = table.get((verdict.paper_id, verdict.figure_id))
         if ev is None:
             logger.warning("no evidence for selected figure %s::%s",
@@ -278,7 +299,7 @@ def run_stage3_step(
         max_workers=max_workers,
     )
     write_jsonl(out_path, (l.to_dict() for l in result.labels))
-    _write_retry_queue(retry_path(out_path), result.retry)
+    _write_retry_queue(retry_path(out_path), ("paper_id", "figure_id", "message"), result.retry)
     return result
 
 
@@ -346,9 +367,9 @@ def run_pipeline(config: RunConfig, stages: list[str] | None = None) -> RunManif
     """Execute the requested stages in order and emit a manifest.
 
     A downstream stage whose upstream outputs are missing fails fast,
-    naming the stage to run first.  When figures fail in stage 2 or 3, the
-    remaining stages still run and the manifest is written; then a
-    `PipelineError` names each stage's retry queue.
+    naming the stage to run first.  When papers fail in stage 1 or figures
+    in stage 2 or 3, the remaining stages still run and the manifest is
+    written; then a `PipelineError` names each stage's retry queue.
     """
     stages = list(stages) if stages is not None else list(STAGES)
     unknown = [s for s in stages if s not in STAGES]
@@ -393,11 +414,13 @@ def run_pipeline(config: RunConfig, stages: list[str] | None = None) -> RunManif
             run_ingest(corpus_path, corpus_out, report_out, config.keywords)
         elif stage == "stage1":
             pool_path = _config_path(config, config.pool_path, "pool file")
-            run_stage1_step(
+            result = run_stage1_step(
                 corpus_out, pool_path, subset_out, decisions_out, gateway, config.stage1_backends,
                 k=config.stage1_k, min_pos=config.stage1_min_pos, min_neg=config.stage1_min_neg,
                 max_workers=config.max_workers,
             )
+            if result.retry:
+                failed.append(f"{len(result.retry)} paper(s) in {retry_path(subset_out)}")
         elif stage == "evidence":
             manifest_path = _config_path(config, config.docs_manifest_path, "docs_manifest file")
             docs_dir = _config_path(config, config.docs_dir, "docs_dir directory")
@@ -410,7 +433,7 @@ def run_pipeline(config: RunConfig, stages: list[str] | None = None) -> RunManif
                 max_workers=config.max_workers,
             )
             if result.retry:
-                failed.append(f"{len(result.retry)} in {retry_path(verdicts_out)}")
+                failed.append(f"{len(result.retry)} figure(s) in {retry_path(verdicts_out)}")
         elif stage == "stage3":
             library_path = _config_path(config, config.library_path, "library file")
             vocab = load_vocabulary(config.resolve(config.vocab_path),
@@ -421,7 +444,7 @@ def run_pipeline(config: RunConfig, stages: list[str] | None = None) -> RunManif
                 per_paper_cap=config.stage3_per_paper_cap, max_workers=config.max_workers,
             )
             if result.retry:
-                failed.append(f"{len(result.retry)} in {retry_path(labels_out)}")
+                failed.append(f"{len(result.retry)} figure(s) in {retry_path(labels_out)}")
         elif stage == "analyze":
             papers_path = corpus_out if corpus_out.exists() else None
             run_analyze_step(labels_out, papers_path, config.resolve(config.library_path),
@@ -436,5 +459,5 @@ def run_pipeline(config: RunConfig, stages: list[str] | None = None) -> RunManif
         manifest.gateway = gateway.stats.to_dict()
     write_json(out_dir / "manifest.json", manifest.to_dict())
     if failed:
-        raise PipelineError(f"figures failed and were queued for retry: {'; '.join(failed)}")
+        raise PipelineError(f"items failed and were queued for retry: {'; '.join(failed)}")
     return manifest

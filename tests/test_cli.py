@@ -15,7 +15,7 @@ from vismine.cli import main
 from vismine.errors import GatewayError, InputError
 from vismine.gateway import KeywordStubBackend
 from vismine.jsonl import read_jsonl
-from vismine.prompts import LABELS_SCHEMA
+from vismine.prompts import LABELS_SCHEMA, SCREEN_SCHEMA
 from tests.conftest import FIXTURE_DIR
 
 
@@ -564,6 +564,89 @@ class TestRetryQueues:
         assert not (work / "c.retry.jsonl").exists()
         assert (work / "a.retry.jsonl").read_bytes() == queued
         assert (work / "b.retry.jsonl").read_bytes() == queued
+
+
+def fail_saliency_screening(monkeypatch) -> list[tuple[str, str]]:
+    """Make the secondary stub answer HTTP 400 to every screening prompt about saliency.
+
+    Returns the (backend, prompt) of each request that failed, as it fails.
+    """
+    complete = KeywordStubBackend.complete
+    failed = []
+
+    def failing(self, prompt):
+        target = prompt.rsplit("### Target", 1)[-1]
+        if (self.name == "secondary" and f"Schema: {SCREEN_SCHEMA}\n" in prompt
+                and "saliency" in target.lower()):
+            failed.append((self.name, prompt))
+            raise GatewayError("HTTP 400")
+        return complete(self, prompt)
+
+    monkeypatch.setattr(KeywordStubBackend, "complete", failing)
+    return failed
+
+
+def record_requests(monkeypatch) -> list[tuple[str, str]]:
+    """The (backend, prompt) of every request the stubs get from now on."""
+    complete = KeywordStubBackend.complete
+    sent = []
+
+    def recording(self, prompt):
+        sent.append((self.name, prompt))
+        return complete(self, prompt)
+
+    monkeypatch.setattr(KeywordStubBackend, "complete", recording)
+    return sent
+
+
+class TestStage1RetryQueue:
+    """A paper left undecided by a failed screening call is queued beside the subset."""
+
+    def test_run_exits_2_and_rerun_sends_only_the_missing_requests(
+            self, fixture_config, monkeypatch, capsys):
+        with monkeypatch.context() as patch:
+            clean_sent = record_requests(patch)
+            clean_dir = run_composite(fixture_config("clean"))
+        assert not (clean_dir / "stage1_subset.retry.jsonl").exists()
+        config = fixture_config("failing")
+        out_dir = Path(json.loads(config.read_text())["out_dir"])
+        with monkeypatch.context() as patch:
+            answered = record_requests(patch)
+            failed = fail_saliency_screening(patch)
+            assert main(["run", "--config", str(config)]) == 2
+        queue = out_dir / "stage1_subset.retry.jsonl"
+        assert f"{len(failed)} paper(s) in {queue}" in capsys.readouterr().err
+        undecided = [d["paper_id"] for d in read_jsonl(out_dir / "stage1_decisions.jsonl")
+                     if d["decision"] == "undecided"]
+        rows = list(read_jsonl(queue))
+        assert undecided and len(failed) == len(undecided)
+        assert rows == [{"paper_id": paper_id, "message": "HTTP 400"} for paper_id in undecided]
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert sorted(manifest["stages"]) == sorted(pipeline.STAGES)
+
+        with monkeypatch.context() as patch:
+            resent = record_requests(patch)
+            assert main(["run", "--config", str(config)]) == 0
+        screening = [(b, p) for b, p in resent if f"Schema: {SCREEN_SCHEMA}\n" in p]
+        assert sorted(screening) == sorted(failed)
+        assert sorted(answered + resent) == sorted(clean_sent)
+        assert not queue.exists()
+        for name in RUN_OUTPUTS:
+            assert (out_dir / name).read_bytes() == (clean_dir / name).read_bytes(), name
+
+    def test_stage1_command_exits_2_and_a_clean_rerun_deletes_the_queue(
+            self, fixture_config, tmp_path, monkeypatch, capsys):
+        args = ["stage1", "--corpus", fx("corpus.jsonl"), "--pool", fx("pool.jsonl"),
+                "--out", str(tmp_path / "subset.jsonl"), "--config", str(fixture_config("s1"))]
+        queue = tmp_path / "subset.retry.jsonl"
+        with monkeypatch.context() as patch:
+            failed = fail_saliency_screening(patch)
+            assert main(args) == 2
+        assert f"{len(failed)} paper(s) failed and were queued for retry in {queue}" \
+            in capsys.readouterr().err
+        assert len(list(read_jsonl(queue))) == len(failed)
+        assert main(args) == 0
+        assert not queue.exists()
 
 
 class TestEntryPoint:

@@ -132,7 +132,8 @@ class TestFilterNonbody:
 
 def detect_captions(doc):
     """(figure_id, caption paragraph) of each caption header, as extraction finds them."""
-    return [(figure_id, caption) for _, figure_id, caption in evidence._scan_captions(doc)]
+    return [(figure_id, caption)
+            for figure_id, (_, caption) in evidence._scan_captions(doc).by_id.items()]
 
 
 class TestDetectCaptions:
@@ -335,14 +336,14 @@ class TestPrefilterProperty:
     @example(evidence.DocumentText("p", ("Figure 3: c", "Figure 03 or Figure \u0663", "fig.3b")))
     def test_equals_per_figure_search_of_every_paragraph(self, doc):
         expected = [evidence.extract_evidence(doc, figure_id)
-                    for _, figure_id, _ in evidence._scan_captions(doc)]
+                    for figure_id in evidence._scan_captions(doc).by_id]
         assert evidence.extract_all_evidence(doc) == expected
 
     @pytest.mark.parametrize("fragment", REFERENCE_FRAGMENTS)
     def test_each_fragment_after_a_caption(self, fragment):
         doc = evidence.DocumentText("p", ("Figure 3: c", f"see {fragment} here", "plain text"))
         expected = [evidence.extract_evidence(doc, figure_id)
-                    for _, figure_id, _ in evidence._scan_captions(doc)]
+                    for figure_id in evidence._scan_captions(doc).by_id]
         assert evidence.extract_all_evidence(doc) == expected
 
 
@@ -357,8 +358,8 @@ def two_scan_uncaptioned_lines(doc: evidence.DocumentText) -> list[str]:
     """The "referenced but never captioned" lines of the earlier extraction,
     which scanned every non-caption paragraph in full with `_REF_SCAN_RE`."""
     captions = evidence._scan_captions(doc)
-    captioned = {figure_id for _, figure_id, _ in captions}
-    caption_positions = {pos for pos, _, _ in captions}
+    captioned = set(captions.by_id)
+    caption_positions = captions.positions
     referenced: set[str] = set()
     for pos, paragraph in enumerate(doc.paragraphs):
         if pos in caption_positions:

@@ -1,15 +1,21 @@
 """End-to-end pipeline orchestration on the shipped fixture."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vismine.config import load_config
-from vismine.errors import PipelineError
-from vismine.jsonl import atomic_write_text, read_jsonl, write_jsonl
+from vismine.errors import InputError, PipelineError
+from vismine.jsonl import atomic_write_text, dumps_stable, read_jsonl, write_jsonl
 from vismine.corpus import PaperRecord
-from vismine.pipeline import STAGES, load_pool, run_pipeline, stage_outputs
+from vismine.pipeline import (
+    STAGES, load_evidence_table, load_pool, run_evidence_step, run_pipeline, stage_outputs,
+)
+from tests.conftest import FIXTURE_DIR
 
 
 def output_bytes(out_dir: Path) -> dict[str, bytes]:
@@ -121,6 +127,120 @@ class TestAtomicWrites:
         write_jsonl(path, [])
         assert path.read_text() == ""
         assert list(read_jsonl(path)) == []
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(st.characters(blacklist_categories=("Cs",))),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(st.characters(blacklist_categories=("Cs",))), children, max_size=3),
+    max_leaves=8,
+)
+JSON_ROWS = st.lists(
+    st.dictionaries(st.text(st.characters(blacklist_categories=("Cs",))), JSON_VALUES, max_size=4),
+    max_size=5,
+)
+
+
+class TestStreamedWrites:
+    """`write_jsonl` writes rows as they come and leaves the old file on any failure."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(JSON_ROWS)
+    def test_same_bytes_as_one_joined_write(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("rows") / "rows.jsonl"
+        assert write_jsonl(path, iter(rows)) == len(rows)
+        lines = [dumps_stable(row) for row in rows]
+        expected = "\n".join(lines) + ("\n" if lines else "")
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_rows_that_raise_leave_the_target_as_it_was(self, tmp_path):
+        target = tmp_path / "out.jsonl"
+        target.write_bytes(b'{"old":1}\n')
+
+        def rows():
+            yield {"a": 1}
+            yield {"b": 2}
+            raise RuntimeError("row source failed")
+
+        with pytest.raises(RuntimeError, match="row source failed"):
+            write_jsonl(target, rows())
+        assert target.read_bytes() == b'{"old":1}\n'
+        assert list(tmp_path.glob("*.tmp*")) == []
+
+
+def write_docs(docs_dir: Path, manifest: Path, count: int) -> None:
+    """`count` converted texts of 8 captioned figures, each cited in 4 of 32 body paragraphs."""
+    docs_dir.mkdir(parents=True, exist_ok=True)
+    entries = []
+    for i in range(count):
+        paragraphs = [f"Figure {k}: The model view number {k} of paper {i} shows weights."
+                      for k in range(1, 9)]
+        paragraphs += [f"Paragraph {j} of paper {i} discusses how the model behaves, "
+                       f"as Figure {j % 8 + 1} shows for the trained network."
+                       for j in range(32)]
+        (docs_dir / f"D{i:04d}.txt").write_text("\n\n".join(paragraphs) + "\n",
+                                                encoding="utf-8")
+        entries.append({"paper_id": f"D{i:04d}", "path": f"D{i:04d}.txt"})
+    write_jsonl(manifest, entries)
+
+
+class TestEvidenceStep:
+    def test_undecodable_document_leaves_the_old_evidence_file(self, tmp_path):
+        docs, manifest = tmp_path / "docs", tmp_path / "manifest.jsonl"
+        write_docs(docs, manifest, 3)
+        (docs / "D0001.txt").write_bytes(b"Figure 1: caption \xff text\n")
+        out = tmp_path / "evidence.jsonl"
+        out.write_bytes(b'{"old":1}\n')
+        with pytest.raises(InputError, match=r"D0001\.txt: not UTF-8 text"):
+            run_evidence_step(manifest, docs, out)
+        assert out.read_bytes() == b'{"old":1}\n'
+        assert list(tmp_path.glob("*.tmp*")) == []
+
+    def test_memory_does_not_grow_with_the_documents(self, tmp_path):
+        """The step holds one document at a time, so ten times the documents
+        adds nothing to its traced peak beyond a fixed slack."""
+
+        def traced_peak(count: int) -> int:
+            docs, manifest = tmp_path / f"docs{count}", tmp_path / f"manifest{count}.jsonl"
+            write_docs(docs, manifest, count)
+            run_evidence_step(manifest, docs, tmp_path / "warm.jsonl")
+            tracemalloc.start()
+            try:
+                assert run_evidence_step(manifest, docs, tmp_path / f"ev{count}.jsonl") \
+                    == 8 * count
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = traced_peak(20), traced_peak(200)
+        assert large <= small + 256 * 1024, (small, large)
+
+
+class TestLoadEvidenceTable:
+    @pytest.fixture
+    def evidence_file(self, tmp_path) -> Path:
+        path = tmp_path / "evidence.jsonl"
+        run_evidence_step(FIXTURE_DIR / "docs_manifest.jsonl", FIXTURE_DIR / "docs", path)
+        return path
+
+    @pytest.mark.parametrize("ids", [set(), {"P01"}, {"P03", "P07", "P99"}])
+    def test_listed_papers_only(self, evidence_file, ids):
+        every = {str(row["paper_id"]) for row in read_jsonl(evidence_file)}
+        full = load_evidence_table(evidence_file, every)
+        assert len(full) == 30
+        assert list(load_evidence_table(evidence_file, ids).items()) == [
+            (key, ev) for key, ev in full.items() if key[0] in ids
+        ]
+
+    def test_unlisted_row_without_figure_id_still_fails(self, evidence_file):
+        rows = list(read_jsonl(evidence_file))
+        del rows[1]["figure_id"]
+        rows[1]["paper_id"] = "P99"
+        write_jsonl(evidence_file, rows)
+        with pytest.raises(InputError) as excinfo:
+            load_evidence_table(evidence_file, {"P01"})
+        assert str(excinfo.value) == f"{evidence_file}: record 2 has no 'figure_id'"
 
 
 class TestLoadPool:
