@@ -79,6 +79,22 @@ def expand_all(labels_list: Iterable[FrameworkLabels]) -> list[PathRecord]:
     return paths
 
 
+def _link_rows(links: Counter) -> list[dict]:
+    """`links`' (source stage, source, target stage, target) counts as rows, in stage order."""
+    return [
+        {
+            "source_stage": src_field,
+            "source": src,
+            "target_stage": dst_field,
+            "target": dst,
+            "value": value,
+        }
+        for (src_field, src, dst_field, dst), value in sorted(
+            links.items(), key=lambda kv: (STAGE_ORDER.index(kv[0][0]), kv[0][1], kv[0][3])
+        )
+    ]
+
+
 def sankey_export(paths: Sequence[PathRecord]) -> dict:
     """Node totals per (stage, category) and link counts per adjacent pair.
 
@@ -102,18 +118,7 @@ def sankey_export(paths: Sequence[PathRecord]) -> dict:
                 nodes.items(), key=lambda kv: (STAGE_ORDER.index(kv[0][0]), kv[0][1])
             )
         ],
-        "links": [
-            {
-                "source_stage": src_field,
-                "source": src,
-                "target_stage": dst_field,
-                "target": dst,
-                "value": value,
-            }
-            for (src_field, src, dst_field, dst), value in sorted(
-                links.items(), key=lambda kv: (STAGE_ORDER.index(kv[0][0]), kv[0][1], kv[0][3])
-            )
-        ],
+        "links": _link_rows(links),
     }
 
 
@@ -123,28 +128,14 @@ def edge_flows(labels_list: Iterable[FrameworkLabels]) -> dict:
     links: Counter = Counter()
     total = 0
     for labels in labels_list:
-        stage_values = [labels.field_values(fname) for fname in STAGE_ORDER]
-        for (src_field, src_values), (dst_field, dst_values) in zip(
-            zip(STAGE_ORDER, stage_values), list(zip(STAGE_ORDER, stage_values))[1:]
-        ):
-            for src in src_values:
-                for dst in dst_values:
+        for src_field, dst_field in zip(STAGE_ORDER, STAGE_ORDER[1:]):
+            for src in labels.field_values(src_field):
+                for dst in labels.field_values(dst_field):
                     links[(src_field, src, dst_field, dst)] += 1
                     total += 1
     return {
         "edge_count": total,
-        "links": [
-            {
-                "source_stage": src_field,
-                "source": src,
-                "target_stage": dst_field,
-                "target": dst,
-                "value": value,
-            }
-            for (src_field, src, dst_field, dst), value in sorted(
-                links.items(), key=lambda kv: (STAGE_ORDER.index(kv[0][0]), kv[0][1], kv[0][3])
-            )
-        ],
+        "links": _link_rows(links),
     }
 
 

@@ -46,16 +46,12 @@ DEFAULT_B = 0.75
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
-def tokenize(text: str, stopwords: frozenset[str] = frozenset()) -> list[str]:
+def tokenize(text: str) -> list[str]:
     """Lowercase and split on non-alphanumeric boundaries.
 
-    Single-character tokens are dropped. No stemming; stopword removal is
-    off unless a set is passed explicitly.
+    Single-character tokens are dropped. No stemming and no stopword removal.
     """
-    tokens = [t for t in _TOKEN_RE.findall(text.lower()) if len(t) > 1]
-    if stopwords:
-        tokens = [t for t in tokens if t not in stopwords]
-    return tokens
+    return [t for t in _TOKEN_RE.findall(text.lower()) if len(t) > 1]
 
 
 @dataclass(frozen=True)
@@ -207,19 +203,14 @@ def idf(index: Bm25Index, term: str) -> float:
     return _idf(index.doc_count, index.document_frequency(term))
 
 
-def score(
-    index: Bm25Index,
-    query_tokens: Sequence[str],
-    doc_id: str,
-    k1: float = DEFAULT_K1,
-    b: float = DEFAULT_B,
-) -> float:
+def score(index: Bm25Index, query_tokens: Sequence[str], doc_id: str) -> float:
     """BM25 score of one document against a query token list.
 
     Query tokens are consumed with multiplicity, so a term repeated in the
     query contributes once per repetition (this is what makes caption
     repetition upweight caption terms on the query side too).
     """
+    k1, b = DEFAULT_K1, DEFAULT_B
     if doc_id not in index:
         raise RetrievalError(f"unknown doc_id: {doc_id!r}")
     if index.avg_doc_length == 0.0:

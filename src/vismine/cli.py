@@ -63,9 +63,7 @@ def cmd_ingest(args) -> int:
 def cmd_stage1(args) -> int:
     config, gateway = _gateway_from_args(args)
     result = pipeline_mod.run_stage1_step(
-        args.corpus, args.pool, args.out, args.log or None, gateway, config.stage1_backends,
-        k=args.k, min_pos=args.min_pos, min_neg=args.min_neg, max_workers=config.max_workers,
-    )
+        args.corpus, args.pool, args.out, args.log or None, gateway, config)
     print(f"stage1: {len(result.subset)} positives, {len(result.retry)} undecided")
     return _retry_exit(result.retry, args.out, "paper")
 
@@ -88,9 +86,7 @@ def _retry_exit(retry: list, out_path: str, item: str) -> int:
 def cmd_stage2(args) -> int:
     config, gateway = _gateway_from_args(args)
     result = pipeline_mod.run_stage2_step(
-        args.papers, args.evidence, args.library, args.out, gateway, config.stage2_backend,
-        k=args.k, max_figs=args.max_figs, max_workers=config.max_workers,
-    )
+        args.papers, args.evidence, args.library, args.out, gateway, config)
     kept = sum(1 for sel in result.selected.values() if sel)
     print(f"stage2: {len(result.verdicts)} verdicts, {kept} papers with representatives")
     return _retry_exit(result.retry, args.out, "figure")
@@ -100,9 +96,7 @@ def cmd_stage3(args) -> int:
     config, gateway = _gateway_from_args(args)
     result = pipeline_mod.run_stage3_step(
         args.figures, args.evidence, args.library, args.out, _vocabulary(args, config),
-        gateway, config.stage3_backend,
-        k=args.k, per_paper_cap=args.cap, max_workers=config.max_workers,
-    )
+        gateway, config)
     print(f"stage3: {len(result.labels)} base figures labeled")
     return _retry_exit(result.retry, args.out, "figure")
 
@@ -196,9 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stage1", help="paper-level screening with dual-backend consensus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--pool", required=True)
-    p.add_argument("--k", type=int, default=6)
-    p.add_argument("--min-pos", type=int, default=2)
-    p.add_argument("--min-neg", type=int, default=2)
     p.add_argument("--out", required=True)
     p.add_argument("--log", default="")
     p.add_argument("--config", required=True)
@@ -214,8 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--papers", required=True)
     p.add_argument("--evidence", required=True)
     p.add_argument("--library", required=True)
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--max-figs", type=int, default=3)
     p.add_argument("--out", required=True)
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_stage2)
@@ -226,8 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--library", required=True)
     p.add_argument("--vocab", default=None)
     p.add_argument("--alias", default=None)
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--cap", type=int, default=3)
     p.add_argument("--out", required=True)
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_stage3)

@@ -10,6 +10,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from . import stage1 as stage1_mod
+from . import stage2 as stage2_mod
+from . import stage3 as stage3_mod
 from .corpus import DEFAULT_KEYWORDS
 from .errors import ConfigError
 from .gateway import Gateway, HttpBackend, KeywordStubBackend, StubRules
@@ -20,7 +24,7 @@ DEFAULT_REFERENCE_YEAR = 2026
 @dataclass
 class BackendConfig:
     slot: str
-    kind: str  # "http" | "stub"
+    kind: str = "http"  # "http" | "stub"
     endpoint: str = ""
     model: str = ""
     api_key_env: str = ""
@@ -43,15 +47,15 @@ class RunConfig:
     cache_dir: Path | None = None
     keywords: tuple[str, ...] = DEFAULT_KEYWORDS
     reference_year: int = DEFAULT_REFERENCE_YEAR
-    stage1_k: int = 6
-    stage1_min_pos: int = 2
-    stage1_min_neg: int = 2
+    stage1_k: int = stage1_mod.DEFAULT_K
+    stage1_min_pos: int = stage1_mod.DEFAULT_MIN_POS
+    stage1_min_neg: int = stage1_mod.DEFAULT_MIN_NEG
     stage1_backends: tuple[str, ...] = ("primary", "secondary")
-    stage2_k: int = 5
-    stage2_max_figs: int = 3
+    stage2_k: int = stage2_mod.DEFAULT_K
+    stage2_max_figs: int = stage2_mod.DEFAULT_MAX_FIGS
     stage2_backend: str = "primary"
-    stage3_k: int = 10
-    stage3_per_paper_cap: int = 3
+    stage3_k: int = stage3_mod.DEFAULT_K
+    stage3_per_paper_cap: int = stage3_mod.DEFAULT_PER_PAPER_CAP
     stage3_backend: str = "primary"
     max_workers: int = 1
     max_attempts: int = 3
@@ -94,21 +98,23 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     backends = {}
     for slot, spec in (raw.get("backends") or {}).items():
+        default_backend = BackendConfig(slot=slot)
         backends[slot] = BackendConfig(
             slot=slot,
-            kind=str(spec.get("kind", "http")),
-            endpoint=str(spec.get("endpoint", "")),
-            model=str(spec.get("model", "")),
-            api_key_env=str(spec.get("api_key_env", "")),
-            temperature=float(spec.get("temperature", 0.0)),
-            timeout=float(spec.get("timeout", 60.0)),
+            kind=str(spec.get("kind", default_backend.kind)),
+            endpoint=str(spec.get("endpoint", default_backend.endpoint)),
+            model=str(spec.get("model", default_backend.model)),
+            api_key_env=str(spec.get("api_key_env", default_backend.api_key_env)),
+            temperature=float(spec.get("temperature", default_backend.temperature)),
+            timeout=float(spec.get("timeout", default_backend.timeout)),
             stub_rules=dict(spec.get("stub_rules") or {}),
         )
     stage1 = raw.get("stage1") or {}
     stage2 = raw.get("stage2") or {}
     stage3 = raw.get("stage3") or {}
+    default = RunConfig(base_dir=path.parent.resolve())
     return RunConfig(
-        base_dir=path.parent.resolve(),
+        base_dir=default.base_dir,
         corpus_path=_path_or_none(raw, "corpus"),
         pool_path=_path_or_none(raw, "pool"),
         docs_manifest_path=_path_or_none(raw, "docs_manifest"),
@@ -116,24 +122,24 @@ def load_config(path: str | Path) -> RunConfig:
         library_path=_path_or_none(raw, "library"),
         vocab_path=_path_or_none(raw, "vocabulary"),
         alias_path=_path_or_none(raw, "aliases"),
-        out_dir=Path(raw.get("out_dir", "out")),
+        out_dir=Path(raw.get("out_dir", default.out_dir)),
         cache_dir=_path_or_none(raw, "cache_dir"),
-        keywords=tuple(raw.get("keywords") or DEFAULT_KEYWORDS),
-        reference_year=int(raw.get("reference_year", DEFAULT_REFERENCE_YEAR)),
-        stage1_k=int(stage1.get("k", 6)),
-        stage1_min_pos=int(stage1.get("min_pos", 2)),
-        stage1_min_neg=int(stage1.get("min_neg", 2)),
-        stage1_backends=tuple(stage1.get("backends") or ("primary", "secondary")),
-        stage2_k=int(stage2.get("k", 5)),
-        stage2_max_figs=int(stage2.get("max_figs", 3)),
-        stage2_backend=str(stage2.get("backend", "primary")),
-        stage3_k=int(stage3.get("k", 10)),
-        stage3_per_paper_cap=int(stage3.get("per_paper_cap", 3)),
-        stage3_backend=str(stage3.get("backend", "primary")),
-        max_workers=int(raw.get("max_workers", 1)),
-        max_attempts=int(raw.get("max_attempts", 3)),
-        backoff_base=float(raw.get("backoff_base", 0.5)),
-        concurrency=int(raw.get("concurrency", 8)),
+        keywords=tuple(raw.get("keywords") or default.keywords),
+        reference_year=int(raw.get("reference_year", default.reference_year)),
+        stage1_k=int(stage1.get("k", default.stage1_k)),
+        stage1_min_pos=int(stage1.get("min_pos", default.stage1_min_pos)),
+        stage1_min_neg=int(stage1.get("min_neg", default.stage1_min_neg)),
+        stage1_backends=tuple(stage1.get("backends") or default.stage1_backends),
+        stage2_k=int(stage2.get("k", default.stage2_k)),
+        stage2_max_figs=int(stage2.get("max_figs", default.stage2_max_figs)),
+        stage2_backend=str(stage2.get("backend", default.stage2_backend)),
+        stage3_k=int(stage3.get("k", default.stage3_k)),
+        stage3_per_paper_cap=int(stage3.get("per_paper_cap", default.stage3_per_paper_cap)),
+        stage3_backend=str(stage3.get("backend", default.stage3_backend)),
+        max_workers=int(raw.get("max_workers", default.max_workers)),
+        max_attempts=int(raw.get("max_attempts", default.max_attempts)),
+        backoff_base=float(raw.get("backoff_base", default.backoff_base)),
+        concurrency=int(raw.get("concurrency", default.concurrency)),
         backends=backends,
     )
 

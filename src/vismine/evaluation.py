@@ -16,9 +16,14 @@ from .corpus import LabeledPool, NEGATIVE, POSITIVE
 from .errors import EvaluationError, StageError
 from .gateway import Gateway
 from .library import CodedPaper
-from .stage1 import FewShotContext, build_fewshot_context, paper_doc, screen_paper
+from .stage1 import (
+    DEFAULT_K, DEFAULT_MIN_NEG, DEFAULT_MIN_POS, FewShotContext, build_fewshot_context, paper_doc,
+    screen_paper,
+)
 from .stage2 import EvidenceLookup, judge_paper_figures
-from .stage3 import coded_figure_entries, figure_docs, index_figures, label_figure
+from .stage3 import (
+    DEFAULT_PER_PAPER_CAP, coded_figure_entries, figure_docs, index_figures, label_figure,
+)
 from .vocab import FIELDS, LabelVocabulary
 
 
@@ -208,9 +213,9 @@ def run_stage1_loo(
     gateway: Gateway,
     backend_ids: Sequence[str],
     shots: Sequence[int] = (0, 6),
-    baseline_k: int = 6,
-    min_pos: int = 2,
-    min_neg: int = 2,
+    baseline_k: int = DEFAULT_K,
+    min_pos: int = DEFAULT_MIN_POS,
+    min_neg: int = DEFAULT_MIN_NEG,
     report: LooReport | None = None,
 ) -> LooReport:
     """One fold per pool paper: baseline plus each shots setting."""
@@ -364,7 +369,7 @@ def run_stage3_loo(
     gateway: Gateway,
     backend_id: str,
     shots: Sequence[int] = (0, 10),
-    per_paper_cap: int = 3,
+    per_paper_cap: int = DEFAULT_PER_PAPER_CAP,
     report: LooReport | None = None,
 ) -> LooReport:
     """One fold per coded paper; scored on figures with available labels."""

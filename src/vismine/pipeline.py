@@ -170,10 +170,9 @@ def run_ingest(
 
 def run_stage1_step(
     corpus_path: str | Path, pool_path: str | Path, out_path: str | Path,
-    decisions_path: str | Path | None, gateway: Gateway, backend_ids: Sequence[str],
-    *, k: int, min_pos: int, min_neg: int, max_workers: int,
+    decisions_path: str | Path | None, gateway: Gateway, config: RunConfig,
 ) -> stage1_mod.Stage1Result:
-    """Screen the candidates against the pool `load_pool` reads.
+    """Screen the candidates against the pool `load_pool` reads, with `config`'s stage-1 settings.
 
     The decision log is written unless `decisions_path` is None.
     Undecided papers are queued in `retry_path(out_path)`.
@@ -183,11 +182,11 @@ def run_stage1_step(
         candidates,
         load_pool(pool_path, candidates),
         gateway,
-        backend_ids,
-        k=k,
-        min_pos=min_pos,
-        min_neg=min_neg,
-        max_workers=max_workers,
+        config.stage1_backends,
+        k=config.stage1_k,
+        min_pos=config.stage1_min_pos,
+        min_neg=config.stage1_min_neg,
+        max_workers=config.max_workers,
     )
     write_jsonl(out_path, (r.to_dict() for r in result.subset))
     if decisions_path is not None:
@@ -225,10 +224,10 @@ def run_evidence_step(manifest_path: str | Path, docs_dir: Path, out_path: str |
 
 def run_stage2_step(
     papers_path: str | Path, evidence_path: str | Path, library_path: str | Path,
-    out_path: str | Path, gateway: Gateway, backend_id: str,
-    *, k: int, max_figs: int, max_workers: int,
+    out_path: str | Path, gateway: Gateway, config: RunConfig,
 ) -> stage2_mod.Stage2Result:
-    """Judge every figure of each paper that the coded library does not hold.
+    """Judge every figure of each paper that the coded library does not hold,
+    with `config`'s stage-2 settings.
 
     Failed figures are queued in `retry_path(out_path)`.
     """
@@ -251,10 +250,10 @@ def run_stage2_step(
         library,
         lambda paper_id, figure_id: table.get((paper_id, figure_id)),
         gateway,
-        backend_id,
-        k=k,
-        max_figs=max_figs,
-        max_workers=max_workers,
+        config.stage2_backend,
+        k=config.stage2_k,
+        max_figs=config.stage2_max_figs,
+        max_workers=config.max_workers,
     )
     write_jsonl(out_path, (v.to_dict() for v in result.verdicts))
     _write_retry_queue(retry_path(out_path), ("paper_id", "figure_id", "message"), result.retry)
@@ -263,10 +262,10 @@ def run_stage2_step(
 
 def run_stage3_step(
     verdicts_path: str | Path, evidence_path: str | Path, library_path: str | Path,
-    out_path: str | Path, vocab: LabelVocabulary, gateway: Gateway, backend_id: str,
-    *, k: int, per_paper_cap: int, max_workers: int,
+    out_path: str | Path, vocab: LabelVocabulary, gateway: Gateway, config: RunConfig,
 ) -> stage3_mod.Stage3Result:
-    """Label every selected figure, with the coded library's figures as exemplars.
+    """Label every selected figure, with the coded library's figures as exemplars
+    and `config`'s stage-3 settings.
 
     Failed figures are queued in `retry_path(out_path)`.
     """
@@ -293,10 +292,10 @@ def run_stage3_step(
         corpus,
         vocab,
         gateway,
-        backend_id,
-        k=k,
-        per_paper_cap=per_paper_cap,
-        max_workers=max_workers,
+        config.stage3_backend,
+        k=config.stage3_k,
+        per_paper_cap=config.stage3_per_paper_cap,
+        max_workers=config.max_workers,
     )
     write_jsonl(out_path, (l.to_dict() for l in result.labels))
     _write_retry_queue(retry_path(out_path), ("paper_id", "figure_id", "message"), result.retry)
@@ -415,10 +414,7 @@ def run_pipeline(config: RunConfig, stages: list[str] | None = None) -> RunManif
         elif stage == "stage1":
             pool_path = _config_path(config, config.pool_path, "pool file")
             result = run_stage1_step(
-                corpus_out, pool_path, subset_out, decisions_out, gateway, config.stage1_backends,
-                k=config.stage1_k, min_pos=config.stage1_min_pos, min_neg=config.stage1_min_neg,
-                max_workers=config.max_workers,
-            )
+                corpus_out, pool_path, subset_out, decisions_out, gateway, config)
             if result.retry:
                 failed.append(f"{len(result.retry)} paper(s) in {retry_path(subset_out)}")
         elif stage == "evidence":
@@ -428,10 +424,7 @@ def run_pipeline(config: RunConfig, stages: list[str] | None = None) -> RunManif
         elif stage == "stage2":
             library_path = _config_path(config, config.library_path, "library file")
             result = run_stage2_step(
-                subset_out, evidence_out, library_path, verdicts_out, gateway,
-                config.stage2_backend, k=config.stage2_k, max_figs=config.stage2_max_figs,
-                max_workers=config.max_workers,
-            )
+                subset_out, evidence_out, library_path, verdicts_out, gateway, config)
             if result.retry:
                 failed.append(f"{len(result.retry)} figure(s) in {retry_path(verdicts_out)}")
         elif stage == "stage3":
@@ -439,10 +432,7 @@ def run_pipeline(config: RunConfig, stages: list[str] | None = None) -> RunManif
             vocab = load_vocabulary(config.resolve(config.vocab_path),
                                     config.resolve(config.alias_path))
             result = run_stage3_step(
-                verdicts_out, evidence_out, library_path, labels_out, vocab, gateway,
-                config.stage3_backend, k=config.stage3_k,
-                per_paper_cap=config.stage3_per_paper_cap, max_workers=config.max_workers,
-            )
+                verdicts_out, evidence_out, library_path, labels_out, vocab, gateway, config)
             if result.retry:
                 failed.append(f"{len(result.retry)} figure(s) in {retry_path(labels_out)}")
         elif stage == "analyze":

@@ -109,14 +109,13 @@ def sample_exemplars(
     neighbor_ids: Sequence[str],
     library: Sequence[CodedPaper],
     evidence_lookup: EvidenceLookup,
-    per_class_per_paper: int = EXEMPLARS_PER_CLASS_PER_PAPER,
-    cap: int = EXEMPLAR_CAP,
 ) -> FigureExemplarSet:
     """Positive and negative figure exemplars drawn from neighbor papers.
 
     Figures are taken in neighbor rank order, then figure order, up to
-    per_class_per_paper each way and cap in total. Figures without an
-    explicit relevance flag or without extracted evidence are skipped.
+    EXEMPLARS_PER_CLASS_PER_PAPER per paper each way and EXEMPLAR_CAP in
+    total. Figures without an explicit relevance flag or without extracted
+    evidence are skipped.
     """
     by_id = {p.paper_id: p for p in library}
     positives: list[tuple[FigureEvidence, bool]] = []
@@ -127,9 +126,9 @@ def sample_exemplars(
             continue
         taken = {True: 0, False: 0}
         for figure in sorted(paper.labeled_figures(), key=lambda f: figure_sort_key(f.figure_id)):
-            if len(positives) + len(negatives) >= cap:
+            if len(positives) + len(negatives) >= EXEMPLAR_CAP:
                 break
-            if taken[figure.relevant] >= per_class_per_paper:
+            if taken[figure.relevant] >= EXEMPLARS_PER_CLASS_PER_PAPER:
                 continue
             evidence = evidence_lookup(neighbor_id, figure.figure_id)
             if evidence is None:

@@ -83,9 +83,6 @@ class TestTokenize:
     def test_single_char_tokens_dropped(self):
         assert bm25.tokenize("a b c model") == ["model"]
 
-    def test_optional_stopwords(self):
-        assert bm25.tokenize("the model", stopwords=frozenset({"the"})) == ["model"]
-
 
 class TestBuildIndex:
     def test_avg_doc_length(self):

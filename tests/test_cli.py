@@ -2,6 +2,7 @@
 
 import json
 import re
+import shlex
 import shutil
 from importlib import resources
 from pathlib import Path
@@ -77,7 +78,6 @@ class TestStageCommands:
 
         assert main([
             "stage1", "--corpus", str(work / "corpus.jsonl"), "--pool", fx("pool.jsonl"),
-            "--k", "6", "--min-pos", "2", "--min-neg", "2",
             "--out", str(work / "subset.jsonl"), "--log", str(work / "decisions.jsonl"),
             "--config", config,
         ]) == 0
@@ -94,7 +94,6 @@ class TestStageCommands:
         assert main([
             "stage2", "--papers", str(work / "subset.jsonl"),
             "--evidence", str(work / "evidence.jsonl"), "--library", fx("library.jsonl"),
-            "--k", "5", "--max-figs", "3",
             "--out", str(work / "verdicts.jsonl"), "--config", config,
         ]) == 0
         verdicts = list(read_jsonl(work / "verdicts.jsonl"))
@@ -104,7 +103,6 @@ class TestStageCommands:
         assert main([
             "stage3", "--figures", str(work / "verdicts.jsonl"),
             "--evidence", str(work / "evidence.jsonl"), "--library", fx("library.jsonl"),
-            "--k", "10", "--cap", "3",
             "--out", str(work / "labels.jsonl"), "--config", config,
         ]) == 0
         labels = list(read_jsonl(work / "labels.jsonl"))
@@ -180,10 +178,19 @@ def run_composite(config: Path) -> Path:
     return Path(json.loads(config.read_text())["out_dir"])
 
 
+# Stage settings other than the fixture config's and the step functions' defaults.
+NON_DEFAULT_STAGES = {
+    "stage1": {"k": 4, "min_pos": 1, "min_neg": 1, "backends": ["primary", "secondary"]},
+    "stage2": {"k": 2, "max_figs": 1, "backend": "primary"},
+    "stage3": {"k": 3, "per_paper_cap": 1, "backend": "primary"},
+}
+
+
 class TestStagewiseMatchesRun:
-    def test_every_output_byte_identical(self, fixture_config, tmp_path):
-        run_dir = run_composite(fixture_config("composite"))
-        run_stagewise(str(fixture_config("stagewise")), tmp_path / "stagewise")
+    @pytest.mark.parametrize("stages", [{}, NON_DEFAULT_STAGES], ids=["fixture", "non_default"])
+    def test_every_output_byte_identical(self, fixture_config, tmp_path, stages):
+        run_dir = run_composite(fixture_config("composite", **stages))
+        run_stagewise(str(fixture_config("stagewise", **stages)), tmp_path / "stagewise")
         for name in RUN_OUTPUTS:
             assert (tmp_path / "stagewise" / name).read_bytes() == (run_dir / name).read_bytes(), name
 
@@ -647,6 +654,21 @@ class TestStage1RetryQueue:
         assert len(list(read_jsonl(queue))) == len(failed)
         assert main(args) == 0
         assert not queue.exists()
+
+
+def readme_cli_commands() -> list[str]:
+    """The commands of README's `## CLI` bash block, continuation lines joined."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## CLI\n.*?^```bash\n(.*?)^```", readme, re.M | re.S).group(1)
+    return [line for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+
+
+class TestReadme:
+    @pytest.mark.parametrize("command", readme_cli_commands(), ids=lambda c: c.split()[1])
+    def test_cli_example_parses(self, command):
+        argv = shlex.split(command.replace("[", "").replace("]", ""))
+        assert argv[0] == "vismine"
+        cli.build_parser().parse_args(argv[1:])  # argparse exits 2 on an unknown flag
 
 
 class TestEntryPoint:

@@ -1,10 +1,11 @@
 """Configuration loading, batch validation, gateway construction."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
-from vismine.config import build_gateway, load_config, validate_config
+from vismine.config import BackendConfig, RunConfig, build_gateway, load_config, validate_config
 from vismine.errors import ConfigError
 from vismine.gateway import KeywordStubBackend
 
@@ -69,6 +70,36 @@ class TestLoadAndValidate:
         path = fixture_config(reference_year=2020)  # fixture corpus reaches 2024
         errors = validate_config(load_config(path))
         assert any("newest corpus year" in e for e in errors)
+
+
+class TestDefaults:
+    """A key the config leaves out takes the dataclass field's default."""
+
+    def load(self, tmp_path, raw: dict) -> RunConfig:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        return load_config(path)
+
+    def test_no_optional_key_loads_the_field_defaults(self, tmp_path):
+        config = self.load(tmp_path, {"backends": {"primary": {}}})
+        expected = RunConfig(base_dir=tmp_path.resolve(),
+                             backends={"primary": BackendConfig(slot="primary")})
+        for f in fields(RunConfig):
+            assert getattr(config, f.name) == getattr(expected, f.name), f.name
+        for f in fields(BackendConfig):
+            assert getattr(config.backends["primary"], f.name) == \
+                getattr(expected.backends["primary"], f.name), f.name
+
+    def test_empty_lists_give_the_defaults(self, tmp_path):
+        config = self.load(tmp_path, {"keywords": [], "stage1": {"backends": []}})
+        defaults = RunConfig(base_dir=tmp_path)
+        assert config.keywords == defaults.keywords
+        assert config.stage1_backends == defaults.stage1_backends
+
+    def test_zero_k_loads_as_zero(self, tmp_path):
+        config = self.load(tmp_path, {"stage2": {"k": 0}})
+        assert config.stage2_k == 0
+        assert "stage2.k: k must be >= 1, got 0" in validate_config(config)
 
 
 class TestBuildGateway:
