@@ -19,7 +19,7 @@ from .config import DEFAULT_REFERENCE_YEAR, load_config, validate_config, build_
 from .errors import ConfigError, InputError, VismineError
 from .jsonl import read_jsonl, write_json
 from .library import load_library
-from .pipeline import STAGES, load_evidence_table, load_pool, run_pipeline, _load_corpus_file
+from .pipeline import STAGES, load_corpus_file, load_evidence_table, load_pool, run_pipeline
 from .vocab import LabelVocabulary, load_vocabulary
 
 EXIT_OK = 0
@@ -117,7 +117,7 @@ def cmd_eval(args) -> int:
     config, gateway = _gateway_from_args(args)
     pool = None
     if 1 in stages:
-        pool = load_pool(args.pool, _load_corpus_file(args.corpus) if args.corpus else [])
+        pool = load_pool(args.pool, load_corpus_file(args.corpus) if args.corpus else [])
     coded = None
     table = None
     if figure_stages:

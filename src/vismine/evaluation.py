@@ -22,7 +22,8 @@ from .stage1 import (
 )
 from .stage2 import EvidenceLookup, judge_paper_figures
 from .stage3 import (
-    DEFAULT_PER_PAPER_CAP, coded_figure_entries, figure_docs, index_figures, label_figure,
+    DEFAULT_PER_PAPER_CAP, coded_figure_entries, figure_docs, figure_tokens, index_figures,
+    label_figure,
 )
 from .vocab import FIELDS, LabelVocabulary
 
@@ -221,6 +222,8 @@ def run_stage1_loo(
     """One fold per pool paper: baseline plus each shots setting."""
     if len(pool.records) < 2:
         raise EvaluationError("stage 1 LOO needs at least two labeled papers")
+    if baseline_k < 1:
+        raise EvaluationError(f"baseline_k must be >= 1, got {baseline_k}")
     report = report if report is not None else LooReport()
     aggregates: dict[tuple[str, str], ConfusionCounts] = {}
 
@@ -236,10 +239,11 @@ def run_stage1_loo(
         folds += 1
         rest = pool.without(target.paper_id)
         rest_index = bm25.build_index(d for d in docs if d is not target_doc)
-        query = target_doc.tokens
+        ranked = bm25.rank_all(rest_index, target_doc.tokens)
         gold_positive = target.label == POSITIVE
 
-        neighbors = bm25.top_k(rest_index, query, baseline_k, exclude={target.paper_id})
+        # Scores are never negative, so this is `top_k`'s result.
+        neighbors = [doc_id for doc_id, score in ranked[:baseline_k] if score > 0.0]
         baseline_pred = _majority_label(rest, neighbors)
         bump("majority_vote", "bm25", _binary_counts(gold_positive, baseline_pred == POSITIVE, True))
         report.folds.append(
@@ -258,8 +262,7 @@ def run_stage1_loo(
             else:
                 try:
                     context = build_fewshot_context(
-                        target, rest, rest_index, k=shot, min_pos=min_pos, min_neg=min_neg,
-                        query_tokens=query,
+                        target, rest, ranked, k=shot, min_pos=min_pos, min_neg=min_neg
                     )
                 except StageError as exc:
                     report.errors.append(f"stage1/{method}/{target.paper_id}: {exc}")
@@ -330,8 +333,8 @@ def run_stage2_loo(
         for shot in shots:
             method = f"{shot}-shot"
             verdicts, failed, log = judge_paper_figures(
-                target.record, [evidence for _, evidence in labeled], rest, rest_index,
-                evidence_lookup, gateway, backend_id, shot, query_tokens=target_doc.tokens,
+                target_doc, [evidence for _, evidence in labeled], rest, rest_index,
+                evidence_lookup, gateway, backend_id, shot,
             )
             report.folds.append(
                 FoldLog(
@@ -396,12 +399,15 @@ def run_stage3_loo(
             for d in paper_figures
         ])
         queries = {d.evidence.figure_id: d.doc.tokens for d in target_figures}
+        for _, evidence in gold_figures:
+            if evidence.figure_id not in queries:  # no caption: not a document
+                queries[evidence.figure_id] = figure_tokens(evidence)
         for shot in shots:
             method = f"{shot}-shot"
             for figure, evidence in gold_figures:
                 predicted, doc_ids, error = label_figure(
-                    evidence, corpus, vocab, gateway, backend_id, shot, per_paper_cap,
-                    query_tokens=queries.get(evidence.figure_id),
+                    evidence, queries[evidence.figure_id], corpus, vocab, gateway, backend_id,
+                    shot, per_paper_cap,
                 )
                 report.folds.append(
                     FoldLog(

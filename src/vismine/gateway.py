@@ -32,6 +32,9 @@ logger = logging.getLogger(__name__)
 
 MALFORMED_EVIDENCE = "(malformed)"
 
+# Completion-token limit of every HTTP request.
+MAX_TOKENS = 1024
+
 
 @dataclass(frozen=True)
 class PromptRequest:
@@ -96,7 +99,6 @@ class HttpBackend:
         api_key_env: str,
         temperature: float = 0.0,
         timeout: float = 60.0,
-        max_tokens: int = 1024,
     ):
         self.name = name
         self.endpoint = endpoint
@@ -104,8 +106,6 @@ class HttpBackend:
         self.api_key_env = api_key_env
         self.temperature = temperature
         self.timeout = timeout
-        self.max_tokens = max_tokens
-        self.calls = 0
 
     def complete(self, prompt: str) -> str:
         import requests
@@ -115,12 +115,11 @@ class HttpBackend:
             raise AuthenticationError(
                 f"backend {self.name!r}: env var {self.api_key_env!r} is not set"
             )
-        self.calls += 1
         body = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
             "temperature": self.temperature,
-            "max_tokens": self.max_tokens,
+            "max_tokens": MAX_TOKENS,
         }
         try:
             response = requests.post(
@@ -471,7 +470,11 @@ def parse_verdict(raw: str, backend_id: str = "") -> ModelVerdict:
     A response that does not contain a JSON object with a usable
     "relevant" value becomes (negative, 0.0, "(malformed)").
     """
-    payload = parse_json_payload(raw)
+    return verdict_from_payload(parse_json_payload(raw), backend_id)
+
+
+def verdict_from_payload(payload: dict | None, backend_id: str) -> ModelVerdict:
+    """`parse_verdict` of a response whose `parse_json_payload` is `payload`."""
     if payload is None:
         return ModelVerdict(backend_id, False, 0.0, MALFORMED_EVIDENCE)
     decision = _as_decision(payload.get("relevant", payload.get("decision")))
@@ -521,22 +524,27 @@ class StubRules:
 
     @classmethod
     def from_config(cls, raw: Mapping) -> "StubRules":
+        default = cls()
+
+        def get(key):
+            return raw.get(key, getattr(default, key))
+
         def pairs(key):
-            return tuple((str(k), str(v)) for k, v in raw.get(key, ()))
+            return tuple((str(k), str(v)) for k, v in get(key))
 
         return cls(
-            screen_keywords=tuple(raw.get("screen_keywords", ())),
-            figure_keywords=tuple(raw.get("figure_keywords", ())),
+            screen_keywords=tuple(get("screen_keywords")),
+            figure_keywords=tuple(get("figure_keywords")),
             role_rules=pairs("role_rules"),
             listener_rules=pairs("listener_rules"),
             data_type_rules=pairs("data_type_rules"),
             vis_type_rules=pairs("vis_type_rules"),
             purpose_rules=pairs("purpose_rules"),
-            data_type_default=str(raw.get("data_type_default", "nominal")),
-            vis_type_default=str(raw.get("vis_type_default", "other")),
-            purpose_default=str(raw.get("purpose_default", "other")),
-            positive_confidence=float(raw.get("positive_confidence", 0.9)),
-            negative_confidence=float(raw.get("negative_confidence", 0.1)),
+            data_type_default=str(get("data_type_default")),
+            vis_type_default=str(get("vis_type_default")),
+            purpose_default=str(get("purpose_default")),
+            positive_confidence=float(get("positive_confidence")),
+            negative_confidence=float(get("negative_confidence")),
         )
 
 
@@ -546,10 +554,8 @@ class KeywordStubBackend:
     def __init__(self, name: str, rules: StubRules):
         self.name = name
         self.rules = rules
-        self.calls = 0
 
     def complete(self, prompt: str) -> str:
-        self.calls += 1
         target = _target_section(prompt).lower()
         if "Schema: labels/" in prompt:
             return json.dumps(self._labels_payload(target), sort_keys=True)

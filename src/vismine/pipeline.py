@@ -84,7 +84,7 @@ def _config_hash(config: RunConfig) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _load_corpus_file(path: str | Path) -> list[corpus_mod.PaperRecord]:
+def load_corpus_file(path: str | Path) -> list[corpus_mod.PaperRecord]:
     return [corpus_mod.record_from_dict(raw) for raw in read_jsonl(path)]
 
 
@@ -177,7 +177,7 @@ def run_stage1_step(
     The decision log is written unless `decisions_path` is None.
     Undecided papers are queued in `retry_path(out_path)`.
     """
-    candidates = _load_corpus_file(corpus_path)
+    candidates = load_corpus_file(corpus_path)
     result = stage1_mod.run_stage1(
         candidates,
         load_pool(pool_path, candidates),
@@ -231,7 +231,7 @@ def run_stage2_step(
 
     Failed figures are queued in `retry_path(out_path)`.
     """
-    papers = _load_corpus_file(papers_path)
+    papers = load_corpus_file(papers_path)
     library = load_library(read_jsonl(library_path))
     library_ids = {p.paper_id for p in library}
     table = load_evidence_table(evidence_path, {r.paper_id for r in papers} | library_ids)
@@ -321,7 +321,7 @@ def run_analyze_step(
     labels = [labels_from_dict(raw) for raw in read_jsonl(labels_path)]
     papers: dict[str, corpus_mod.PaperRecord] = {}
     if papers_path is not None:
-        for record in _load_corpus_file(papers_path):
+        for record in load_corpus_file(papers_path):
             papers[record.paper_id] = record
     if library_path is not None:
         for paper in load_library(read_jsonl(library_path)):

@@ -58,20 +58,19 @@ class FewShotContext:
 def build_fewshot_context(
     target: PaperRecord,
     pool: LabeledPool,
-    index: bm25.Bm25Index,
+    ranked: Sequence[tuple[str, float]],
     k: int = DEFAULT_K,
     min_pos: int = DEFAULT_MIN_POS,
     min_neg: int = DEFAULT_MIN_NEG,
-    query_tokens: Sequence[str] | None = None,
 ) -> FewShotContext:
     """Top-k retrieval neighbors rebalanced to meet class minimums.
 
-    `index` holds `pool`'s papers, as `pool_index` builds it.
+    `ranked` is `bm25.rank_all` of `pool`'s papers, as `pool_index` builds
+    them, for the target's `paper_query_tokens`.
     When one class is underrepresented, the lowest-ranked members of the
     other class are swapped for the best-ranked missing-class members;
     the survivors keep retrieval-score order. The target itself is always
-    excluded, so leave-one-out runs cannot leak it. `query_tokens`, when
-    given, must be `paper_query_tokens(target)`, already computed.
+    excluded, so leave-one-out runs cannot leak it.
     """
     if k < 1:
         raise StageError(f"k must be >= 1, got {k}")
@@ -82,9 +81,7 @@ def build_fewshot_context(
             f"pool too small for constraints: {len(pool.positives)} positives / "
             f"{len(pool.negatives)} negatives, need {min_pos}/{min_neg}"
         )
-    if query_tokens is None:
-        query_tokens = paper_query_tokens(target)
-    ranked = bm25.rank_all(index, query_tokens, exclude={target.paper_id})
+    ranked = [pair for pair in ranked if pair[0] != target.paper_id]
     rank_of = {doc_id: pos for pos, (doc_id, _) in enumerate(ranked)}
     chosen = [doc_id for doc_id, _ in ranked[:k]]
 
@@ -212,8 +209,9 @@ def run_stage1(
             return ScreenDecision(
                 paper_id=candidate.paper_id, decision=manual, source="manual"
             )
+        ranked = bm25.rank_all(index, paper_query_tokens(candidate))
         context = build_fewshot_context(
-            candidate, pool, index, k=k, min_pos=min_pos, min_neg=min_neg
+            candidate, pool, ranked, k=k, min_pos=min_pos, min_neg=min_neg
         )
         return screen_paper(candidate, context, gateway, backend_ids)
 

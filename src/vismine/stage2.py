@@ -16,11 +16,11 @@ from . import bm25
 from .errors import AuthenticationError, GatewayError, StageError
 from .evidence import FigureEvidence, figure_sort_key
 from .gateway import (
-    Gateway, PromptRequest, clip_confidence, map_items, parse_json_payload, parse_verdict,
+    Gateway, PromptRequest, clip_confidence, map_items, parse_json_payload, verdict_from_payload,
 )
 from .library import CodedPaper
 from .prompts import FIGURE_SCHEMA, FIGURE_SYSTEM
-from .stage1 import paper_doc, paper_query_tokens
+from .stage1 import paper_doc
 
 logger = logging.getLogger(__name__)
 
@@ -86,23 +86,18 @@ def library_index(library: Sequence[CodedPaper]) -> bm25.Bm25Index:
 
 
 def retrieve_neighbor_papers(
-    target_record,
-    library: Sequence[CodedPaper],
+    target: bm25.TokenizedDoc,
     index: bm25.Bm25Index,
     k: int = DEFAULT_K,
-    query_tokens: Sequence[str] | None = None,
 ) -> list[str]:
     """Up to k similar coded papers by title+abstract BM25; target excluded.
 
-    `index` holds `library`'s papers, as `library_index` builds it.
-    `query_tokens`, when given, must be `paper_query_tokens(target_record)`,
-    already computed.
+    `target` is the paper's `paper_doc`; `index` holds the library's
+    papers, as `library_index` builds it.
     """
-    if not library:
+    if not index.doc_count:
         raise StageError("empty coded-paper library")
-    if query_tokens is None:
-        query_tokens = paper_query_tokens(target_record)
-    return bm25.top_k(index, query_tokens, k, exclude={target_record.paper_id})
+    return bm25.top_k(index, target.tokens, k, exclude={target.doc_id})
 
 
 def sample_exemplars(
@@ -165,10 +160,9 @@ def classify_figure(
     if not evidence.assembled_evidence.strip():
         raise StageError(f"empty evidence for {evidence.paper_id}::{evidence.figure_id}")
     request = figure_request(evidence, exemplars)
-    raw = gateway.complete(backend_id, request)
-    verdict = parse_verdict(raw, backend_id)
-    payload = parse_json_payload(raw) or {}
-    role = payload.get("role")
+    payload = parse_json_payload(gateway.complete(backend_id, request))
+    verdict = verdict_from_payload(payload, backend_id)
+    role = (payload or {}).get("role")
     if role not in ROLES:
         role = None
     return RelevanceVerdict(
@@ -210,20 +204,18 @@ def select_representatives(
 
 
 def judge_paper_figures(
-    record, figures: Sequence[FigureEvidence], library: Sequence[CodedPaper],
+    target: bm25.TokenizedDoc, figures: Sequence[FigureEvidence], library: Sequence[CodedPaper],
     index: bm25.Bm25Index, evidence_lookup: EvidenceLookup, gateway: Gateway,
-    backend_id: str, k: int, query_tokens: Sequence[str] | None = None,
+    backend_id: str, k: int,
 ) -> tuple[list[RelevanceVerdict], list[tuple[str, str, str]], dict]:
     """Verdicts, failures and neighbour/exemplar log of one paper's figures.
 
-    Exemplars come from the k nearest library papers; none when k is 0. A
-    figure with empty evidence, or whose backend call raises a `GatewayError`
-    other than `AuthenticationError`, fails alone as (paper_id, figure_id, message).
-    `query_tokens` is passed on to `retrieve_neighbor_papers`.
+    `target` is the paper's `paper_doc`. Exemplars come from the k nearest
+    library papers; none when k is 0. A figure with empty evidence, or
+    whose backend call raises a `GatewayError` other than
+    `AuthenticationError`, fails alone as (paper_id, figure_id, message).
     """
-    neighbors = retrieve_neighbor_papers(
-        record, library, index, k=k, query_tokens=query_tokens
-    ) if k else []
+    neighbors = retrieve_neighbor_papers(target, index, k=k) if k else []
     exemplars = sample_exemplars(neighbors, library, evidence_lookup)
     verdicts: list[RelevanceVerdict] = []
     failed: list[tuple[str, str, str]] = []
@@ -269,7 +261,7 @@ def run_stage2(
     def process(entry):
         record, figures = entry
         return judge_paper_figures(
-            record, figures, library, index, evidence_lookup, gateway, backend_id, k
+            paper_doc(record), figures, library, index, evidence_lookup, gateway, backend_id, k
         )
 
     processed = map_items(process, targets, max_workers)

@@ -138,21 +138,17 @@ def library_figure_corpus(library: Sequence[CodedPaper],
 
 def retrieve_similar_figures(
     target: FigureEvidence,
+    query_tokens: Sequence[str],
     corpus: FigureCorpus,
     k: int = DEFAULT_K,
     per_paper_cap: int = DEFAULT_PER_PAPER_CAP,
-    exclude_paper: str | None = None,
-    query_tokens: Sequence[str] | None = None,
 ) -> list[str]:
     """Top-k similar figure doc ids with a per-source-paper cap.
 
-    The cap stops one source paper from dominating the exemplar slate. In
-    leave-one-out mode pass the target's own paper id to exclude it.
-    `query_tokens`, when given, must be `figure_tokens(target)`, already
-    computed.
+    `query_tokens` are `figure_tokens(target)`. The target's own paper
+    never supplies a result, and the cap stops one source paper from
+    dominating the exemplar slate.
     """
-    if query_tokens is None:
-        query_tokens = figure_tokens(target)
     ranked = bm25.top_k(corpus.index, query_tokens, k=max(k, corpus.index.doc_count) or 1)
     result: list[str] = []
     per_paper: Counter = Counter()
@@ -160,9 +156,7 @@ def retrieve_similar_figures(
         if len(result) >= k:
             break
         paper_id = corpus.paper_of(doc_id)
-        if exclude_paper is not None and paper_id == exclude_paper:
-            continue
-        if per_paper[paper_id] >= per_paper_cap:
+        if paper_id == target.paper_id or per_paper[paper_id] >= per_paper_cap:
             continue
         per_paper[paper_id] += 1
         result.append(doc_id)
@@ -331,19 +325,17 @@ def aggregate_subfigures(parts: Sequence[FrameworkLabels], vocab: LabelVocabular
 
 
 def label_figure(
-    evidence: FigureEvidence, corpus: FigureCorpus, vocab: LabelVocabulary,
-    gateway: Gateway, backend_id: str, k: int, per_paper_cap: int,
-    query_tokens: Sequence[str] | None = None,
+    evidence: FigureEvidence, query_tokens: Sequence[str], corpus: FigureCorpus,
+    vocab: LabelVocabulary, gateway: Gateway, backend_id: str, k: int, per_paper_cap: int,
 ) -> tuple[FrameworkLabels | None, list[str], str]:
     """Normalized labels, exemplar doc ids and error message of one figure.
 
-    Exemplars are other papers' figures; none when k is 0. A `GatewayError`
-    other than `AuthenticationError` fails this figure alone: no labels.
-    `query_tokens` is passed on to `retrieve_similar_figures`.
+    `query_tokens` are `figure_tokens(evidence)`. Exemplars are other
+    papers' figures; none when k is 0. A `GatewayError` other than
+    `AuthenticationError` fails this figure alone: no labels.
     """
     doc_ids = retrieve_similar_figures(
-        evidence, corpus, k=k, per_paper_cap=per_paper_cap, exclude_paper=evidence.paper_id,
-        query_tokens=query_tokens,
+        evidence, query_tokens, corpus, k=k, per_paper_cap=per_paper_cap
     ) if k else []
     exemplars = [(corpus.evidence[d], corpus.labels[d]) for d in doc_ids]
     try:
@@ -382,7 +374,9 @@ def run_stage3(
     """
 
     def process(evidence: FigureEvidence):
-        return label_figure(evidence, corpus, vocab, gateway, backend_id, k, per_paper_cap)
+        return label_figure(
+            evidence, figure_tokens(evidence), corpus, vocab, gateway, backend_id, k, per_paper_cap
+        )
 
     processed = map_items(process, targets, max_workers)
 

@@ -295,6 +295,18 @@ class TestTermAtATimeProperties:
 
     @settings(max_examples=200, deadline=None)
     @given(ranking_cases(), st.integers(min_value=1, max_value=14))
+    def test_top_k_is_the_positives_of_rank_alls_first_k(self, case, k):
+        # The stage-1 LOO reads its majority-vote neighbours this way from
+        # the one ranking its few-shot context also reads.
+        docs, query, exclude, _ = case
+        index = make_index(docs)
+        ranked = bm25.rank_all(index, query, exclude=exclude)
+        assert bm25.top_k(index, query, k, exclude=exclude) == [
+            d for d, s in ranked[:k] if s > 0.0
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(ranking_cases(), st.integers(min_value=1, max_value=14))
     def test_invariant_to_indexing_order(self, case, k):
         docs, query, exclude, order = case
         index = make_index(docs)

@@ -11,9 +11,9 @@ from vismine.errors import AuthenticationError, EvaluationError
 from vismine.evidence import FigureEvidence
 from vismine.gateway import Gateway, KeywordStubBackend, StubRules
 from vismine.library import CodedFigure, CodedPaper
-from vismine.stage1 import paper_query_tokens, pool_index
+from vismine.stage1 import DEFAULT_K, paper_doc, paper_query_tokens, pool_index
 from vismine.stage2 import library_index, retrieve_neighbor_papers
-from vismine.stage3 import library_figure_corpus, retrieve_similar_figures
+from vismine.stage3 import figure_tokens, library_figure_corpus, retrieve_similar_figures
 from vismine.vocab import load_vocabulary, FrameworkLabels
 from tests.conftest import ITEM_FAILURES, RaisingBackend
 
@@ -225,26 +225,42 @@ class TestStage1Loo:
             assert held_out.paper_id not in index
             assert index.dump() == expected.dump()
 
-    def test_one_baseline_query_per_fold(self, monkeypatch):
-        queries = []
-        top_k = bm25.top_k
+    def test_one_ranking_per_fold(self, monkeypatch):
+        pool = screening_pool()
+        rankings, top_k_results = [], []
+        rank_all, top_k = bm25.rank_all, bm25.top_k
+
+        def recording_rank_all(*args, **kwargs):
+            rankings.append(rank_all(*args, **kwargs))
+            return rankings[-1]
 
         def recording_top_k(*args, **kwargs):
-            queries.append(top_k(*args, **kwargs))
-            return queries[-1]
+            top_k_results.append(top_k(*args, **kwargs))
+            return top_k_results[-1]
 
+        monkeypatch.setattr(bm25, "rank_all", recording_rank_all)
         monkeypatch.setattr(bm25, "top_k", recording_top_k)
         report = ev.run_stage1_loo(
-            screening_pool(), dual_stub_gateway(), ["primary", "secondary"], shots=(0,)
+            pool, dual_stub_gateway(), ["primary", "secondary"], shots=(0, 6)
         )
         monkeypatch.undo()
-        assert queries == [f.neighbors for f in report.folds if f.method == "majority_vote"]
+        assert len(rankings) == report.fold_counts["stage1"] == len(pool.records)
+        assert top_k_results == []
+        baselines = [f.neighbors for f in report.folds if f.method == "majority_vote"]
+        assert baselines == [
+            [doc_id for doc_id, score in ranked[:DEFAULT_K] if score > 0.0]
+            for ranked in rankings
+        ]
 
     def test_too_small_pool_rejected(self):
         records = [PaperRecord(paper_id="only", title="t", label="positive")]
         pool = load_labeled_pool(records, [("only", "positive")])
         with pytest.raises(EvaluationError):
             ev.run_stage1_loo(pool, dual_stub_gateway(), ["primary"])
+
+    def test_baseline_k_below_one_rejected(self):
+        with pytest.raises(EvaluationError):
+            ev.run_stage1_loo(screening_pool(), dual_stub_gateway(), ["primary"], baseline_k=0)
 
 
 def figure_gateway():
@@ -446,7 +462,7 @@ class TestLibraryFoldIndexes:
         for fold in (f for f in report.folds if f.method == "2-shot"):
             target = next(p for p in papers if p.paper_id == fold.held_out)
             rest = [p for p in papers if p is not target]
-            assert fold.neighbors == retrieve_neighbor_papers(target.record, rest,
+            assert fold.neighbors == retrieve_neighbor_papers(paper_doc(target.record),
                                                               library_index(rest), k=2)
 
     def test_stage3_queries_are_the_fold_documents_tokens(self, monkeypatch):
@@ -461,8 +477,8 @@ class TestLibraryFoldIndexes:
             rest = [p for p in papers if p is not target]
             evidence = lookup(target.paper_id, "Figure 1")
             assert fold.exemplars == retrieve_similar_figures(
-                evidence, library_figure_corpus(rest, lookup), k=2, per_paper_cap=1,
-                exclude_paper=target.paper_id,
+                evidence, figure_tokens(evidence), library_figure_corpus(rest, lookup), k=2,
+                per_paper_cap=1,
             )
 
 

@@ -434,3 +434,20 @@ class TestKeywordStub:
         )
         payload = json.loads(backend.complete(req.render()))
         assert payload["relevant"] is False
+
+    def test_rules_from_empty_config_are_the_defaults(self):
+        assert gw.StubRules.from_config({}) == gw.StubRules()
+
+    def test_rules_from_partial_config_keep_other_defaults(self):
+        rules = gw.StubRules.from_config({
+            "screen_keywords": ["saliency"],
+            "role_rules": [["accuracy", "performance"]],
+            "vis_type_default": "heatmap",
+            "negative_confidence": 0.25,
+        })
+        assert rules == gw.StubRules(
+            screen_keywords=("saliency",),
+            role_rules=(("accuracy", "performance"),),
+            vis_type_default="heatmap",
+            negative_confidence=0.25,
+        )

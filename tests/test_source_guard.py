@@ -3,7 +3,8 @@
 A definition that only tests reach is code the pipeline carries for
 nothing.  Names are matched, not objects: a definition counts as used
 when its name appears as a Name, an Attribute or an imported name in any
-module other than `__init__.py`, whose re-exports call nothing.
+module other than `__init__.py`, whose re-exports call nothing.  No
+module imports another module's underscore-prefixed names.
 """
 
 import ast
@@ -55,3 +56,15 @@ def test_allowlist_names_only_unreferenced_definitions():
     defined, referenced = _defined_and_referenced()
     stale = sorted(name for name in ALLOWED if name not in defined or name in referenced)
     assert not stale, f"allowlisted names that are gone or now referenced: {stale}"
+
+
+def test_no_module_imports_another_modules_private_names():
+    private = sorted(
+        f"{alias.name} ({path.name}:{node.lineno})"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("vismine"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    )
+    assert not private, "private names imported across modules: " + ", ".join(private)

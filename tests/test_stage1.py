@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from vismine import corpus, stage1
+from vismine import bm25, corpus, stage1
 from vismine import gateway as gateway_mod
 from vismine.errors import AuthenticationError, StageError, TransientBackendError
 from vismine.gateway import Gateway, KeywordStubBackend, StubBackend, StubRules
@@ -37,6 +37,10 @@ def tiered_pool(tiers):
 TARGET = paper("target", "saliency saliency saliency probe")
 
 
+def target_ranking(pool):
+    return bm25.rank_all(stage1.pool_index(pool), stage1.paper_query_tokens(TARGET))
+
+
 def dual_stub_gateway(**kwargs):
     rules_a = StubRules(screen_keywords=("saliency",))
     rules_b = StubRules(screen_keywords=("model",))
@@ -60,7 +64,7 @@ class TestBuildFewshotContext:
                 ("neg3", "negative", 0),
             ]
         )
-        context = stage1.build_fewshot_context(TARGET, pool, stage1.pool_index(pool), k=6)
+        context = stage1.build_fewshot_context(TARGET, pool, target_ranking(pool), k=6)
         assert context.exemplar_ids == ("pos1", "pos2", "pos3", "pos4", "neg1", "neg2")
         labels = [label for _, label in context.exemplars]
         assert labels.count("positive") == 4
@@ -80,7 +84,7 @@ class TestBuildFewshotContext:
                 ("neg3", "negative", 0),
             ]
         )
-        context = stage1.build_fewshot_context(TARGET, pool, stage1.pool_index(pool), k=6)
+        context = stage1.build_fewshot_context(TARGET, pool, target_ranking(pool), k=6)
         assert context.exemplar_ids == ("pos1", "pos2", "pos3", "pos4", "neg1", "neg2")
         assert [label for _, label in context.exemplars].count("negative") == 2
 
@@ -93,13 +97,13 @@ class TestBuildFewshotContext:
                 ("pos4", "positive", 4), ("neg3", "negative", 1),
             ]
         )
-        context = stage1.build_fewshot_context(TARGET, pool, stage1.pool_index(pool), k=6)
+        context = stage1.build_fewshot_context(TARGET, pool, target_ranking(pool), k=6)
         assert "target" not in context.exemplar_ids
 
     def test_pool_too_small(self):
         pool = tiered_pool([("pos1", "positive", 3), ("neg1", "negative", 2)])
         with pytest.raises(StageError):
-            stage1.build_fewshot_context(TARGET, pool, stage1.pool_index(pool), k=6,
+            stage1.build_fewshot_context(TARGET, pool, target_ranking(pool), k=6,
                                          min_pos=2, min_neg=2)
 
     def test_k_smaller_than_minimums(self):
@@ -108,7 +112,7 @@ class TestBuildFewshotContext:
              ("neg1", "negative", 1), ("neg2", "negative", 0)]
         )
         with pytest.raises(StageError):
-            stage1.build_fewshot_context(TARGET, pool, stage1.pool_index(pool), k=3,
+            stage1.build_fewshot_context(TARGET, pool, target_ranking(pool), k=3,
                                          min_pos=2, min_neg=2)
 
 
@@ -121,7 +125,7 @@ class TestScreenPaper:
 
     def context(self):
         pool = self.pool()
-        return stage1.build_fewshot_context(TARGET, pool, stage1.pool_index(pool), k=4)
+        return stage1.build_fewshot_context(TARGET, pool, target_ranking(pool), k=4)
 
     def test_both_positive(self):
         gateway = dual_stub_gateway()

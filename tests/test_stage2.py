@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from vismine import gateway as gateway_mod
 from vismine import stage2
 from vismine.corpus import PaperRecord
 from vismine.errors import StageError, TransientBackendError
@@ -11,6 +12,7 @@ from vismine.evidence import FigureEvidence
 from vismine.gateway import Gateway, KeywordStubBackend, StubBackend, StubRules
 from tests.conftest import ITEM_FAILURES, RaisingBackend
 from vismine.library import CodedFigure, CodedPaper
+from vismine.stage1 import paper_doc
 
 
 def record(paper_id, title, abstract=""):
@@ -79,7 +81,7 @@ def figure_gateway():
 class TestRetrieveNeighbors:
     @staticmethod
     def neighbors(target, library, k=5):
-        return stage2.retrieve_neighbor_papers(target, library, stage2.library_index(library), k=k)
+        return stage2.retrieve_neighbor_papers(paper_doc(target), stage2.library_index(library), k=k)
 
     def test_full_library_returns_k(self):
         library = coded_library(46)
@@ -194,6 +196,22 @@ class TestClassifyFigure:
         ev = fig_evidence("p1", "Figure 1", "Figure 1: accuracy versus depth.")
         verdict = stage2.classify_figure(ev, stage2.FigureExemplarSet(), gateway, "primary")
         assert verdict.role == "performance"
+
+    def test_each_response_parsed_once(self, monkeypatch):
+        parsed = []
+        parse = gateway_mod.parse_json_payload
+
+        def recording_parse(raw):
+            parsed.append(raw)
+            return parse(raw)
+
+        for module in (gateway_mod, stage2):
+            monkeypatch.setattr(module, "parse_json_payload", recording_parse)
+        gateway = figure_gateway()
+        for fid, text in (("Figure 1", "accuracy versus depth"), ("Figure 2", "a city map")):
+            ev = fig_evidence("p1", fid, f"{fid}: {text}.")
+            stage2.classify_figure(ev, stage2.FigureExemplarSet(), gateway, "primary")
+        assert len(parsed) == gateway.stats.requests == 2
 
 
 class TestSelectRepresentatives:

@@ -89,8 +89,9 @@ class TestBuildFigureCorpus:
         corpus = stage3.build_figure_corpus(
             [(fig_caption, labels("pa")), (fig_context, labels("pb"))]
         )
+        target = fig_evidence("q", "Figure 1", "saliency")
         ranked = stage3.retrieve_similar_figures(
-            fig_evidence("q", "Figure 1", "saliency"), corpus, k=2
+            target, stage3.figure_tokens(target), corpus, k=2
         )
         assert ranked[0] == "pa::Figure 1"
 
@@ -147,7 +148,9 @@ class TestRetrieveSimilarFigures:
         # forces the remainder to the next-ranked papers.
         corpus = self.tiered_corpus()
         target = fig_evidence("q", "Figure 1", "probe")
-        ranked = stage3.retrieve_similar_figures(target, corpus, k=6, per_paper_cap=3)
+        ranked = stage3.retrieve_similar_figures(
+            target, stage3.figure_tokens(target), corpus, k=6, per_paper_cap=3
+        )
         assert ranked == [
             "PA::Figure 1", "PA::Figure 2", "PA::Figure 3",
             "PB::Figure 1", "PB::Figure 2", "PC::Figure 1",
@@ -160,13 +163,15 @@ class TestRetrieveSimilarFigures:
         ]
         corpus = stage3.build_figure_corpus(entries)
         target = fig_evidence("q", "Figure 1", "probe caption")
-        assert len(stage3.retrieve_similar_figures(target, corpus, k=10, per_paper_cap=10)) == 8
+        assert len(stage3.retrieve_similar_figures(
+            target, stage3.figure_tokens(target), corpus, k=10, per_paper_cap=10
+        )) == 8
 
     def test_loo_excludes_target_paper(self):
         corpus = self.tiered_corpus()
         target = fig_evidence("PA", "Figure 9", "probe")
         ranked = stage3.retrieve_similar_figures(
-            target, corpus, k=6, per_paper_cap=3, exclude_paper="PA"
+            target, stage3.figure_tokens(target), corpus, k=6, per_paper_cap=3
         )
         assert ranked and all(not d.startswith("PA::") for d in ranked)
 
