@@ -12,15 +12,15 @@ import logging
 import sys
 from pathlib import Path
 
-from . import corpus as corpus_mod
 from . import evaluation as eval_mod
 from . import pipeline as pipeline_mod
-from .config import DEFAULT_REFERENCE_YEAR, load_config, validate_config, build_gateway
+from .config import RunConfig, build_gateway, load_config, validate_config
 from .errors import ConfigError, InputError, VismineError
 from .jsonl import read_jsonl, write_json
 from .library import load_library
-from .pipeline import STAGES, load_corpus_file, load_evidence_table, load_pool, run_pipeline
-from .vocab import LabelVocabulary, load_vocabulary
+from .pipeline import (
+    STAGES, config_vocabulary, load_corpus_file, load_evidence_table, load_pool, run_pipeline,
+)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -34,9 +34,8 @@ def _int_list(text: str, flag: str) -> list[int]:
         raise InputError(f"{flag} must be comma-separated integers, got {text!r}") from None
 
 
-def _gateway_from_args(args) -> tuple:
-    if not args.config:
-        raise ConfigError("--config is required for backend access")
+def _config_from_args(args) -> RunConfig:
+    """The `--config` file, validated but for the input paths, which come from flags."""
     config = load_config(args.config)
     problems = [
         p for p in validate_config(config)
@@ -44,18 +43,17 @@ def _gateway_from_args(args) -> tuple:
     ]
     if problems:
         raise ConfigError("; ".join(problems))
+    return config
+
+
+def _gateway_from_args(args) -> tuple:
+    config = _config_from_args(args)
     return config, build_gateway(config)
 
 
-def _vocabulary(args, config) -> LabelVocabulary:
-    """`--vocab`/`--alias` first, then the config's files, then the packaged ones."""
-    return load_vocabulary(args.vocab or config.resolve(config.vocab_path),
-                           args.alias or config.resolve(config.alias_path))
-
-
 def cmd_ingest(args) -> int:
-    keywords = tuple(args.keywords.split(",")) if args.keywords else corpus_mod.DEFAULT_KEYWORDS
-    filtered, report = pipeline_mod.run_ingest(args.corpus, args.out, args.report, keywords)
+    config = _config_from_args(args)
+    filtered, report = pipeline_mod.run_ingest(args.corpus, args.out, args.report, config.keywords)
     print(f"ingested {report.ingested}/{report.total}, kept {len(filtered)} after keyword filter")
     return EXIT_OK
 
@@ -95,7 +93,7 @@ def cmd_stage2(args) -> int:
 def cmd_stage3(args) -> int:
     config, gateway = _gateway_from_args(args)
     result = pipeline_mod.run_stage3_step(
-        args.figures, args.evidence, args.library, args.out, _vocabulary(args, config),
+        args.figures, args.evidence, args.library, args.out, config_vocabulary(config),
         gateway, config)
     print(f"stage3: {len(result.labels)} base figures labeled")
     return _retry_exit(result.retry, args.out, "figure")
@@ -123,7 +121,7 @@ def cmd_eval(args) -> int:
     if figure_stages:
         coded = load_library(read_jsonl(args.figures))
         table = load_evidence_table(args.evidence, {p.paper_id for p in coded})
-    vocab = _vocabulary(args, config) if 3 in stages else None
+    vocab = config_vocabulary(config) if 3 in stages else None
     report = eval_mod.run_loo(
         pool=pool,
         coded=coded,
@@ -137,6 +135,11 @@ def cmd_eval(args) -> int:
         stage1_shots=stage1_shots,
         stage2_shots=stage2_shots,
         stage3_shots=stage3_shots,
+        stage1_k=config.stage1_k,
+        stage1_min_pos=config.stage1_min_pos,
+        stage1_min_neg=config.stage1_min_neg,
+        stage3_backend=config.stage3_backend,
+        stage3_per_paper_cap=config.stage3_per_paper_cap,
     )
     write_json(args.out, report.to_dict())
     leaks = eval_mod.find_leakage(report)
@@ -151,8 +154,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    config = _config_from_args(args)
     paths, usable, paper_labels = pipeline_mod.run_analyze_step(
-        args.labels, args.papers, args.library or None, Path(args.out_dir), args.ref_year
+        args.labels, args.papers, args.library or None, Path(args.out_dir), config.reference_year
     )
     print(f"analyze: {len(paths)} paths from {len(usable)} figures across {len(paper_labels)} papers")
     return EXIT_OK
@@ -182,9 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="ingest metadata and apply the keyword prefilter")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--keywords", default="", help="comma-separated; default model,learning,analytics,analysis")
     p.add_argument("--out", required=True)
     p.add_argument("--report", required=True)
+    p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("stage1", help="paper-level screening with dual-backend consensus")
@@ -213,8 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--figures", required=True, help="stage2 verdict file")
     p.add_argument("--evidence", required=True)
     p.add_argument("--library", required=True)
-    p.add_argument("--vocab", default=None)
-    p.add_argument("--alias", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_stage3)
@@ -228,8 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", default="0,6", help="stage-1 shot settings")
     p.add_argument("--stage2-shots", default="0,5")
     p.add_argument("--stage3-shots", default="0,10")
-    p.add_argument("--vocab", default=None)
-    p.add_argument("--alias", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_eval)
@@ -238,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--papers", required=True)
     p.add_argument("--library", default="")
-    p.add_argument("--ref-year", type=int, default=DEFAULT_REFERENCE_YEAR)
     p.add_argument("--out-dir", required=True)
+    p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("run", help="composite pipeline with resumable caching")

@@ -18,9 +18,6 @@ from .corpus import DEFAULT_KEYWORDS
 from .errors import ConfigError
 from .gateway import Gateway, HttpBackend, KeywordStubBackend, StubRules
 
-DEFAULT_REFERENCE_YEAR = 2026
-
-
 @dataclass
 class BackendConfig:
     slot: str
@@ -46,7 +43,7 @@ class RunConfig:
     out_dir: Path = Path("out")
     cache_dir: Path | None = None
     keywords: tuple[str, ...] = DEFAULT_KEYWORDS
-    reference_year: int = DEFAULT_REFERENCE_YEAR
+    reference_year: int = 2026
     stage1_k: int = stage1_mod.DEFAULT_K
     stage1_min_pos: int = stage1_mod.DEFAULT_MIN_POS
     stage1_min_neg: int = stage1_mod.DEFAULT_MIN_NEG
@@ -69,9 +66,41 @@ class RunConfig:
         return path if path.is_absolute() else self.base_dir / path
 
 
-def _path_or_none(raw, key: str) -> Path | None:
+def _section(raw: dict, key: str, name: str) -> dict:
+    """The object under `key`; a missing or null one is empty."""
     value = raw.get(key)
-    return Path(value) if value else None
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name}: expected an object, got {value!r}")
+    return value
+
+
+def _number(raw: dict, key: str, default, kind: type, name: str):
+    value = raw.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name}: expected a number, got {value!r}") from None
+
+
+def _strings(raw: dict, key: str, default: tuple[str, ...], name: str) -> tuple[str, ...]:
+    """The list of strings under `key`; a missing or empty one gives `default`."""
+    value = raw.get(key)
+    if not value:
+        return default
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ConfigError(f"{name}: expected a list of strings, got {value!r}")
+    return tuple(value)
+
+
+def _path_or_none(raw: dict, key: str) -> Path | None:
+    value = raw.get(key)
+    if not value:
+        return None
+    if not isinstance(value, str):
+        raise ConfigError(f"{key}: expected a path, got {value!r}")
+    return Path(value)
 
 
 def _max_corpus_year(path: Path) -> int | None:
@@ -96,8 +125,13 @@ def load_config(path: str | Path) -> RunConfig:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path}: expected a JSON object")
     backends = {}
-    for slot, spec in (raw.get("backends") or {}).items():
+    backend_specs = _section(raw, "backends", "backends")
+    for slot in backend_specs:
+        name = f"backends.{slot}"
+        spec = _section(backend_specs, slot, name)
         default_backend = BackendConfig(slot=slot)
         backends[slot] = BackendConfig(
             slot=slot,
@@ -105,13 +139,14 @@ def load_config(path: str | Path) -> RunConfig:
             endpoint=str(spec.get("endpoint", default_backend.endpoint)),
             model=str(spec.get("model", default_backend.model)),
             api_key_env=str(spec.get("api_key_env", default_backend.api_key_env)),
-            temperature=float(spec.get("temperature", default_backend.temperature)),
-            timeout=float(spec.get("timeout", default_backend.timeout)),
-            stub_rules=dict(spec.get("stub_rules") or {}),
+            temperature=_number(spec, "temperature", default_backend.temperature, float,
+                                f"{name}.temperature"),
+            timeout=_number(spec, "timeout", default_backend.timeout, float, f"{name}.timeout"),
+            stub_rules=dict(_section(spec, "stub_rules", f"{name}.stub_rules")),
         )
-    stage1 = raw.get("stage1") or {}
-    stage2 = raw.get("stage2") or {}
-    stage3 = raw.get("stage3") or {}
+    stage1 = _section(raw, "stage1", "stage1")
+    stage2 = _section(raw, "stage2", "stage2")
+    stage3 = _section(raw, "stage3", "stage3")
     default = RunConfig(base_dir=path.parent.resolve())
     return RunConfig(
         base_dir=default.base_dir,
@@ -122,24 +157,27 @@ def load_config(path: str | Path) -> RunConfig:
         library_path=_path_or_none(raw, "library"),
         vocab_path=_path_or_none(raw, "vocabulary"),
         alias_path=_path_or_none(raw, "aliases"),
-        out_dir=Path(raw.get("out_dir", default.out_dir)),
+        out_dir=_path_or_none(raw, "out_dir") or default.out_dir,
         cache_dir=_path_or_none(raw, "cache_dir"),
-        keywords=tuple(raw.get("keywords") or default.keywords),
-        reference_year=int(raw.get("reference_year", default.reference_year)),
-        stage1_k=int(stage1.get("k", default.stage1_k)),
-        stage1_min_pos=int(stage1.get("min_pos", default.stage1_min_pos)),
-        stage1_min_neg=int(stage1.get("min_neg", default.stage1_min_neg)),
-        stage1_backends=tuple(stage1.get("backends") or default.stage1_backends),
-        stage2_k=int(stage2.get("k", default.stage2_k)),
-        stage2_max_figs=int(stage2.get("max_figs", default.stage2_max_figs)),
+        keywords=_strings(raw, "keywords", default.keywords, "keywords"),
+        reference_year=_number(raw, "reference_year", default.reference_year, int,
+                               "reference_year"),
+        stage1_k=_number(stage1, "k", default.stage1_k, int, "stage1.k"),
+        stage1_min_pos=_number(stage1, "min_pos", default.stage1_min_pos, int, "stage1.min_pos"),
+        stage1_min_neg=_number(stage1, "min_neg", default.stage1_min_neg, int, "stage1.min_neg"),
+        stage1_backends=_strings(stage1, "backends", default.stage1_backends, "stage1.backends"),
+        stage2_k=_number(stage2, "k", default.stage2_k, int, "stage2.k"),
+        stage2_max_figs=_number(stage2, "max_figs", default.stage2_max_figs, int,
+                                "stage2.max_figs"),
         stage2_backend=str(stage2.get("backend", default.stage2_backend)),
-        stage3_k=int(stage3.get("k", default.stage3_k)),
-        stage3_per_paper_cap=int(stage3.get("per_paper_cap", default.stage3_per_paper_cap)),
+        stage3_k=_number(stage3, "k", default.stage3_k, int, "stage3.k"),
+        stage3_per_paper_cap=_number(stage3, "per_paper_cap", default.stage3_per_paper_cap, int,
+                                     "stage3.per_paper_cap"),
         stage3_backend=str(stage3.get("backend", default.stage3_backend)),
-        max_workers=int(raw.get("max_workers", default.max_workers)),
-        max_attempts=int(raw.get("max_attempts", default.max_attempts)),
-        backoff_base=float(raw.get("backoff_base", default.backoff_base)),
-        concurrency=int(raw.get("concurrency", default.concurrency)),
+        max_workers=_number(raw, "max_workers", default.max_workers, int, "max_workers"),
+        max_attempts=_number(raw, "max_attempts", default.max_attempts, int, "max_attempts"),
+        backoff_base=_number(raw, "backoff_base", default.backoff_base, float, "backoff_base"),
+        concurrency=_number(raw, "concurrency", default.concurrency, int, "concurrency"),
         backends=backends,
     )
 
@@ -214,6 +252,11 @@ def validate_config(config: RunConfig) -> list[str]:
             errors.append(f"backend {slot!r}: http backend needs an endpoint")
         if backend.kind == "http" and not backend.api_key_env:
             errors.append(f"backend {slot!r}: http backend needs api_key_env")
+        if backend.kind == "stub":
+            try:
+                StubRules.from_config(backend.stub_rules)
+            except ConfigError as exc:
+                errors.append(f"backends.{slot}.{exc}")
     return errors
 
 

@@ -456,15 +456,29 @@ def run_loo(
     stage1_shots: Sequence[int] = (0, 6),
     stage2_shots: Sequence[int] = (0, 5),
     stage3_shots: Sequence[int] = (0, 10),
+    stage1_k: int = DEFAULT_K,
+    stage1_min_pos: int = DEFAULT_MIN_POS,
+    stage1_min_neg: int = DEFAULT_MIN_NEG,
+    stage3_backend: str | None = None,
+    stage3_per_paper_cap: int = DEFAULT_PER_PAPER_CAP,
 ) -> LooReport:
-    """Full leave-one-out report across the requested stages."""
+    """Full leave-one-out report across the requested stages.
+
+    The stage settings are the run config's `stage1.k` (the majority-vote
+    neighbour count), `min_pos`, `min_neg`, `stage3.backend` and
+    `stage3.per_paper_cap`; stage 3 runs on `figure_backend` when no
+    `stage3_backend` is given.
+    """
     if gateway is None:
         raise EvaluationError("a gateway is required")
     report = LooReport()
     if 1 in stages:
         if pool is None:
             raise EvaluationError("stage 1 LOO requires a labeled pool")
-        run_stage1_loo(pool, gateway, stage1_backends, shots=stage1_shots, report=report)
+        run_stage1_loo(
+            pool, gateway, stage1_backends, shots=stage1_shots, baseline_k=stage1_k,
+            min_pos=stage1_min_pos, min_neg=stage1_min_neg, report=report,
+        )
     if 2 in stages:
         if coded is None or evidence_lookup is None:
             raise EvaluationError("stage 2 LOO requires coded papers and evidence")
@@ -476,7 +490,7 @@ def run_loo(
         if coded is None or evidence_lookup is None or vocab is None:
             raise EvaluationError("stage 3 LOO requires coded papers, evidence, and vocabulary")
         run_stage3_loo(
-            coded, evidence_lookup, vocab, gateway, figure_backend,
-            shots=stage3_shots, report=report,
+            coded, evidence_lookup, vocab, gateway, stage3_backend or figure_backend,
+            shots=stage3_shots, per_paper_cap=stage3_per_paper_cap, report=report,
         )
     return report

@@ -24,6 +24,7 @@ from typing import Callable, Mapping, Protocol, Sequence
 from .errors import (
     AuthenticationError,
     BackendUnavailable,
+    ConfigError,
     GatewayError,
     TransientBackendError,
 )
@@ -524,27 +525,45 @@ class StubRules:
 
     @classmethod
     def from_config(cls, raw: Mapping) -> "StubRules":
+        """The rules of a backend's `stub_rules` object; a missing key keeps its default.
+
+        A value of the wrong shape is a `ConfigError` naming its key.
+        """
         default = cls()
 
-        def get(key):
-            return raw.get(key, getattr(default, key))
+        def listed(key, items, item_ok):
+            value = raw.get(key, getattr(default, key))
+            if not isinstance(value, (list, tuple)) or not all(map(item_ok, value)):
+                raise ConfigError(f"stub_rules.{key}: expected a list of {items}, got {value!r}")
+            return value
+
+        def strings(key):
+            return tuple(listed(key, "strings", lambda item: isinstance(item, str)))
 
         def pairs(key):
-            return tuple((str(k), str(v)) for k, v in get(key))
+            is_pair = lambda item: isinstance(item, (list, tuple)) and len(item) == 2
+            return tuple((str(k), str(v)) for k, v in listed(key, "[keyword, value] pairs", is_pair))
+
+        def number(key):
+            value = raw.get(key, getattr(default, key))
+            try:
+                return float(value)
+            except (TypeError, ValueError):
+                raise ConfigError(f"stub_rules.{key}: expected a number, got {value!r}") from None
 
         return cls(
-            screen_keywords=tuple(get("screen_keywords")),
-            figure_keywords=tuple(get("figure_keywords")),
+            screen_keywords=strings("screen_keywords"),
+            figure_keywords=strings("figure_keywords"),
             role_rules=pairs("role_rules"),
             listener_rules=pairs("listener_rules"),
             data_type_rules=pairs("data_type_rules"),
             vis_type_rules=pairs("vis_type_rules"),
             purpose_rules=pairs("purpose_rules"),
-            data_type_default=str(get("data_type_default")),
-            vis_type_default=str(get("vis_type_default")),
-            purpose_default=str(get("purpose_default")),
-            positive_confidence=float(get("positive_confidence")),
-            negative_confidence=float(get("negative_confidence")),
+            data_type_default=str(raw.get("data_type_default", default.data_type_default)),
+            vis_type_default=str(raw.get("vis_type_default", default.vis_type_default)),
+            purpose_default=str(raw.get("purpose_default", default.purpose_default)),
+            positive_confidence=number("positive_confidence"),
+            negative_confidence=number("negative_confidence"),
         )
 
 

@@ -136,6 +136,11 @@ def _config_path(config: RunConfig, path: Path | None, name: str) -> Path:
     return resolved
 
 
+def config_vocabulary(config: RunConfig) -> LabelVocabulary:
+    """The config's `vocabulary` and `aliases` files, or the packaged ones it leaves out."""
+    return load_vocabulary(config.resolve(config.vocab_path), config.resolve(config.alias_path))
+
+
 def load_evidence_table(
     path: str | Path, paper_ids: Collection[str],
 ) -> dict[tuple[str, str], evidence_mod.FigureEvidence]:
@@ -390,6 +395,9 @@ def run_pipeline(config: RunConfig, stages: list[str] | None = None) -> RunManif
     needs_gateway = any(s in stages for s in ("stage1", "stage2", "stage3"))
     gateway = build_gateway(config) if needs_gateway else None
     failed: list[str] = []
+    # Each output's hash, taken once when its stage writes it: a later
+    # stage reading it as input reuses the hash instead of reading it again.
+    written: dict[str, str] = {}
 
     for stage in stages:
         for upstream in UPSTREAM.get(stage, ()):
@@ -402,7 +410,7 @@ def run_pipeline(config: RunConfig, stages: list[str] | None = None) -> RunManif
                     f"(missing {missing[0]})"
                 )
         inputs = {
-            str(p): file_sha256(p)
+            str(p): written.get(str(p)) or file_sha256(p)
             for up in UPSTREAM.get(stage, ())
             for p in outputs[up]
             if p.exists()
@@ -429,19 +437,20 @@ def run_pipeline(config: RunConfig, stages: list[str] | None = None) -> RunManif
                 failed.append(f"{len(result.retry)} figure(s) in {retry_path(verdicts_out)}")
         elif stage == "stage3":
             library_path = _config_path(config, config.library_path, "library file")
-            vocab = load_vocabulary(config.resolve(config.vocab_path),
-                                    config.resolve(config.alias_path))
             result = run_stage3_step(
-                verdicts_out, evidence_out, library_path, labels_out, vocab, gateway, config)
+                verdicts_out, evidence_out, library_path, labels_out, config_vocabulary(config),
+                gateway, config)
             if result.retry:
                 failed.append(f"{len(result.retry)} figure(s) in {retry_path(labels_out)}")
         elif stage == "analyze":
             papers_path = corpus_out if corpus_out.exists() else None
             run_analyze_step(labels_out, papers_path, config.resolve(config.library_path),
                              out_dir / "analysis", config.reference_year)
+        produced = {str(p): file_sha256(p) for p in outputs[stage] if p.exists()}
+        written.update(produced)
         manifest.stages[stage] = {
             "inputs": inputs,
-            "outputs": {str(p): file_sha256(p) for p in outputs[stage] if p.exists()},
+            "outputs": produced,
             "started": started,
             "finished": time.time(),
         }

@@ -53,6 +53,18 @@ class LabelVocabulary:
                         f"alias {surface!r} -> {target!r} targets a value "
                         f"outside the {fname} vocabulary"
                     )
+        # One table per field from folded surface form to category, read by
+        # every `canonical` call: a category beats an alias, the first of
+        # two categories that fold alike wins, and the last of two aliases.
+        lookup = {}
+        for fname in FIELDS:
+            by_fold = {_fold(c): c for c in reversed(self.categories[fname])}
+            table = {
+                _fold(surface): by_fold[_fold(target)] if _fold(target) else None
+                for surface, target in self.aliases.get(fname, {}).items()
+            }
+            lookup[fname] = table | by_fold
+        object.__setattr__(self, "_lookup", lookup)
 
     def values(self, fname: str) -> tuple[str, ...]:
         if fname not in FIELDS:
@@ -71,14 +83,9 @@ class LabelVocabulary:
         folded = _fold(str(value))
         if not folded:
             return None
-        for category in self.values(fname):
-            if _fold(category) == folded:
-                return category
-        alias = self.aliases.get(fname, {})
-        target = {_fold(k): v for k, v in alias.items()}.get(folded)
-        if target is not None:
-            return self.canonical(fname, target)
-        return None
+        if fname not in FIELDS:
+            raise VocabularyError(f"unknown field {fname!r}")
+        return self._lookup[fname].get(folded)
 
     def sort_values(self, fname: str, values) -> tuple[str, ...]:
         """Stable vocabulary-listing order for multi-label sets."""

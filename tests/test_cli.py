@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, file handoffs."""
 
+import argparse
 import json
 import re
 import shlex
@@ -17,7 +18,7 @@ from vismine.errors import GatewayError, InputError
 from vismine.gateway import KeywordStubBackend
 from vismine.jsonl import read_jsonl
 from vismine.prompts import LABELS_SCHEMA, SCREEN_SCHEMA
-from tests.conftest import FIXTURE_DIR
+from tests.conftest import FIXTURE_DIR, make_fixture_config
 
 
 def fx(name: str) -> str:
@@ -61,6 +62,40 @@ class TestRunCommand:
         assert "Traceback" not in err
 
 
+def _fixture_backends(**primary_rules) -> dict:
+    backends = json.loads((FIXTURE_DIR / "config.json").read_text())["backends"]
+    backends["primary"]["stub_rules"].update(primary_rules)
+    return backends
+
+
+class TestMalformedConfig:
+    """A config value of the wrong shape is a one-line exit 1 naming its key."""
+
+    CASES = [
+        ({"stage1": ["x"]}, "stage1"),
+        ({"stage1": {"k": "six"}}, "stage1.k"),
+        ({"reference_year": "soon"}, "reference_year"),
+        ({"keywords": "saliency"}, "keywords"),
+        ({"stage1": {"backends": "primary"}}, "stage1.backends"),
+        ({"corpus": 12}, "corpus"),
+        ({"backends": ["primary", "secondary"]}, "backends"),
+        ({"backends": {**_fixture_backends(), "primary": "stub"}}, "backends.primary"),
+        ({"backends": _fixture_backends(screen_keywords="saliency")},
+         "backends.primary.stub_rules.screen_keywords"),
+        ({"backends": _fixture_backends(role_rules=[["pipeline"]])},
+         "backends.primary.stub_rules.role_rules"),
+        ({"backends": _fixture_backends(positive_confidence="high")},
+         "backends.primary.stub_rules.positive_confidence"),
+    ]
+
+    @pytest.mark.parametrize("settings, key", CASES, ids=[key for _, key in CASES])
+    def test_run_exits_1_naming_the_key(self, fixture_config, capsys, settings, key):
+        assert main(["run", "--config", str(fixture_config("malformed", **settings))]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith(f"config error: {key}: expected ")
+
+
 class TestStageCommands:
     def test_stagewise_handoff(self, fixture_config, tmp_path):
         config = str(fixture_config("cli_stages"))
@@ -70,7 +105,7 @@ class TestStageCommands:
         assert main([
             "ingest", "--corpus", fx("corpus.jsonl"),
             "--out", str(work / "corpus.jsonl"),
-            "--report", str(work / "report.json"),
+            "--report", str(work / "report.json"), "--config", config,
         ]) == 0
         report = json.loads((work / "report.json").read_text())
         assert report["total"] == 13
@@ -111,7 +146,7 @@ class TestStageCommands:
         assert main([
             "analyze", "--labels", str(work / "labels.jsonl"),
             "--papers", str(work / "corpus.jsonl"), "--library", fx("library.jsonl"),
-            "--ref-year", "2026", "--out-dir", str(work / "analysis"),
+            "--out-dir", str(work / "analysis"), "--config", config,
         ]) == 0
         assert (work / "analysis" / "sankey.json").exists()
         assert (work / "analysis" / "trends.csv").exists()
@@ -153,7 +188,7 @@ def run_stagewise(config: str, work: Path) -> None:
     work.mkdir(parents=True)
     steps = [
         ["ingest", "--corpus", fx("corpus.jsonl"), "--out", str(work / "corpus.jsonl"),
-         "--report", str(work / "ingest_report.json")],
+         "--report", str(work / "ingest_report.json"), "--config", config],
         ["stage1", "--corpus", str(work / "corpus.jsonl"), "--pool", fx("pool.jsonl"),
          "--out", str(work / "stage1_subset.jsonl"),
          "--log", str(work / "stage1_decisions.jsonl"), "--config", config],
@@ -167,7 +202,7 @@ def run_stagewise(config: str, work: Path) -> None:
          "--out", str(work / "stage3_labels.jsonl"), "--config", config],
         ["analyze", "--labels", str(work / "stage3_labels.jsonl"),
          "--papers", str(work / "corpus.jsonl"), "--library", fx("library.jsonl"),
-         "--out-dir", str(work / "analysis")],
+         "--out-dir", str(work / "analysis"), "--config", config],
     ]
     for step in steps:
         assert main(step) == 0, step[0]
@@ -178,34 +213,41 @@ def run_composite(config: Path) -> Path:
     return Path(json.loads(config.read_text())["out_dir"])
 
 
-# Stage settings other than the fixture config's and the step functions' defaults.
-NON_DEFAULT_STAGES = {
+# Settings other than the fixture config's and the step functions' defaults.
+# Without "learning" the keyword filter drops P08, which no pool row names.
+NON_DEFAULT_SETTINGS = {
+    "keywords": ["model", "analytics", "analysis"],
+    "reference_year": 2030,
     "stage1": {"k": 4, "min_pos": 1, "min_neg": 1, "backends": ["primary", "secondary"]},
     "stage2": {"k": 2, "max_figs": 1, "backend": "primary"},
     "stage3": {"k": 3, "per_paper_cap": 1, "backend": "primary"},
 }
 
 
+@pytest.fixture
+def alias_file(tmp_path) -> Path:
+    """The packaged alias table, with "scatter plot" sent to a stub rule's other value."""
+    aliases = json.loads(resources.files("vismine").joinpath("data", "aliases.json").read_text())
+    assert aliases["visualization_type"]["scatter plot"] == "statistical chart"
+    aliases["visualization_type"]["scatter plot"] = "heatmap"  # a stub rule's value
+    path = tmp_path / "aliases.json"
+    path.write_text(json.dumps(aliases), encoding="utf-8")
+    return path
+
+
 class TestStagewiseMatchesRun:
-    @pytest.mark.parametrize("stages", [{}, NON_DEFAULT_STAGES], ids=["fixture", "non_default"])
-    def test_every_output_byte_identical(self, fixture_config, tmp_path, stages):
-        run_dir = run_composite(fixture_config("composite", **stages))
-        run_stagewise(str(fixture_config("stagewise", **stages)), tmp_path / "stagewise")
+    @pytest.mark.parametrize("non_default", [False, True], ids=["fixture", "non_default"])
+    def test_every_output_byte_identical(self, fixture_config, tmp_path, alias_file,
+                                         non_default):
+        settings = {**NON_DEFAULT_SETTINGS, "aliases": str(alias_file)} if non_default else {}
+        run_dir = run_composite(fixture_config("composite", **settings))
+        run_stagewise(str(fixture_config("stagewise", **settings)), tmp_path / "stagewise")
         for name in RUN_OUTPUTS:
             assert (tmp_path / "stagewise" / name).read_bytes() == (run_dir / name).read_bytes(), name
 
 
 class TestConfigVocabulary:
-    """Without `--vocab`/`--alias`, stage3 and eval read the config's files."""
-
-    @pytest.fixture
-    def alias_file(self, tmp_path) -> Path:
-        aliases = json.loads(resources.files("vismine").joinpath("data", "aliases.json").read_text())
-        assert aliases["visualization_type"]["scatter plot"] == "statistical chart"
-        aliases["visualization_type"]["scatter plot"] = "heatmap"  # a stub rule's value
-        path = tmp_path / "aliases.json"
-        path.write_text(json.dumps(aliases), encoding="utf-8")
-        return path
+    """stage3 and eval read the config's vocabulary and alias files."""
 
     def test_stage3_matches_run(self, fixture_config, tmp_path, alias_file):
         config = fixture_config("aliased", aliases=str(alias_file))
@@ -222,23 +264,54 @@ class TestConfigVocabulary:
         assert (tmp_path / "labels.jsonl").read_bytes() == labels
 
     def test_eval_uses_config_aliases(self, fixture_config, tmp_path, alias_file):
-        config = str(fixture_config("aliased_eval", aliases=str(alias_file)))
         evidence = str(tmp_path / "evidence.jsonl")
         assert main(["evidence", "--docs-manifest", fx("docs_manifest.jsonl"),
                      "--docs-dir", fx("docs"), "--out", evidence]) == 0
 
-        def stage3_rows(name: str, *alias_flag: str) -> list[dict]:
+        def stage3_rows(name: str, **settings) -> list[dict]:
             out = tmp_path / f"{name}.json"
             assert main([
                 "eval", "--figures", fx("library.jsonl"), "--evidence", evidence,
-                "--stages", "3", "--out", str(out), "--config", config, *alias_flag,
+                "--stages", "3", "--out", str(out),
+                "--config", str(fixture_config(name, **settings)),
             ]) == 0
             return json.loads(out.read_text())["rows"]
 
         packaged = resources.files("vismine").joinpath("data", "aliases.json")
-        from_config = stage3_rows("config")
-        assert from_config == stage3_rows("flag", "--alias", str(alias_file))
-        assert from_config != stage3_rows("packaged", "--alias", str(packaged))
+        from_config = stage3_rows("aliased_eval", aliases=str(alias_file))
+        assert stage3_rows("packaged", aliases=str(packaged)) == stage3_rows("default")
+        assert from_config != stage3_rows("default")
+
+
+class TestEvalStageSettings:
+    """`vismine eval` scores folds with the config's stage settings."""
+
+    def test_stage1_k_cap_and_stage3_backend(self, fixture_config, tmp_path):
+        backends = json.loads((FIXTURE_DIR / "config.json").read_text())["backends"]
+        backends["tertiary"] = backends["primary"]
+        config = fixture_config(
+            "eval_settings", backends=backends, stage1={"k": 4},
+            stage3={"k": 10, "per_paper_cap": 1, "backend": "tertiary"},
+        )
+        evidence = str(tmp_path / "evidence.jsonl")
+        assert main(["evidence", "--docs-manifest", fx("docs_manifest.jsonl"),
+                     "--docs-dir", fx("docs"), "--out", evidence]) == 0
+        out = tmp_path / "report.json"
+        assert main([
+            "eval", "--pool", fx("pool.jsonl"), "--corpus", fx("corpus.jsonl"),
+            "--figures", fx("library.jsonl"), "--evidence", evidence, "--stages", "1,3",
+            "--out", str(out), "--config", str(config),
+        ]) == 0
+        report = json.loads(out.read_text())
+        assert report["errors"] == []
+        stage3_models = {row["model"] for row in report["rows"] if row["stage"] == "stage3"}
+        assert stage3_models == {"tertiary"}
+        majority = [f for f in report["folds"] if f["method"] == "majority_vote"]
+        assert majority and max(len(f["neighbors"]) for f in majority) == 4
+        for fold in report["folds"]:
+            if fold["stage"] == "stage3":
+                papers = [doc_id.split("::", 1)[0] for doc_id in fold["exemplars"]]
+                assert len(papers) == len(set(papers)), fold
 
 
 class TestMalformedInput:
@@ -250,6 +323,7 @@ class TestMalformedInput:
         code = main([
             "ingest", "--corpus", str(corpus),
             "--out", str(tmp_path / "out.jsonl"), "--report", str(tmp_path / "report.json"),
+            "--config", str(make_fixture_config(tmp_path)),
         ])
         return code, corpus
 
@@ -669,6 +743,42 @@ class TestReadme:
         argv = shlex.split(command.replace("[", "").replace("]", ""))
         assert argv[0] == "vismine"
         cli.build_parser().parse_args(argv[1:])  # argparse exits 2 on an unknown flag
+
+
+# The flags each subcommand may take: input and output paths, the log,
+# `--config`, and the stage and shot lists of `eval` and `run`.  Every
+# setting is a config key, so a flag outside this list fails the guard.
+ALLOWED_FLAGS = {
+    "": {"-h", "--help", "-v", "--verbose"},
+    "ingest": {"--corpus", "--out", "--report", "--config"},
+    "stage1": {"--corpus", "--pool", "--out", "--log", "--config"},
+    "evidence": {"--docs-manifest", "--docs-dir", "--out"},
+    "stage2": {"--papers", "--evidence", "--library", "--out", "--config"},
+    "stage3": {"--figures", "--evidence", "--library", "--out", "--config"},
+    "eval": {"--pool", "--corpus", "--figures", "--evidence", "--out", "--config",
+             "--stages", "--shots", "--stage2-shots", "--stage3-shots"},
+    "analyze": {"--labels", "--papers", "--library", "--out-dir", "--config"},
+    "run": {"--config", "--stages"},
+}
+
+
+def parser_flags() -> dict[str, set[str]]:
+    """Every option string of the top-level parser ("") and of each subcommand."""
+    parser = cli.build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {"": {o for a in parser._actions for o in a.option_strings}}
+    for name, subparser in sub.choices.items():
+        flags[name] = {o for a in subparser._actions for o in a.option_strings} - {"-h", "--help"}
+    return flags
+
+
+class TestFlagGuard:
+    def test_every_flag_is_a_path_list_or_config(self):
+        flags = parser_flags()
+        assert sorted(flags) == sorted(ALLOWED_FLAGS)
+        outside = {name: sorted(found - ALLOWED_FLAGS[name])
+                   for name, found in flags.items() if found - ALLOWED_FLAGS[name]}
+        assert not outside, f"flags outside the allowed list: {outside}"
 
 
 class TestEntryPoint:

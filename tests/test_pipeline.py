@@ -89,6 +89,30 @@ class TestRunPipeline:
             for path, digest in stage_info["outputs"].items():
                 assert file_sha256(path) == digest
 
+    def test_each_file_hashed_once(self, fixture_config, monkeypatch):
+        from vismine import pipeline
+        from vismine.jsonl import file_sha256
+
+        hashed = []
+        monkeypatch.setattr(pipeline, "file_sha256",
+                            lambda path: hashed.append(str(path)) or file_sha256(path))
+        config = load_config(fixture_config("hash_once"))
+        manifest = run_pipeline(config)
+        outputs = {path: digest for info in manifest.stages.values()
+                   for path, digest in info["outputs"].items()}
+        assert sorted(hashed) == sorted(outputs) and len(outputs) == 12
+        for info in manifest.stages.values():
+            for path, digest in info["inputs"].items():
+                assert digest == outputs[path] == file_sha256(path)
+
+        # A stage whose inputs an earlier call wrote hashes them from disk.
+        hashed.clear()
+        manifest = run_pipeline(load_config(fixture_config("hash_once")), stages=["stage2"])
+        assert sorted(hashed) == sorted([*manifest.stages["stage2"]["inputs"],
+                                         *manifest.stages["stage2"]["outputs"]])
+        assert manifest.stages["stage2"]["inputs"] == {
+            path: outputs[path] for path in manifest.stages["stage2"]["inputs"]}
+
     def test_no_temp_files_left_behind(self, fixture_config):
         config = load_config(fixture_config("tidy"))
         run_pipeline(config)

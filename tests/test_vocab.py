@@ -1,6 +1,10 @@
 """Controlled vocabulary data, alias lookup, and label records."""
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vismine import vocab
 from vismine.errors import VocabularyError
@@ -70,6 +74,67 @@ class TestCanonicalLookup:
         assert v.sort_values("model_listener", values) == (
             "input data", "transient state", "output results",
         )
+
+
+def _fold_oracle(value: str) -> str:
+    return re.sub(r"\s+", " ", value.strip().lower())
+
+
+def canonical_oracle(v: vocab.LabelVocabulary, fname: str, value: str) -> str | None:
+    """`LabelVocabulary.canonical` as it was before its lookup table: the reference."""
+    folded = _fold_oracle(str(value))
+    if not folded:
+        return None
+    for category in v.values(fname):
+        if _fold_oracle(category) == folded:
+            return category
+    alias = v.aliases.get(fname, {})
+    target = {_fold_oracle(k): t for k, t in alias.items()}.get(folded)
+    if target is not None:
+        return canonical_oracle(v, fname, target)
+    return None
+
+
+# Few letters and several kinds of space, so folds collide often; alias
+# surfaces share "a" with the categories, so some fold like one.
+surface = st.text(st.sampled_from("aAbB \t\n"), max_size=4)
+alias_surface = st.text(st.sampled_from("aAcC \t"), max_size=3)
+
+
+@st.composite
+def vocabularies(draw):
+    categories = {f: tuple(draw(st.lists(surface, min_size=1, max_size=4))) for f in vocab.FIELDS}
+    aliases = {}
+    for fname in draw(st.lists(st.sampled_from(vocab.FIELDS), unique=True)):
+        # A target must fold to a category; it may differ from it in case and spacing.
+        targets = st.sampled_from(categories[fname]).flatmap(
+            lambda c: st.sampled_from([c, c.upper(), f" {c}\t", c.replace(" ", "  ")]))
+        aliases[fname] = draw(st.dictionaries(alias_surface, targets, max_size=6))
+    return vocab.LabelVocabulary(categories=categories, aliases=aliases)
+
+
+class TestCanonicalTable:
+    @settings(max_examples=300, deadline=None)
+    @given(vocabularies(), st.data())
+    def test_matches_the_reference(self, v, data):
+        known = [s for f in vocab.FIELDS for s in (*v.categories[f], *v.aliases.get(f, {}))]
+        for _ in range(8):
+            fname = data.draw(st.sampled_from([*vocab.FIELDS, "color_scheme"]))
+            value = data.draw(st.one_of(surface, alias_surface, st.sampled_from(known)))
+            try:
+                expected = canonical_oracle(v, fname, value)
+            except VocabularyError:
+                with pytest.raises(VocabularyError):
+                    v.canonical(fname, value)
+            else:
+                assert v.canonical(fname, value) == expected, (fname, value)
+
+    def test_packaged_vocabulary_matches_the_reference(self):
+        v = vocab.load_vocabulary()
+        for fname in vocab.FIELDS:
+            for value in (*v.categories[fname], *v.aliases.get(fname, {}), "nothing", " "):
+                for variant in (value, value.upper(), f"  {value} "):
+                    assert v.canonical(fname, variant) == canonical_oracle(v, fname, variant)
 
 
 class TestVocabularyValidation:
