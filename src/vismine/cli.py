@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import evaluation as eval_mod
@@ -35,12 +36,10 @@ def _int_list(text: str, flag: str) -> list[int]:
 
 
 def _config_from_args(args) -> RunConfig:
-    """The `--config` file, validated but for the input paths, which come from flags."""
-    config = load_config(args.config)
-    problems = [
-        p for p in validate_config(config)
-        if not p.startswith(("corpus", "pool", "docs", "library"))
-    ]
+    """The validated `--config` file without its input paths, which come from flags."""
+    config = replace(load_config(args.config), corpus_path=None, pool_path=None,
+                     docs_manifest_path=None, docs_dir=None, library_path=None)
+    problems = validate_config(config)
     if problems:
         raise ConfigError("; ".join(problems))
     return config
@@ -163,14 +162,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config = load_config(args.config)
-    problems = validate_config(config)
-    if problems:
-        for problem in problems:
-            print(f"config error: {problem}", file=sys.stderr)
-        return EXIT_VALIDATION
     stages = args.stages.split(",") if args.stages else list(STAGES)
-    manifest = run_pipeline(config, stages)
+    manifest = run_pipeline(load_config(args.config), stages)
     print(f"pipeline complete: stages={sorted(manifest.stages, key=STAGES.index)} "
           f"network_calls={manifest.gateway.get('network_calls', 0)}")
     return EXIT_OK

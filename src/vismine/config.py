@@ -1,22 +1,29 @@
 """Run configuration: loading, batch validation, gateway construction.
 
 The config is a single JSON file; credentials are referenced by env-var
-name and never stored in it. Validation collects every violation before
+name and never stored in it. One reader, driven by the dataclass fields,
+loads `RunConfig`, each `BackendConfig` and its `StubRules`: a field's JSON
+key is its name or its `_KEYS` entry, and a value of the wrong type is a
+`ConfigError` naming that key. Validation collects every violation before
 reporting, so one pass fixes everything.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
+from typing import Callable, get_type_hints
 
 from . import stage1 as stage1_mod
 from . import stage2 as stage2_mod
 from . import stage3 as stage3_mod
 from .corpus import DEFAULT_KEYWORDS
-from .errors import ConfigError
+from .errors import ConfigError, InputError
 from .gateway import Gateway, HttpBackend, KeywordStubBackend, StubRules
+from .jsonl import read_jsonl
+
 
 @dataclass
 class BackendConfig:
@@ -27,7 +34,7 @@ class BackendConfig:
     api_key_env: str = ""
     temperature: float = 0.0
     timeout: float = 60.0
-    stub_rules: dict = field(default_factory=dict)
+    stub_rules: StubRules = StubRules()
 
 
 @dataclass
@@ -66,120 +73,129 @@ class RunConfig:
         return path if path.is_absolute() else self.base_dir / path
 
 
-def _section(raw: dict, key: str, name: str) -> dict:
-    """The object under `key`; a missing or null one is empty."""
-    value = raw.get(key)
+# The JSON key of each field not read under its own name; a dotted key
+# `section.key` is `key` inside the object `section`.
+_KEYS = {
+    "corpus_path": "corpus", "pool_path": "pool", "docs_manifest_path": "docs_manifest",
+    "library_path": "library", "vocab_path": "vocabulary", "alias_path": "aliases",
+    "stage1_k": "stage1.k", "stage1_min_pos": "stage1.min_pos",
+    "stage1_min_neg": "stage1.min_neg", "stage1_backends": "stage1.backends",
+    "stage2_k": "stage2.k", "stage2_max_figs": "stage2.max_figs",
+    "stage2_backend": "stage2.backend",
+    "stage3_k": "stage3.k", "stage3_per_paper_cap": "stage3.per_paper_cap",
+    "stage3_backend": "stage3.backend",
+}
+
+
+@functools.cache
+def _readers(cls) -> tuple[tuple[str, tuple[str, ...], Callable], ...]:
+    """(field name, JSON key path, reader) of each field of `cls` with a default.
+
+    Resolved once per class. A field without a default (`base_dir`,
+    `slot`) is not read from the file: the caller supplies it.
+    """
+    hints = get_type_hints(cls)
+    return tuple(
+        (f.name, tuple(_KEYS.get(f.name, f.name).split(".")), _READERS[hints[f.name]])
+        for f in fields(cls)
+        if f.default is not MISSING or f.default_factory is not MISSING
+    )
+
+
+def _load(cls, raw, key: str, **given):
+    """A `cls` from the JSON object `raw` found under `key`.
+
+    A key left out or null keeps its field's default; a value of the
+    wrong type is a `ConfigError` naming its full key.
+    """
+    for name, path, read in _readers(cls):
+        value, full_key = raw, key
+        for part in path:
+            value = _object(value, full_key).get(part)
+            full_key = f"{full_key}.{part}" if full_key else part
+        if value is not None and (value := read(value, full_key)) is not None:
+            given[name] = value
+    return cls(**given)
+
+
+def _object(value, key: str) -> dict:
+    """The JSON object `value`; null is an empty one."""
     if value is None:
         return {}
     if not isinstance(value, dict):
-        raise ConfigError(f"{name}: expected an object, got {value!r}")
+        raise ConfigError(f"{key}: expected an object, got {value!r}")
     return value
 
 
-def _number(raw: dict, key: str, default, kind: type, name: str):
-    value = raw.get(key, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name}: expected a number, got {value!r}") from None
+def _int(value, key: str) -> int:
+    if type(value) is not int:
+        raise ConfigError(f"{key}: expected an integer, got {value!r}")
+    return value
 
 
-def _strings(raw: dict, key: str, default: tuple[str, ...], name: str) -> tuple[str, ...]:
-    """The list of strings under `key`; a missing or empty one gives `default`."""
-    value = raw.get(key)
-    if not value:
-        return default
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ConfigError(f"{name}: expected a list of strings, got {value!r}")
-    return tuple(value)
+def _float(value, key: str) -> float:
+    if type(value) not in (int, float):
+        raise ConfigError(f"{key}: expected a number, got {value!r}")
+    return float(value)
 
 
-def _path_or_none(raw: dict, key: str) -> Path | None:
-    value = raw.get(key)
-    if not value:
-        return None
+def _str(value, key: str) -> str:
     if not isinstance(value, str):
-        raise ConfigError(f"{key}: expected a path, got {value!r}")
-    return Path(value)
+        raise ConfigError(f"{key}: expected a string, got {value!r}")
+    return value
+
+
+def _path(value, key: str) -> Path | None:
+    """An empty path is None, so the field keeps its default."""
+    return Path(value) if _str(value, key) else None
+
+
+def _str_list(value, key: str) -> tuple[str, ...] | None:
+    """An empty list is None, so the field keeps its default."""
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise ConfigError(f"{key}: expected a list of strings, got {value!r}")
+    return tuple(value) or None
+
+
+def _pairs(value, key: str) -> tuple[tuple[str, str], ...]:
+    if not isinstance(value, list) or not all(
+        isinstance(item, list) and len(item) == 2 and all(isinstance(s, str) for s in item)
+        for item in value
+    ):
+        raise ConfigError(f"{key}: expected a list of [keyword, value] pairs, got {value!r}")
+    return tuple(tuple(item) for item in value)
+
+
+def _backends(value, key: str) -> dict[str, BackendConfig]:
+    return {slot: _load(BackendConfig, spec, f"{key}.{slot}", slot=slot)
+            for slot, spec in _object(value, key).items()}
+
+
+# The reader of each field type.
+_READERS = {
+    int: _int, float: _float, str: _str, Path: _path, Path | None: _path,
+    tuple[str, ...]: _str_list, tuple[tuple[str, str], ...]: _pairs,
+    dict[str, BackendConfig]: _backends, StubRules: functools.partial(_load, StubRules),
+}
 
 
 def _max_corpus_year(path: Path) -> int | None:
-    years = []
     try:
-        with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                year = json.loads(line).get("year")
-                if year is not None:
-                    years.append(int(year))
-    except (OSError, ValueError):
+        years = [int(row["year"]) for row in read_jsonl(path) if row.get("year") is not None]
+    except (InputError, OSError, ValueError, TypeError, OverflowError):
         return None  # malformed corpora are reported by ingest, not here
-    return max(years) if years else None
+    return max(years, default=None)
 
 
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not JSON or not UTF-8
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path}: expected a JSON object")
-    backends = {}
-    backend_specs = _section(raw, "backends", "backends")
-    for slot in backend_specs:
-        name = f"backends.{slot}"
-        spec = _section(backend_specs, slot, name)
-        default_backend = BackendConfig(slot=slot)
-        backends[slot] = BackendConfig(
-            slot=slot,
-            kind=str(spec.get("kind", default_backend.kind)),
-            endpoint=str(spec.get("endpoint", default_backend.endpoint)),
-            model=str(spec.get("model", default_backend.model)),
-            api_key_env=str(spec.get("api_key_env", default_backend.api_key_env)),
-            temperature=_number(spec, "temperature", default_backend.temperature, float,
-                                f"{name}.temperature"),
-            timeout=_number(spec, "timeout", default_backend.timeout, float, f"{name}.timeout"),
-            stub_rules=dict(_section(spec, "stub_rules", f"{name}.stub_rules")),
-        )
-    stage1 = _section(raw, "stage1", "stage1")
-    stage2 = _section(raw, "stage2", "stage2")
-    stage3 = _section(raw, "stage3", "stage3")
-    default = RunConfig(base_dir=path.parent.resolve())
-    return RunConfig(
-        base_dir=default.base_dir,
-        corpus_path=_path_or_none(raw, "corpus"),
-        pool_path=_path_or_none(raw, "pool"),
-        docs_manifest_path=_path_or_none(raw, "docs_manifest"),
-        docs_dir=_path_or_none(raw, "docs_dir"),
-        library_path=_path_or_none(raw, "library"),
-        vocab_path=_path_or_none(raw, "vocabulary"),
-        alias_path=_path_or_none(raw, "aliases"),
-        out_dir=_path_or_none(raw, "out_dir") or default.out_dir,
-        cache_dir=_path_or_none(raw, "cache_dir"),
-        keywords=_strings(raw, "keywords", default.keywords, "keywords"),
-        reference_year=_number(raw, "reference_year", default.reference_year, int,
-                               "reference_year"),
-        stage1_k=_number(stage1, "k", default.stage1_k, int, "stage1.k"),
-        stage1_min_pos=_number(stage1, "min_pos", default.stage1_min_pos, int, "stage1.min_pos"),
-        stage1_min_neg=_number(stage1, "min_neg", default.stage1_min_neg, int, "stage1.min_neg"),
-        stage1_backends=_strings(stage1, "backends", default.stage1_backends, "stage1.backends"),
-        stage2_k=_number(stage2, "k", default.stage2_k, int, "stage2.k"),
-        stage2_max_figs=_number(stage2, "max_figs", default.stage2_max_figs, int,
-                                "stage2.max_figs"),
-        stage2_backend=str(stage2.get("backend", default.stage2_backend)),
-        stage3_k=_number(stage3, "k", default.stage3_k, int, "stage3.k"),
-        stage3_per_paper_cap=_number(stage3, "per_paper_cap", default.stage3_per_paper_cap, int,
-                                     "stage3.per_paper_cap"),
-        stage3_backend=str(stage3.get("backend", default.stage3_backend)),
-        max_workers=_number(raw, "max_workers", default.max_workers, int, "max_workers"),
-        max_attempts=_number(raw, "max_attempts", default.max_attempts, int, "max_attempts"),
-        backoff_base=_number(raw, "backoff_base", default.backoff_base, float, "backoff_base"),
-        concurrency=_number(raw, "concurrency", default.concurrency, int, "concurrency"),
-        backends=backends,
-    )
+    return _load(RunConfig, raw, "", base_dir=path.parent.resolve())
 
 
 def validate_config(config: RunConfig) -> list[str]:
@@ -190,29 +206,20 @@ def validate_config(config: RunConfig) -> list[str]:
     """
     errors: list[str] = []
 
-    for name, path in (
-        ("corpus", config.corpus_path),
-        ("pool", config.pool_path),
-        ("docs_manifest", config.docs_manifest_path),
-        ("library", config.library_path),
-        ("vocabulary", config.vocab_path),
-        ("aliases", config.alias_path),
-    ):
-        resolved = config.resolve(path)
+    for name in ("corpus_path", "pool_path", "docs_manifest_path", "library_path",
+                 "vocab_path", "alias_path"):
+        resolved = config.resolve(getattr(config, name))
         if resolved is not None and not resolved.exists():
-            errors.append(f"{name}: file not found: {resolved}")
+            errors.append(f"{_KEYS[name]}: file not found: {resolved}")
     if config.docs_dir is not None:
         docs_dir = config.resolve(config.docs_dir)
         if not docs_dir.is_dir():
             errors.append(f"docs_dir: directory not found: {docs_dir}")
 
-    for name, k in (
-        ("stage1.k", config.stage1_k),
-        ("stage2.k", config.stage2_k),
-        ("stage3.k", config.stage3_k),
-    ):
+    for name in ("stage1_k", "stage2_k", "stage3_k"):
+        k = getattr(config, name)
         if k < 1:
-            errors.append(f"{name}: k must be >= 1, got {k}")
+            errors.append(f"{_KEYS[name]}: k must be >= 1, got {k}")
     if config.stage1_min_pos < 0 or config.stage1_min_neg < 0:
         errors.append("stage1: min_pos/min_neg must be nonnegative")
     if config.stage1_min_pos + config.stage1_min_neg > config.stage1_k:
@@ -252,11 +259,6 @@ def validate_config(config: RunConfig) -> list[str]:
             errors.append(f"backend {slot!r}: http backend needs an endpoint")
         if backend.kind == "http" and not backend.api_key_env:
             errors.append(f"backend {slot!r}: http backend needs api_key_env")
-        if backend.kind == "stub":
-            try:
-                StubRules.from_config(backend.stub_rules)
-            except ConfigError as exc:
-                errors.append(f"backends.{slot}.{exc}")
     return errors
 
 
@@ -264,7 +266,7 @@ def build_gateway(config: RunConfig) -> Gateway:
     backends = {}
     for slot, spec in config.backends.items():
         if spec.kind == "stub":
-            backends[slot] = KeywordStubBackend(slot, StubRules.from_config(spec.stub_rules))
+            backends[slot] = KeywordStubBackend(slot, spec.stub_rules)
         elif spec.kind == "http":
             backends[slot] = HttpBackend(
                 name=slot,

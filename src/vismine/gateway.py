@@ -24,7 +24,6 @@ from typing import Callable, Mapping, Protocol, Sequence
 from .errors import (
     AuthenticationError,
     BackendUnavailable,
-    ConfigError,
     GatewayError,
     TransientBackendError,
 )
@@ -507,7 +506,8 @@ class StubRules:
     """Keyword rules powering a fully deterministic offline backend.
 
     Decisions look only at the prompt's target section, so expectations
-    can be traced by hand from the input text.
+    can be traced by hand from the input text. `config.load_config` reads
+    them from a stub backend's `stub_rules`.
     """
 
     screen_keywords: tuple[str, ...] = ()
@@ -522,49 +522,6 @@ class StubRules:
     purpose_default: str = "other"
     positive_confidence: float = 0.9
     negative_confidence: float = 0.1
-
-    @classmethod
-    def from_config(cls, raw: Mapping) -> "StubRules":
-        """The rules of a backend's `stub_rules` object; a missing key keeps its default.
-
-        A value of the wrong shape is a `ConfigError` naming its key.
-        """
-        default = cls()
-
-        def listed(key, items, item_ok):
-            value = raw.get(key, getattr(default, key))
-            if not isinstance(value, (list, tuple)) or not all(map(item_ok, value)):
-                raise ConfigError(f"stub_rules.{key}: expected a list of {items}, got {value!r}")
-            return value
-
-        def strings(key):
-            return tuple(listed(key, "strings", lambda item: isinstance(item, str)))
-
-        def pairs(key):
-            is_pair = lambda item: isinstance(item, (list, tuple)) and len(item) == 2
-            return tuple((str(k), str(v)) for k, v in listed(key, "[keyword, value] pairs", is_pair))
-
-        def number(key):
-            value = raw.get(key, getattr(default, key))
-            try:
-                return float(value)
-            except (TypeError, ValueError):
-                raise ConfigError(f"stub_rules.{key}: expected a number, got {value!r}") from None
-
-        return cls(
-            screen_keywords=strings("screen_keywords"),
-            figure_keywords=strings("figure_keywords"),
-            role_rules=pairs("role_rules"),
-            listener_rules=pairs("listener_rules"),
-            data_type_rules=pairs("data_type_rules"),
-            vis_type_rules=pairs("vis_type_rules"),
-            purpose_rules=pairs("purpose_rules"),
-            data_type_default=str(raw.get("data_type_default", default.data_type_default)),
-            vis_type_default=str(raw.get("vis_type_default", default.vis_type_default)),
-            purpose_default=str(raw.get("purpose_default", default.purpose_default)),
-            positive_confidence=number("positive_confidence"),
-            negative_confidence=number("negative_confidence"),
-        )
 
 
 class KeywordStubBackend:

@@ -71,17 +71,12 @@ class RunManifest:
 
 
 def _config_hash(config: RunConfig) -> str:
+    """SHA-256 of every setting, paths as strings."""
     import hashlib
 
-    payload = dumps_stable(
-        {
-            k: str(v) if isinstance(v, Path) else v
-            for k, v in vars(config).items()
-            if k != "backends"
-        }
-        | {"backends": {slot: vars(b) for slot, b in sorted(config.backends.items())}}
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    settings = asdict(config, dict_factory=lambda items: {
+        k: str(v) if isinstance(v, Path) else v for k, v in items})
+    return hashlib.sha256(dumps_stable(settings).encode("utf-8")).hexdigest()
 
 
 def load_corpus_file(path: str | Path) -> list[corpus_mod.PaperRecord]:
@@ -375,14 +370,14 @@ def run_pipeline(config: RunConfig, stages: list[str] | None = None) -> RunManif
     in stage 2 or 3, the remaining stages still run and the manifest is
     written; then a `PipelineError` names each stage's retry queue.
     """
+    problems = validate_config(config)
+    if problems:
+        raise ConfigError("; ".join(problems))
     stages = list(stages) if stages is not None else list(STAGES)
     unknown = [s for s in stages if s not in STAGES]
     if unknown:
         raise PipelineError(f"unknown stages: {unknown}")
     stages.sort(key=STAGES.index)
-    problems = validate_config(config)
-    if problems:
-        raise ConfigError("; ".join(problems))
 
     out_dir = config.resolve(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vismine import cli, pipeline
+from vismine import config as config_mod
 from vismine.cli import main
 from vismine.errors import GatewayError, InputError
 from vismine.gateway import KeywordStubBackend
@@ -62,8 +63,11 @@ class TestRunCommand:
         assert "Traceback" not in err
 
 
-def _fixture_backends(**primary_rules) -> dict:
+def _fixture_backends(primary=None, **primary_rules) -> dict:
+    """The fixture's backends, `primary` merged into the primary backend and
+    `primary_rules` into its stub rules."""
     backends = json.loads((FIXTURE_DIR / "config.json").read_text())["backends"]
+    backends["primary"].update(primary or {})
     backends["primary"]["stub_rules"].update(primary_rules)
     return backends
 
@@ -86,6 +90,19 @@ class TestMalformedConfig:
          "backends.primary.stub_rules.role_rules"),
         ({"backends": _fixture_backends(positive_confidence="high")},
          "backends.primary.stub_rules.positive_confidence"),
+        # An integer key takes only a JSON integer: no fraction, bool or numeric string.
+        ({"stage2": {"k": 4.9}}, "stage2.k"),
+        ({"stage1": {"min_pos": 2.0}}, "stage1.min_pos"),
+        ({"max_workers": True}, "max_workers"),
+        ({"concurrency": "8"}, "concurrency"),
+        # A number key takes a JSON integer or fraction: no bool or numeric string.
+        ({"backoff_base": False}, "backoff_base"),
+        ({"backends": _fixture_backends({"timeout": "30"})}, "backends.primary.timeout"),
+        ({"backends": _fixture_backends(negative_confidence=True)},
+         "backends.primary.stub_rules.negative_confidence"),
+        ({"stage2": {"backend": 1}}, "stage2.backend"),
+        ({"backends": _fixture_backends(listener_rules=[["accuracy", 1]])},
+         "backends.primary.stub_rules.listener_rules"),
     ]
 
     @pytest.mark.parametrize("settings, key", CASES, ids=[key for _, key in CASES])
@@ -94,6 +111,44 @@ class TestMalformedConfig:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith(f"config error: {key}: expected ")
+
+
+class TestConfigValidation:
+    def test_run_reads_the_corpus_years_once(self, fixture_config, monkeypatch):
+        calls = []
+        real = config_mod._max_corpus_year
+        monkeypatch.setattr(config_mod, "_max_corpus_year",
+                            lambda path: calls.append(path) or real(path))
+        assert main(["run", "--config", str(fixture_config("validate_once"))]) == 0
+        assert len(calls) == 1
+
+    def test_run_reports_every_violation_on_one_line(self, fixture_config, capsys):
+        config = fixture_config("violations", concurrency=0, max_workers=0)
+        assert main(["run", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "max_workers must be >= 1, got 0; concurrency must be >= 1, got 0" in err
+
+    def test_ingest_checks_reference_year_against_its_own_corpus(self, fixture_config, tmp_path):
+        # The config's own corpus reaches 2024; the one given by flag ends in 2019.
+        corpus = tmp_path / "old.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"paper_id": f"P{year}", "title": "Model probes", "year": year}) + "\n"
+            for year in (2018, 2019)), encoding="utf-8")
+        assert main([
+            "ingest", "--corpus", str(corpus), "--out", str(tmp_path / "corpus.jsonl"),
+            "--report", str(tmp_path / "report.json"),
+            "--config", str(fixture_config("old_corpus", reference_year=2020)),
+        ]) == 0
+
+    def test_run_on_a_corpus_line_that_is_not_an_object_exits_1(self, fixture_config,
+                                                                 tmp_path, capsys):
+        corpus = tmp_path / "list.jsonl"
+        corpus.write_text("[1, 2]\n", encoding="utf-8")
+        config = fixture_config("list_corpus", corpus=str(corpus))
+        assert main(["run", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert f"{corpus}:1: not a JSON object" in err and "Traceback" not in err
 
 
 class TestStageCommands:

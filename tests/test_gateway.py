@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from vismine import gateway as gw
+from vismine.config import load_config
 from vismine.errors import AuthenticationError, BackendUnavailable, GatewayError, TransientBackendError
 
 
@@ -435,11 +436,17 @@ class TestKeywordStub:
         payload = json.loads(backend.complete(req.render()))
         assert payload["relevant"] is False
 
-    def test_rules_from_empty_config_are_the_defaults(self):
-        assert gw.StubRules.from_config({}) == gw.StubRules()
+    def loaded_rules(self, tmp_path, stub_rules: dict) -> gw.StubRules:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"backends": {"stub": {"kind": "stub",
+                                                          "stub_rules": stub_rules}}}))
+        return load_config(path).backends["stub"].stub_rules
 
-    def test_rules_from_partial_config_keep_other_defaults(self):
-        rules = gw.StubRules.from_config({
+    def test_rules_from_empty_config_are_the_defaults(self, tmp_path):
+        assert self.loaded_rules(tmp_path, {}) == gw.StubRules()
+
+    def test_rules_from_partial_config_keep_other_defaults(self, tmp_path):
+        rules = self.loaded_rules(tmp_path, {
             "screen_keywords": ["saliency"],
             "role_rules": [["accuracy", "performance"]],
             "vis_type_default": "heatmap",
