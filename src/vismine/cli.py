@@ -139,6 +139,7 @@ def cmd_eval(args) -> int:
         stage1_min_neg=config.stage1_min_neg,
         stage3_backend=config.stage3_backend,
         stage3_per_paper_cap=config.stage3_per_paper_cap,
+        max_workers=config.max_workers,
     )
     write_json(args.out, report.to_dict())
     leaks = eval_mod.find_leakage(report)
@@ -149,7 +150,10 @@ def cmd_eval(args) -> int:
             f"tn={row.counts.tn} fn={row.counts.fn})"
         )
     print(f"leakage violations: {len(leaks)}")
-    return EXIT_OK if not leaks else EXIT_RUNTIME
+    if report.errors:
+        print(f"error: {len(report.errors)} fold item(s) failed and are listed under "
+              f"\"errors\" in {args.out}", file=sys.stderr)
+    return EXIT_RUNTIME if leaks or report.errors else EXIT_OK
 
 
 def cmd_analyze(args) -> int:

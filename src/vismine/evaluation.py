@@ -9,12 +9,12 @@ still report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import bm25
 from .corpus import LabeledPool, NEGATIVE, POSITIVE
 from .errors import EvaluationError, StageError
-from .gateway import Gateway
+from .gateway import Gateway, map_items
 from .library import CodedPaper
 from .stage1 import (
     DEFAULT_K, DEFAULT_MIN_NEG, DEFAULT_MIN_POS, FewShotContext, build_fewshot_context, paper_doc,
@@ -209,6 +209,41 @@ def _binary_counts(gold_positive: bool, predicted_positive: bool, track_tn: bool
     return counts
 
 
+def _with_evidence(paper_id: str, figures: Iterable, evidence_lookup: EvidenceLookup) -> list:
+    """`(figure, evidence)` of each of `figures` that has evidence."""
+    pairs = ((figure, evidence_lookup(paper_id, figure.figure_id)) for figure in figures)
+    return [(figure, evidence) for figure, evidence in pairs if evidence is not None]
+
+
+def _run_folds(
+    stage: str,
+    folds: Sequence,
+    score_fold: Callable,
+    build_rows: Callable[[dict], list[ReportRow]],
+    report: LooReport | None,
+    max_workers: int,
+) -> LooReport:
+    """Score `folds` on `max_workers` threads and add them to `report`.
+
+    `score_fold` returns a fold's `FoldLog`s, error lines and
+    `(aggregate key, counts)` pairs, or None when the fold has nothing to
+    score and is not counted. Logs and errors are appended in fold order,
+    counts are summed per key in the order keys first appear, and
+    `build_rows` turns those sums into the stage's rows.
+    """
+    report = report if report is not None else LooReport()
+    aggregates: dict = {}
+    scored = [s for s in map_items(score_fold, folds, max_workers) if s is not None]
+    for logs, errors, counts in scored:
+        report.folds.extend(logs)
+        report.errors.extend(errors)
+        for key, fold_counts in counts:
+            aggregates.setdefault(key, ConfusionCounts()).add(fold_counts)
+    report.rows.extend(build_rows(aggregates))
+    report.fold_counts[stage] = len(scored)
+    return report
+
+
 def run_stage1_loo(
     pool: LabeledPool,
     gateway: Gateway,
@@ -218,25 +253,20 @@ def run_stage1_loo(
     min_pos: int = DEFAULT_MIN_POS,
     min_neg: int = DEFAULT_MIN_NEG,
     report: LooReport | None = None,
+    max_workers: int = 1,
 ) -> LooReport:
     """One fold per pool paper: baseline plus each shots setting."""
     if len(pool.records) < 2:
         raise EvaluationError("stage 1 LOO needs at least two labeled papers")
     if baseline_k < 1:
         raise EvaluationError(f"baseline_k must be >= 1, got {baseline_k}")
-    report = report if report is not None else LooReport()
-    aggregates: dict[tuple[str, str], ConfusionCounts] = {}
-
-    def bump(method: str, model: str, fold_counts: ConfusionCounts) -> None:
-        aggregates.setdefault((method, model), ConfusionCounts()).add(fold_counts)
-
     # Each paper is tokenized once per run; a fold's index is built from
     # the other papers' documents, so the held-out paper never enters its
     # N, df or average length, and its query is its own document's tokens.
     docs = [paper_doc(r) for r in pool.records]
-    folds = 0
-    for target, target_doc in zip(pool.records, docs):
-        folds += 1
+
+    def score_fold(fold):
+        target, target_doc = fold
         rest = pool.without(target.paper_id)
         rest_index = bm25.build_index(d for d in docs if d is not target_doc)
         ranked = bm25.rank_all(rest_index, target_doc.tokens)
@@ -244,17 +274,12 @@ def run_stage1_loo(
 
         # Scores are never negative, so this is `top_k`'s result.
         neighbors = [doc_id for doc_id, score in ranked[:baseline_k] if score > 0.0]
-        baseline_pred = _majority_label(rest, neighbors)
-        bump("majority_vote", "bm25", _binary_counts(gold_positive, baseline_pred == POSITIVE, True))
-        report.folds.append(
-            FoldLog(
-                stage="stage1",
-                method="majority_vote",
-                held_out=target.paper_id,
-                neighbors=neighbors,
-            )
-        )
-
+        baseline_positive = _majority_label(rest, neighbors) == POSITIVE
+        logs = [FoldLog(stage="stage1", method="majority_vote", held_out=target.paper_id,
+                        neighbors=neighbors)]
+        errors = []
+        counts = [(("majority_vote", "bm25"),
+                   _binary_counts(gold_positive, baseline_positive, True))]
         for shot in shots:
             method = f"{shot}-shot"
             if shot == 0:
@@ -265,38 +290,28 @@ def run_stage1_loo(
                         target, rest, ranked, k=shot, min_pos=min_pos, min_neg=min_neg
                     )
                 except StageError as exc:
-                    report.errors.append(f"stage1/{method}/{target.paper_id}: {exc}")
+                    errors.append(f"stage1/{method}/{target.paper_id}: {exc}")
                     continue
             decision = screen_paper(target, context, gateway, backend_ids)
-            for verdict in decision.verdicts:
-                bump(method, verdict.backend_id, _binary_counts(gold_positive, verdict.decision, True))
-            report.folds.append(
-                FoldLog(
-                    stage="stage1",
-                    method=method,
-                    held_out=target.paper_id,
-                    exemplars=list(context.exemplar_ids),
-                )
-            )
+            counts += [((method, verdict.backend_id),
+                        _binary_counts(gold_positive, verdict.decision, True))
+                       for verdict in decision.verdicts]
+            logs.append(FoldLog(stage="stage1", method=method, held_out=target.paper_id,
+                                exemplars=list(context.exemplar_ids)))
             if decision.error:
-                report.errors.append(f"stage1/{method}/{target.paper_id}: {decision.error}")
+                errors.append(f"stage1/{method}/{target.paper_id}: {decision.error}")
             elif len(backend_ids) > 1:
-                bump(method, "consensus",
-                     _binary_counts(gold_positive, decision.decision == POSITIVE, True))
+                counts.append(((method, "consensus"),
+                               _binary_counts(gold_positive, decision.decision == POSITIVE, True)))
+        return logs, errors, counts
 
-    for (method, model), counts in aggregates.items():
-        report.rows.append(
-            ReportRow(
-                stage="stage1",
-                method=method,
-                model=model,
-                target=f"manually classified {len(pool.records)} papers",
-                counts=counts,
-                metric="precision",
-            )
-        )
-    report.fold_counts["stage1"] = folds
-    return report
+    target = f"manually classified {len(pool.records)} papers"
+    return _run_folds(
+        "stage1", list(zip(pool.records, docs)), score_fold,
+        lambda aggregates: [ReportRow("stage1", method, model, target, counts, "precision")
+                            for (method, model), counts in aggregates.items()],
+        report, max_workers,
+    )
 
 
 def run_stage2_loo(
@@ -306,63 +321,47 @@ def run_stage2_loo(
     backend_id: str,
     shots: Sequence[int] = (0, 5),
     report: LooReport | None = None,
+    max_workers: int = 1,
 ) -> LooReport:
     """One fold per coded paper; scored on explicitly labeled figures only."""
     if len(coded) < 2:
         raise EvaluationError("stage 2 LOO needs at least two coded papers")
-    report = report if report is not None else LooReport()
-    aggregates: dict[str, ConfusionCounts] = {}
     # Each paper is tokenized once per run; a fold's index is built from
     # the other papers' documents, in library order.
     docs = [paper_doc(p.record) for p in coded]
-    folds = 0
-    for target, target_doc in zip(coded, docs):
-        labeled = [
-            (figure, evidence_lookup(target.paper_id, figure.figure_id))
-            for figure in target.labeled_figures()
-        ]
-        labeled = [(figure, ev) for figure, ev in labeled if ev is not None]
+
+    def score_fold(fold):
+        target, target_doc = fold
+        labeled = _with_evidence(target.paper_id, target.labeled_figures(), evidence_lookup)
         if not labeled:
-            continue
-        folds += 1
+            return None
         rest = [p for p in coded if p.paper_id != target.paper_id]
         rest_index = bm25.build_index(
             d for p, d in zip(coded, docs) if p.paper_id != target.paper_id
         )
         gold = {evidence.figure_id: bool(figure.relevant) for figure, evidence in labeled}
+        logs, errors, counts = [], [], []
         for shot in shots:
             method = f"{shot}-shot"
             verdicts, failed, log = judge_paper_figures(
                 target_doc, [evidence for _, evidence in labeled], rest, rest_index,
                 evidence_lookup, gateway, backend_id, shot,
             )
-            report.folds.append(
-                FoldLog(
-                    stage="stage2",
-                    method=method,
-                    held_out=target.paper_id,
-                    neighbors=log["neighbors"],
-                    exemplars=log["exemplars"],
-                )
-            )
-            for paper_id, figure_id, message in failed:
-                report.errors.append(f"stage2/{method}/{paper_id}::{figure_id}: {message}")
-            for verdict in verdicts:
-                counts = _binary_counts(gold[verdict.figure_id], verdict.relevant, False)
-                aggregates.setdefault(method, ConfusionCounts(tn=None)).add(counts)
-    for method, counts in sorted(aggregates.items()):
-        report.rows.append(
-            ReportRow(
-                stage="stage2",
-                method=method,
-                model=backend_id,
-                target=f"{len(coded)} labeled papers",
-                counts=counts,
-                metric="f1",
-            )
-        )
-    report.fold_counts["stage2"] = folds
-    return report
+            logs.append(FoldLog(stage="stage2", method=method, held_out=target.paper_id,
+                                neighbors=log["neighbors"], exemplars=log["exemplars"]))
+            errors += [f"stage2/{method}/{paper_id}::{figure_id}: {message}"
+                       for paper_id, figure_id, message in failed]
+            counts += [(method, _binary_counts(gold[verdict.figure_id], verdict.relevant, False))
+                       for verdict in verdicts]
+        return logs, errors, counts
+
+    target = f"{len(coded)} labeled papers"
+    return _run_folds(
+        "stage2", list(zip(coded, docs)), score_fold,
+        lambda aggregates: [ReportRow("stage2", method, backend_id, target, counts, "f1")
+                            for method, counts in sorted(aggregates.items())],
+        report, max_workers,
+    )
 
 
 def run_stage3_loo(
@@ -374,26 +373,21 @@ def run_stage3_loo(
     shots: Sequence[int] = (0, 10),
     per_paper_cap: int = DEFAULT_PER_PAPER_CAP,
     report: LooReport | None = None,
+    max_workers: int = 1,
 ) -> LooReport:
     """One fold per coded paper; scored on figures with available labels."""
     if len(coded) < 2:
         raise EvaluationError("stage 3 LOO needs at least two coded papers")
-    report = report if report is not None else LooReport()
-    aggregates: dict[tuple[str, str], ConfusionCounts] = {}
     # Each figure is tokenized once per run; a fold's corpus indexes the
     # other papers' figures, in library order, and a figure's query is its
     # own document's tokens.
     figures = [figure_docs(coded_figure_entries(p, evidence_lookup)) for p in coded]
-    folds = 0
-    for target, target_figures in zip(coded, figures):
-        gold_figures = [
-            (figure, evidence_lookup(target.paper_id, figure.figure_id))
-            for figure in target.coded_figures()
-        ]
-        gold_figures = [(figure, ev) for figure, ev in gold_figures if ev is not None]
+
+    def score_fold(fold):
+        target, target_figures = fold
+        gold_figures = _with_evidence(target.paper_id, target.coded_figures(), evidence_lookup)
         if not gold_figures:
-            continue
-        folds += 1
+            return None
         corpus = index_figures([
             d for p, paper_figures in zip(coded, figures) if p.paper_id != target.paper_id
             for d in paper_figures
@@ -402,6 +396,7 @@ def run_stage3_loo(
         for _, evidence in gold_figures:
             if evidence.figure_id not in queries:  # no caption: not a document
                 queries[evidence.figure_id] = figure_tokens(evidence)
+        logs, errors, counts = [], [], []
         for shot in shots:
             method = f"{shot}-shot"
             for figure, evidence in gold_figures:
@@ -409,39 +404,23 @@ def run_stage3_loo(
                     evidence, queries[evidence.figure_id], corpus, vocab, gateway, backend_id,
                     shot, per_paper_cap,
                 )
-                report.folds.append(
-                    FoldLog(
-                        stage="stage3",
-                        method=method,
-                        held_out=target.paper_id,
-                        exemplars=list(doc_ids),
-                    )
-                )
+                logs.append(FoldLog(stage="stage3", method=method, held_out=target.paper_id,
+                                    exemplars=list(doc_ids)))
                 if predicted is None:
-                    report.errors.append(
-                        f"stage3/{method}/{target.paper_id}::{figure.figure_id}: {error}"
-                    )
+                    errors.append(f"stage3/{method}/{target.paper_id}::{figure.figure_id}: {error}")
                     continue
-                for fname in FIELDS:
-                    counts = multilabel_counts(
-                        figure.labels.field_values(fname),
-                        predicted.field_values(fname),
-                        vocab.values(fname),
-                    )
-                    aggregates.setdefault((method, fname), ConfusionCounts(tn=None)).add(counts)
-    for (method, fname), counts in sorted(aggregates.items()):
-        report.rows.append(
-            ReportRow(
-                stage="stage3",
-                method=method,
-                model=backend_id,
-                target=fname,
-                counts=counts,
-                metric="micro_f1",
-            )
-        )
-    report.fold_counts["stage3"] = folds
-    return report
+                counts += [((method, fname), multilabel_counts(
+                    figure.labels.field_values(fname), predicted.field_values(fname),
+                    vocab.values(fname),
+                )) for fname in FIELDS]
+        return logs, errors, counts
+
+    return _run_folds(
+        "stage3", list(zip(coded, figures)), score_fold,
+        lambda aggregates: [ReportRow("stage3", method, backend_id, fname, counts, "micro_f1")
+                            for (method, fname), counts in sorted(aggregates.items())],
+        report, max_workers,
+    )
 
 
 def run_loo(
@@ -461,13 +440,15 @@ def run_loo(
     stage1_min_neg: int = DEFAULT_MIN_NEG,
     stage3_backend: str | None = None,
     stage3_per_paper_cap: int = DEFAULT_PER_PAPER_CAP,
+    max_workers: int = 1,
 ) -> LooReport:
     """Full leave-one-out report across the requested stages.
 
     The stage settings are the run config's `stage1.k` (the majority-vote
-    neighbour count), `min_pos`, `min_neg`, `stage3.backend` and
-    `stage3.per_paper_cap`; stage 3 runs on `figure_backend` when no
-    `stage3_backend` is given.
+    neighbour count), `min_pos`, `min_neg`, `stage3.backend`,
+    `stage3.per_paper_cap` and `max_workers`, the threads each stage's
+    folds run on; stage 3 runs on `figure_backend` when no `stage3_backend`
+    is given.
     """
     if gateway is None:
         raise EvaluationError("a gateway is required")
@@ -478,13 +459,14 @@ def run_loo(
         run_stage1_loo(
             pool, gateway, stage1_backends, shots=stage1_shots, baseline_k=stage1_k,
             min_pos=stage1_min_pos, min_neg=stage1_min_neg, report=report,
+            max_workers=max_workers,
         )
     if 2 in stages:
         if coded is None or evidence_lookup is None:
             raise EvaluationError("stage 2 LOO requires coded papers and evidence")
         run_stage2_loo(
             coded, evidence_lookup, gateway, figure_backend,
-            shots=stage2_shots, report=report,
+            shots=stage2_shots, report=report, max_workers=max_workers,
         )
     if 3 in stages:
         if coded is None or evidence_lookup is None or vocab is None:
@@ -492,5 +474,6 @@ def run_loo(
         run_stage3_loo(
             coded, evidence_lookup, vocab, gateway, stage3_backend or figure_backend,
             shots=stage3_shots, per_paper_cap=stage3_per_paper_cap, report=report,
+            max_workers=max_workers,
         )
     return report

@@ -19,7 +19,7 @@ from vismine.errors import GatewayError, InputError
 from vismine.gateway import KeywordStubBackend
 from vismine.jsonl import read_jsonl
 from vismine.prompts import LABELS_SCHEMA, SCREEN_SCHEMA
-from tests.conftest import FIXTURE_DIR, make_fixture_config
+from tests.conftest import FIXTURE_DIR, RaisingBackend, make_fixture_config
 
 
 def fx(name: str) -> str:
@@ -210,24 +210,53 @@ class TestStageCommands:
         assert len(paths) == 15
 
     def test_eval_command(self, fixture_config, tmp_path, capsys):
-        config = str(fixture_config("cli_eval"))
         work = tmp_path / "evalwork"
         work.mkdir()
         assert main([
             "evidence", "--docs-manifest", fx("docs_manifest.jsonl"),
             "--docs-dir", fx("docs"), "--out", str(work / "evidence.jsonl"),
         ]) == 0
-        assert main([
-            "eval", "--pool", fx("pool.jsonl"), "--corpus", fx("corpus.jsonl"),
-            "--figures", fx("library.jsonl"), "--evidence", str(work / "evidence.jsonl"),
-            "--stages", "1,2,3", "--shots", "0,6",
-            "--out", str(work / "report.json"), "--config", config,
-        ]) == 0
-        report = json.loads((work / "report.json").read_text())
+        reports = []
+        for max_workers in (1, 4):
+            config = str(fixture_config(f"cli_eval_{max_workers}", max_workers=max_workers))
+            reports.append(work / f"report_{max_workers}.json")
+            assert main([
+                "eval", "--pool", fx("pool.jsonl"), "--corpus", fx("corpus.jsonl"),
+                "--figures", fx("library.jsonl"), "--evidence", str(work / "evidence.jsonl"),
+                "--stages", "1,2,3", "--shots", "0,6",
+                "--out", str(reports[-1]), "--config", config,
+            ]) == 0
+            out = capsys.readouterr().out
+            assert "leakage violations: 0" in out
+        report = json.loads(reports[0].read_text())
         assert report["fold_counts"] == {"stage1": 6, "stage2": 3, "stage3": 3}
         assert report["rows"]
-        out = capsys.readouterr().out
-        assert "leakage violations: 0" in out
+        # Folds on four threads write the serial report, byte for byte.
+        assert reports[0].read_bytes() == reports[1].read_bytes()
+
+    def test_eval_failed_items_exit_2_after_the_report(
+            self, fixture_config, tmp_path, monkeypatch, capsys):
+        build = cli.build_gateway
+
+        def failing_gateway(config):
+            gateway = build(config)
+            gateway.backends["primary"] = RaisingBackend(
+                gateway.backends["primary"], GatewayError, "Volume rendering")  # P06's title
+            return gateway
+
+        monkeypatch.setattr(cli, "build_gateway", failing_gateway)
+        out = tmp_path / "report.json"
+        assert main([
+            "eval", "--pool", fx("pool.jsonl"), "--corpus", fx("corpus.jsonl"),
+            "--stages", "1", "--shots", "0,6", "--out", str(out),
+            "--config", str(fixture_config("eval_failing")),
+        ]) == 2
+        errors = json.loads(out.read_text())["errors"]
+        assert len(errors) == 2
+        assert all(e.startswith(("stage1/0-shot/P06: ", "stage1/6-shot/P06: ")) for e in errors)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "error: 2 fold item(s) failed" in err and str(out) in err
 
 
 RUN_OUTPUTS = (

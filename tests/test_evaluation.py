@@ -1,5 +1,7 @@
 """Metric arithmetic and the leave-one-out harness."""
 
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -201,6 +203,16 @@ class TestStage1Loo:
         )
         assert ev.find_leakage(report) == []
 
+    def test_rows_in_first_seen_order(self):
+        report = ev.run_stage1_loo(
+            screening_pool(), dual_stub_gateway(), ["primary", "secondary"], shots=(6, 0)
+        )
+        assert [(r.method, r.model) for r in report.rows] == [
+            ("majority_vote", "bm25"),
+            ("6-shot", "primary"), ("6-shot", "secondary"), ("6-shot", "consensus"),
+            ("0-shot", "primary"), ("0-shot", "secondary"), ("0-shot", "consensus"),
+        ]
+
     def test_fold_indexes_exact_and_papers_tokenized_once(self, monkeypatch):
         pool = screening_pool()
         built, tokenized = [], []
@@ -356,6 +368,20 @@ class TestStage2Loo:
         report = ev.run_stage2_loo(papers, lookup, figure_gateway(), "primary")
         assert ev.find_leakage(report) == []
 
+    def test_rows_sorted_by_method(self):
+        papers, lookup = coded_fixture()
+        report = ev.run_stage2_loo(papers, lookup, figure_gateway(), "primary", shots=(5, 0))
+        assert [r.method for r in report.rows] == ["0-shot", "5-shot"]
+
+    def test_folds_run_concurrently_and_score_as_serial(self):
+        papers, lookup = coded_fixture()
+        backend = BarrierBackend(figure_gateway().backend("primary"))
+        report = ev.run_stage2_loo(papers, lookup, Gateway({"primary": backend}), "primary",
+                                   shots=(0, 5), max_workers=2)
+        assert not backend.barrier.broken  # two calls were in flight at once
+        serial = ev.run_stage2_loo(papers, lookup, figure_gateway(), "primary", shots=(0, 5))
+        assert report.to_dict() == serial.to_dict()
+
 
 class TestStage3Loo:
     def test_hand_traced_per_field_counts(self):
@@ -384,6 +410,36 @@ class TestStage3Loo:
         papers, lookup = coded_fixture()
         report = ev.run_stage3_loo(papers, lookup, VOCAB, figure_gateway(), "primary")
         assert ev.find_leakage(report) == []
+
+    def test_rows_sorted_by_method_and_field_name(self):
+        papers, lookup = coded_fixture()
+        report = ev.run_stage3_loo(papers, lookup, VOCAB, figure_gateway(), "primary",
+                                   shots=(10, 0))
+        names = ["data_type", "model_listener", "visualization_purpose", "visualization_type"]
+        assert [(r.method, r.target) for r in report.rows] == (
+            [("0-shot", name) for name in names] + [("10-shot", name) for name in names]
+        )
+
+
+class BarrierBackend:
+    """Answers through `inner`, but its first two calls return only once
+    both are in flight; with one thread the first call's bounded wait
+    breaks the barrier instead of hanging."""
+
+    def __init__(self, inner):
+        self.name = inner.name
+        self.inner = inner
+        self.barrier = threading.Barrier(2, timeout=10)
+        self.calls = 0
+        self.lock = threading.Lock()
+
+    def complete(self, prompt: str) -> str:
+        with self.lock:
+            self.calls += 1
+            waits = self.calls <= 2
+        if waits:
+            self.barrier.wait()
+        return self.inner.complete(prompt)
 
 
 def recording_bm25(monkeypatch):
@@ -587,11 +643,11 @@ def loo_inputs(draw):
 
 class TestLeakageProperty:
     @settings(max_examples=40, deadline=None)
-    @given(loo_inputs())
-    def test_no_leakage_for_any_generated_pool(self, inputs):
+    @given(loo_inputs(), st.integers(1, 2))
+    def test_no_leakage_for_any_generated_pool(self, inputs, max_workers):
         pool, papers, lookup = inputs
         report = ev.run_loo(pool=pool, coded=papers, evidence_lookup=lookup, vocab=VOCAB,
-                            gateway=dual_stub_gateway_with_figures())
+                            gateway=dual_stub_gateway_with_figures(), max_workers=max_workers)
         assert report.folds
         assert ev.find_leakage(report) == []
 
