@@ -29,10 +29,14 @@ EXIT_RUNTIME = 2
 
 
 def _int_list(text: str, flag: str) -> list[int]:
+    """The integers, none below 0, in the comma-separated `text`; empty parts are skipped."""
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        values = [int(part) for part in text.split(",") if part.strip() != ""]
+        if all(value >= 0 for value in values):
+            return values
     except ValueError:
-        raise InputError(f"{flag} must be comma-separated integers, got {text!r}") from None
+        pass
+    raise InputError(f"{flag} must be comma-separated integers >= 0, got {text!r}")
 
 
 def _config_from_args(args) -> RunConfig:
@@ -166,8 +170,11 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_run(args) -> int:
-    stages = args.stages.split(",") if args.stages else list(STAGES)
-    manifest = run_pipeline(load_config(args.config), stages)
+    stages = [part.strip() for part in args.stages.split(",") if part.strip() != ""]
+    unknown = [stage for stage in stages if stage not in STAGES]
+    if unknown:
+        raise InputError(f"--stages names unknown stages {unknown}; choose from {','.join(STAGES)}")
+    manifest = run_pipeline(load_config(args.config), stages or None)
     print(f"pipeline complete: stages={sorted(manifest.stages, key=STAGES.index)} "
           f"network_calls={manifest.gateway.get('network_calls', 0)}")
     return EXIT_OK

@@ -64,7 +64,6 @@ class RunConfig:
     max_workers: int = 1
     max_attempts: int = 3
     backoff_base: float = 0.5
-    concurrency: int = 8
     backends: dict[str, BackendConfig] = field(default_factory=dict)
 
     def resolve(self, path: Path | None) -> Path | None:
@@ -235,8 +234,6 @@ def validate_config(config: RunConfig) -> list[str]:
         errors.append(f"max_workers must be >= 1, got {config.max_workers}")
     if config.max_attempts < 1:
         errors.append(f"max_attempts must be >= 1, got {config.max_attempts}")
-    if config.concurrency < 1:
-        errors.append(f"concurrency must be >= 1, got {config.concurrency}")
     if config.reference_year < 1990:
         errors.append(f"reference_year is implausible: {config.reference_year}")
     corpus_path = config.resolve(config.corpus_path)
@@ -284,5 +281,4 @@ def build_gateway(config: RunConfig) -> Gateway:
         cache_dir=cache_dir,
         max_attempts=config.max_attempts,
         backoff_base=config.backoff_base,
-        concurrency=config.concurrency,
     )

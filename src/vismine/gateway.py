@@ -17,7 +17,7 @@ import threading
 import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Protocol, Sequence
 
@@ -61,12 +61,7 @@ class ModelVerdict:
     evidence: str
 
     def to_dict(self) -> dict:
-        return {
-            "backend_id": self.backend_id,
-            "decision": self.decision,
-            "confidence": self.confidence,
-            "evidence": self.evidence,
-        }
+        return asdict(self)
 
 
 class Backend(Protocol):
@@ -241,13 +236,7 @@ class GatewayStats:
     failures: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "requests": self.requests,
-            "cache_hits": self.cache_hits,
-            "network_calls": self.network_calls,
-            "retries": self.retries,
-            "failures": self.failures,
-        }
+        return asdict(self)
 
 
 class Gateway:
@@ -259,7 +248,6 @@ class Gateway:
         cache_dir: str | Path | None = None,
         max_attempts: int = 3,
         backoff_base: float = 0.5,
-        concurrency: int = 8,
     ):
         if max_attempts < 1:
             raise GatewayError("max_attempts must be >= 1")
@@ -269,34 +257,29 @@ class Gateway:
         self.backoff_base = backoff_base
         self.stats = GatewayStats()
         self._stats_lock = threading.Lock()
-        self._limits = {name: threading.Semaphore(concurrency) for name in self.backends}
 
     def backend(self, backend_id: str) -> Backend:
         if backend_id not in self.backends:
             raise GatewayError(f"unknown backend {backend_id!r}")
         return self.backends[backend_id]
 
-    def cache_key(self, backend_id: str, prompt: str) -> str:
-        """The key `complete` caches `backend_id`'s response to `prompt` under."""
-        return prompt_hash(backend_id, prompt)
-
-    def complete(self, backend_id: str, request: PromptRequest) -> str:
-        """Raw response text; cached under `cache_key`."""
+    def complete(self, backend_id: str, request: PromptRequest) -> tuple[dict | None, str]:
+        """(`parse_json_payload` of the response, its cache key): the one place
+        a request is rendered, keyed by `prompt_hash` and parsed."""
         backend = self.backend(backend_id)
         prompt = request.render()
-        key = self.cache_key(backend_id, prompt)
+        key = prompt_hash(backend_id, prompt)
         with self._stats_lock:
             self.stats.requests += 1
-        if self.cache is not None:
-            cached = self.cache.get(key)
-            if cached is not None:
-                with self._stats_lock:
-                    self.stats.cache_hits += 1
-                return cached
-        text = self._complete_with_retry(backend, backend_id, prompt, key)
-        if self.cache is not None:
-            self.cache.put(key, text)
-        return text
+        text = self.cache.get(key) if self.cache is not None else None
+        if text is not None:
+            with self._stats_lock:
+                self.stats.cache_hits += 1
+        else:
+            text = self._complete_with_retry(backend, backend_id, prompt, key)
+            if self.cache is not None:
+                self.cache.put(key, text)
+        return parse_json_payload(text), key
 
     def _complete_with_retry(
         self, backend: Backend, backend_id: str, prompt: str, key: str
@@ -304,10 +287,9 @@ class Gateway:
         last_error: Exception | None = None
         for attempt in range(self.max_attempts):
             try:
-                with self._limits[backend_id]:
-                    with self._stats_lock:
-                        self.stats.network_calls += 1
-                    return backend.complete(prompt)
+                with self._stats_lock:
+                    self.stats.network_calls += 1
+                return backend.complete(prompt)
             except TransientBackendError as exc:
                 last_error = exc
                 if attempt + 1 < self.max_attempts:
@@ -332,14 +314,27 @@ class Gateway:
 def map_items(fn: Callable, items: Sequence, max_workers: int) -> list:
     """`fn` of each item, in item order, on `max_workers` threads.
 
-    The threads overlap backend calls; the gateway's per-backend
-    semaphores bound how many reach a backend at once.  With one worker
-    every call runs in the caller's thread.
+    Each thread holds one item at a time, so `max_workers` bounds how many
+    requests a backend has in flight.  Once an item raises, items not yet
+    started are skipped, and the first error in item order is raised.
+    With one worker every call runs in the caller's thread.
     """
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as executor:
-            return list(executor.map(fn, items))
-    return [fn(item) for item in items]
+    if max_workers <= 1:
+        return [fn(item) for item in items]
+    failed = threading.Event()
+
+    def run(item):
+        if failed.is_set():
+            return None
+        try:
+            return fn(item)
+        except BaseException:
+            failed.set()
+            raise
+
+    with ThreadPoolExecutor(max_workers=max_workers) as executor:
+        futures = [executor.submit(run, item) for item in items]
+    return [future.result() for future in futures]
 
 
 # The characters that move the brace-matching scans of `_candidates`.
@@ -464,17 +459,12 @@ def _as_decision(value) -> bool | None:
     return None
 
 
-def parse_verdict(raw: str, backend_id: str = "") -> ModelVerdict:
-    """Structured verdict with safe defaults; never raises.
-
-    A response that does not contain a JSON object with a usable
-    "relevant" value becomes (negative, 0.0, "(malformed)").
-    """
-    return verdict_from_payload(parse_json_payload(raw), backend_id)
-
-
 def verdict_from_payload(payload: dict | None, backend_id: str) -> ModelVerdict:
-    """`parse_verdict` of a response whose `parse_json_payload` is `payload`."""
+    """Structured verdict from a response's `payload`, with safe defaults.
+
+    A payload without a usable "relevant" value, or none at all, becomes
+    (negative, 0.0, "(malformed)").
+    """
     if payload is None:
         return ModelVerdict(backend_id, False, 0.0, MALFORMED_EVIDENCE)
     decision = _as_decision(payload.get("relevant", payload.get("decision")))

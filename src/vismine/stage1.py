@@ -15,7 +15,7 @@ from typing import Sequence
 from . import bm25
 from .corpus import LabeledPool, PaperRecord, POSITIVE, NEGATIVE
 from .errors import AuthenticationError, GatewayError, StageError
-from .gateway import Gateway, ModelVerdict, PromptRequest, consensus, map_items, parse_verdict
+from .gateway import Gateway, ModelVerdict, PromptRequest, consensus, map_items, verdict_from_payload
 from .prompts import SCREEN_SCHEMA, SCREEN_SYSTEM
 
 logger = logging.getLogger(__name__)
@@ -150,25 +150,25 @@ def screen_paper(
     """Query every backend with the same context and apply consensus.
 
     A `GatewayError` other than `AuthenticationError` marks the paper
-    undecided, keeping its message in `error` and the verdicts received.
+    undecided, keeping its message in `error` and the verdicts and
+    `prompt_hashes` (cache keys) of the backends that answered.
     """
     if not backend_ids:
         raise StageError("at least one backend id is required")
     if target.paper_id in context.exemplar_ids:
         raise StageError(f"target {target.paper_id!r} leaked into its own exemplars")
     request = screening_request(target, context)
-    prompt = request.render()
     decision = ScreenDecision(
         paper_id=target.paper_id,
         decision=UNDECIDED,
         source="consensus",
         neighbors=list(context.exemplar_ids),
-        prompt_hashes={b: gateway.cache_key(b, prompt) for b in backend_ids},
     )
     try:
         for backend_id in backend_ids:
-            raw = gateway.complete(backend_id, request)
-            decision.verdicts.append(parse_verdict(raw, backend_id))
+            payload, key = gateway.complete(backend_id, request)
+            decision.prompt_hashes[backend_id] = key
+            decision.verdicts.append(verdict_from_payload(payload, backend_id))
     except AuthenticationError:
         raise
     except GatewayError as exc:

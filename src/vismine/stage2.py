@@ -15,9 +15,7 @@ from typing import Callable, Mapping, Sequence
 from . import bm25
 from .errors import AuthenticationError, GatewayError, StageError
 from .evidence import FigureEvidence, figure_sort_key
-from .gateway import (
-    Gateway, PromptRequest, clip_confidence, map_items, parse_json_payload, verdict_from_payload,
-)
+from .gateway import Gateway, PromptRequest, clip_confidence, map_items, verdict_from_payload
 from .library import CodedPaper
 from .prompts import FIGURE_SCHEMA, FIGURE_SYSTEM
 from .stage1 import paper_doc
@@ -160,7 +158,7 @@ def classify_figure(
     if not evidence.assembled_evidence.strip():
         raise StageError(f"empty evidence for {evidence.paper_id}::{evidence.figure_id}")
     request = figure_request(evidence, exemplars)
-    payload = parse_json_payload(gateway.complete(backend_id, request))
+    payload, _ = gateway.complete(backend_id, request)
     verdict = verdict_from_payload(payload, backend_id)
     role = (payload or {}).get("role")
     if role not in ROLES:

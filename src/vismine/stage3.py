@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 from . import bm25
 from .errors import AuthenticationError, GatewayError, StageError
 from .evidence import FigureEvidence
-from .gateway import Gateway, PromptRequest, clip_confidence, map_items, parse_json_payload
+from .gateway import Gateway, PromptRequest, clip_confidence, map_items
 from .library import CodedPaper
 from .prompts import LABELS_SCHEMA, LABELS_SYSTEM
 from .stage2 import EvidenceLookup
@@ -187,8 +187,7 @@ def extract_labels(
 ) -> dict:
     """Raw four-field payload from the backend; {} when unparseable."""
     request = labels_request(target, exemplars)
-    raw = gateway.complete(backend_id, request)
-    payload = parse_json_payload(raw)
+    payload, _ = gateway.complete(backend_id, request)
     if payload is None:
         logger.warning(
             "malformed label payload for %s::%s; normalization will fall back",

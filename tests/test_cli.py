@@ -48,18 +48,32 @@ class TestRunCommand:
         config = fixture_config("cli_partial")
         assert main(["run", "--config", str(config), "--stages", "stage3"]) == 2
 
-    @pytest.mark.parametrize("concurrency", [0, -1])
-    def test_concurrency_below_one_exits_1_before_any_gateway(self, fixture_config, monkeypatch,
-                                                              capsys, concurrency):
+    @pytest.mark.parametrize("stages", ["stage9", "stage1,stage9", "ingest,,stage9,"])
+    def test_unknown_stage_exits_1_naming_it(self, fixture_config, capsys, stages):
+        assert main(["run", "--config", str(fixture_config("cli_unknown")),
+                     "--stages", stages]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "--stages" in err and "'stage9'" in err
+
+    def test_empty_stage_names_are_skipped(self, fixture_config):
+        config = fixture_config("cli_trailing_comma")
+        assert main(["run", "--config", str(config), "--stages", "ingest,"]) == 0
+        out_dir = Path(json.loads(config.read_text())["out_dir"])
+        assert list(json.loads((out_dir / "manifest.json").read_text())["stages"]) == ["ingest"]
+
+    @pytest.mark.parametrize("max_workers", [0, -1])
+    def test_max_workers_below_one_exits_1_before_any_gateway(self, fixture_config, monkeypatch,
+                                                              capsys, max_workers):
         def no_gateway(config):
             raise AssertionError("a gateway was built")
 
         monkeypatch.setattr(pipeline, "build_gateway", no_gateway)
         monkeypatch.setattr(cli, "build_gateway", no_gateway)
-        config = fixture_config("cli_concurrency", concurrency=concurrency)
+        config = fixture_config("cli_max_workers", max_workers=max_workers)
         assert main(["run", "--config", str(config)]) == 1
         err = capsys.readouterr().err
-        assert f"concurrency must be >= 1, got {concurrency}" in err
+        assert f"max_workers must be >= 1, got {max_workers}" in err
         assert "Traceback" not in err
 
 
@@ -94,7 +108,7 @@ class TestMalformedConfig:
         ({"stage2": {"k": 4.9}}, "stage2.k"),
         ({"stage1": {"min_pos": 2.0}}, "stage1.min_pos"),
         ({"max_workers": True}, "max_workers"),
-        ({"concurrency": "8"}, "concurrency"),
+        ({"max_attempts": "8"}, "max_attempts"),
         # A number key takes a JSON integer or fraction: no bool or numeric string.
         ({"backoff_base": False}, "backoff_base"),
         ({"backends": _fixture_backends({"timeout": "30"})}, "backends.primary.timeout"),
@@ -123,11 +137,11 @@ class TestConfigValidation:
         assert len(calls) == 1
 
     def test_run_reports_every_violation_on_one_line(self, fixture_config, capsys):
-        config = fixture_config("violations", concurrency=0, max_workers=0)
+        config = fixture_config("violations", max_workers=0, max_attempts=0)
         assert main(["run", "--config", str(config)]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert "max_workers must be >= 1, got 0; concurrency must be >= 1, got 0" in err
+        assert "max_workers must be >= 1, got 0; max_attempts must be >= 1, got 0" in err
 
     def test_ingest_checks_reference_year_against_its_own_corpus(self, fixture_config, tmp_path):
         # The config's own corpus reaches 2024; the one given by flag ends in 2019.
@@ -595,6 +609,15 @@ class TestEvalFlags:
             "--corpus", fx("corpus.jsonl"), "--stages", "1", flag, "1,x",
         )
         assert flag in err and "'1,x'" in err
+
+    @pytest.mark.parametrize("flag", ["--shots", "--stage2-shots", "--stage3-shots"])
+    def test_negative_shot_count(self, fixture_config, tmp_path, capsys, flag):
+        err = self.eval_error(
+            fixture_config, tmp_path, capsys, "--pool", fx("pool.jsonl"),
+            "--corpus", fx("corpus.jsonl"), "--stages", "1", flag, "0,-2",
+        )
+        assert flag in err and "'0,-2'" in err
+        assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("stages, given, missing", [
         ("1", [], "--pool"),

@@ -73,10 +73,10 @@ class TestLoadAndValidate:
         with pytest.raises(ConfigError, match="cannot read config"):
             load_config(path)
 
-    @pytest.mark.parametrize("concurrency", [0, -2])
-    def test_concurrency_below_one_reported(self, fixture_config, concurrency):
-        errors = validate_config(load_config(fixture_config(concurrency=concurrency)))
-        assert f"concurrency must be >= 1, got {concurrency}" in errors
+    @pytest.mark.parametrize("max_workers", [0, -2])
+    def test_max_workers_below_one_reported(self, fixture_config, max_workers):
+        errors = validate_config(load_config(fixture_config(max_workers=max_workers)))
+        assert f"max_workers must be >= 1, got {max_workers}" in errors
 
     def test_reference_year_must_cover_corpus(self, fixture_config):
         path = fixture_config(reference_year=2020)  # fixture corpus reaches 2024
@@ -269,7 +269,6 @@ def _old_load_config(path: Path) -> RunConfig:
         max_attempts=_old_number(raw, "max_attempts", default.max_attempts, int, "max_attempts"),
         backoff_base=_old_number(raw, "backoff_base", default.backoff_base, float,
                                  "backoff_base"),
-        concurrency=_old_number(raw, "concurrency", default.concurrency, int, "concurrency"),
         backends=backends,
     )
 
@@ -296,6 +295,7 @@ _valid_config = _some(
     **{key: _text for key in ("corpus", "pool", "docs_manifest", "docs_dir", "library",
                               "vocabulary", "aliases", "out_dir", "cache_dir")},
     keywords=_texts,
+    # `concurrency` is no longer a setting: a config that still sets it loads.
     **{key: _integer for key in ("reference_year", "max_workers", "max_attempts",
                                  "concurrency")},
     backoff_base=_number,

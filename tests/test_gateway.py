@@ -61,8 +61,8 @@ class TestComplete:
         g = gw.Gateway({"stub": saliency_stub()})
         positive = request("a saliency map of the encoder")
         negative = request("a treemap of file sizes")
-        assert gw.parse_verdict(g.complete("stub", positive)).decision is True
-        assert gw.parse_verdict(g.complete("stub", negative)).decision is False
+        assert gw.verdict_from_payload(g.complete("stub", positive)[0], "stub").decision is True
+        assert gw.verdict_from_payload(g.complete("stub", negative)[0], "stub").decision is False
         assert g.complete("stub", positive) == g.complete("stub", positive)
 
     def test_cache_hit_serves_without_network(self, tmp_path):
@@ -78,18 +78,18 @@ class TestComplete:
     def test_cache_persists_across_gateways(self, tmp_path):
         cache_dir = tmp_path / "cache"
         first = gw.Gateway({"stub": saliency_stub()}, cache_dir=cache_dir)
-        text = first.complete("stub", request())
+        answer = first.complete("stub", request())
         fresh_backend = saliency_stub()
         second = gw.Gateway({"stub": fresh_backend}, cache_dir=cache_dir)
-        assert second.complete("stub", request()) == text
+        assert second.complete("stub", request()) == answer
         assert fresh_backend.calls == 0
         assert second.stats.network_calls == 0
 
     def test_retry_then_success(self):
         backend = FlakyBackend("flaky", failures=2)
         g = gw.Gateway({"flaky": backend}, max_attempts=3, backoff_base=0.0)
-        text = g.complete("flaky", request())
-        assert json.loads(text)["relevant"] is True
+        payload, _ = g.complete("flaky", request())
+        assert payload["relevant"] is True
         assert backend.calls == 3
         assert g.stats.retries == 2
 
@@ -119,6 +119,32 @@ class TestComplete:
         g.complete("stub", request("nothing here"))
         assert g.stats.cache_hits == 0
         assert g.stats.network_calls == 2
+
+
+prompt_requests = st.builds(
+    gw.PromptRequest,
+    system=st.text(max_size=20),
+    exemplars=st.lists(st.tuples(st.text(max_size=20), st.text(max_size=20)),
+                       max_size=3).map(tuple),
+    target=st.text(max_size=40),
+    schema_id=st.sampled_from(["screen/v1", "figure/v1", "labels/v1"]),
+)
+
+
+class TestCompleteReturnsPayloadAndKey:
+    @settings(max_examples=100, deadline=None)
+    @given(req=prompt_requests, backend_id=st.text(min_size=1, max_size=8),
+           reply=st.one_of(st.text(max_size=40), st.dictionaries(
+               st.text(max_size=8), st.booleans() | st.integers() | st.text(max_size=8),
+               max_size=4).map(json.dumps)))
+    def test_key_payload_and_cache_hit(self, tmp_path_factory, req, backend_id, reply):
+        backend = gw.StubBackend(backend_id, lambda prompt: reply)
+        g = gw.Gateway({backend_id: backend}, cache_dir=tmp_path_factory.mktemp("cache"))
+        answer = g.complete(backend_id, req)
+        assert answer == (gw.parse_json_payload(reply), gw.prompt_hash(backend_id, req.render()))
+        assert g.complete(backend_id, req) == answer
+        assert backend.calls == 1
+        assert g.stats.cache_hits == 1
 
 
 def key(n):
@@ -210,42 +236,47 @@ class TestPromptCacheLog:
         assert (tmp_path / "responses.jsonl").read_bytes().count(b"\n") == len(names)
 
 
+def parse_verdict(raw: str, backend_id: str = "") -> gw.ModelVerdict:
+    """The verdict the gateway's callers build from a raw response."""
+    return gw.verdict_from_payload(gw.parse_json_payload(raw), backend_id)
+
+
 class TestParseVerdict:
     def test_valid_payload(self):
         raw = '{"relevant": true, "confidence": 0.9, "evidence": "loss curves"}'
-        verdict = gw.parse_verdict(raw, "b1")
+        verdict = parse_verdict(raw, "b1")
         assert verdict == gw.ModelVerdict("b1", True, 0.9, "loss curves")
 
     def test_non_json_safe_default(self):
-        verdict = gw.parse_verdict("maybe?", "b1")
+        verdict = parse_verdict("maybe?", "b1")
         assert verdict == gw.ModelVerdict("b1", False, 0.0, "(malformed)")
 
     def test_confidence_clipped_high(self):
         raw = '{"relevant": true, "confidence": 1.7}'
-        assert gw.parse_verdict(raw).confidence == 1.0
+        assert parse_verdict(raw).confidence == 1.0
 
     def test_confidence_clipped_low(self):
         raw = '{"relevant": false, "confidence": -0.2}'
-        assert gw.parse_verdict(raw).confidence == 0.0
+        assert parse_verdict(raw).confidence == 0.0
 
     def test_json_embedded_in_prose(self):
         raw = 'Sure! Here you go:\n{"relevant": false, "confidence": 0.4, "evidence": "n/a"}\nDone.'
-        verdict = gw.parse_verdict(raw)
+        verdict = parse_verdict(raw)
         assert verdict.decision is False
         assert verdict.confidence == 0.4
 
     def test_missing_decision_is_malformed(self):
-        assert gw.parse_verdict('{"confidence": 0.9}').evidence == "(malformed)"
+        assert parse_verdict('{"confidence": 0.9}').evidence == "(malformed)"
 
     def test_never_raises_on_garbage(self):
         for raw in ("", "{", '{"relevant": "perhaps"}', "[1, 2, 3]", '{"a": {"b": }}'):
-            verdict = gw.parse_verdict(raw)
+            verdict = parse_verdict(raw)
             assert verdict.decision is False
             assert 0.0 <= verdict.confidence <= 1.0
 
     def test_string_decisions_accepted(self):
-        assert gw.parse_verdict('{"relevant": "yes"}').decision is True
-        assert gw.parse_verdict('{"relevant": "no"}').decision is False
+        assert parse_verdict('{"relevant": "yes"}').decision is True
+        assert parse_verdict('{"relevant": "no"}').decision is False
 
 
 def nested(depth: int) -> str:
@@ -285,7 +316,7 @@ class TestParseJsonPayload:
 
     def test_nesting_deeper_than_the_decoder_is_none(self):
         assert gw.parse_json_payload(nested(5000)) is None
-        assert gw.parse_verdict(nested(5000), "b1") == gw.ModelVerdict("b1", False, 0.0, "(malformed)")
+        assert parse_verdict(nested(5000), "b1") == gw.ModelVerdict("b1", False, 0.0, "(malformed)")
 
     @settings(max_examples=500, deadline=None)
     @given(st.one_of(payload_text, punctuation_text))
@@ -393,6 +424,15 @@ class TestMapItems:
 
     def test_workers_keep_item_order(self):
         assert gw.map_items(lambda n: n * n, range(50), 4) == [n * n for n in range(50)]
+
+    def test_no_item_starts_after_one_raises(self):
+        # Each worker's first item raises before the worker takes another,
+        # so only the items the four workers took first reach the backend.
+        backend = AuthFailingBackend()
+        g = gw.Gateway({"locked": backend})
+        with pytest.raises(AuthenticationError):
+            gw.map_items(lambda n: g.complete("locked", request(f"item {n}")), range(40), 4)
+        assert backend.calls <= 4
 
 
 class TestKeywordStub:

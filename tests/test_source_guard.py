@@ -4,7 +4,8 @@ A definition that only tests reach is code the pipeline carries for
 nothing.  Names are matched, not objects: a definition counts as used
 when its name appears as a Name, an Attribute or an imported name in any
 module other than `__init__.py`, whose re-exports call nothing.  No
-module imports another module's underscore-prefixed names.
+module imports another module's underscore-prefixed names, and only
+`gateway.py` keys or parses a request.
 """
 
 import ast
@@ -32,15 +33,20 @@ def _defined_and_referenced() -> tuple[dict[str, str], set[str]]:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if not (node.name.startswith("__") and node.name.endswith("__")):
                     defined.setdefault(node.name, f"{path.name}:{node.lineno}")
-            if path.name == "__init__.py":
-                continue
-            if isinstance(node, ast.Name):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                referenced.update(alias.name for alias in node.names)
+            if path.name != "__init__.py":
+                referenced.update(_names(node))
     return defined, referenced
+
+
+def _names(node: ast.AST) -> list[str]:
+    """The names `node` references: as a Name, an Attribute or imported names."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.ImportFrom):
+        return [alias.name for alias in node.names]
+    return []
 
 
 def test_no_definition_is_reached_only_from_tests():
@@ -68,3 +74,14 @@ def test_no_module_imports_another_modules_private_names():
         if alias.name.startswith("_") and not alias.name.endswith("__")
     )
     assert not private, "private names imported across modules: " + ", ".join(private)
+
+
+def test_only_the_gateway_keys_and_parses_requests():
+    owned = {"prompt_hash", "parse_json_payload"}
+    outside = sorted(
+        f"{name} ({path.name}:{node.lineno})"
+        for path in sorted(SRC.glob("*.py")) if path.name != "gateway.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for name in _names(node) if name in owned
+    )
+    assert not outside, "request keys or parses outside gateway.py: " + ", ".join(outside)

@@ -205,8 +205,7 @@ class TestClassifyFigure:
             parsed.append(raw)
             return parse(raw)
 
-        for module in (gateway_mod, stage2):
-            monkeypatch.setattr(module, "parse_json_payload", recording_parse)
+        monkeypatch.setattr(gateway_mod, "parse_json_payload", recording_parse)
         gateway = figure_gateway()
         for fid, text in (("Figure 1", "accuracy versus depth"), ("Figure 2", "a city map")):
             ev = fig_evidence("p1", fid, f"{fid}: {text}.")
