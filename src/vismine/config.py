@@ -1,20 +1,18 @@
 """Run configuration: loading, batch validation, gateway construction.
 
 The config is a single JSON file; credentials are referenced by env-var
-name and never stored in it. One reader, driven by the dataclass fields,
-loads `RunConfig`, each `BackendConfig` and its `StubRules`: a field's JSON
-key is its name or its `_KEYS` entry, and a value of the wrong type is a
-`ConfigError` naming that key. Validation collects every violation before
+name and never stored in it. `jsonl.read_object` loads `RunConfig`, each
+`BackendConfig` and its `StubRules`; a value of the wrong type is a
+`ConfigError` naming its key. Validation collects every violation before
 reporting, so one pass fixes everything.
 """
 
 from __future__ import annotations
 
-import functools
 import json
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, get_type_hints
+from typing import ClassVar
 
 from . import stage1 as stage1_mod
 from . import stage2 as stage2_mod
@@ -22,12 +20,11 @@ from . import stage3 as stage3_mod
 from .corpus import DEFAULT_KEYWORDS
 from .errors import ConfigError, InputError
 from .gateway import Gateway, HttpBackend, KeywordStubBackend, StubRules
-from .jsonl import read_jsonl
+from .jsonl import read_jsonl, read_object
 
 
 @dataclass
 class BackendConfig:
-    slot: str
     kind: str = "http"  # "http" | "stub"
     endpoint: str = ""
     model: str = ""
@@ -66,122 +63,29 @@ class RunConfig:
     backoff_base: float = 0.5
     backends: dict[str, BackendConfig] = field(default_factory=dict)
 
+    # The JSON key of each field not read under its own name; `base_dir` is
+    # the config file's directory, not a key.
+    JSON_KEYS: ClassVar[dict[str, str | None]] = {
+        "base_dir": None, "corpus_path": "corpus", "pool_path": "pool",
+        "docs_manifest_path": "docs_manifest", "library_path": "library",
+        "vocab_path": "vocabulary", "alias_path": "aliases",
+        "stage1_k": "stage1.k", "stage1_min_pos": "stage1.min_pos",
+        "stage1_min_neg": "stage1.min_neg", "stage1_backends": "stage1.backends",
+        "stage2_k": "stage2.k", "stage2_max_figs": "stage2.max_figs",
+        "stage2_backend": "stage2.backend",
+        "stage3_k": "stage3.k", "stage3_per_paper_cap": "stage3.per_paper_cap",
+        "stage3_backend": "stage3.backend"}
+
     def resolve(self, path: Path | None) -> Path | None:
         if path is None:
             return None
         return path if path.is_absolute() else self.base_dir / path
 
 
-# The JSON key of each field not read under its own name; a dotted key
-# `section.key` is `key` inside the object `section`.
-_KEYS = {
-    "corpus_path": "corpus", "pool_path": "pool", "docs_manifest_path": "docs_manifest",
-    "library_path": "library", "vocab_path": "vocabulary", "alias_path": "aliases",
-    "stage1_k": "stage1.k", "stage1_min_pos": "stage1.min_pos",
-    "stage1_min_neg": "stage1.min_neg", "stage1_backends": "stage1.backends",
-    "stage2_k": "stage2.k", "stage2_max_figs": "stage2.max_figs",
-    "stage2_backend": "stage2.backend",
-    "stage3_k": "stage3.k", "stage3_per_paper_cap": "stage3.per_paper_cap",
-    "stage3_backend": "stage3.backend",
-}
-
-
-@functools.cache
-def _readers(cls) -> tuple[tuple[str, tuple[str, ...], Callable], ...]:
-    """(field name, JSON key path, reader) of each field of `cls` with a default.
-
-    Resolved once per class. A field without a default (`base_dir`,
-    `slot`) is not read from the file: the caller supplies it.
-    """
-    hints = get_type_hints(cls)
-    return tuple(
-        (f.name, tuple(_KEYS.get(f.name, f.name).split(".")), _READERS[hints[f.name]])
-        for f in fields(cls)
-        if f.default is not MISSING or f.default_factory is not MISSING
-    )
-
-
-def _load(cls, raw, key: str, **given):
-    """A `cls` from the JSON object `raw` found under `key`.
-
-    A key left out or null keeps its field's default; a value of the
-    wrong type is a `ConfigError` naming its full key.
-    """
-    for name, path, read in _readers(cls):
-        value, full_key = raw, key
-        for part in path:
-            value = _object(value, full_key).get(part)
-            full_key = f"{full_key}.{part}" if full_key else part
-        if value is not None and (value := read(value, full_key)) is not None:
-            given[name] = value
-    return cls(**given)
-
-
-def _object(value, key: str) -> dict:
-    """The JSON object `value`; null is an empty one."""
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key}: expected an object, got {value!r}")
-    return value
-
-
-def _int(value, key: str) -> int:
-    if type(value) is not int:
-        raise ConfigError(f"{key}: expected an integer, got {value!r}")
-    return value
-
-
-def _float(value, key: str) -> float:
-    if type(value) not in (int, float):
-        raise ConfigError(f"{key}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _str(value, key: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{key}: expected a string, got {value!r}")
-    return value
-
-
-def _path(value, key: str) -> Path | None:
-    """An empty path is None, so the field keeps its default."""
-    return Path(value) if _str(value, key) else None
-
-
-def _str_list(value, key: str) -> tuple[str, ...] | None:
-    """An empty list is None, so the field keeps its default."""
-    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
-        raise ConfigError(f"{key}: expected a list of strings, got {value!r}")
-    return tuple(value) or None
-
-
-def _pairs(value, key: str) -> tuple[tuple[str, str], ...]:
-    if not isinstance(value, list) or not all(
-        isinstance(item, list) and len(item) == 2 and all(isinstance(s, str) for s in item)
-        for item in value
-    ):
-        raise ConfigError(f"{key}: expected a list of [keyword, value] pairs, got {value!r}")
-    return tuple(tuple(item) for item in value)
-
-
-def _backends(value, key: str) -> dict[str, BackendConfig]:
-    return {slot: _load(BackendConfig, spec, f"{key}.{slot}", slot=slot)
-            for slot, spec in _object(value, key).items()}
-
-
-# The reader of each field type.
-_READERS = {
-    int: _int, float: _float, str: _str, Path: _path, Path | None: _path,
-    tuple[str, ...]: _str_list, tuple[tuple[str, str], ...]: _pairs,
-    dict[str, BackendConfig]: _backends, StubRules: functools.partial(_load, StubRules),
-}
-
-
 def _max_corpus_year(path: Path) -> int | None:
     try:
-        years = [int(row["year"]) for row in read_jsonl(path) if row.get("year") is not None]
-    except (InputError, OSError, ValueError, TypeError, OverflowError):
+        years = [row["year"] for row in read_jsonl(path) if type(row.get("year")) is int]
+    except (InputError, OSError):
         return None  # malformed corpora are reported by ingest, not here
     return max(years, default=None)
 
@@ -194,7 +98,10 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path}: expected a JSON object")
-    return _load(RunConfig, raw, "", base_dir=path.parent.resolve())
+    try:
+        return read_object(RunConfig, raw, base_dir=path.parent.resolve())
+    except InputError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def validate_config(config: RunConfig) -> list[str]:
@@ -209,7 +116,7 @@ def validate_config(config: RunConfig) -> list[str]:
                  "vocab_path", "alias_path"):
         resolved = config.resolve(getattr(config, name))
         if resolved is not None and not resolved.exists():
-            errors.append(f"{_KEYS[name]}: file not found: {resolved}")
+            errors.append(f"{RunConfig.JSON_KEYS[name]}: file not found: {resolved}")
     if config.docs_dir is not None:
         docs_dir = config.resolve(config.docs_dir)
         if not docs_dir.is_dir():
@@ -218,7 +125,7 @@ def validate_config(config: RunConfig) -> list[str]:
     for name in ("stage1_k", "stage2_k", "stage3_k"):
         k = getattr(config, name)
         if k < 1:
-            errors.append(f"{_KEYS[name]}: k must be >= 1, got {k}")
+            errors.append(f"{RunConfig.JSON_KEYS[name]}: k must be >= 1, got {k}")
     if config.stage1_min_pos < 0 or config.stage1_min_neg < 0:
         errors.append("stage1: min_pos/min_neg must be nonnegative")
     if config.stage1_min_pos + config.stage1_min_neg > config.stage1_k:

@@ -7,7 +7,8 @@ import re
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
-from .errors import CorpusError, InputError
+from .errors import CorpusError
+from .jsonl import read_object
 
 logger = logging.getLogger(__name__)
 
@@ -53,46 +54,24 @@ class PaperRecord:
         return out
 
 
-def _int_field(raw: Mapping, paper_id: str, name: str) -> int | None:
-    value = raw.get(name)
-    if value is None:
-        return None
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(
-            f"record {paper_id!r}: field {name!r} is not an integer: {value!r}"
-        ) from exc
-
-
 def record_from_dict(raw: Mapping) -> PaperRecord:
-    """Build a PaperRecord from one JSON object, validating field shapes."""
-    paper_id = str(raw.get("paper_id") or "").strip()
+    """A PaperRecord from one JSON object; `paper_id` and `title` are stripped, not empty."""
+    record = read_object(PaperRecord, raw, f"record {raw.get('paper_id')!r}:",
+                         paper_id="", title="")
+    paper_id, title = record.paper_id.strip(), record.title.strip()
     if not paper_id:
         raise CorpusError(f"record missing paper_id: {dict(raw)!r}")
-    title = str(raw.get("title") or "").strip()
     if not title:
         raise CorpusError(f"record {paper_id!r} missing title")
-    year = _int_field(raw, paper_id, "year")
-    if year is not None and year < MIN_YEAR:
-        raise CorpusError(f"record {paper_id!r} has implausible year {year}")
-    citations = _int_field(raw, paper_id, "citation_count")
-    if citations is not None and citations < 0:
+    if record.year is not None and record.year < MIN_YEAR:
+        raise CorpusError(f"record {paper_id!r} has implausible year {record.year}")
+    if record.citation_count is not None and record.citation_count < 0:
         raise CorpusError(f"record {paper_id!r} has negative citation_count")
-    label = raw.get("label")
-    if label is not None and label not in LABELS:
-        raise CorpusError(f"record {paper_id!r} has unknown label {label!r}")
-    keywords = raw.get("author_keywords") or []
-    return PaperRecord(
-        paper_id=paper_id,
-        title=title,
-        abstract=str(raw.get("abstract") or ""),
-        author_keywords=tuple(str(k) for k in keywords),
-        year=year,
-        venue=str(raw.get("venue") or ""),
-        citation_count=citations,
-        label=label,
-    )
+    if record.label is not None and record.label not in LABELS:
+        raise CorpusError(f"record {paper_id!r} has unknown label {record.label!r}")
+    if (paper_id, title) == (record.paper_id, record.title):
+        return record
+    return replace(record, paper_id=paper_id, title=title)
 
 
 @dataclass

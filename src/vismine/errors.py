@@ -7,12 +7,11 @@ class VismineError(Exception):
 
 class InputError(VismineError):
     """Input cannot be read as data: a line that is not JSON or holds an
-    unpaired surrogate escape, a text file that is not UTF-8, a field that
-    must be an integer holding something else, or a missing or malformed
-    command-line flag."""
+    unpaired surrogate escape, a text file that is not UTF-8, a value of
+    the wrong JSON type, or a missing or malformed command-line flag."""
 
 
-class CorpusError(VismineError):
+class CorpusError(InputError):
     """Malformed metadata records, bad label assignments, or invalid filters."""
 
 

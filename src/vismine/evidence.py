@@ -28,10 +28,11 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
 from .errors import DocumentError
+from .jsonl import read_object
 
 logger = logging.getLogger(__name__)
 
@@ -61,7 +62,6 @@ _REF_START_RE = re.compile(r"\b(?:fig\.|figure)", re.IGNORECASE)
 class DocumentText:
     paper_id: str
     paragraphs: tuple[str, ...]
-    provenance: str = ""
 
 
 @dataclass(frozen=True)
@@ -89,25 +89,20 @@ class FigureEvidence:
 
 
 def evidence_from_dict(raw: dict) -> FigureEvidence:
-    return FigureEvidence(
-        paper_id=str(raw["paper_id"]),
-        figure_id=str(raw["figure_id"]),
-        base_figure_id=str(raw.get("base_figure_id") or base_figure_id(str(raw["figure_id"]))),
-        caption=str(raw.get("caption") or ""),
-        context=tuple(str(p) for p in raw.get("context") or ()),
-    )
+    """A missing or empty `base_figure_id` is derived from `figure_id`."""
+    ev = read_object(FigureEvidence, raw, f"record {raw.get('paper_id')!r}:",
+                     base_figure_id="", caption="", context=())
+    if ev.base_figure_id:
+        return ev
+    return replace(ev, base_figure_id=base_figure_id(ev.figure_id))
 
 
-def segment_paragraphs(paper_id: str, raw_text: str, provenance: str = "") -> DocumentText:
+def segment_paragraphs(paper_id: str, raw_text: str) -> DocumentText:
     """Split on blank-line boundaries, trimming each block."""
     if not raw_text or not raw_text.strip():
         raise DocumentError(f"empty document for {paper_id!r}")
     blocks = [b.strip() for b in _BLANK_LINE_RE.split(raw_text)]
-    return DocumentText(
-        paper_id=paper_id,
-        paragraphs=tuple(b for b in blocks if b),
-        provenance=provenance,
-    )
+    return DocumentText(paper_id=paper_id, paragraphs=tuple(b for b in blocks if b))
 
 
 def _is_cutoff_header(paragraph: str) -> bool:
@@ -130,7 +125,7 @@ def filter_nonbody(doc: DocumentText) -> DocumentText:
         if _is_nonbody(paragraph):
             continue
         kept.append(paragraph)
-    return DocumentText(paper_id=doc.paper_id, paragraphs=tuple(kept), provenance=doc.provenance)
+    return DocumentText(paper_id=doc.paper_id, paragraphs=tuple(kept))
 
 
 def canonical_figure_id(number: str, letter: str | None = None) -> str:

@@ -9,10 +9,11 @@ exemplars).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import ClassVar, Iterable, Mapping
 
 from .corpus import PaperRecord, record_from_dict
 from .errors import CorpusError
+from .jsonl import read_object
 from .vocab import FrameworkLabels, labels_from_dict
 
 
@@ -21,6 +22,9 @@ class CodedFigure:
     figure_id: str
     relevant: bool | None = None
     labels: FrameworkLabels | None = None
+
+    # Read by `coded_paper_from_dict`, which gives them the paper's and figure's ids.
+    JSON_KEYS: ClassVar[dict[str, str | None]] = {"labels": None}
 
     def to_dict(self) -> dict:
         out: dict = {"figure_id": self.figure_id}
@@ -57,30 +61,28 @@ class CodedPaper:
 
 
 def coded_paper_from_dict(raw: Mapping) -> CodedPaper:
+    """A corpus record plus `figures`, each with a unique stripped id and labels."""
     record = record_from_dict(raw)
+    where = f"record {record.paper_id!r}:"
+    figures_raw = raw.get("figures")
+    if figures_raw is not None:
+        figures_raw = read_object(tuple[dict, ...], figures_raw, f"{where} figures")
     figures = []
     seen: set[str] = set()
-    for fig_raw in raw.get("figures") or ():
-        figure_id = str(fig_raw.get("figure_id") or "").strip()
+    for number, figure_raw in enumerate(figures_raw or ()):
+        key = f"{where} figures[{number}]"
+        figure = read_object(CodedFigure, figure_raw, key, figure_id="")
+        figure_id = figure.figure_id.strip()
         if not figure_id:
             raise CorpusError(f"library figure without figure_id in {record.paper_id!r}")
         if figure_id in seen:
             raise CorpusError(f"duplicate figure {figure_id!r} in {record.paper_id!r}")
         seen.add(figure_id)
-        labels = None
-        if fig_raw.get("labels") is not None:
-            labels_raw = dict(fig_raw["labels"])
-            labels_raw.setdefault("paper_id", record.paper_id)
-            labels_raw.setdefault("base_figure_id", figure_id)
-            labels = labels_from_dict(labels_raw)
-        relevant = fig_raw.get("relevant")
-        figures.append(
-            CodedFigure(
-                figure_id=figure_id,
-                relevant=None if relevant is None else bool(relevant),
-                labels=labels,
-            )
-        )
+        labels = figure_raw.get("labels")
+        if labels is not None:
+            labels = labels_from_dict(labels, f"{key}.labels", paper_id=record.paper_id,
+                                      base_figure_id=figure_id)
+        figures.append(CodedFigure(figure_id=figure_id, relevant=figure.relevant, labels=labels))
     return CodedPaper(record=record, figures=tuple(figures))
 
 

@@ -84,11 +84,14 @@ def load_corpus_file(path: str | Path) -> list[corpus_mod.PaperRecord]:
 
 
 def _rows_with(path: str | Path, keys: Sequence[str]) -> Iterator[dict]:
-    """The records of JSONL file `path`; one lacking any of `keys` is an `InputError`."""
+    """The records of JSONL file `path`, each holding a string under every key of `keys`."""
     for number, row in enumerate(read_jsonl(path), 1):
         for key in keys:
             if key not in row:
                 raise InputError(f"{path}: record {number} has no {key!r}")
+            if not isinstance(row[key], str):
+                raise InputError(
+                    f"{path}: record {number}: {key}: expected a string, got {row[key]!r}")
         yield row
 
 
@@ -120,7 +123,7 @@ def load_pool(
     have = {r.paper_id for r in records}
     extras = [corpus_mod.record_from_dict(row) for row in pool_rows
               if row.get("paper_id") not in have and "title" in row]
-    assignments = [(str(row["paper_id"]), str(row["label"])) for row in pool_rows]
+    assignments = [(row["paper_id"], row["label"]) for row in pool_rows]
     return corpus_mod.load_labeled_pool([*records, *extras], assignments)
 
 
@@ -146,7 +149,7 @@ def load_evidence_table(
     """
     table: dict[tuple[str, str], evidence_mod.FigureEvidence] = {}
     for raw in _rows_with(path, ("paper_id", "figure_id")):
-        if str(raw["paper_id"]) in paper_ids:
+        if raw["paper_id"] in paper_ids:
             ev = evidence_mod.evidence_from_dict(raw)
             table[(ev.paper_id, ev.figure_id)] = ev
     return table
@@ -206,16 +209,14 @@ def run_evidence_step(manifest_path: str | Path, docs_dir: Path, out_path: str |
 
     def rows() -> Iterator[dict]:
         for entry in _rows_with(manifest_path, ("paper_id", "path")):
-            paper_id = str(entry["paper_id"])
-            doc_path = docs_dir / str(entry["path"])
+            doc_path = docs_dir / entry["path"]
             try:
                 raw_text = doc_path.read_text(encoding="utf-8")
             except UnicodeDecodeError as exc:
                 raise InputError(
                     f"{doc_path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
-            doc = evidence_mod.segment_paragraphs(
-                paper_id, raw_text, provenance=str(entry.get("provenance", "")))
-            doc = evidence_mod.filter_nonbody(doc)
+            doc = evidence_mod.filter_nonbody(
+                evidence_mod.segment_paragraphs(entry["paper_id"], raw_text))
             for ev in evidence_mod.extract_all_evidence(doc):
                 yield ev.to_dict()
 
@@ -389,6 +390,8 @@ def run_pipeline(config: RunConfig, stages: list[str] | None = None) -> RunManif
     manifest = RunManifest(config_hash=_config_hash(config))
     needs_gateway = any(s in stages for s in ("stage1", "stage2", "stage3"))
     gateway = build_gateway(config) if needs_gateway else None
+    # Read before the first stage, so a bad vocabulary file costs no backend call.
+    vocab = config_vocabulary(config) if "stage3" in stages else None
     failed: list[str] = []
     # Each output's hash, taken once when its stage writes it: a later
     # stage reading it as input reuses the hash instead of reading it again.
@@ -433,8 +436,7 @@ def run_pipeline(config: RunConfig, stages: list[str] | None = None) -> RunManif
         elif stage == "stage3":
             library_path = _config_path(config, config.library_path, "library file")
             result = run_stage3_step(
-                verdicts_out, evidence_out, library_path, labels_out, config_vocabulary(config),
-                gateway, config)
+                verdicts_out, evidence_out, library_path, labels_out, vocab, gateway, config)
             if result.retry:
                 failed.append(f"{len(result.retry)} figure(s) in {retry_path(labels_out)}")
         elif stage == "analyze":

@@ -16,6 +16,7 @@ from . import bm25
 from .errors import AuthenticationError, GatewayError, StageError
 from .evidence import FigureEvidence, figure_sort_key
 from .gateway import Gateway, PromptRequest, clip_confidence, map_items, verdict_from_payload
+from .jsonl import read_object
 from .library import CodedPaper
 from .prompts import FIGURE_SCHEMA, FIGURE_SYSTEM
 from .stage1 import paper_doc
@@ -43,27 +44,16 @@ class RelevanceVerdict:
     selected: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "paper_id": self.paper_id,
-            "figure_id": self.figure_id,
-            "relevant": self.relevant,
-            "confidence": self.confidence,
-            "evidence": self.evidence,
-            "role": self.role,
-            "selected": self.selected,
-        }
+        return dict(vars(self))
 
 
 def verdict_from_dict(raw: Mapping) -> RelevanceVerdict:
-    return RelevanceVerdict(
-        paper_id=str(raw["paper_id"]),
-        figure_id=str(raw["figure_id"]),
-        relevant=bool(raw.get("relevant")),
-        confidence=clip_confidence(raw.get("confidence")),
-        evidence=str(raw.get("evidence") or ""),
-        role=raw.get("role"),
-        selected=bool(raw.get("selected")),
-    )
+    """A RelevanceVerdict from one JSON object; its confidence is clipped to [0, 1]."""
+    verdict = read_object(RelevanceVerdict, raw, f"record {raw.get('paper_id')!r}:",
+                          relevant=False, confidence=0.0, evidence="")
+    if 0.0 <= verdict.confidence <= 1.0:
+        return verdict
+    return replace(verdict, confidence=clip_confidence(verdict.confidence))
 
 
 @dataclass(frozen=True)

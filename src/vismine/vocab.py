@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
-from typing import Mapping
+from typing import ClassVar, Mapping
 
-from .errors import VocabularyError
+from .errors import InputError, VocabularyError
+from .jsonl import read_object
 
 MODEL_LISTENER = "model_listener"
 DATA_TYPE = "data_type"
@@ -94,9 +95,15 @@ class LabelVocabulary:
         return tuple(unique)
 
 
-def _read_packaged(name: str) -> dict:
-    text = resources.files("vismine").joinpath("data", name).read_text(encoding="utf-8")
-    return json.loads(text)
+def _read_file(path: str | Path | None, packaged: str, tp):
+    """The `tp` in JSON file `path`, or in the packaged file `packaged` when
+    `path` is None; an error names the file."""
+    file = resources.files("vismine").joinpath("data", packaged) if path is None else Path(path)
+    try:
+        raw = json.loads(file.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not JSON or not UTF-8
+        raise InputError(f"{file}: cannot read JSON: {exc}") from exc
+    return read_object(tp, raw, f"{file}:")
 
 
 def load_vocabulary(
@@ -104,17 +111,10 @@ def load_vocabulary(
     alias_path: str | Path | None = None,
 ) -> LabelVocabulary:
     """Load vocabulary and alias files; packaged defaults fill in any gap."""
-    if vocab_path is None:
-        vocab_raw = _read_packaged("vocabulary.json")
-    else:
-        vocab_raw = json.loads(Path(vocab_path).read_text(encoding="utf-8"))
-    if alias_path is None:
-        alias_raw = _read_packaged("aliases.json")
-    else:
-        alias_raw = json.loads(Path(alias_path).read_text(encoding="utf-8"))
-    categories = {fname: tuple(values) for fname, values in vocab_raw.items()}
-    aliases = {fname: dict(table) for fname, table in alias_raw.items()}
-    return LabelVocabulary(categories=categories, aliases=aliases)
+    return LabelVocabulary(
+        categories=_read_file(vocab_path, "vocabulary.json", Mapping[str, tuple[str, ...]]),
+        aliases=_read_file(alias_path, "aliases.json", Mapping[str, Mapping[str, str]]),
+    )
 
 
 @dataclass(frozen=True)
@@ -130,6 +130,11 @@ class FrameworkLabels:
     confidences: Mapping[str, float] = field(default_factory=dict)
     evidence: Mapping[str, str] = field(default_factory=dict)
     flags: tuple[str, ...] = ()
+
+    JSON_KEYS: ClassVar[dict[str, str | None]] = {
+        "listeners": MODEL_LISTENER, "data_types": DATA_TYPE,
+        "vis_type": VIS_TYPE, "vis_purpose": VIS_PURPOSE,
+    }
 
     def field_values(self, fname: str) -> tuple[str, ...]:
         if fname == MODEL_LISTENER:
@@ -167,15 +172,13 @@ class FrameworkLabels:
         }
 
 
-def labels_from_dict(raw: Mapping) -> FrameworkLabels:
-    return FrameworkLabels(
-        paper_id=str(raw.get("paper_id") or ""),
-        base_figure_id=str(raw.get("base_figure_id") or ""),
-        listeners=tuple(raw.get(MODEL_LISTENER) or ()),
-        data_types=tuple(raw.get(DATA_TYPE) or ()),
-        vis_type=str(raw.get(VIS_TYPE) or OTHER),
-        vis_purpose=str(raw.get(VIS_PURPOSE) or OTHER),
-        confidences={k: float(v) for k, v in (raw.get("confidences") or {}).items()},
-        evidence={k: str(v) for k, v in (raw.get("evidence") or {}).items()},
-        flags=tuple(raw.get("flags") or ()),
-    )
+def labels_from_dict(raw: Mapping, key: str = "", **given) -> FrameworkLabels:
+    """`given` fills in ids `raw` leaves out; an empty type or purpose is `other`."""
+    labels = read_object(
+        FrameworkLabels, raw, key or f"record {raw.get('paper_id')!r}:",
+        **{"paper_id": "", "base_figure_id": "", "listeners": (), "data_types": (),
+           "vis_type": "", "vis_purpose": "", **given})
+    if labels.vis_type and labels.vis_purpose:
+        return labels
+    return replace(labels, vis_type=labels.vis_type or OTHER,
+                   vis_purpose=labels.vis_purpose or OTHER)

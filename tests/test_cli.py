@@ -440,7 +440,7 @@ class TestMalformedInput:
         assert code == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert "'P02'" in err and repr(field) in err
+        assert f"record 'P02': {field}: expected an integer, got 'n/a'" in err
         assert "Traceback" not in err
 
     def test_pool_row_without_label_names_file_and_key(self, tmp_path, fixture_config, capsys):
@@ -509,6 +509,109 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert f"{verdicts}: record 1 has no 'figure_id'" in err
+
+    def test_record_without_title_exits_1(self, tmp_path, capsys):
+        code, _ = self.ingest(tmp_path, ['{"paper_id": "P1", "title": ""}'])
+        assert code == 1
+        assert capsys.readouterr().err == "input error: record 'P1' missing title\n"
+
+    def test_docs_manifest_path_that_is_not_a_string_exits_1(self, tmp_path, capsys):
+        manifest = tmp_path / "docs_manifest.jsonl"
+        manifest.write_text('{"paper_id": "P01", "path": null}\n', encoding="utf-8")
+        code = main([
+            "evidence", "--docs-manifest", str(manifest), "--docs-dir", fx("docs"),
+            "--out", str(tmp_path / "evidence.jsonl"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"input error: {manifest}: record 1: path: expected a string, got None\n"
+
+    def test_pool_ids_that_are_not_strings_exit_1(self, tmp_path, fixture_config, capsys):
+        pool = tmp_path / "pool.jsonl"
+        pool.write_text('{"paper_id": "P01", "label": "positive"}\n'
+                        '{"paper_id": 1, "label": true}\n', encoding="utf-8")
+        code = main([
+            "stage1", "--corpus", fx("corpus.jsonl"), "--pool", str(pool),
+            "--out", str(tmp_path / "subset.jsonl"), "--config", str(fixture_config("pool")),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"input error: {pool}: record 2: paper_id: expected a string, got 1\n"
+
+
+def _set_in_first_row(path: Path, where: tuple, value, paper_id: str = "") -> None:
+    """Set `value` at the key path `where` of the file's first row (of `paper_id`, if given)."""
+    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    target = next(row for row in rows if row["paper_id"] == (paper_id or row["paper_id"]))
+    *parents, last = where
+    for part in parents:
+        target = target[part]
+    target[last] = value
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+
+
+class TestWrongTypedRows:
+    """A row value of the wrong JSON type is a one-line exit 1 naming its key.
+    Each was converted before (a string flag read as true, a string split into
+    a list), and the command exited 0."""
+
+    CASES = [
+        ("library.jsonl", ("figures", 0, "relevant"), "false",
+         "record 'P01': figures[0].relevant: expected true or false, got 'false'"),
+        ("library.jsonl", ("figures", 0, "labels", "model_listener"), "output results",
+         "record 'P01': figures[0].labels.model_listener: expected a list, got 'output results'"),
+        ("corpus.jsonl", ("author_keywords",), "deep learning",
+         "record 'P01': author_keywords: expected a list, got 'deep learning'"),
+    ]
+
+    @pytest.mark.parametrize("name, where, value, message", CASES,
+                             ids=[where[-1] for _, where, _, _ in CASES])
+    def test_run_exits_1_naming_the_key(self, tmp_path, fixture_config, capsys, name, where,
+                                        value, message):
+        inputs = tmp_path / "inputs"
+        shutil.copytree(FIXTURE_DIR, inputs, ignore=shutil.ignore_patterns("out"))
+        _set_in_first_row(inputs / name, where, value)
+        config = fixture_config("rows", corpus=str(inputs / "corpus.jsonl"),
+                                library=str(inputs / "library.jsonl"))
+        assert main(["run", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
+    def test_stage3_string_evidence_context_exits_1(self, tmp_path, fixture_config, capsys):
+        config = fixture_config("context")
+        out = run_composite(config)
+        evidence_file = tmp_path / "evidence.jsonl"
+        shutil.copy(out / "evidence.jsonl", evidence_file)
+        _set_in_first_row(evidence_file, ("context",), "a paragraph", paper_id="P01")
+        capsys.readouterr()
+        code = main([
+            "stage3", "--figures", str(out / "stage2_verdicts.jsonl"),
+            "--evidence", str(evidence_file), "--library", fx("library.jsonl"),
+            "--out", str(tmp_path / "labels.jsonl"), "--config", str(config),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "record 'P01': context: expected a list, got 'a paragraph'" in err
+
+
+class TestVocabularyFile:
+    """`vismine run` reads the vocabulary files before its first stage, and a
+    file that is not JSON or not a vocabulary is a one-line exit 1 naming it."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "cannot read JSON: Expecting property name"),
+        ('["a"]', "expected an object, got ['a']"),
+        ('{"model_listener": "input data"}', "model_listener: expected a list"),
+    ])
+    def test_run_exits_1_before_any_stage(self, tmp_path, fixture_config, capsys, text, message):
+        vocabulary = tmp_path / "vocabulary.json"
+        vocabulary.write_text(text, encoding="utf-8")
+        config = fixture_config("vocab", vocabulary=str(vocabulary))
+        assert main(["run", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith(f"input error: {vocabulary}: {message}")
+        assert not [path for path in (tmp_path / "vocab").rglob("*") if path.is_file()]
 
 
 class TestTextEncoding:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vismine import config as config_mod
+from vismine import jsonl
 from vismine.config import BackendConfig, RunConfig, build_gateway, load_config, validate_config
 from vismine.errors import ConfigError
 from vismine.gateway import KeywordStubBackend, StubRules
@@ -95,7 +95,7 @@ class TestDefaults:
     def test_no_optional_key_loads_the_field_defaults(self, tmp_path):
         config = self.load(tmp_path, {"backends": {"primary": {}}})
         expected = RunConfig(base_dir=tmp_path.resolve(),
-                             backends={"primary": BackendConfig(slot="primary")})
+                             backends={"primary": BackendConfig()})
         for f in fields(RunConfig):
             assert getattr(config, f.name) == getattr(expected, f.name), f.name
         for f in fields(BackendConfig):
@@ -219,9 +219,8 @@ def _old_load_config(path: Path) -> RunConfig:
     for slot in backend_specs:
         name = f"backends.{slot}"
         spec = _old_section(backend_specs, slot, name)
-        default_backend = BackendConfig(slot=slot)
+        default_backend = BackendConfig()
         backends[slot] = BackendConfig(
-            slot=slot,
             kind=str(spec.get("kind", default_backend.kind)),
             endpoint=str(spec.get("endpoint", default_backend.endpoint)),
             model=str(spec.get("model", default_backend.model)),
@@ -320,8 +319,8 @@ def test_valid_configs_load_as_the_old_loader_loaded_them(tmp_path, raw):
 def _reader_keys(cls=RunConfig, prefix=""):
     """Every key the reader reads under `prefix`; a backend slot is `<slot>`."""
     hints = typing.get_type_hints(cls)
-    for name, path, _ in config_mod._readers(cls):
-        key = prefix + ".".join(path)
+    for name, _, _, json_key, _, _ in jsonl._readers(cls):
+        key = prefix + json_key
         if hints[name] == dict[str, BackendConfig]:
             yield from _reader_keys(BackendConfig, f"{key}.<slot>.")
         elif hints[name] is StubRules:
