@@ -17,26 +17,11 @@ from . import evaluation as eval_mod
 from . import pipeline as pipeline_mod
 from .config import RunConfig, build_gateway, load_config, validate_config
 from .errors import ConfigError, InputError, VismineError
-from .jsonl import read_jsonl, write_json
-from .library import load_library
-from .pipeline import (
-    STAGES, config_vocabulary, load_corpus_file, load_evidence_table, load_pool, run_pipeline,
-)
+from .pipeline import STAGES, config_vocabulary, run_pipeline
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
-
-
-def _int_list(text: str, flag: str) -> list[int]:
-    """The integers, none below 0, in the comma-separated `text`; empty parts are skipped."""
-    try:
-        values = [int(part) for part in text.split(",") if part.strip() != ""]
-        if all(value >= 0 for value in values):
-            return values
-    except ValueError:
-        pass
-    raise InputError(f"{flag} must be comma-separated integers >= 0, got {text!r}")
 
 
 def _config_from_args(args) -> RunConfig:
@@ -49,11 +34,6 @@ def _config_from_args(args) -> RunConfig:
     return config
 
 
-def _gateway_from_args(args) -> tuple:
-    config = _config_from_args(args)
-    return config, build_gateway(config)
-
-
 def cmd_ingest(args) -> int:
     config = _config_from_args(args)
     filtered, report = pipeline_mod.run_ingest(args.corpus, args.out, args.report, config.keywords)
@@ -62,9 +42,9 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_stage1(args) -> int:
-    config, gateway = _gateway_from_args(args)
+    config = _config_from_args(args)
     result = pipeline_mod.run_stage1_step(
-        args.corpus, args.pool, args.out, args.log or None, gateway, config)
+        args.corpus, args.pool, args.out, args.log or None, build_gateway(config), config)
     print(f"stage1: {len(result.subset)} positives, {len(result.retry)} undecided")
     return _retry_exit(result.retry, args.out, "paper")
 
@@ -85,67 +65,29 @@ def _retry_exit(retry: list, out_path: str, item: str) -> int:
 
 
 def cmd_stage2(args) -> int:
-    config, gateway = _gateway_from_args(args)
+    config = _config_from_args(args)
     result = pipeline_mod.run_stage2_step(
-        args.papers, args.evidence, args.library, args.out, gateway, config)
+        args.papers, args.evidence, args.library, args.out, build_gateway(config), config)
     kept = sum(1 for sel in result.selected.values() if sel)
     print(f"stage2: {len(result.verdicts)} verdicts, {kept} papers with representatives")
     return _retry_exit(result.retry, args.out, "figure")
 
 
 def cmd_stage3(args) -> int:
-    config, gateway = _gateway_from_args(args)
+    config = _config_from_args(args)
     result = pipeline_mod.run_stage3_step(
         args.figures, args.evidence, args.library, args.out, config_vocabulary(config),
-        gateway, config)
+        build_gateway(config), config)
     print(f"stage3: {len(result.labels)} base figures labeled")
     return _retry_exit(result.retry, args.out, "figure")
 
 
 def cmd_eval(args) -> int:
-    stages = _int_list(args.stages, "--stages")
-    if not stages or any(stage not in (1, 2, 3) for stage in stages):
+    parts = [part.strip() for part in args.stages.split(",") if part.strip() != ""]
+    if not parts or any(part not in ("1", "2", "3") for part in parts):
         raise InputError(f"--stages must list stages from 1-3, got {args.stages!r}")
-    stage1_shots = _int_list(args.shots, "--shots")
-    stage2_shots = _int_list(args.stage2_shots, "--stage2-shots")
-    stage3_shots = _int_list(args.stage3_shots, "--stage3-shots")
-    figure_stages = 2 in stages or 3 in stages
-    for flag, value, needed in (("--pool", args.pool, 1 in stages),
-                                ("--figures", args.figures, figure_stages),
-                                ("--evidence", args.evidence, figure_stages)):
-        if needed and not value:
-            raise InputError(f"{flag} is required for eval --stages {args.stages}")
-    config, gateway = _gateway_from_args(args)
-    pool = None
-    if 1 in stages:
-        pool = load_pool(args.pool, load_corpus_file(args.corpus) if args.corpus else [])
-    coded = None
-    table = None
-    if figure_stages:
-        coded = load_library(read_jsonl(args.figures))
-        table = load_evidence_table(args.evidence, {p.paper_id for p in coded})
-    vocab = config_vocabulary(config) if 3 in stages else None
-    report = eval_mod.run_loo(
-        pool=pool,
-        coded=coded,
-        evidence_lookup=None if table is None else (
-            lambda paper_id, figure_id: table.get((paper_id, figure_id))),
-        vocab=vocab,
-        gateway=gateway,
-        stage1_backends=config.stage1_backends,
-        figure_backend=config.stage2_backend,
-        stages=stages,
-        stage1_shots=stage1_shots,
-        stage2_shots=stage2_shots,
-        stage3_shots=stage3_shots,
-        stage1_k=config.stage1_k,
-        stage1_min_pos=config.stage1_min_pos,
-        stage1_min_neg=config.stage1_min_neg,
-        stage3_backend=config.stage3_backend,
-        stage3_per_paper_cap=config.stage3_per_paper_cap,
-        max_workers=config.max_workers,
-    )
-    write_json(args.out, report.to_dict())
+    report = pipeline_mod.run_eval(load_config(args.config), [int(part) for part in parts],
+                                   args.out)
     leaks = eval_mod.find_leakage(report)
     for row in report.rows:
         print(
@@ -225,15 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_stage3)
 
-    p = sub.add_parser("eval", help="leave-one-out evaluation harness")
-    p.add_argument("--pool", default="")
-    p.add_argument("--corpus", default="", help="metadata for pool papers lacking titles")
-    p.add_argument("--figures", default="", help="coded-paper library file")
-    p.add_argument("--evidence", default="")
+    p = sub.add_parser("eval", help="leave-one-out evaluation of what `run` runs")
     p.add_argument("--stages", default="1,2,3")
-    p.add_argument("--shots", default="0,6", help="stage-1 shot settings")
-    p.add_argument("--stage2-shots", default="0,5")
-    p.add_argument("--stage3-shots", default="0,10")
     p.add_argument("--out", required=True)
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_eval)

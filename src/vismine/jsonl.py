@@ -8,7 +8,7 @@ import json
 import os
 import re
 from collections.abc import Mapping
-from dataclasses import fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
 from types import UnionType
 from typing import Callable, Iterable, Iterator, Union, get_args, get_origin, get_type_hints
@@ -71,31 +71,33 @@ def read_object(cls, raw, key: str = "", **given):
     naming its full key.  A field's key is its name or its `JSON_KEYS` entry
     (`section.key` is `key` inside the object `section`; None: not read).  A
     key left out or null, an empty path or list keeps the `given` value, else
-    the default."""
+    the default; a field with neither is an `InputError` naming its key."""
     if not is_dataclass(cls):
         return _reader(cls)(raw, key)
     raw = _object(raw, key)
-    for name, section, part, json_key, as_is, read in _readers(cls):
+    for name, section, part, json_key, as_is, read, required in _readers(cls):
         value = (_object(raw.get(section), _join(key, section)) if section else raw).get(part)
-        if value is None:
-            continue
         if type(value) is as_is:
             given[name] = value
-        elif (value := read(value, _join(key, json_key))) not in (None, ()):
+        elif value is not None and (value := read(value, _join(key, json_key))) not in (None, ()):
             given[name] = value
+        elif required and name not in given:
+            raise InputError(f"{_join(key, json_key)}: missing")
     return cls(**given)
 
 
 @functools.cache
-def _readers(cls) -> tuple[tuple[str, str, str, str, type | None, Callable], ...]:
-    """(name, section or "", key in it, JSON key, `_AS_IS` type, reader) of each field read."""
+def _readers(cls) -> tuple[tuple[str, str, str, str, type | None, Callable, bool], ...]:
+    """(name, section or "", key in it, JSON key, `_AS_IS` type, reader, has no default)
+    of each field read."""
     hints, keys = get_type_hints(cls), getattr(cls, "JSON_KEYS", {})
     readers = []
     for f in fields(cls):
         json_key, read = keys.get(f.name, f.name), _reader(hints[f.name])
         if json_key is not None:
             section, _, part = json_key.rpartition(".")
-            readers.append((f.name, section, part, json_key, _AS_IS.get(read), read))
+            required = f.default is MISSING and f.default_factory is MISSING
+            readers.append((f.name, section, part, json_key, _AS_IS.get(read), read, required))
     return tuple(readers)
 
 

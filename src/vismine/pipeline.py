@@ -19,6 +19,7 @@ from typing import Collection, Iterator, Sequence
 from . import __version__
 from . import analysis as analysis_mod
 from . import corpus as corpus_mod
+from . import evaluation as eval_mod
 from . import evidence as evidence_mod
 from . import stage1 as stage1_mod
 from . import stage2 as stage2_mod
@@ -40,6 +41,9 @@ UPSTREAM = {
     "stage3": ("stage2", "evidence"),
     "analyze": ("stage3",),
 }
+
+# The stages of `vismine run` whose outputs each stage of `vismine eval` reads.
+EVAL_UPSTREAM = {"stage1": ("ingest",), "stage2": ("evidence",), "stage3": ("evidence",)}
 
 
 def stage_outputs(out_dir: Path) -> dict[str, list[Path]]:
@@ -127,11 +131,16 @@ def load_pool(
     return corpus_mod.load_labeled_pool([*records, *extras], assignments)
 
 
-def _config_path(config: RunConfig, path: Path | None, name: str) -> Path:
-    resolved = config.resolve(path)
-    if resolved is None:
-        raise PipelineError(f"config has no {name}")
-    return resolved
+def require_outputs(stage: str, upstream: Sequence[str], outputs: dict[str, list[Path]]) -> None:
+    """A `PipelineError` naming the first stage of `upstream` that left an output of
+    `outputs` missing, as the one `stage` needs run first."""
+    for up in upstream:
+        missing = [p for p in outputs[up] if not p.exists()]
+        if missing:
+            raise PipelineError(
+                f"stage {stage!r} needs outputs of {up!r}; run {up!r} first "
+                f"(missing {missing[0]})"
+            )
 
 
 def config_vocabulary(config: RunConfig) -> LabelVocabulary:
@@ -371,14 +380,14 @@ def run_pipeline(config: RunConfig, stages: list[str] | None = None) -> RunManif
     in stage 2 or 3, the remaining stages still run and the manifest is
     written; then a `PipelineError` names each stage's retry queue.
     """
-    problems = validate_config(config)
-    if problems:
-        raise ConfigError("; ".join(problems))
     stages = list(stages) if stages is not None else list(STAGES)
     unknown = [s for s in stages if s not in STAGES]
     if unknown:
         raise PipelineError(f"unknown stages: {unknown}")
     stages.sort(key=STAGES.index)
+    problems = validate_config(config, stages)
+    if problems:
+        raise ConfigError("; ".join(problems))
 
     out_dir = config.resolve(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -398,15 +407,9 @@ def run_pipeline(config: RunConfig, stages: list[str] | None = None) -> RunManif
     written: dict[str, str] = {}
 
     for stage in stages:
-        for upstream in UPSTREAM.get(stage, ()):
-            if upstream in stages and stages.index(upstream) < stages.index(stage):
-                continue
-            missing = [p for p in outputs[upstream] if not p.exists()]
-            if missing:
-                raise PipelineError(
-                    f"stage {stage!r} needs outputs of {upstream!r}; run {upstream!r} first "
-                    f"(missing {missing[0]})"
-                )
+        # A requested upstream stage ran earlier in this loop.
+        require_outputs(stage, [up for up in UPSTREAM.get(stage, ()) if up not in stages],
+                        outputs)
         inputs = {
             str(p): written.get(str(p)) or file_sha256(p)
             for up in UPSTREAM.get(stage, ())
@@ -415,28 +418,24 @@ def run_pipeline(config: RunConfig, stages: list[str] | None = None) -> RunManif
         }
         started = time.time()
         if stage == "ingest":
-            corpus_path = _config_path(config, config.corpus_path, "corpus file")
-            run_ingest(corpus_path, corpus_out, report_out, config.keywords)
+            run_ingest(config.resolve(config.corpus_path), corpus_out, report_out, config.keywords)
         elif stage == "stage1":
-            pool_path = _config_path(config, config.pool_path, "pool file")
-            result = run_stage1_step(
-                corpus_out, pool_path, subset_out, decisions_out, gateway, config)
+            result = run_stage1_step(corpus_out, config.resolve(config.pool_path), subset_out,
+                                     decisions_out, gateway, config)
             if result.retry:
                 failed.append(f"{len(result.retry)} paper(s) in {retry_path(subset_out)}")
         elif stage == "evidence":
-            manifest_path = _config_path(config, config.docs_manifest_path, "docs_manifest file")
-            docs_dir = _config_path(config, config.docs_dir, "docs_dir directory")
-            run_evidence_step(manifest_path, docs_dir, evidence_out)
+            run_evidence_step(config.resolve(config.docs_manifest_path),
+                              config.resolve(config.docs_dir), evidence_out)
         elif stage == "stage2":
-            library_path = _config_path(config, config.library_path, "library file")
-            result = run_stage2_step(
-                subset_out, evidence_out, library_path, verdicts_out, gateway, config)
+            result = run_stage2_step(subset_out, evidence_out, config.resolve(config.library_path),
+                                     verdicts_out, gateway, config)
             if result.retry:
                 failed.append(f"{len(result.retry)} figure(s) in {retry_path(verdicts_out)}")
         elif stage == "stage3":
-            library_path = _config_path(config, config.library_path, "library file")
-            result = run_stage3_step(
-                verdicts_out, evidence_out, library_path, labels_out, vocab, gateway, config)
+            result = run_stage3_step(verdicts_out, evidence_out,
+                                     config.resolve(config.library_path), labels_out, vocab,
+                                     gateway, config)
             if result.retry:
                 failed.append(f"{len(result.retry)} figure(s) in {retry_path(labels_out)}")
         elif stage == "analyze":
@@ -457,3 +456,42 @@ def run_pipeline(config: RunConfig, stages: list[str] | None = None) -> RunManif
     if failed:
         raise PipelineError(f"items failed and were queued for retry: {'; '.join(failed)}")
     return manifest
+
+
+def run_eval(config: RunConfig, stages: Sequence[int], out_path: str | Path) -> eval_mod.LooReport:
+    """Score eval `stages` (of 1-3) leave-one-out on what `vismine run` reads; write the report.
+
+    Stage 1's pool is `load_pool` of the config's `pool` and
+    `<out_dir>/corpus.jsonl`, as `run_stage1_step` builds it; stages 2 and 3
+    read the config's `library` and `<out_dir>/evidence.jsonl`.  Each stage
+    is scored zero-shot and with its configured `k`.  A missing ingest or
+    evidence output fails before any backend call, naming the stage to run.
+    """
+    names = [f"stage{stage}" for stage in stages]
+    problems = validate_config(config, names)
+    if problems:
+        raise ConfigError("; ".join(problems))
+    outputs = stage_outputs(config.resolve(config.out_dir))
+    for name in names:
+        require_outputs(name, EVAL_UPSTREAM[name], outputs)
+    pool, coded, table = None, None, {}
+    if 1 in stages:
+        pool = load_pool(config.resolve(config.pool_path), load_corpus_file(outputs["ingest"][0]))
+    if 2 in stages or 3 in stages:
+        coded = load_library(read_jsonl(config.resolve(config.library_path)))
+        table = load_evidence_table(outputs["evidence"][0], {p.paper_id for p in coded})
+    report = eval_mod.run_loo(
+        pool=pool, coded=coded, stages=stages,
+        evidence_lookup=lambda paper_id, figure_id: table.get((paper_id, figure_id)),
+        # Read before stage 1 runs, so a bad vocabulary file costs no backend call.
+        vocab=config_vocabulary(config) if 3 in stages else None,
+        gateway=build_gateway(config),
+        stage1_backends=config.stage1_backends, figure_backend=config.stage2_backend,
+        stage1_shots=(0, config.stage1_k), stage2_shots=(0, config.stage2_k),
+        stage3_shots=(0, config.stage3_k),
+        stage1_k=config.stage1_k, stage1_min_pos=config.stage1_min_pos,
+        stage1_min_neg=config.stage1_min_neg, stage3_backend=config.stage3_backend,
+        stage3_per_paper_cap=config.stage3_per_paper_cap, max_workers=config.max_workers,
+    )
+    write_json(out_path, report.to_dict())
+    return report

@@ -95,10 +95,13 @@ class LabelVocabulary:
         return tuple(unique)
 
 
-def _read_file(path: str | Path | None, packaged: str, tp):
-    """The `tp` in JSON file `path`, or in the packaged file `packaged` when
-    `path` is None; an error names the file."""
-    file = resources.files("vismine").joinpath("data", packaged) if path is None else Path(path)
+def _data_file(path: str | Path | None, packaged: str):
+    """The file `path`, or the packaged data file `packaged` when `path` is None."""
+    return resources.files("vismine").joinpath("data", packaged) if path is None else Path(path)
+
+
+def _read_file(file, tp):
+    """The `tp` in JSON file `file`; an error names the file."""
     try:
         raw = json.loads(file.read_text(encoding="utf-8"))
     except ValueError as exc:  # not JSON or not UTF-8
@@ -110,11 +113,20 @@ def load_vocabulary(
     vocab_path: str | Path | None = None,
     alias_path: str | Path | None = None,
 ) -> LabelVocabulary:
-    """Load vocabulary and alias files; packaged defaults fill in any gap."""
-    return LabelVocabulary(
-        categories=_read_file(vocab_path, "vocabulary.json", Mapping[str, tuple[str, ...]]),
-        aliases=_read_file(alias_path, "aliases.json", Mapping[str, Mapping[str, str]]),
-    )
+    """Load vocabulary and alias files; packaged defaults fill in any gap.
+
+    A vocabulary without a field, or an alias targeting no category of its
+    field, is an `InputError` naming the file at fault.
+    """
+    vocab_file = _data_file(vocab_path, "vocabulary.json")
+    alias_file = _data_file(alias_path, "aliases.json")
+    categories = _read_file(vocab_file, Mapping[str, tuple[str, ...]])
+    aliases = _read_file(alias_file, Mapping[str, Mapping[str, str]])
+    try:
+        return LabelVocabulary(categories=categories, aliases=aliases)
+    except VocabularyError as exc:
+        at_fault = vocab_file if not all(categories.get(f) for f in FIELDS) else alias_file
+        raise InputError(f"{at_fault}: {exc}") from exc
 
 
 @dataclass(frozen=True)

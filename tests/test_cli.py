@@ -26,6 +26,13 @@ def fx(name: str) -> str:
     return str(FIXTURE_DIR / name)
 
 
+def ran_config(fixture_config, name: str, stages: str = "ingest,evidence", **settings) -> str:
+    """A fixture config on which `vismine run --stages <stages>` has run."""
+    config = str(fixture_config(name, **settings))
+    assert main(["run", "--config", config, "--stages", stages]) == 0
+    return config
+
+
 class TestRunCommand:
     def test_composite_run(self, fixture_config, capsys):
         config = fixture_config("cli_run")
@@ -224,21 +231,13 @@ class TestStageCommands:
         assert len(paths) == 15
 
     def test_eval_command(self, fixture_config, tmp_path, capsys):
-        work = tmp_path / "evalwork"
-        work.mkdir()
-        assert main([
-            "evidence", "--docs-manifest", fx("docs_manifest.jsonl"),
-            "--docs-dir", fx("docs"), "--out", str(work / "evidence.jsonl"),
-        ]) == 0
         reports = []
         for max_workers in (1, 4):
-            config = str(fixture_config(f"cli_eval_{max_workers}", max_workers=max_workers))
-            reports.append(work / f"report_{max_workers}.json")
+            config = ran_config(fixture_config, f"cli_eval_{max_workers}",
+                                max_workers=max_workers)
+            reports.append(tmp_path / f"report_{max_workers}.json")
             assert main([
-                "eval", "--pool", fx("pool.jsonl"), "--corpus", fx("corpus.jsonl"),
-                "--figures", fx("library.jsonl"), "--evidence", str(work / "evidence.jsonl"),
-                "--stages", "1,2,3", "--shots", "0,6",
-                "--out", str(reports[-1]), "--config", config,
+                "eval", "--stages", "1,2,3", "--out", str(reports[-1]), "--config", config,
             ]) == 0
             out = capsys.readouterr().out
             assert "leakage violations: 0" in out
@@ -250,7 +249,7 @@ class TestStageCommands:
 
     def test_eval_failed_items_exit_2_after_the_report(
             self, fixture_config, tmp_path, monkeypatch, capsys):
-        build = cli.build_gateway
+        build = pipeline.build_gateway
 
         def failing_gateway(config):
             gateway = build(config)
@@ -258,13 +257,10 @@ class TestStageCommands:
                 gateway.backends["primary"], GatewayError, "Volume rendering")  # P06's title
             return gateway
 
-        monkeypatch.setattr(cli, "build_gateway", failing_gateway)
+        config = ran_config(fixture_config, "eval_failing", "ingest")
+        monkeypatch.setattr(pipeline, "build_gateway", failing_gateway)
         out = tmp_path / "report.json"
-        assert main([
-            "eval", "--pool", fx("pool.jsonl"), "--corpus", fx("corpus.jsonl"),
-            "--stages", "1", "--shots", "0,6", "--out", str(out),
-            "--config", str(fixture_config("eval_failing")),
-        ]) == 2
+        assert main(["eval", "--stages", "1", "--out", str(out), "--config", config]) == 2
         errors = json.loads(out.read_text())["errors"]
         assert len(errors) == 2
         assert all(e.startswith(("stage1/0-shot/P06: ", "stage1/6-shot/P06: ")) for e in errors)
@@ -362,17 +358,10 @@ class TestConfigVocabulary:
         assert (tmp_path / "labels.jsonl").read_bytes() == labels
 
     def test_eval_uses_config_aliases(self, fixture_config, tmp_path, alias_file):
-        evidence = str(tmp_path / "evidence.jsonl")
-        assert main(["evidence", "--docs-manifest", fx("docs_manifest.jsonl"),
-                     "--docs-dir", fx("docs"), "--out", evidence]) == 0
-
         def stage3_rows(name: str, **settings) -> list[dict]:
             out = tmp_path / f"{name}.json"
-            assert main([
-                "eval", "--figures", fx("library.jsonl"), "--evidence", evidence,
-                "--stages", "3", "--out", str(out),
-                "--config", str(fixture_config(name, **settings)),
-            ]) == 0
+            config = ran_config(fixture_config, name, "evidence", **settings)
+            assert main(["eval", "--stages", "3", "--out", str(out), "--config", config]) == 0
             return json.loads(out.read_text())["rows"]
 
         packaged = resources.files("vismine").joinpath("data", "aliases.json")
@@ -387,19 +376,12 @@ class TestEvalStageSettings:
     def test_stage1_k_cap_and_stage3_backend(self, fixture_config, tmp_path):
         backends = json.loads((FIXTURE_DIR / "config.json").read_text())["backends"]
         backends["tertiary"] = backends["primary"]
-        config = fixture_config(
-            "eval_settings", backends=backends, stage1={"k": 4},
+        config = ran_config(
+            fixture_config, "eval_settings", backends=backends, stage1={"k": 4},
             stage3={"k": 10, "per_paper_cap": 1, "backend": "tertiary"},
         )
-        evidence = str(tmp_path / "evidence.jsonl")
-        assert main(["evidence", "--docs-manifest", fx("docs_manifest.jsonl"),
-                     "--docs-dir", fx("docs"), "--out", evidence]) == 0
         out = tmp_path / "report.json"
-        assert main([
-            "eval", "--pool", fx("pool.jsonl"), "--corpus", fx("corpus.jsonl"),
-            "--figures", fx("library.jsonl"), "--evidence", evidence, "--stages", "1,3",
-            "--out", str(out), "--config", str(config),
-        ]) == 0
+        assert main(["eval", "--stages", "1,3", "--out", str(out), "--config", config]) == 0
         report = json.loads(out.read_text())
         assert report["errors"] == []
         stage3_models = {row["model"] for row in report["rows"] if row["stage"] == "stage3"}
@@ -410,6 +392,91 @@ class TestEvalStageSettings:
             if fold["stage"] == "stage3":
                 papers = [doc_id.split("::", 1)[0] for doc_id in fold["exemplars"]]
                 assert len(papers) == len(set(papers)), fold
+
+
+class TestEvalReadsTheRunConfig:
+    """`vismine eval` reads the inputs `vismine run` reads and scores its shot counts."""
+
+    def test_stage1_scores_zero_shot_and_the_configured_k(self, fixture_config, tmp_path):
+        config = ran_config(fixture_config, "eval_k4", "ingest", stage1={"k": 4})
+        out = tmp_path / "report.json"
+        assert main(["eval", "--stages", "1", "--out", str(out), "--config", config]) == 0
+        methods = {row["method"] for row in json.loads(out.read_text())["rows"]}
+        assert methods == {"0-shot", "4-shot", "majority_vote"}
+
+    @pytest.mark.parametrize("ran, stages, upstream", [
+        ("ingest", "1,2", "evidence"), ("ingest", "3", "evidence"), ("evidence", "1", "ingest"),
+    ])
+    def test_missing_run_output_names_the_stage_to_run(self, fixture_config, tmp_path, capsys,
+                                                       ran, stages, upstream):
+        config = ran_config(fixture_config, "eval_upstream", ran)
+        capsys.readouterr()
+        out = tmp_path / "report.json"
+        assert main(["eval", "--stages", stages, "--out", str(out), "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert f"run {upstream!r} first" in err
+        assert not out.exists()
+
+
+class TestMissingInputKey:
+    """A config without an input key that a requested stage reads fails validation
+    before any stage runs."""
+
+    CASES = [
+        (["run"], "corpus"), (["run"], "pool"), (["run"], "docs_manifest"),
+        (["run"], "docs_dir"), (["run"], "library"), (["run", "--stages", "stage3"], "library"),
+        (["eval", "--stages", "1"], "pool"), (["eval", "--stages", "2"], "library"),
+        (["eval", "--stages", "3"], "library"),
+    ]
+
+    @pytest.mark.parametrize("command, key", CASES,
+                             ids=[f"{'-'.join(command)}:{key}" for command, key in CASES])
+    def test_exits_1_on_one_line_writing_nothing(self, fixture_config, tmp_path, capsys,
+                                                 command, key):
+        config = fixture_config("no_key", **{key: None})
+        out_dir = Path(json.loads(config.read_text())["out_dir"])
+        report = tmp_path / "report.json"
+        if command[0] == "eval":
+            command = [*command, "--out", str(report)]
+        assert main([*command, "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert f"{key}: missing" in err
+        assert not out_dir.exists() and not report.exists()
+
+    def test_a_missing_key_joins_the_one_validation_line(self, fixture_config, capsys):
+        config = fixture_config("no_keys", pool=None, library=None, max_workers=0)
+        assert main(["run", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "pool: missing" in err and "library: missing" in err
+        assert "max_workers must be >= 1" in err
+
+
+class TestMalformedVocabulary:
+    """A vocabulary without a field, or an alias targeting no category, is a one-line
+    exit 1 naming the file."""
+
+    @pytest.mark.parametrize("key, content, message", [
+        ("vocabulary", {}, "vocabulary missing field 'model_listener'"),
+        ("aliases", {"visualization_type": {"spiral": "vortex chart"}}, "alias 'spiral'"),
+    ], ids=["vocabulary", "aliases"])
+    @pytest.mark.parametrize("command", [["run"], ["eval", "--stages", "3"]], ids=["run", "eval"])
+    def test_exits_1_naming_the_file(self, fixture_config, tmp_path, capsys, key, content,
+                                     message, command):
+        bad = tmp_path / f"{key}.json"
+        bad.write_text(json.dumps(content), encoding="utf-8")
+        if command[0] == "eval":
+            config = ran_config(fixture_config, "bad_vocab", "evidence", **{key: str(bad)})
+            command = [*command, "--out", str(tmp_path / "report.json")]
+        else:
+            config = str(fixture_config("bad_vocab", **{key: str(bad)}))
+        capsys.readouterr()
+        assert main([*command, "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert f"{bad}: {message}" in err
 
 
 class TestMalformedInput:
@@ -694,7 +761,7 @@ class TestTextEncoding:
 
 
 class TestEvalFlags:
-    """Bad or missing `eval` flags are a one-line exit 1 naming the flag."""
+    """A bad `eval --stages` list is a one-line exit 1 naming the flag."""
 
     def eval_error(self, fixture_config, tmp_path, capsys, *flags: str) -> str:
         config = str(fixture_config("eval_flags"))
@@ -705,38 +772,13 @@ class TestEvalFlags:
         assert "Traceback" not in err
         return err
 
-    @pytest.mark.parametrize("flag", ["--stages", "--shots", "--stage2-shots", "--stage3-shots"])
-    def test_non_integer_list(self, fixture_config, tmp_path, capsys, flag):
-        err = self.eval_error(
-            fixture_config, tmp_path, capsys, "--pool", fx("pool.jsonl"),
-            "--corpus", fx("corpus.jsonl"), "--stages", "1", flag, "1,x",
-        )
-        assert flag in err and "'1,x'" in err
-
-    @pytest.mark.parametrize("flag", ["--shots", "--stage2-shots", "--stage3-shots"])
-    def test_negative_shot_count(self, fixture_config, tmp_path, capsys, flag):
-        err = self.eval_error(
-            fixture_config, tmp_path, capsys, "--pool", fx("pool.jsonl"),
-            "--corpus", fx("corpus.jsonl"), "--stages", "1", flag, "0,-2",
-        )
-        assert flag in err and "'0,-2'" in err
-        assert not (tmp_path / "report.json").exists()
-
-    @pytest.mark.parametrize("stages, given, missing", [
-        ("1", [], "--pool"),
-        ("2", ["--evidence", "evidence.jsonl"], "--figures"),
-        ("3", ["--figures", "library.jsonl"], "--evidence"),
-    ])
-    def test_missing_input_flag(self, fixture_config, tmp_path, capsys, stages, given, missing):
-        err = self.eval_error(fixture_config, tmp_path, capsys, "--stages", stages, *given)
-        assert missing in err
+    def test_non_integer_list(self, fixture_config, tmp_path, capsys):
+        err = self.eval_error(fixture_config, tmp_path, capsys, "--stages", "1,x")
+        assert "--stages" in err and "'1,x'" in err
 
     @pytest.mark.parametrize("stages", ["4", "1,4", "0", ""])
     def test_stage_outside_one_to_three(self, fixture_config, tmp_path, capsys, stages):
-        err = self.eval_error(
-            fixture_config, tmp_path, capsys, "--pool", fx("pool.jsonl"),
-            "--corpus", fx("corpus.jsonl"), "--stages", stages,
-        )
+        err = self.eval_error(fixture_config, tmp_path, capsys, "--stages", stages)
         assert "--stages" in err
         assert not (tmp_path / "report.json").exists()
 
@@ -749,12 +791,9 @@ class TestAuthenticationFailure:
             "kind": "http", "endpoint": "http://127.0.0.1:9/v1/chat", "model": "m",
             "api_key_env": "VISMINE_TEST_UNSET_KEY",
         }
-        config = str(fixture_config("no_key", backends=backends))
+        config = ran_config(fixture_config, "no_key", "ingest", backends=backends)
         report = tmp_path / "report.json"
-        assert main([
-            "eval", "--pool", fx("pool.jsonl"), "--corpus", fx("corpus.jsonl"),
-            "--stages", "1", "--out", str(report), "--config", config,
-        ]) == 2
+        assert main(["eval", "--stages", "1", "--out", str(report), "--config", config]) == 2
         assert "VISMINE_TEST_UNSET_KEY" in capsys.readouterr().err
         assert not report.exists()
         assert main(["run", "--config", config]) == 2
@@ -956,8 +995,8 @@ class TestReadme:
 
 
 # The flags each subcommand may take: input and output paths, the log,
-# `--config`, and the stage and shot lists of `eval` and `run`.  Every
-# setting is a config key, so a flag outside this list fails the guard.
+# `--config`, and the stage lists of `eval` and `run`.  Every setting is a
+# config key, so a flag outside this list fails the guard.
 ALLOWED_FLAGS = {
     "": {"-h", "--help", "-v", "--verbose"},
     "ingest": {"--corpus", "--out", "--report", "--config"},
@@ -965,8 +1004,7 @@ ALLOWED_FLAGS = {
     "evidence": {"--docs-manifest", "--docs-dir", "--out"},
     "stage2": {"--papers", "--evidence", "--library", "--out", "--config"},
     "stage3": {"--figures", "--evidence", "--library", "--out", "--config"},
-    "eval": {"--pool", "--corpus", "--figures", "--evidence", "--out", "--config",
-             "--stages", "--shots", "--stage2-shots", "--stage3-shots"},
+    "eval": {"--config", "--stages", "--out"},
     "analyze": {"--labels", "--papers", "--library", "--out-dir", "--config"},
     "run": {"--config", "--stages"},
 }

@@ -319,7 +319,7 @@ def test_valid_configs_load_as_the_old_loader_loaded_them(tmp_path, raw):
 def _reader_keys(cls=RunConfig, prefix=""):
     """Every key the reader reads under `prefix`; a backend slot is `<slot>`."""
     hints = typing.get_type_hints(cls)
-    for name, _, _, json_key, _, _ in jsonl._readers(cls):
+    for name, _, _, json_key, *_ in jsonl._readers(cls):
         key = prefix + json_key
         if hints[name] == dict[str, BackendConfig]:
             yield from _reader_keys(BackendConfig, f"{key}.<slot>.")

@@ -287,11 +287,26 @@ def test_a_value_of_another_type_is_an_input_error_naming_its_key(kind, path, ke
     assert str(caught.value).startswith(f"record {where}: {key}: expected ")
 
 
+# -- a required value left out -------------------------------------------------
+
+@pytest.mark.parametrize("read, raw, where, key", [
+    (evidence_from_dict, {"figure_id": "Figure 1"}, "None", "paper_id"),
+    (evidence_from_dict, {"paper_id": "P1", "figure_id": None}, "'P1'", "figure_id"),
+    (verdict_from_dict, {"paper_id": "P1"}, "'P1'", "figure_id"),
+])
+def test_a_required_value_left_out_or_null_is_an_input_error_naming_its_key(read, raw, where,
+                                                                            key):
+    with pytest.raises(InputError) as caught:
+        read(raw)
+    assert type(caught.value) is InputError
+    assert str(caught.value) == f"record {where}: {key}: missing"
+
+
 # -- README documents every key the row reader reads --------------------------
 
 def _row_keys(cls) -> set[str]:
     """The JSON keys `read_object` reads for `cls`."""
-    return {json_key for _, _, _, json_key, _, _ in jsonl._readers(cls)}
+    return {json_key for _, _, _, json_key, *_ in jsonl._readers(cls)}
 
 
 def _readme_formats() -> dict[str, set[str]]:
