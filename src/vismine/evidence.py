@@ -284,3 +284,14 @@ def extract_all_evidence(doc: DocumentText) -> list[FigureEvidence]:
                          cited_at.get(_FIGURE_ID_RE.match(figure_id).group(1), ()))
         for figure_id in captions.by_id
     ]
+
+
+def evidence_rows(paper_id: str, raw_text: str) -> Iterator[dict]:
+    """The evidence file's rows for one converted text, in document order.
+
+    Every step that decides the rows' content is in this module, whose
+    source is part of the key under which a run's evidence file is memoised.
+    """
+    doc = filter_nonbody(segment_paragraphs(paper_id, raw_text))
+    for ev in extract_all_evidence(doc):
+        yield ev.to_dict()

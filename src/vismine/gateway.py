@@ -165,6 +165,7 @@ class PromptCache:
     """
 
     LOG_NAME = "responses.jsonl"
+    SCAN_BLOCK = 1 << 20
 
     def __init__(self, cache_dir: str | Path):
         self.cache_dir = Path(cache_dir)
@@ -182,17 +183,30 @@ class PromptCache:
         return self._fd
 
     def _scan(self, fd: int) -> None:
-        """Index the complete lines appended since the last scan."""
+        """Index the complete lines appended since the last scan.
+
+        The log is read in blocks of `SCAN_BLOCK` bytes; a line that does
+        not end in its block is read again from its start with the next
+        one, which doubles while it holds no line end.  So memory stays at
+        a block, or twice the longest line, whatever the log's size.
+        """
         size = os.fstat(fd).st_size
-        if size <= self._scanned:
-            return
-        data = os.pread(fd, size - self._scanned, self._scanned)
-        offset = self._scanned
-        for line in data[: data.rfind(b"\n") + 1].split(b"\n")[:-1]:
-            key_end = line.find(b'"', 2)
-            if key_end != -1 and line.startswith(b'["'):
-                self._index[line[2:key_end].decode("latin-1")] = (offset, len(line) + 1)
-            offset += len(line) + 1
+        offset, block_size = self._scanned, self.SCAN_BLOCK
+        while offset < size:
+            data = os.pread(fd, min(block_size, size - offset), offset)
+            pos = 0
+            while (end := data.find(b"\n", pos)) != -1:
+                if data.startswith(b'["', pos):
+                    key_end = data.find(b'"', pos + 2, end)
+                    if key_end != -1:
+                        self._index[data[pos + 2:key_end].decode("latin-1")] = (
+                            offset + pos, end + 1 - pos)
+                pos = end + 1
+            if not pos:
+                if offset + len(data) >= size:
+                    break  # a torn last line
+                block_size *= 2
+            offset += pos
         self._scanned = offset
 
     def get(self, key: str) -> str | None:
@@ -417,11 +431,12 @@ def parse_json_payload(raw: str) -> dict | None:
     if first == -1:
         return None
     try:
-        # An object that decodes from the first brace is the first candidate.
-        candidates = [(first, _DECODER.raw_decode(raw, first)[1])]
+        # An object that decodes from the first brace is the first candidate,
+        # and the decode that found its end has already built it.
+        return _DECODER.raw_decode(raw, first)[0]
     except (RecursionError, ValueError):
-        candidates = _candidates(raw)
-    for start, end in candidates:
+        pass
+    for start, end in _candidates(raw):
         if not _OBJECT_HEAD.match(raw, start):
             continue
         try:

@@ -187,8 +187,10 @@ def dumps_stable(obj) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
 
-def _write_atomically(path: str | Path, chunks: Iterable[str]) -> None:
-    """Write `chunks` to a temp file beside `path`, then rename it over `path`.
+def _write_atomically(path: str | Path, chunks: Iterable[str] | Iterable[bytes],
+                      binary: bool = False) -> None:
+    """Write `chunks` (UTF-8 text, or bytes when `binary`) to a temp file
+    beside `path`, then rename it over `path`.
 
     Chunks are written as `chunks` yields them.  If a write, the rename or
     `chunks` itself raises, the temp file is deleted and `path` is left as
@@ -198,7 +200,7 @@ def _write_atomically(path: str | Path, chunks: Iterable[str]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
     try:
-        with open(tmp, "w", encoding="utf-8") as handle:
+        with (open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8")) as handle:
             handle.writelines(chunks)
         tmp.replace(path)
     except BaseException:
@@ -223,6 +225,24 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> int:
 
     _write_atomically(path, lines())
     return count
+
+
+def copy_lines(source: str | Path, path: str | Path) -> int:
+    """Copy file `source` over `path` as `_write_atomically` writes; returns its line count.
+
+    A missing `source` raises `FileNotFoundError` before `path` is touched.
+    """
+    lines = 0
+    with open(source, "rb") as handle:
+
+        def blocks() -> Iterator[bytes]:
+            nonlocal lines
+            for block in iter(lambda: handle.read(65536), b""):
+                lines += block.count(b"\n")
+                yield block
+
+        _write_atomically(path, blocks(), binary=True)
+    return lines
 
 
 def write_json(path: str | Path, obj) -> None:

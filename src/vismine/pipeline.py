@@ -9,12 +9,14 @@ byte for byte.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import logging
+import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Collection, Iterator, Sequence
+from typing import Callable, Collection, Iterator, Sequence
 
 from . import __version__
 from . import analysis as analysis_mod
@@ -27,7 +29,10 @@ from . import stage3 as stage3_mod
 from .config import RunConfig, build_gateway, validate_config
 from .errors import ConfigError, InputError, PipelineError
 from .gateway import Gateway
-from .jsonl import atomic_write_text, dumps_stable, file_sha256, read_jsonl, write_json, write_jsonl
+from .jsonl import (
+    atomic_write_text, copy_lines, dumps_stable, file_sha256, read_jsonl, write_json,
+    write_jsonl,
+)
 from .library import load_library
 from .vocab import FIELDS, FrameworkLabels, LabelVocabulary, labels_from_dict, load_vocabulary
 
@@ -76,8 +81,6 @@ class RunManifest:
 
 def _config_hash(config: RunConfig) -> str:
     """SHA-256 of every setting, paths as strings."""
-    import hashlib
-
     settings = asdict(config, dict_factory=lambda items: {
         k: str(v) if isinstance(v, Path) else v for k, v in items})
     return hashlib.sha256(dumps_stable(settings).encode("utf-8")).hexdigest()
@@ -209,27 +212,82 @@ def run_stage1_step(
     return result
 
 
-def run_evidence_step(manifest_path: str | Path, docs_dir: Path, out_path: str | Path) -> int:
+# Leads the evidence memo key; change it when the key's layout changes.
+_EVIDENCE_MEMO_FORMAT = b"vismine evidence memo 1"
+
+
+def _manifest_documents(
+    manifest_path: str | Path, docs_dir: Path, read: Callable[[Path], str | bytes],
+) -> Iterator[tuple[str, str | bytes]]:
+    """`(paper_id, read(path))` of each manifest row's document, in manifest order.
+
+    A document that does not exist is an `InputError` naming the manifest,
+    the record and the path.
+    """
+    for number, entry in enumerate(_rows_with(manifest_path, ("paper_id", "path")), 1):
+        doc_path = docs_dir / entry["path"]
+        try:
+            content = read(doc_path)
+        except FileNotFoundError:
+            raise InputError(f"{manifest_path}: record {number} ({entry['paper_id']!r}): "
+                             f"no such document: {doc_path}") from None
+        yield entry["paper_id"], content
+
+
+def _read_document(doc_path: Path) -> str:
+    try:
+        return doc_path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(
+            f"{doc_path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+
+
+def _evidence_memo_key(manifest_path: str | Path, docs_dir: Path) -> str:
+    """SHA-256 of everything the evidence file depends on, read in one pass.
+
+    The memo format, the Python version, the source of `vismine.evidence`,
+    then each manifest row's paper id and document bytes, in manifest
+    order; each part is length-prefixed, so no two inputs share a key.
+    """
+    digest = hashlib.sha256(_EVIDENCE_MEMO_FORMAT)
+
+    def part(data: bytes) -> None:
+        digest.update(len(data).to_bytes(8, "big"))
+        digest.update(data)
+
+    part(sys.version.encode("utf-8"))
+    part(Path(evidence_mod.__file__).read_bytes())
+    for paper_id, data in _manifest_documents(manifest_path, docs_dir, Path.read_bytes):
+        part(paper_id.encode("utf-8"))
+        part(data)
+    return digest.hexdigest()
+
+
+def run_evidence_step(
+    manifest_path: str | Path, docs_dir: Path, out_path: str | Path,
+    cache_dir: Path | None = None,
+) -> int:
     """Extract every figure's evidence from the converted texts; returns the figure count.
 
     Each document's rows are written as they are made, so one document is
-    held at a time.
+    held at a time.  With a `cache_dir`, the written file is memoised as
+    `<cache_dir>/evidence/<key>.jsonl` (see `_evidence_memo_key`), and a
+    memo under the inputs' key is copied into place instead of extracting.
     """
-
-    def rows() -> Iterator[dict]:
-        for entry in _rows_with(manifest_path, ("paper_id", "path")):
-            doc_path = docs_dir / entry["path"]
-            try:
-                raw_text = doc_path.read_text(encoding="utf-8")
-            except UnicodeDecodeError as exc:
-                raise InputError(
-                    f"{doc_path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
-            doc = evidence_mod.filter_nonbody(
-                evidence_mod.segment_paragraphs(entry["paper_id"], raw_text))
-            for ev in evidence_mod.extract_all_evidence(doc):
-                yield ev.to_dict()
-
-    return write_jsonl(out_path, rows())
+    memo = None
+    if cache_dir is not None:
+        memo = cache_dir / "evidence" / f"{_evidence_memo_key(manifest_path, docs_dir)}.jsonl"
+        try:
+            return copy_lines(memo, out_path)
+        except FileNotFoundError:
+            pass
+    count = write_jsonl(out_path, (
+        row
+        for paper_id, raw_text in _manifest_documents(manifest_path, docs_dir, _read_document)
+        for row in evidence_mod.evidence_rows(paper_id, raw_text)))
+    if memo is not None:
+        copy_lines(out_path, memo)
+    return count
 
 
 def run_stage2_step(
@@ -426,7 +484,8 @@ def run_pipeline(config: RunConfig, stages: list[str] | None = None) -> RunManif
                 failed.append(f"{len(result.retry)} paper(s) in {retry_path(subset_out)}")
         elif stage == "evidence":
             run_evidence_step(config.resolve(config.docs_manifest_path),
-                              config.resolve(config.docs_dir), evidence_out)
+                              config.resolve(config.docs_dir), evidence_out,
+                              config.resolve(config.cache_dir))
         elif stage == "stage2":
             result = run_stage2_step(subset_out, evidence_out, config.resolve(config.library_path),
                                      verdicts_out, gateway, config)

@@ -561,6 +561,32 @@ class TestMalformedInput:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert f"{manifest}: record 2 has no 'path'" in err
 
+    def missing_document_manifest(self, tmp_path) -> tuple[Path, str]:
+        """The fixture's docs manifest with a second row whose document does not exist."""
+        rows = (FIXTURE_DIR / "docs_manifest.jsonl").read_text(encoding="utf-8").splitlines()
+        manifest = tmp_path / "docs_manifest.jsonl"
+        manifest.write_text("\n".join([rows[0], '{"paper_id": "P99", "path": "P99.txt"}',
+                                       *rows[1:]]) + "\n", encoding="utf-8")
+        return manifest, (f"input error: {manifest}: record 2 ('P99'): "
+                          f"no such document: {FIXTURE_DIR / 'docs' / 'P99.txt'}\n")
+
+    def test_missing_document_exits_1_naming_manifest_record_and_path(self, tmp_path, capsys):
+        manifest, message = self.missing_document_manifest(tmp_path)
+        out = tmp_path / "evidence.jsonl"
+        code = main(["evidence", "--docs-manifest", str(manifest), "--docs-dir", fx("docs"),
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == message
+        assert list(tmp_path.iterdir()) == [manifest]
+
+    def test_run_with_a_missing_document_exits_1_writing_nothing(self, tmp_path, fixture_config,
+                                                                  capsys):
+        manifest, message = self.missing_document_manifest(tmp_path)
+        config = fixture_config("missing_doc", docs_manifest=str(manifest))
+        assert main(["run", "--config", str(config), "--stages", "evidence"]) == 1
+        assert capsys.readouterr().err == message
+        assert list((tmp_path / "missing_doc").rglob("*")) == []
+
     def test_verdict_row_without_figure_id_names_file_and_key(self, tmp_path, fixture_config,
                                                                capsys):
         verdicts = tmp_path / "verdicts.jsonl"

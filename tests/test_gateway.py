@@ -4,8 +4,11 @@ import hashlib
 import itertools
 import json
 import sys
+import tempfile
 import threading
 import time
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -236,6 +239,50 @@ class TestPromptCacheLog:
         assert (tmp_path / "responses.jsonl").read_bytes().count(b"\n") == len(names)
 
 
+class TestPromptCacheScan:
+    """A cache indexes the log in blocks: flat memory, the same answers as a whole read."""
+
+    def test_memory_stays_flat_on_a_multi_mb_log(self, tmp_path):
+        writer = gw.PromptCache(tmp_path)
+        for n in range(128):
+            writer.put(key(n), f"{n} " + "x" * 65536)
+        assert (tmp_path / "responses.jsonl").stat().st_size > 8 * 2**20
+        cache = gw.PromptCache(tmp_path)
+        tracemalloc.start()
+        try:
+            assert cache.get(key("absent")) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * gw.PromptCache.SCAN_BLOCK, peak
+        assert cache.get(key(127)) == "127 " + "x" * 65536
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.one_of(st.tuples(st.integers(0, 5), st.text(max_size=40)),
+                           st.sampled_from([b"", b"[", b'["', b'["x', b"not a pair"])),
+                 max_size=12),
+        st.integers(0, 12),
+        st.integers(1, 48),
+    )
+    def test_small_blocks_answer_as_one_whole_read(self, lines, torn, block):
+        log = b"".join(
+            (item if isinstance(item, bytes) else json.dumps([key(item[0]), item[1]]).encode())
+            + b"\n" for item in lines)
+        log = log[:len(log) - torn] if torn < len(log) else b""
+        with tempfile.TemporaryDirectory() as work:
+            (Path(work) / "responses.jsonl").write_bytes(log)
+            small, whole = gw.PromptCache(work), gw.PromptCache(work)
+            small.SCAN_BLOCK, whole.SCAN_BLOCK = block, 2**30
+            keys = [key(n) for n in range(7)]
+            assert [small.get(k) for k in keys] == [whole.get(k) for k in keys]
+            if not torn:
+                last = {key(item[0]): item[1] for item in lines if not isinstance(item, bytes)}
+                assert [small.get(k) for k in keys] == [last.get(k) for k in keys]
+            small.put(key(6), "appended")
+            assert gw.PromptCache(work).get(key(6)) == small.get(key(6)) == "appended"
+
+
 def parse_verdict(raw: str, backend_id: str = "") -> gw.ModelVerdict:
     """The verdict the gateway's callers build from a raw response."""
     return gw.verdict_from_payload(gw.parse_json_payload(raw), backend_id)
@@ -322,6 +369,16 @@ class TestParseJsonPayload:
     @given(st.one_of(payload_text, punctuation_text))
     def test_same_value_as_rescanning_from_every_brace(self, raw):
         assert gw.parse_json_payload(raw) == rescanning_parse_json_payload(raw)
+
+    def test_a_response_is_decoded_once(self, monkeypatch):
+        decodes = []
+        raw_decode, loads = gw._DECODER.raw_decode, json.loads
+        monkeypatch.setattr(gw._DECODER, "raw_decode",
+                            lambda *args: decodes.append(args) or raw_decode(*args))
+        monkeypatch.setattr(json, "loads", lambda *args: decodes.append(args) or loads(*args))
+        raw = 'Answer: {"relevant": true, "confidence": 0.9} as asked {"other": 1}'
+        assert gw.parse_json_payload(raw) == {"relevant": True, "confidence": 0.9}
+        assert len(decodes) == 1
 
     def test_unclosed_braces_take_linear_time(self):
         start = time.perf_counter()

@@ -1,15 +1,19 @@
 """End-to-end pipeline orchestration on the shipped fixture."""
 
 import json
+import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vismine import evidence as evidence_mod
+from vismine import pipeline
 from vismine.config import load_config
-from vismine.errors import InputError, PipelineError
+from vismine.errors import DocumentError, InputError, PipelineError
 from vismine.jsonl import atomic_write_text, dumps_stable, read_jsonl, write_jsonl
 from vismine.corpus import PaperRecord
 from vismine.pipeline import (
@@ -239,6 +243,131 @@ class TestEvidenceStep:
 
         small, large = traced_peak(20), traced_peak(200)
         assert large <= small + 256 * 1024, (small, large)
+
+
+# Paragraphs of converted text: captions (sub-lettered too), body text citing
+# captioned and never-captioned figures, with non-ASCII quotes and dashes.
+_WORDS = st.sampled_from([
+    "the", "model", "shows", "\u201cweights\u201d", "\u2018layer\u2019", "\u2013", "\u2014",
+    "as", "in", "Figure 1", "Fig. 2", "Figure 2b", "Figure 3(a)", "figure 9", "F\u0130GURE 1",
+    "Fig.\u00a04", "network", "\u00e9tude", "12",
+])
+GENERATED_PARAGRAPHS = st.one_of(
+    st.tuples(st.sampled_from(["Figure 1:", "Fig. 2.", "Figure 2b:", "Figure 3 (a) \u2014",
+                               "Figure 4 \u2013", "FIGURE 5:", "Figure 2a:"]),
+              st.lists(_WORDS, min_size=1, max_size=8)).map(
+        lambda parts: " ".join([parts[0], *parts[1]])),
+    st.lists(_WORDS, min_size=1, max_size=14).map(" ".join),
+    st.sampled_from(["References", "ABSTRACT", "7"]),
+)
+
+
+def memos(cache_dir: Path) -> list[Path]:
+    return sorted((cache_dir / "evidence").glob("*"))
+
+
+def count_segmentations(monkeypatch) -> list[str]:
+    """The paper ids `segment_paragraphs` is called with from now on."""
+    calls = []
+    segment = evidence_mod.segment_paragraphs
+    monkeypatch.setattr(evidence_mod, "segment_paragraphs",
+                        lambda paper_id, text: calls.append(paper_id) or segment(paper_id, text))
+    return calls
+
+
+class TestEvidenceMemo:
+    """With a cache dir, the evidence file is stored under its inputs' key and reused."""
+
+    def test_warm_run_copies_the_memo_without_extracting(self, fixture_config, tmp_path,
+                                                         monkeypatch):
+        counts = []
+        step = pipeline.run_evidence_step
+        monkeypatch.setattr(pipeline, "run_evidence_step",
+                            lambda *args: counts.append(step(*args)) or counts[-1])
+        cache = tmp_path / "shared-cache"
+        cold = load_config(fixture_config("cold", cache_dir=str(cache)))
+        run_pipeline(cold)
+        segmented = count_segmentations(monkeypatch)
+        warm = load_config(fixture_config("warm", cache_dir=str(cache)))
+        run_pipeline(warm)
+        assert segmented == []
+        assert counts == [30, 30]
+        evidence_file = "evidence.jsonl"
+        assert (Path(warm.out_dir) / evidence_file).read_bytes() \
+            == (Path(cold.out_dir) / evidence_file).read_bytes()
+        [memo] = memos(cache)
+        assert memo.read_bytes() == (Path(cold.out_dir) / evidence_file).read_bytes()
+        assert output_bytes(Path(warm.out_dir)) == output_bytes(Path(cold.out_dir))
+
+    def test_changed_extractor_source_misses(self, tmp_path, monkeypatch):
+        docs, manifest, cache = tmp_path / "docs", tmp_path / "manifest.jsonl", tmp_path / "cache"
+        write_docs(docs, manifest, 3)
+        run_evidence_step(manifest, docs, tmp_path / "a.jsonl", cache)
+        changed = tmp_path / "evidence.py"
+        changed.write_bytes(Path(evidence_mod.__file__).read_bytes() + b"\n# changed\n")
+        monkeypatch.setattr(evidence_mod, "__file__", str(changed))
+        segmented = count_segmentations(monkeypatch)
+        assert run_evidence_step(manifest, docs, tmp_path / "b.jsonl", cache) == 24
+        assert segmented == ["D0000", "D0001", "D0002"]
+        assert len(memos(cache)) == 2
+
+    def test_other_paper_id_over_the_same_bytes_misses(self, tmp_path, monkeypatch):
+        docs, manifest, cache = tmp_path / "docs", tmp_path / "manifest.jsonl", tmp_path / "cache"
+        write_docs(docs, manifest, 1)
+        run_evidence_step(manifest, docs, tmp_path / "a.jsonl", cache)
+        renamed = tmp_path / "renamed.jsonl"
+        write_jsonl(renamed, [{"paper_id": "R0000", "path": "D0000.txt"}])
+        segmented = count_segmentations(monkeypatch)
+        assert run_evidence_step(renamed, docs, tmp_path / "b.jsonl", cache) == 8
+        assert segmented == ["R0000"]
+        assert {row["paper_id"] for row in read_jsonl(tmp_path / "b.jsonl")} == {"R0000"}
+        assert len(memos(cache)) == 2
+
+    @pytest.mark.parametrize("content, error", [
+        (b"Figure 1: caption \xff text\n", InputError),
+        (b" \n\n \n", DocumentError),
+    ])
+    def test_failed_extraction_stores_no_memo(self, tmp_path, content, error):
+        docs, manifest, cache = tmp_path / "docs", tmp_path / "manifest.jsonl", tmp_path / "cache"
+        write_docs(docs, manifest, 3)
+        (docs / "D0002.txt").write_bytes(content)
+        with pytest.raises(error):
+            run_evidence_step(manifest, docs, tmp_path / "evidence.jsonl", cache)
+        assert not (tmp_path / "evidence.jsonl").exists()
+        assert memos(cache) == []
+        assert list(tmp_path.rglob("*.tmp*")) == []
+
+    def test_missing_document_fails_before_anything_is_written(self, tmp_path):
+        docs, manifest, cache = tmp_path / "docs", tmp_path / "manifest.jsonl", tmp_path / "cache"
+        write_docs(docs, manifest, 3)
+        (docs / "D0001.txt").unlink()
+        with pytest.raises(InputError) as excinfo:
+            run_evidence_step(manifest, docs, tmp_path / "evidence.jsonl", cache)
+        assert str(excinfo.value) == (f"{manifest}: record 2 ('D0001'): "
+                                      f"no such document: {docs / 'D0001.txt'}")
+        assert not (tmp_path / "evidence.jsonl").exists() and not cache.exists()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(GENERATED_PARAGRAPHS, min_size=1, max_size=8), min_size=1,
+                    max_size=4))
+    def test_memo_bytes_equal_fresh_extraction(self, documents):
+        with tempfile.TemporaryDirectory() as work:
+            work = Path(work)
+            docs, manifest, cache = work / "docs", work / "manifest.jsonl", work / "cache"
+            docs.mkdir()
+            for i, paragraphs in enumerate(documents):
+                (docs / f"G{i}.txt").write_text("\n\n".join(paragraphs), encoding="utf-8")
+            write_jsonl(manifest, ({"paper_id": f"G{i}", "path": f"G{i}.txt"}
+                                   for i in range(len(documents))))
+            fresh = run_evidence_step(manifest, docs, work / "fresh.jsonl")
+            assert run_evidence_step(manifest, docs, work / "miss.jsonl", cache) == fresh
+            with mock.patch.object(evidence_mod, "segment_paragraphs",
+                                   side_effect=AssertionError("extracted on a memo hit")):
+                assert run_evidence_step(manifest, docs, work / "hit.jsonl", cache) == fresh
+            expected = (work / "fresh.jsonl").read_bytes()
+            assert (work / "miss.jsonl").read_bytes() == expected
+            assert (work / "hit.jsonl").read_bytes() == expected
+            assert expected.count(b"\n") == fresh
 
 
 class TestLoadEvidenceTable:
