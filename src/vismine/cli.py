@@ -1,8 +1,11 @@
 """Command-line entry point.
 
-Subcommands mirror the pipeline stages (`ingest`, `stage1`, `evidence`,
-`stage2`, `stage3`, `eval`, `analyze`) plus the composite `run`. Exit
-codes: 0 success, 1 validation failure, 2 runtime failure.
+`run` runs the pipeline's steps (all of them, or the `--stages` subset)
+on the config's inputs and `<out_dir>`; each step reads the files an
+earlier step wrote there, so a reviewer may edit them between two calls.
+`eval` scores what `run` runs leave-one-out, and `evidence` extracts
+figure evidence from given paths.  Exit codes: 0 success, 1 validation
+failure, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -10,76 +13,23 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import evaluation as eval_mod
 from . import pipeline as pipeline_mod
-from .config import RunConfig, build_gateway, load_config, validate_config
+from .config import load_config
 from .errors import ConfigError, InputError, VismineError
-from .pipeline import STAGES, config_vocabulary, run_pipeline
+from .pipeline import STAGES, run_pipeline
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
 
-def _config_from_args(args) -> RunConfig:
-    """The validated `--config` file without its input paths, which come from flags."""
-    config = replace(load_config(args.config), corpus_path=None, pool_path=None,
-                     docs_manifest_path=None, docs_dir=None, library_path=None)
-    problems = validate_config(config)
-    if problems:
-        raise ConfigError("; ".join(problems))
-    return config
-
-
-def cmd_ingest(args) -> int:
-    config = _config_from_args(args)
-    filtered, report = pipeline_mod.run_ingest(args.corpus, args.out, args.report, config.keywords)
-    print(f"ingested {report.ingested}/{report.total}, kept {len(filtered)} after keyword filter")
-    return EXIT_OK
-
-
-def cmd_stage1(args) -> int:
-    config = _config_from_args(args)
-    result = pipeline_mod.run_stage1_step(
-        args.corpus, args.pool, args.out, args.log or None, build_gateway(config), config)
-    print(f"stage1: {len(result.subset)} positives, {len(result.retry)} undecided")
-    return _retry_exit(result.retry, args.out, "paper")
-
-
 def cmd_evidence(args) -> int:
     count = pipeline_mod.run_evidence_step(args.docs_manifest, Path(args.docs_dir), args.out)
     print(f"evidence: {count} figures extracted")
     return EXIT_OK
-
-
-def _retry_exit(retry: list, out_path: str, item: str) -> int:
-    """EXIT_RUNTIME, naming the retry queue, when any `item` (paper or figure) failed."""
-    if not retry:
-        return EXIT_OK
-    print(f"error: {len(retry)} {item}(s) failed and were queued for retry in "
-          f"{pipeline_mod.retry_path(out_path)}", file=sys.stderr)
-    return EXIT_RUNTIME
-
-
-def cmd_stage2(args) -> int:
-    config = _config_from_args(args)
-    result = pipeline_mod.run_stage2_step(
-        args.papers, args.evidence, args.library, args.out, build_gateway(config), config)
-    kept = sum(1 for sel in result.selected.values() if sel)
-    print(f"stage2: {len(result.verdicts)} verdicts, {kept} papers with representatives")
-    return _retry_exit(result.retry, args.out, "figure")
-
-
-def cmd_stage3(args) -> int:
-    config = _config_from_args(args)
-    result = pipeline_mod.run_stage3_step(
-        args.figures, args.evidence, args.library, args.out, config_vocabulary(config),
-        build_gateway(config), config)
-    print(f"stage3: {len(result.labels)} base figures labeled")
-    return _retry_exit(result.retry, args.out, "figure")
 
 
 def cmd_eval(args) -> int:
@@ -102,15 +52,6 @@ def cmd_eval(args) -> int:
     return EXIT_RUNTIME if leaks or report.errors else EXIT_OK
 
 
-def cmd_analyze(args) -> int:
-    config = _config_from_args(args)
-    paths, usable, paper_labels = pipeline_mod.run_analyze_step(
-        args.labels, args.papers, args.library or None, Path(args.out_dir), config.reference_year
-    )
-    print(f"analyze: {len(paths)} paths from {len(usable)} figures across {len(paper_labels)} papers")
-    return EXIT_OK
-
-
 def cmd_run(args) -> int:
     stages = [part.strip() for part in args.stages.split(",") if part.strip() != ""]
     unknown = [stage for stage in stages if stage not in STAGES]
@@ -130,42 +71,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="ingest metadata and apply the keyword prefilter")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--report", required=True)
-    p.add_argument("--config", required=True)
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("stage1", help="paper-level screening with dual-backend consensus")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--pool", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--log", default="")
-    p.add_argument("--config", required=True)
-    p.set_defaults(func=cmd_stage1)
-
     p = sub.add_parser("evidence", help="extract per-figure evidence from converted text")
     p.add_argument("--docs-manifest", required=True)
     p.add_argument("--docs-dir", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evidence)
-
-    p = sub.add_parser("stage2", help="figure-level relevance with top-3 representatives")
-    p.add_argument("--papers", required=True)
-    p.add_argument("--evidence", required=True)
-    p.add_argument("--library", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config", required=True)
-    p.set_defaults(func=cmd_stage2)
-
-    p = sub.add_parser("stage3", help="four-field framework extraction")
-    p.add_argument("--figures", required=True, help="stage2 verdict file")
-    p.add_argument("--evidence", required=True)
-    p.add_argument("--library", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config", required=True)
-    p.set_defaults(func=cmd_stage3)
 
     p = sub.add_parser("eval", help="leave-one-out evaluation of what `run` runs")
     p.add_argument("--stages", default="1,2,3")
@@ -173,15 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("analyze", help="paths, flows, trends, citation weighting")
-    p.add_argument("--labels", required=True)
-    p.add_argument("--papers", required=True)
-    p.add_argument("--library", default="")
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--config", required=True)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("run", help="composite pipeline with resumable caching")
+    p = sub.add_parser("run", help="run every pipeline step, or the --stages steps, with caching")
     p.add_argument("--config", required=True)
     p.add_argument("--stages", default="", help=f"comma-separated subset of {','.join(STAGES)}")
     p.set_defaults(func=cmd_run)

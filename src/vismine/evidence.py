@@ -29,9 +29,10 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import DocumentError
+from .errors import DocumentError, InputError
 from .jsonl import read_object
 
 logger = logging.getLogger(__name__)
@@ -286,11 +287,20 @@ def extract_all_evidence(doc: DocumentText) -> list[FigureEvidence]:
     ]
 
 
+def read_document(path: Path) -> str:
+    """The converted text at `path`; bytes that are not UTF-8 are an `InputError` naming it."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+
+
 def evidence_rows(paper_id: str, raw_text: str) -> Iterator[dict]:
     """The evidence file's rows for one converted text, in document order.
 
-    Every step that decides the rows' content is in this module, whose
-    source is part of the key under which a run's evidence file is memoised.
+    Every step that decides the rows' content, from `read_document` on, is
+    in this module, and `vismine.jsonl` writes them: both sources are part
+    of the key under which a run's evidence file is memoised.
     """
     doc = filter_nonbody(segment_paragraphs(paper_id, raw_text))
     for ev in extract_all_evidence(doc):

@@ -23,6 +23,7 @@ from . import analysis as analysis_mod
 from . import corpus as corpus_mod
 from . import evaluation as eval_mod
 from . import evidence as evidence_mod
+from . import jsonl as jsonl_mod
 from . import stage1 as stage1_mod
 from . import stage2 as stage2_mod
 from . import stage3 as stage3_mod
@@ -105,8 +106,7 @@ def _rows_with(path: str | Path, keys: Sequence[str]) -> Iterator[dict]:
 def retry_path(out_path: str | Path) -> Path:
     """Where the retry queue of the stage writing `out_path` goes: `<name>.retry.jsonl` beside it.
 
-    Named after the output, so two runs writing two outputs into one
-    directory keep two queues.
+    Named after the output, so each stage's queue in `<out_dir>` is its own.
     """
     return Path(out_path).with_suffix(".retry.jsonl")
 
@@ -185,12 +185,12 @@ def run_ingest(
 
 def run_stage1_step(
     corpus_path: str | Path, pool_path: str | Path, out_path: str | Path,
-    decisions_path: str | Path | None, gateway: Gateway, config: RunConfig,
+    decisions_path: str | Path, gateway: Gateway, config: RunConfig,
 ) -> stage1_mod.Stage1Result:
     """Screen the candidates against the pool `load_pool` reads, with `config`'s stage-1 settings.
 
-    The decision log is written unless `decisions_path` is None.
-    Undecided papers are queued in `retry_path(out_path)`.
+    Writes the subset and the decision log; undecided papers are queued in
+    `retry_path(out_path)`.
     """
     candidates = load_corpus_file(corpus_path)
     result = stage1_mod.run_stage1(
@@ -204,8 +204,7 @@ def run_stage1_step(
         max_workers=config.max_workers,
     )
     write_jsonl(out_path, (r.to_dict() for r in result.subset))
-    if decisions_path is not None:
-        write_jsonl(decisions_path, (d.to_dict() for d in result.decisions))
+    write_jsonl(decisions_path, (d.to_dict() for d in result.decisions))
     error_of = {d.paper_id: d.error for d in result.decisions}
     _write_retry_queue(retry_path(out_path), ("paper_id", "message"),
                        [(paper_id, error_of[paper_id]) for paper_id in result.retry])
@@ -213,7 +212,7 @@ def run_stage1_step(
 
 
 # Leads the evidence memo key; change it when the key's layout changes.
-_EVIDENCE_MEMO_FORMAT = b"vismine evidence memo 1"
+_EVIDENCE_MEMO_FORMAT = b"vismine evidence memo 2"
 
 
 def _manifest_documents(
@@ -221,33 +220,27 @@ def _manifest_documents(
 ) -> Iterator[tuple[str, str | bytes]]:
     """`(paper_id, read(path))` of each manifest row's document, in manifest order.
 
-    A document that does not exist is an `InputError` naming the manifest,
-    the record and the path.
+    A document that does not exist or is a directory is an `InputError`
+    naming the manifest, the record and the path.
     """
     for number, entry in enumerate(_rows_with(manifest_path, ("paper_id", "path")), 1):
         doc_path = docs_dir / entry["path"]
         try:
             content = read(doc_path)
-        except FileNotFoundError:
+        except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+            problem = "is a directory" if isinstance(exc, IsADirectoryError) else "no such document"
             raise InputError(f"{manifest_path}: record {number} ({entry['paper_id']!r}): "
-                             f"no such document: {doc_path}") from None
+                             f"{problem}: {doc_path}") from None
         yield entry["paper_id"], content
-
-
-def _read_document(doc_path: Path) -> str:
-    try:
-        return doc_path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise InputError(
-            f"{doc_path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
 
 
 def _evidence_memo_key(manifest_path: str | Path, docs_dir: Path) -> str:
     """SHA-256 of everything the evidence file depends on, read in one pass.
 
-    The memo format, the Python version, the source of `vismine.evidence`,
-    then each manifest row's paper id and document bytes, in manifest
-    order; each part is length-prefixed, so no two inputs share a key.
+    The memo format, the Python version, the sources of `vismine.evidence`
+    (extraction and decoding) and `vismine.jsonl` (the row writer), then
+    each manifest row's paper id and document bytes, in manifest order;
+    each part is length-prefixed, so no two inputs share a key.
     """
     digest = hashlib.sha256(_EVIDENCE_MEMO_FORMAT)
 
@@ -257,6 +250,7 @@ def _evidence_memo_key(manifest_path: str | Path, docs_dir: Path) -> str:
 
     part(sys.version.encode("utf-8"))
     part(Path(evidence_mod.__file__).read_bytes())
+    part(Path(jsonl_mod.__file__).read_bytes())
     for paper_id, data in _manifest_documents(manifest_path, docs_dir, Path.read_bytes):
         part(paper_id.encode("utf-8"))
         part(data)
@@ -281,9 +275,10 @@ def run_evidence_step(
             return copy_lines(memo, out_path)
         except FileNotFoundError:
             pass
+    documents = _manifest_documents(manifest_path, docs_dir, evidence_mod.read_document)
     count = write_jsonl(out_path, (
         row
-        for paper_id, raw_text in _manifest_documents(manifest_path, docs_dir, _read_document)
+        for paper_id, raw_text in documents
         for row in evidence_mod.evidence_rows(paper_id, raw_text)))
     if memo is not None:
         copy_lines(out_path, memo)

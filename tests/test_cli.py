@@ -76,7 +76,6 @@ class TestRunCommand:
             raise AssertionError("a gateway was built")
 
         monkeypatch.setattr(pipeline, "build_gateway", no_gateway)
-        monkeypatch.setattr(cli, "build_gateway", no_gateway)
         config = fixture_config("cli_max_workers", max_workers=max_workers)
         assert main(["run", "--config", str(config)]) == 1
         err = capsys.readouterr().err
@@ -150,18 +149,6 @@ class TestConfigValidation:
         assert err.count("\n") == 1
         assert "max_workers must be >= 1, got 0; max_attempts must be >= 1, got 0" in err
 
-    def test_ingest_checks_reference_year_against_its_own_corpus(self, fixture_config, tmp_path):
-        # The config's own corpus reaches 2024; the one given by flag ends in 2019.
-        corpus = tmp_path / "old.jsonl"
-        corpus.write_text("".join(
-            json.dumps({"paper_id": f"P{year}", "title": "Model probes", "year": year}) + "\n"
-            for year in (2018, 2019)), encoding="utf-8")
-        assert main([
-            "ingest", "--corpus", str(corpus), "--out", str(tmp_path / "corpus.jsonl"),
-            "--report", str(tmp_path / "report.json"),
-            "--config", str(fixture_config("old_corpus", reference_year=2020)),
-        ]) == 0
-
     def test_run_on_a_corpus_line_that_is_not_an_object_exits_1(self, fixture_config,
                                                                  tmp_path, capsys):
         corpus = tmp_path / "list.jsonl"
@@ -173,62 +160,53 @@ class TestConfigValidation:
 
 
 class TestStageCommands:
-    def test_stagewise_handoff(self, fixture_config, tmp_path):
-        config = str(fixture_config("cli_stages"))
-        work = tmp_path / "work"
-        work.mkdir()
+    def test_stagewise_handoff(self, fixture_config):
+        config = fixture_config("cli_stages")
+        out_dir = Path(json.loads(config.read_text())["out_dir"])
 
-        assert main([
-            "ingest", "--corpus", fx("corpus.jsonl"),
-            "--out", str(work / "corpus.jsonl"),
-            "--report", str(work / "report.json"), "--config", config,
-        ]) == 0
-        report = json.loads((work / "report.json").read_text())
+        def step(stage: str) -> None:
+            assert main(["run", "--config", str(config), "--stages", stage]) == 0
+
+        step("ingest")
+        report = json.loads((out_dir / "ingest_report.json").read_text())
         assert report["total"] == 13
         assert report["after_keyword_filter"] == 12
 
-        assert main([
-            "stage1", "--corpus", str(work / "corpus.jsonl"), "--pool", fx("pool.jsonl"),
-            "--out", str(work / "subset.jsonl"), "--log", str(work / "decisions.jsonl"),
-            "--config", config,
-        ]) == 0
-        subset = [r["paper_id"] for r in read_jsonl(work / "subset.jsonl")]
+        step("stage1")
+        subset = [r["paper_id"] for r in read_jsonl(out_dir / "stage1_subset.jsonl")]
         assert subset == ["P01", "P02", "P03", "P07", "P10", "P12"]
-        assert len(list(read_jsonl(work / "decisions.jsonl"))) == 12
+        assert len(list(read_jsonl(out_dir / "stage1_decisions.jsonl"))) == 12
 
-        assert main([
-            "evidence", "--docs-manifest", fx("docs_manifest.jsonl"),
-            "--docs-dir", fx("docs"), "--out", str(work / "evidence.jsonl"),
-        ]) == 0
-        assert len(list(read_jsonl(work / "evidence.jsonl"))) == 30
+        step("evidence")
+        assert len(list(read_jsonl(out_dir / "evidence.jsonl"))) == 30
 
-        assert main([
-            "stage2", "--papers", str(work / "subset.jsonl"),
-            "--evidence", str(work / "evidence.jsonl"), "--library", fx("library.jsonl"),
-            "--out", str(work / "verdicts.jsonl"), "--config", config,
-        ]) == 0
-        verdicts = list(read_jsonl(work / "verdicts.jsonl"))
+        step("stage2")
+        verdicts = list(read_jsonl(out_dir / "stage2_verdicts.jsonl"))
         assert len(verdicts) == 10
         assert sum(1 for v in verdicts if v["selected"]) == 6
 
-        assert main([
-            "stage3", "--figures", str(work / "verdicts.jsonl"),
-            "--evidence", str(work / "evidence.jsonl"), "--library", fx("library.jsonl"),
-            "--out", str(work / "labels.jsonl"), "--config", config,
-        ]) == 0
-        labels = list(read_jsonl(work / "labels.jsonl"))
+        step("stage3")
+        labels = list(read_jsonl(out_dir / "stage3_labels.jsonl"))
         assert len(labels) == 6
 
-        assert main([
-            "analyze", "--labels", str(work / "labels.jsonl"),
-            "--papers", str(work / "corpus.jsonl"), "--library", fx("library.jsonl"),
-            "--out-dir", str(work / "analysis"), "--config", config,
-        ]) == 0
-        assert (work / "analysis" / "sankey.json").exists()
-        assert (work / "analysis" / "trends.csv").exists()
-        assert (work / "analysis" / "weights.csv").exists()
-        paths = list(read_jsonl(work / "analysis" / "paths.jsonl"))
+        step("analyze")
+        assert (out_dir / "analysis" / "sankey.json").exists()
+        assert (out_dir / "analysis" / "trends.csv").exists()
+        assert (out_dir / "analysis" / "weights.csv").exists()
+        paths = list(read_jsonl(out_dir / "analysis" / "paths.jsonl"))
         assert len(paths) == 15
+
+    def test_next_step_reads_the_reviewed_file(self, fixture_config):
+        config = ran_config(fixture_config, "reviewed", "ingest,stage1,evidence")
+        out_dir = Path(json.loads(Path(config).read_text())["out_dir"])
+        subset = out_dir / "stage1_subset.jsonl"
+        kept = [line for line in subset.read_text(encoding="utf-8").splitlines(keepends=True)
+                if json.loads(line)["paper_id"] != "P12"]
+        subset.write_text("".join(kept), encoding="utf-8")
+        assert main(["run", "--config", config, "--stages", "stage2"]) == 0
+        # Unedited, stage 2 judges P07, P10 and P12; the library holds P01-P03.
+        judged = {v["paper_id"] for v in read_jsonl(out_dir / "stage2_verdicts.jsonl")}
+        assert judged == {"P07", "P10"}
 
     def test_eval_command(self, fixture_config, tmp_path, capsys):
         reports = []
@@ -277,29 +255,11 @@ RUN_OUTPUTS = (
 )
 
 
-def run_stagewise(config: str, work: Path) -> None:
-    """Every step through its own subcommand, written under `vismine run`'s file names."""
-    work.mkdir(parents=True)
-    steps = [
-        ["ingest", "--corpus", fx("corpus.jsonl"), "--out", str(work / "corpus.jsonl"),
-         "--report", str(work / "ingest_report.json"), "--config", config],
-        ["stage1", "--corpus", str(work / "corpus.jsonl"), "--pool", fx("pool.jsonl"),
-         "--out", str(work / "stage1_subset.jsonl"),
-         "--log", str(work / "stage1_decisions.jsonl"), "--config", config],
-        ["evidence", "--docs-manifest", fx("docs_manifest.jsonl"), "--docs-dir", fx("docs"),
-         "--out", str(work / "evidence.jsonl")],
-        ["stage2", "--papers", str(work / "stage1_subset.jsonl"),
-         "--evidence", str(work / "evidence.jsonl"), "--library", fx("library.jsonl"),
-         "--out", str(work / "stage2_verdicts.jsonl"), "--config", config],
-        ["stage3", "--figures", str(work / "stage2_verdicts.jsonl"),
-         "--evidence", str(work / "evidence.jsonl"), "--library", fx("library.jsonl"),
-         "--out", str(work / "stage3_labels.jsonl"), "--config", config],
-        ["analyze", "--labels", str(work / "stage3_labels.jsonl"),
-         "--papers", str(work / "corpus.jsonl"), "--library", fx("library.jsonl"),
-         "--out-dir", str(work / "analysis"), "--config", config],
-    ]
-    for step in steps:
-        assert main(step) == 0, step[0]
+def run_stagewise(config: Path) -> Path:
+    """Every step through its own `vismine run --stages <step>` call, in order; the `<out_dir>`."""
+    for stage in pipeline.STAGES:
+        assert main(["run", "--config", str(config), "--stages", stage]) == 0, stage
+    return Path(json.loads(config.read_text())["out_dir"])
 
 
 def run_composite(config: Path) -> Path:
@@ -331,31 +291,27 @@ def alias_file(tmp_path) -> Path:
 
 class TestStagewiseMatchesRun:
     @pytest.mark.parametrize("non_default", [False, True], ids=["fixture", "non_default"])
-    def test_every_output_byte_identical(self, fixture_config, tmp_path, alias_file,
-                                         non_default):
+    def test_every_output_byte_identical(self, fixture_config, alias_file, non_default):
         settings = {**NON_DEFAULT_SETTINGS, "aliases": str(alias_file)} if non_default else {}
         run_dir = run_composite(fixture_config("composite", **settings))
-        run_stagewise(str(fixture_config("stagewise", **settings)), tmp_path / "stagewise")
+        stagewise_dir = run_stagewise(fixture_config("stagewise", **settings))
         for name in RUN_OUTPUTS:
-            assert (tmp_path / "stagewise" / name).read_bytes() == (run_dir / name).read_bytes(), name
+            assert (stagewise_dir / name).read_bytes() == (run_dir / name).read_bytes(), name
 
 
 class TestConfigVocabulary:
     """stage3 and eval read the config's vocabulary and alias files."""
 
-    def test_stage3_matches_run(self, fixture_config, tmp_path, alias_file):
+    def test_stage3_matches_run(self, fixture_config, alias_file):
         config = fixture_config("aliased", aliases=str(alias_file))
         run_dir = run_composite(config)
         default_dir = run_composite(fixture_config("default"))
         labels = (run_dir / "stage3_labels.jsonl").read_bytes()
         assert labels != (default_dir / "stage3_labels.jsonl").read_bytes()
 
-        assert main([
-            "stage3", "--figures", str(run_dir / "stage2_verdicts.jsonl"),
-            "--evidence", str(run_dir / "evidence.jsonl"), "--library", fx("library.jsonl"),
-            "--out", str(tmp_path / "labels.jsonl"), "--config", str(config),
-        ]) == 0
-        assert (tmp_path / "labels.jsonl").read_bytes() == labels
+        (run_dir / "stage3_labels.jsonl").unlink()
+        assert main(["run", "--config", str(config), "--stages", "stage3"]) == 0
+        assert (run_dir / "stage3_labels.jsonl").read_bytes() == labels
 
     def test_eval_uses_config_aliases(self, fixture_config, tmp_path, alias_file):
         def stage3_rows(name: str, **settings) -> list[dict]:
@@ -485,12 +441,14 @@ class TestMalformedInput:
     def ingest(self, tmp_path, lines: list[str]) -> tuple[int, Path]:
         corpus = tmp_path / "bad.jsonl"
         corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        code = main([
-            "ingest", "--corpus", str(corpus),
-            "--out", str(tmp_path / "out.jsonl"), "--report", str(tmp_path / "report.json"),
-            "--config", str(make_fixture_config(tmp_path)),
-        ])
-        return code, corpus
+        config = make_fixture_config(tmp_path, corpus=str(corpus))
+        return main(["run", "--config", str(config), "--stages", "ingest"]), corpus
+
+    def stage1(self, fixture_config, capsys, pool: Path) -> int:
+        """`run --stages stage1` after an ingest, with `pool` as the config's pool."""
+        config = ran_config(fixture_config, "pool", "ingest", pool=str(pool))
+        capsys.readouterr()
+        return main(["run", "--config", config, "--stages", "stage1"])
 
     def test_invalid_json_names_file_and_line(self, tmp_path, capsys):
         code, corpus = self.ingest(tmp_path, [json.dumps(self.GOOD), '{"paper_id": "P02",'])
@@ -514,11 +472,7 @@ class TestMalformedInput:
         pool = tmp_path / "pool.jsonl"
         pool.write_text('{"paper_id": "P01", "label": "positive"}\n{"paper_id": "P02"}\n',
                         encoding="utf-8")
-        code = main([
-            "stage1", "--corpus", fx("corpus.jsonl"), "--pool", str(pool),
-            "--out", str(tmp_path / "subset.jsonl"), "--config", str(fixture_config("pool")),
-        ])
-        assert code == 1
+        assert self.stage1(fixture_config, capsys, pool) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert f"{pool}: record 2 has no 'label'" in err
@@ -528,14 +482,11 @@ class TestMalformedInput:
                                                          key):
         row = {"paper_id": "P01", "figure_id": "Figure 1", "caption": "Figure 1: c"}
         del row[key]
-        evidence_file = tmp_path / "evidence.jsonl"
+        config = ran_config(fixture_config, "evidence", "ingest,stage1")
+        evidence_file = tmp_path / "evidence" / "evidence.jsonl"
         evidence_file.write_text(json.dumps(row) + "\n", encoding="utf-8")
-        code = main([
-            "stage2", "--papers", fx("corpus.jsonl"), "--evidence", str(evidence_file),
-            "--library", fx("library.jsonl"), "--out", str(tmp_path / "verdicts.jsonl"),
-            "--config", str(fixture_config("evidence")),
-        ])
-        assert code == 1
+        capsys.readouterr()
+        assert main(["run", "--config", config, "--stages", "stage2"]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert f"{evidence_file}: record 1 has no {key!r}" in err
@@ -561,17 +512,26 @@ class TestMalformedInput:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert f"{manifest}: record 2 has no 'path'" in err
 
-    def missing_document_manifest(self, tmp_path) -> tuple[Path, str]:
-        """The fixture's docs manifest with a second row whose document does not exist."""
+    # A second manifest row's `path`, and what the error says about it.
+    NO_DOCUMENT = [
+        ("P99.txt", "no such document: {docs}/P99.txt"),
+        ("", "is a directory: {docs}"),
+        ("P01.txt/x", "no such document: {docs}/P01.txt/x"),
+    ]
+
+    def missing_document_manifest(self, tmp_path, path: str, problem: str) -> tuple[Path, str]:
+        """The fixture's docs manifest with a second row whose `path` names no document."""
         rows = (FIXTURE_DIR / "docs_manifest.jsonl").read_text(encoding="utf-8").splitlines()
         manifest = tmp_path / "docs_manifest.jsonl"
-        manifest.write_text("\n".join([rows[0], '{"paper_id": "P99", "path": "P99.txt"}',
-                                       *rows[1:]]) + "\n", encoding="utf-8")
+        row = json.dumps({"paper_id": "P99", "path": path})
+        manifest.write_text("\n".join([rows[0], row, *rows[1:]]) + "\n", encoding="utf-8")
         return manifest, (f"input error: {manifest}: record 2 ('P99'): "
-                          f"no such document: {FIXTURE_DIR / 'docs' / 'P99.txt'}\n")
+                          f"{problem.format(docs=FIXTURE_DIR / 'docs')}\n")
 
-    def test_missing_document_exits_1_naming_manifest_record_and_path(self, tmp_path, capsys):
-        manifest, message = self.missing_document_manifest(tmp_path)
+    @pytest.mark.parametrize("path, problem", NO_DOCUMENT, ids=["missing", "empty", "under_file"])
+    def test_missing_document_exits_1_naming_manifest_record_and_path(self, tmp_path, capsys,
+                                                                       path, problem):
+        manifest, message = self.missing_document_manifest(tmp_path, path, problem)
         out = tmp_path / "evidence.jsonl"
         code = main(["evidence", "--docs-manifest", str(manifest), "--docs-dir", fx("docs"),
                      "--out", str(out)])
@@ -579,9 +539,10 @@ class TestMalformedInput:
         assert capsys.readouterr().err == message
         assert list(tmp_path.iterdir()) == [manifest]
 
+    @pytest.mark.parametrize("path, problem", NO_DOCUMENT, ids=["missing", "empty", "under_file"])
     def test_run_with_a_missing_document_exits_1_writing_nothing(self, tmp_path, fixture_config,
-                                                                  capsys):
-        manifest, message = self.missing_document_manifest(tmp_path)
+                                                                  capsys, path, problem):
+        manifest, message = self.missing_document_manifest(tmp_path, path, problem)
         config = fixture_config("missing_doc", docs_manifest=str(manifest))
         assert main(["run", "--config", str(config), "--stages", "evidence"]) == 1
         assert capsys.readouterr().err == message
@@ -589,16 +550,13 @@ class TestMalformedInput:
 
     def test_verdict_row_without_figure_id_names_file_and_key(self, tmp_path, fixture_config,
                                                                capsys):
-        verdicts = tmp_path / "verdicts.jsonl"
+        config = fixture_config("verdicts")
+        out_dir = tmp_path / "verdicts"
+        out_dir.mkdir()
+        verdicts = out_dir / "stage2_verdicts.jsonl"
         verdicts.write_text('{"paper_id": "P07", "selected": true}\n', encoding="utf-8")
-        evidence_file = tmp_path / "evidence.jsonl"
-        evidence_file.write_text("", encoding="utf-8")
-        code = main([
-            "stage3", "--figures", str(verdicts), "--evidence", str(evidence_file),
-            "--library", fx("library.jsonl"), "--out", str(tmp_path / "labels.jsonl"),
-            "--config", str(fixture_config("verdicts")),
-        ])
-        assert code == 1
+        (out_dir / "evidence.jsonl").write_text("", encoding="utf-8")
+        assert main(["run", "--config", str(config), "--stages", "stage3"]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert f"{verdicts}: record 1 has no 'figure_id'" in err
@@ -623,11 +581,7 @@ class TestMalformedInput:
         pool = tmp_path / "pool.jsonl"
         pool.write_text('{"paper_id": "P01", "label": "positive"}\n'
                         '{"paper_id": 1, "label": true}\n', encoding="utf-8")
-        code = main([
-            "stage1", "--corpus", fx("corpus.jsonl"), "--pool", str(pool),
-            "--out", str(tmp_path / "subset.jsonl"), "--config", str(fixture_config("pool")),
-        ])
-        assert code == 1
+        assert self.stage1(fixture_config, capsys, pool) == 1
         err = capsys.readouterr().err
         assert err == f"input error: {pool}: record 2: paper_id: expected a string, got 1\n"
 
@@ -669,19 +623,12 @@ class TestWrongTypedRows:
         assert main(["run", "--config", str(config)]) == 1
         assert capsys.readouterr().err == f"input error: {message}\n"
 
-    def test_stage3_string_evidence_context_exits_1(self, tmp_path, fixture_config, capsys):
+    def test_stage3_string_evidence_context_exits_1(self, fixture_config, capsys):
         config = fixture_config("context")
         out = run_composite(config)
-        evidence_file = tmp_path / "evidence.jsonl"
-        shutil.copy(out / "evidence.jsonl", evidence_file)
-        _set_in_first_row(evidence_file, ("context",), "a paragraph", paper_id="P01")
+        _set_in_first_row(out / "evidence.jsonl", ("context",), "a paragraph", paper_id="P01")
         capsys.readouterr()
-        code = main([
-            "stage3", "--figures", str(out / "stage2_verdicts.jsonl"),
-            "--evidence", str(evidence_file), "--library", fx("library.jsonl"),
-            "--out", str(tmp_path / "labels.jsonl"), "--config", str(config),
-        ])
-        assert code == 1
+        assert main(["run", "--config", str(config), "--stages", "stage3"]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert "record 'P01': context: expected a list, got 'a paragraph'" in err
@@ -879,47 +826,30 @@ class TestRetryQueues:
         for name in RUN_OUTPUTS:
             assert (out_dir / name).read_bytes() == (clean_dir / name).read_bytes(), name
 
-    def test_stage_commands_exit_2_with_queue_beside_output(self, fixture_config, tmp_path,
-                                                            monkeypatch, capsys):
+    def test_step_runs_exit_2_with_queue_beside_output(self, fixture_config, monkeypatch,
+                                                        capsys):
         config = fixture_config("stagewise_failing")
         out_dir = Path(json.loads(config.read_text())["out_dir"])
         assert main(["run", "--config", str(config),
                      "--stages", "ingest,stage1,evidence"]) == 0
-        work = tmp_path / "work"
-        fail_some_figures(monkeypatch)
-        common = ["--evidence", str(out_dir / "evidence.jsonl"),
-                  "--library", fx("library.jsonl"), "--config", str(config)]
-        assert main(["stage2", "--papers", str(out_dir / "stage1_subset.jsonl"),
-                     "--out", str(work / "verdicts.jsonl"), *common]) == 2
-        assert main(["stage3", "--figures", str(work / "verdicts.jsonl"),
-                     "--out", str(work / "labels.jsonl"), *common]) == 2
-        assert capsys.readouterr().err.count(f"queued for retry in {work}") == 2
-        assert [(r["paper_id"], r["figure_id"]) for r in read_jsonl(work / "verdicts.retry.jsonl")] \
-            == [("P12", "Figure 2"), ("P12", "Figure 3")]
-        assert [(r["paper_id"], r["figure_id"]) for r in read_jsonl(work / "labels.retry.jsonl")] \
-            == [("P07", "Figure 3")]
-
-    def test_two_outputs_in_one_directory_keep_two_queues(self, fixture_config, tmp_path,
-                                                          monkeypatch, capsys):
-        config = fixture_config("two_outputs")
-        out_dir = Path(json.loads(config.read_text())["out_dir"])
-        assert main(["run", "--config", str(config),
-                     "--stages", "ingest,stage1,evidence"]) == 0
-        work = tmp_path / "work"
-        stage2 = ["stage2", "--papers", str(out_dir / "stage1_subset.jsonl"),
-                  "--evidence", str(out_dir / "evidence.jsonl"),
-                  "--library", fx("library.jsonl"), "--config", str(config)]
+        capsys.readouterr()
+        verdicts_queue = out_dir / "stage2_verdicts.retry.jsonl"
+        labels_queue = out_dir / "stage3_labels.retry.jsonl"
         with monkeypatch.context() as patch:
             fail_some_figures(patch)
-            assert main([*stage2, "--out", str(work / "a.jsonl")]) == 2
-            queued = (work / "a.retry.jsonl").read_bytes()
-            assert main([*stage2, "--out", str(work / "b.jsonl")]) == 2
-        assert (work / "a.retry.jsonl").read_bytes() == queued
-        assert (work / "b.retry.jsonl").read_bytes() == queued
-        assert main([*stage2, "--out", str(work / "c.jsonl")]) == 0
-        assert not (work / "c.retry.jsonl").exists()
-        assert (work / "a.retry.jsonl").read_bytes() == queued
-        assert (work / "b.retry.jsonl").read_bytes() == queued
+            assert main(["run", "--config", str(config), "--stages", "stage2"]) == 2
+            assert main(["run", "--config", str(config), "--stages", "stage3"]) == 2
+        err = capsys.readouterr().err
+        assert f"queued for retry: 2 figure(s) in {verdicts_queue}\n" in err
+        assert f"queued for retry: 1 figure(s) in {labels_queue}\n" in err
+        assert [(r["paper_id"], r["figure_id"]) for r in read_jsonl(verdicts_queue)] \
+            == [("P12", "Figure 2"), ("P12", "Figure 3")]
+        assert [(r["paper_id"], r["figure_id"]) for r in read_jsonl(labels_queue)] \
+            == [("P07", "Figure 3")]
+
+        assert main(["run", "--config", str(config), "--stages", "stage2"]) == 0
+        assert main(["run", "--config", str(config), "--stages", "stage3"]) == 0
+        assert not verdicts_queue.exists() and not labels_queue.exists()
 
 
 def fail_saliency_screening(monkeypatch) -> list[tuple[str, str]]:
@@ -990,15 +920,15 @@ class TestStage1RetryQueue:
         for name in RUN_OUTPUTS:
             assert (out_dir / name).read_bytes() == (clean_dir / name).read_bytes(), name
 
-    def test_stage1_command_exits_2_and_a_clean_rerun_deletes_the_queue(
-            self, fixture_config, tmp_path, monkeypatch, capsys):
-        args = ["stage1", "--corpus", fx("corpus.jsonl"), "--pool", fx("pool.jsonl"),
-                "--out", str(tmp_path / "subset.jsonl"), "--config", str(fixture_config("s1"))]
-        queue = tmp_path / "subset.retry.jsonl"
+    def test_stage1_step_exits_2_and_a_clean_rerun_deletes_the_queue(
+            self, fixture_config, monkeypatch, capsys):
+        config = fixture_config("s1")
+        args = ["run", "--config", str(config), "--stages", "ingest,stage1"]
+        queue = Path(json.loads(config.read_text())["out_dir"]) / "stage1_subset.retry.jsonl"
         with monkeypatch.context() as patch:
             failed = fail_saliency_screening(patch)
             assert main(args) == 2
-        assert f"{len(failed)} paper(s) failed and were queued for retry in {queue}" \
+        assert f"queued for retry: {len(failed)} paper(s) in {queue}\n" \
             in capsys.readouterr().err
         assert len(list(read_jsonl(queue))) == len(failed)
         assert main(args) == 0
@@ -1020,18 +950,13 @@ class TestReadme:
         cli.build_parser().parse_args(argv[1:])  # argparse exits 2 on an unknown flag
 
 
-# The flags each subcommand may take: input and output paths, the log,
+# The flags each subcommand may take: `evidence`'s input and output paths,
 # `--config`, and the stage lists of `eval` and `run`.  Every setting is a
 # config key, so a flag outside this list fails the guard.
 ALLOWED_FLAGS = {
     "": {"-h", "--help", "-v", "--verbose"},
-    "ingest": {"--corpus", "--out", "--report", "--config"},
-    "stage1": {"--corpus", "--pool", "--out", "--log", "--config"},
     "evidence": {"--docs-manifest", "--docs-dir", "--out"},
-    "stage2": {"--papers", "--evidence", "--library", "--out", "--config"},
-    "stage3": {"--figures", "--evidence", "--library", "--out", "--config"},
     "eval": {"--config", "--stages", "--out"},
-    "analyze": {"--labels", "--papers", "--library", "--out-dir", "--config"},
     "run": {"--config", "--stages"},
 }
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vismine import evidence as evidence_mod
+from vismine import jsonl as jsonl_mod
 from vismine import pipeline
 from vismine.config import load_config
 from vismine.errors import DocumentError, InputError, PipelineError
@@ -299,13 +300,14 @@ class TestEvidenceMemo:
         assert memo.read_bytes() == (Path(cold.out_dir) / evidence_file).read_bytes()
         assert output_bytes(Path(warm.out_dir)) == output_bytes(Path(cold.out_dir))
 
-    def test_changed_extractor_source_misses(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("module", [evidence_mod, jsonl_mod], ids=["evidence", "jsonl"])
+    def test_changed_extractor_source_misses(self, tmp_path, monkeypatch, module):
         docs, manifest, cache = tmp_path / "docs", tmp_path / "manifest.jsonl", tmp_path / "cache"
         write_docs(docs, manifest, 3)
         run_evidence_step(manifest, docs, tmp_path / "a.jsonl", cache)
-        changed = tmp_path / "evidence.py"
-        changed.write_bytes(Path(evidence_mod.__file__).read_bytes() + b"\n# changed\n")
-        monkeypatch.setattr(evidence_mod, "__file__", str(changed))
+        changed = tmp_path / Path(module.__file__).name
+        changed.write_bytes(Path(module.__file__).read_bytes() + b"\n# changed\n")
+        monkeypatch.setattr(module, "__file__", str(changed))
         segmented = count_segmentations(monkeypatch)
         assert run_evidence_step(manifest, docs, tmp_path / "b.jsonl", cache) == 24
         assert segmented == ["D0000", "D0001", "D0002"]
