@@ -851,6 +851,25 @@ class TestRetryQueues:
         assert main(["run", "--config", str(config), "--stages", "stage3"]) == 0
         assert not verdicts_queue.exists() and not labels_queue.exists()
 
+    def test_two_outputs_in_one_directory_keep_two_queues(self, fixture_config, monkeypatch):
+        config = fixture_config("two_outputs")
+        out_dir = Path(json.loads(config.read_text())["out_dir"])
+        assert main(["run", "--config", str(config),
+                     "--stages", "ingest,stage1,evidence"]) == 0
+        verdicts_queue = out_dir / "stage2_verdicts.retry.jsonl"
+        labels_queue = out_dir / "stage3_labels.retry.jsonl"
+        with monkeypatch.context() as patch:
+            fail_some_figures(patch)
+            assert main(["run", "--config", str(config), "--stages", "stage2"]) == 2
+            assert main(["run", "--config", str(config), "--stages", "stage3"]) == 2
+        queued = verdicts_queue.read_bytes()
+        assert labels_queue.exists()
+        assert main(["run", "--config", str(config), "--stages", "stage3"]) == 0
+        assert not labels_queue.exists()
+        assert verdicts_queue.read_bytes() == queued
+        assert main(["run", "--config", str(config), "--stages", "stage2"]) == 0
+        assert not verdicts_queue.exists()
+
 
 def fail_saliency_screening(monkeypatch) -> list[tuple[str, str]]:
     """Make the secondary stub answer HTTP 400 to every screening prompt about saliency.
