@@ -104,10 +104,6 @@ class Bm25Index:
     def avg_doc_length(self) -> float:
         return self._avg_doc_length
 
-    @property
-    def doc_ids(self) -> list[str]:
-        return sorted(self._doc_lengths)
-
     def __contains__(self, doc_id: str) -> bool:
         return doc_id in self._doc_lengths
 

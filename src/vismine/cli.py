@@ -54,9 +54,6 @@ def cmd_eval(args) -> int:
 
 def cmd_run(args) -> int:
     stages = [part.strip() for part in args.stages.split(",") if part.strip() != ""]
-    unknown = [stage for stage in stages if stage not in STAGES]
-    if unknown:
-        raise InputError(f"--stages names unknown stages {unknown}; choose from {','.join(STAGES)}")
     manifest = run_pipeline(load_config(args.config), stages or None)
     print(f"pipeline complete: stages={sorted(manifest.stages, key=STAGES.index)} "
           f"network_calls={manifest.gateway.get('network_calls', 0)}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import ClassVar, Sequence
+from typing import ClassVar
 
 from . import stage1 as stage1_mod
 from . import stage2 as stage2_mod
@@ -104,17 +104,11 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
 
-# The config's input paths each pipeline stage reads.
-STAGE_INPUTS = {"ingest": ("corpus_path",), "stage1": ("pool_path",),
-                "evidence": ("docs_manifest_path", "docs_dir"),
-                "stage2": ("library_path",), "stage3": ("library_path",)}
-
-
-def validate_config(config: RunConfig, stages: Sequence[str] = ()) -> list[str]:
+def validate_config(config: RunConfig) -> list[str]:
     """Every violation at once; an empty list means the config is usable.
 
-    Every input path the config gives must exist.  A path it leaves out is
-    a violation only when one of the pipeline `stages` reads it.
+    Every input path the config gives must exist.  Whether a stage reads
+    a path it leaves out is checked where the stages run, in `pipeline`.
     """
     errors: list[str] = []
 
@@ -127,12 +121,6 @@ def validate_config(config: RunConfig, stages: Sequence[str] = ()) -> list[str]:
         docs_dir = config.resolve(config.docs_dir)
         if not docs_dir.is_dir():
             errors.append(f"docs_dir: directory not found: {docs_dir}")
-    missing: dict[str, str] = {}  # key -> the first stage that reads it
-    for stage in stages:
-        for name in STAGE_INPUTS.get(stage, ()):
-            if getattr(config, name) is None:
-                missing.setdefault(RunConfig.JSON_KEYS.get(name, name), stage)
-    errors += [f"{key}: missing, but stage {stage!r} reads it" for key, stage in missing.items()]
 
     for name in ("stage1_k", "stage2_k", "stage3_k"):
         k = getattr(config, name)

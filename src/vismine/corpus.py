@@ -55,12 +55,18 @@ class PaperRecord:
 
 
 def record_from_dict(raw: Mapping) -> PaperRecord:
-    """A PaperRecord from one JSON object; `paper_id` and `title` are stripped, not empty."""
+    """A PaperRecord from one JSON object; `paper_id` and `title` are stripped, not empty.
+
+    `paper_id` holds no `::`, so a `paper::figure` id splits at its first `::`.
+    """
     record = read_object(PaperRecord, raw, f"record {raw.get('paper_id')!r}:",
                          paper_id="", title="")
     paper_id, title = record.paper_id.strip(), record.title.strip()
     if not paper_id:
         raise CorpusError(f"record missing paper_id: {dict(raw)!r}")
+    if "::" in paper_id:
+        raise CorpusError(f"record {paper_id!r}: paper_id must not contain '::', "
+                          "which joins a paper id and a figure id")
     if not title:
         raise CorpusError(f"record {paper_id!r} missing title")
     if record.year is not None and record.year < MIN_YEAR:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import re
 import threading
@@ -353,6 +354,11 @@ def map_items(fn: Callable, items: Sequence, max_workers: int) -> list:
 
 # The characters that move the brace-matching scans of `_candidates`.
 _SCAN_CHARS = re.compile(r'[{}"\\]')
+# The characters that move the nesting scans of `_too_deep`.
+_NEST_CHARS = re.compile(r'[{}\[\]"\\]')
+# The deepest `{`/`[` nesting a response may hold, so far under the recursion
+# limit that the decoder's answer is the same at any caller's stack depth.
+MAX_NESTING = 500
 # How every JSON object begins; a candidate that does not is skipped
 # without copying it out for the decoder.
 _OBJECT_HEAD = re.compile(r'\{[ \t\n\r]*["}]')
@@ -420,29 +426,59 @@ def _candidates(raw: str) -> list[tuple[int, int]]:
     return [(start, ends[start]) for start in starts if start in ends]
 
 
+def _too_deep(raw: str) -> bool:
+    """Whether a scan from some `{` of `raw` reaches more than MAX_NESTING unclosed `{`/`[`.
+
+    A scan skips quoted strings with their backslash escapes and ends where it
+    has closed all it opened.  As in `_candidates`, scans in one string state
+    move together: one pass keeps each state's deepest depth (-inf for none).
+    """
+    outside = inside = escaped = -math.inf
+    last = -2
+    for match in _NEST_CHARS.finditer(raw):
+        pos = match.start()
+        if pos > last + 1:  # the character after a backslash, if any, was an ordinary one
+            inside, escaped = max(inside, escaped), -math.inf
+        last = pos
+        c = raw[pos]
+        if c == "\\":
+            inside, escaped = escaped, inside
+        elif c == '"':
+            outside, inside, escaped = inside, max(outside, escaped), -math.inf
+        else:
+            inside, escaped = max(inside, escaped), -math.inf
+            if c in "{[":
+                outside = (max(outside, 0) if c == "{" else outside) + 1
+                if outside > MAX_NESTING:
+                    return True
+            else:  # once the deepest scan has closed, every scan has
+                outside = outside - 1 if outside > 1 else -math.inf
+    return False
+
+
 def parse_json_payload(raw: str) -> dict | None:
     """First balanced JSON object embedded in a response, or None; never raises.
 
     Each `{` whose scan closes (see `_candidates`) is a candidate, and the
-    first candidate that decodes to an object wins.  A response nested too
-    deeply for the decoder gives None.
+    first candidate that decodes to an object wins.  A response nested deeper
+    than MAX_NESTING (see `_too_deep`) gives None before any decode.
     """
     first = raw.find("{")
     if first == -1:
+        return None
+    if raw.count("{") + raw.count("[") > MAX_NESTING and _too_deep(raw):
         return None
     try:
         # An object that decodes from the first brace is the first candidate,
         # and the decode that found its end has already built it.
         return _DECODER.raw_decode(raw, first)[0]
-    except (RecursionError, ValueError):
+    except ValueError:
         pass
     for start, end in _candidates(raw):
         if not _OBJECT_HEAD.match(raw, start):
             continue
         try:
             payload = json.loads(raw[start:end])
-        except RecursionError:
-            return None
         except ValueError:  # JSONDecodeError, or an over-long integer
             continue
         if isinstance(payload, dict):

@@ -35,7 +35,7 @@ from .jsonl import (
     write_jsonl,
 )
 from .library import load_library
-from .vocab import FIELDS, FrameworkLabels, LabelVocabulary, labels_from_dict, load_vocabulary
+from .vocab import FIELDS, LabelVocabulary, labels_from_dict, load_vocabulary
 
 logger = logging.getLogger(__name__)
 
@@ -50,6 +50,11 @@ UPSTREAM = {
 
 # The stages of `vismine run` whose outputs each stage of `vismine eval` reads.
 EVAL_UPSTREAM = {"stage1": ("ingest",), "stage2": ("evidence",), "stage3": ("evidence",)}
+
+# The config's input paths each stage reads.
+STAGE_INPUTS = {"ingest": ("corpus_path",), "stage1": ("pool_path",),
+                "evidence": ("docs_manifest_path", "docs_dir"),
+                "stage2": ("library_path",), "stage3": ("library_path",)}
 
 
 def stage_outputs(out_dir: Path) -> dict[str, list[Path]]:
@@ -103,20 +108,19 @@ def _rows_with(path: str | Path, keys: Sequence[str]) -> Iterator[dict]:
         yield row
 
 
-def retry_path(out_path: str | Path) -> Path:
-    """Where the retry queue of the stage writing `out_path` goes: `<name>.retry.jsonl` beside it.
-
-    Named after the output, so each stage's queue in `<out_dir>` is its own.
-    """
-    return Path(out_path).with_suffix(".retry.jsonl")
-
-
-def _write_retry_queue(path: Path, keys: Sequence[str], retry: Sequence[tuple[str, ...]]) -> None:
-    """One row per failed item, its values under `keys`; no file when none failed."""
+def _write_retry_queue(
+    out_path: Path, keys: Sequence[str], retry: Sequence[tuple[str, ...]],
+) -> tuple[int, Path]:
+    """Queue the stage's failed items in `<name>.retry.jsonl` beside its output
+    `out_path`, so each stage's queue in `<out_dir>` is its own: one row per
+    item, its values under `keys`, and no file when none failed.  Returns the
+    row count and the queue's path."""
+    path = out_path.with_suffix(".retry.jsonl")
     if retry:
         write_jsonl(path, (dict(zip(keys, item)) for item in retry))
     else:
         path.unlink(missing_ok=True)
+    return len(retry), path
 
 
 def load_pool(
@@ -132,6 +136,20 @@ def load_pool(
               if row.get("paper_id") not in have and "title" in row]
     assignments = [(row["paper_id"], row["label"]) for row in pool_rows]
     return corpus_mod.load_labeled_pool([*records, *extras], assignments)
+
+
+def _check_config(config: RunConfig, stages: Sequence[str]) -> None:
+    """A `ConfigError` listing every `validate_config` violation and each input
+    path that a stage of `stages` reads but the config leaves out."""
+    problems = validate_config(config)
+    missing: dict[str, str] = {}  # key -> the first stage that reads it
+    for stage in stages:
+        for name in STAGE_INPUTS.get(stage, ()):
+            if getattr(config, name) is None:
+                missing.setdefault(RunConfig.JSON_KEYS.get(name, name), stage)
+    problems += [f"{key}: missing, but stage {stage!r} reads it" for key, stage in missing.items()]
+    if problems:
+        raise ConfigError("; ".join(problems))
 
 
 def require_outputs(stage: str, upstream: Sequence[str], outputs: dict[str, list[Path]]) -> None:
@@ -167,35 +185,30 @@ def load_evidence_table(
     return table
 
 
-def run_ingest(
-    corpus_path: str | Path, out_path: str | Path, report_path: str | Path, keywords: Sequence[str]
-) -> tuple[list[corpus_mod.PaperRecord], corpus_mod.IngestReport]:
-    """Ingest raw metadata and keep the records that match a keyword."""
-    records, report = corpus_mod.ingest_metadata(read_jsonl(corpus_path))
-    filtered = corpus_mod.keyword_prefilter(records, keywords)
-    write_jsonl(out_path, (r.to_dict() for r in filtered))
+def run_ingest(config: RunConfig, outputs: dict[str, list[Path]]) -> None:
+    """Ingest the config's `corpus` into `outputs`, keeping the records that match a keyword."""
+    corpus_out, report_out = outputs["ingest"]
+    records, report = corpus_mod.ingest_metadata(read_jsonl(config.resolve(config.corpus_path)))
+    filtered = corpus_mod.keyword_prefilter(records, config.keywords)
+    write_jsonl(corpus_out, (r.to_dict() for r in filtered))
     summary = report.to_dict()
     summary["after_keyword_filter"] = len(filtered)
-    summary["keywords"] = list(keywords)
-    write_json(report_path, summary)
+    summary["keywords"] = list(config.keywords)
+    write_json(report_out, summary)
     logger.info("ingest: %d raw, %d ingested, %d after keyword filter",
                 report.total, report.ingested, len(filtered))
-    return filtered, report
 
 
 def run_stage1_step(
-    corpus_path: str | Path, pool_path: str | Path, out_path: str | Path,
-    decisions_path: str | Path, gateway: Gateway, config: RunConfig,
-) -> stage1_mod.Stage1Result:
-    """Screen the candidates against the pool `load_pool` reads, with `config`'s stage-1 settings.
-
-    Writes the subset and the decision log; undecided papers are queued in
-    `retry_path(out_path)`.
-    """
-    candidates = load_corpus_file(corpus_path)
+    config: RunConfig, outputs: dict[str, list[Path]], gateway: Gateway,
+) -> tuple[int, Path]:
+    """Screen the ingested candidates against the config's `pool`, as `load_pool` reads
+    it, with the config's stage-1 settings; undecided papers go to the retry queue."""
+    subset_out, decisions_out = outputs["stage1"]
+    candidates = load_corpus_file(outputs["ingest"][0])
     result = stage1_mod.run_stage1(
         candidates,
-        load_pool(pool_path, candidates),
+        load_pool(config.resolve(config.pool_path), candidates),
         gateway,
         config.stage1_backends,
         k=config.stage1_k,
@@ -203,12 +216,9 @@ def run_stage1_step(
         min_neg=config.stage1_min_neg,
         max_workers=config.max_workers,
     )
-    write_jsonl(out_path, (r.to_dict() for r in result.subset))
-    write_jsonl(decisions_path, (d.to_dict() for d in result.decisions))
-    error_of = {d.paper_id: d.error for d in result.decisions}
-    _write_retry_queue(retry_path(out_path), ("paper_id", "message"),
-                       [(paper_id, error_of[paper_id]) for paper_id in result.retry])
-    return result
+    write_jsonl(subset_out, (r.to_dict() for r in result.subset))
+    write_jsonl(decisions_out, (d.to_dict() for d in result.decisions))
+    return _write_retry_queue(subset_out, ("paper_id", "message"), result.retry)
 
 
 # Leads the evidence memo key; change it when the key's layout changes.
@@ -286,18 +296,16 @@ def run_evidence_step(
 
 
 def run_stage2_step(
-    papers_path: str | Path, evidence_path: str | Path, library_path: str | Path,
-    out_path: str | Path, gateway: Gateway, config: RunConfig,
-) -> stage2_mod.Stage2Result:
-    """Judge every figure of each paper that the coded library does not hold,
-    with `config`'s stage-2 settings.
-
-    Failed figures are queued in `retry_path(out_path)`.
-    """
-    papers = load_corpus_file(papers_path)
-    library = load_library(read_jsonl(library_path))
+    config: RunConfig, outputs: dict[str, list[Path]], gateway: Gateway,
+) -> tuple[int, Path]:
+    """Judge every figure of each stage-1 paper that the config's coded `library` does
+    not hold, with the config's stage-2 settings; failed figures go to the retry queue."""
+    [verdicts_out] = outputs["stage2"]
+    papers = load_corpus_file(outputs["stage1"][0])
+    library = load_library(read_jsonl(config.resolve(config.library_path)))
     library_ids = {p.paper_id for p in library}
-    table = load_evidence_table(evidence_path, {r.paper_id for r in papers} | library_ids)
+    table = load_evidence_table(outputs["evidence"][0],
+                                {r.paper_id for r in papers} | library_ids)
     by_paper: dict[str, list[evidence_mod.FigureEvidence]] = {}
     for ev in table.values():
         by_paper.setdefault(ev.paper_id, []).append(ev)
@@ -318,28 +326,24 @@ def run_stage2_step(
         max_figs=config.stage2_max_figs,
         max_workers=config.max_workers,
     )
-    write_jsonl(out_path, (v.to_dict() for v in result.verdicts))
-    _write_retry_queue(retry_path(out_path), ("paper_id", "figure_id", "message"), result.retry)
-    return result
+    write_jsonl(verdicts_out, (v.to_dict() for v in result.verdicts))
+    return _write_retry_queue(verdicts_out, ("paper_id", "figure_id", "message"), result.retry)
 
 
 def run_stage3_step(
-    verdicts_path: str | Path, evidence_path: str | Path, library_path: str | Path,
-    out_path: str | Path, vocab: LabelVocabulary, gateway: Gateway, config: RunConfig,
-) -> stage3_mod.Stage3Result:
-    """Label every selected figure, with the coded library's figures as exemplars
-    and `config`'s stage-3 settings.
-
-    Failed figures are queued in `retry_path(out_path)`.
-    """
-    library = load_library(read_jsonl(library_path))
+    config: RunConfig, outputs: dict[str, list[Path]], gateway: Gateway, vocab: LabelVocabulary,
+) -> tuple[int, Path]:
+    """Label every figure stage 2 selected, with the config's coded `library` figures as
+    exemplars and its stage-3 settings; failed figures go to the retry queue."""
+    [labels_out] = outputs["stage3"]
+    library = load_library(read_jsonl(config.resolve(config.library_path)))
     selected = []
-    for raw in _rows_with(verdicts_path, ("paper_id", "figure_id")):
+    for raw in _rows_with(outputs["stage2"][0], ("paper_id", "figure_id")):
         verdict = stage2_mod.verdict_from_dict(raw)
         if verdict.selected:
             selected.append(verdict)
     table = load_evidence_table(
-        evidence_path, {v.paper_id for v in selected} | {p.paper_id for p in library})
+        outputs["evidence"][0], {v.paper_id for v in selected} | {p.paper_id for p in library})
     corpus = stage3_mod.library_figure_corpus(
         library, lambda paper_id, figure_id: table.get((paper_id, figure_id)))
     targets = []
@@ -360,9 +364,8 @@ def run_stage3_step(
         per_paper_cap=config.stage3_per_paper_cap,
         max_workers=config.max_workers,
     )
-    write_jsonl(out_path, (l.to_dict() for l in result.labels))
-    _write_retry_queue(retry_path(out_path), ("paper_id", "figure_id", "message"), result.retry)
-    return result
+    write_jsonl(labels_out, (l.to_dict() for l in result.labels))
+    return _write_retry_queue(labels_out, ("paper_id", "figure_id", "message"), result.retry)
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -373,21 +376,21 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buffer.getvalue()
 
 
-def run_analyze_step(
-    labels_path: str | Path, papers_path: str | Path | None, library_path: str | Path | None,
-    out_dir: Path, reference_year: int,
-) -> tuple[list[analysis_mod.PathRecord], list[FrameworkLabels], list[analysis_mod.PaperLabels]]:
-    """Write paths, flows, trends and weights from the stage-3 labels and library figures.
+def run_analyze_step(config: RunConfig, outputs: dict[str, list[Path]]) -> None:
+    """Write paths, flows, trends and weights from the stage-3 labels and the
+    figures of the config's coded `library`, when it names one.
 
-    Library papers fill in metadata missing from `papers_path`; either path may be None.
+    Papers' metadata comes from the ingested corpus, when ingest has run;
+    library papers fill in the rest.
     """
-    labels = [labels_from_dict(raw) for raw in read_jsonl(labels_path)]
+    paths_out, sankey_out, flows_out, trends_out, weights_out = outputs["analyze"]
+    labels = [labels_from_dict(raw) for raw in read_jsonl(outputs["stage3"][0])]
     papers: dict[str, corpus_mod.PaperRecord] = {}
-    if papers_path is not None:
-        for record in load_corpus_file(papers_path):
+    if outputs["ingest"][0].exists():
+        for record in load_corpus_file(outputs["ingest"][0]):
             papers[record.paper_id] = record
-    if library_path is not None:
-        for paper in load_library(read_jsonl(library_path)):
+    if config.library_path is not None:
+        for paper in load_library(read_jsonl(config.resolve(config.library_path))):
             papers.setdefault(paper.paper_id, paper.record)
             for figure in paper.coded_figures():
                 labels.append(figure.labels)
@@ -397,9 +400,9 @@ def run_analyze_step(
     if skipped:
         logger.warning("analyze: %d flagged figure(s) excluded from path expansion", skipped)
     paths = analysis_mod.expand_all(usable)
-    write_jsonl(out_dir / "paths.jsonl", (p.to_dict() for p in paths))
-    write_json(out_dir / "sankey.json", analysis_mod.sankey_export(paths))
-    write_json(out_dir / "edge_flows.json", analysis_mod.edge_flows(usable))
+    write_jsonl(paths_out, (p.to_dict() for p in paths))
+    write_json(sankey_out, analysis_mod.sankey_export(paths))
+    write_json(flows_out, analysis_mod.edge_flows(usable))
 
     paper_labels = analysis_mod.paper_level_labels(usable, papers)
     trend_rows = []
@@ -409,46 +412,41 @@ def run_analyze_step(
             trend_rows.append([row["year"], row["field"], row["category"],
                                row["papers"], row["carriers"], f"{row['proportion']:.6f}"])
         for row in analysis_mod.weighted_coverage(
-            paper_labels, fname, reference_year=reference_year
+            paper_labels, fname, reference_year=config.reference_year
         ):
             share = "" if row["weighted_share"] is None else f"{row['weighted_share']:.6f}"
             weight_rows.append([row["field"], row["category"],
                                 f"{row['prevalence']:.6f}", share])
     atomic_write_text(
-        out_dir / "trends.csv",
+        trends_out,
         _csv_text(["year", "field", "category", "papers", "carriers", "proportion"], trend_rows),
     )
     atomic_write_text(
-        out_dir / "weights.csv",
+        weights_out,
         _csv_text(["field", "category", "prevalence", "weighted_share"], weight_rows),
     )
-    return paths, usable, paper_labels
 
 
 def run_pipeline(config: RunConfig, stages: list[str] | None = None) -> RunManifest:
-    """Execute the requested stages in order and emit a manifest.
+    """Run `stages` (all when None) in order on the config's inputs and the files
+    earlier steps wrote to `<out_dir>`, and write the run manifest there.
 
-    A downstream stage whose upstream outputs are missing fails fast,
-    naming the stage to run first.  When papers fail in stage 1 or figures
-    in stage 2 or 3, the remaining stages still run and the manifest is
-    written; then a `PipelineError` names each stage's retry queue.
+    An unknown stage (`InputError`) or a config that fails `_check_config`
+    fails before anything is written; a stage whose upstream outputs are
+    missing fails fast, naming the stage to run first.  When papers fail in
+    stage 1 or figures in stage 2 or 3, the remaining stages still run and
+    the manifest is written; then a `PipelineError` names each retry queue.
     """
     stages = list(stages) if stages is not None else list(STAGES)
     unknown = [s for s in stages if s not in STAGES]
     if unknown:
-        raise PipelineError(f"unknown stages: {unknown}")
+        raise InputError(f"--stages names unknown stages {unknown}; choose from {','.join(STAGES)}")
     stages.sort(key=STAGES.index)
-    problems = validate_config(config, stages)
-    if problems:
-        raise ConfigError("; ".join(problems))
+    _check_config(config, stages)
 
     out_dir = config.resolve(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = stage_outputs(out_dir)
-    corpus_out, report_out = outputs["ingest"]
-    subset_out, decisions_out = outputs["stage1"]
-    [evidence_out], [verdicts_out] = outputs["evidence"], outputs["stage2"]
-    [labels_out] = outputs["stage3"]
     manifest = RunManifest(config_hash=_config_hash(config))
     needs_gateway = any(s in stages for s in ("stage1", "stage2", "stage3"))
     gateway = build_gateway(config) if needs_gateway else None
@@ -470,32 +468,23 @@ def run_pipeline(config: RunConfig, stages: list[str] | None = None) -> RunManif
             if p.exists()
         }
         started = time.time()
+        queued, queue = 0, None
         if stage == "ingest":
-            run_ingest(config.resolve(config.corpus_path), corpus_out, report_out, config.keywords)
+            run_ingest(config, outputs)
         elif stage == "stage1":
-            result = run_stage1_step(corpus_out, config.resolve(config.pool_path), subset_out,
-                                     decisions_out, gateway, config)
-            if result.retry:
-                failed.append(f"{len(result.retry)} paper(s) in {retry_path(subset_out)}")
+            queued, queue = run_stage1_step(config, outputs, gateway)
         elif stage == "evidence":
             run_evidence_step(config.resolve(config.docs_manifest_path),
-                              config.resolve(config.docs_dir), evidence_out,
+                              config.resolve(config.docs_dir), outputs["evidence"][0],
                               config.resolve(config.cache_dir))
         elif stage == "stage2":
-            result = run_stage2_step(subset_out, evidence_out, config.resolve(config.library_path),
-                                     verdicts_out, gateway, config)
-            if result.retry:
-                failed.append(f"{len(result.retry)} figure(s) in {retry_path(verdicts_out)}")
+            queued, queue = run_stage2_step(config, outputs, gateway)
         elif stage == "stage3":
-            result = run_stage3_step(verdicts_out, evidence_out,
-                                     config.resolve(config.library_path), labels_out, vocab,
-                                     gateway, config)
-            if result.retry:
-                failed.append(f"{len(result.retry)} figure(s) in {retry_path(labels_out)}")
+            queued, queue = run_stage3_step(config, outputs, gateway, vocab)
         elif stage == "analyze":
-            papers_path = corpus_out if corpus_out.exists() else None
-            run_analyze_step(labels_out, papers_path, config.resolve(config.library_path),
-                             out_dir / "analysis", config.reference_year)
+            run_analyze_step(config, outputs)
+        if queued:
+            failed.append(f"{queued} {'paper' if stage == 'stage1' else 'figure'}(s) in {queue}")
         produced = {str(p): file_sha256(p) for p in outputs[stage] if p.exists()}
         written.update(produced)
         manifest.stages[stage] = {
@@ -522,9 +511,7 @@ def run_eval(config: RunConfig, stages: Sequence[int], out_path: str | Path) -> 
     evidence output fails before any backend call, naming the stage to run.
     """
     names = [f"stage{stage}" for stage in stages]
-    problems = validate_config(config, names)
-    if problems:
-        raise ConfigError("; ".join(problems))
+    _check_config(config, names)
     outputs = stage_outputs(config.resolve(config.out_dir))
     for name in names:
         require_outputs(name, EVAL_UPSTREAM[name], outputs)

@@ -182,7 +182,7 @@ def screen_paper(
 class Stage1Result:
     subset: list[PaperRecord]
     decisions: list[ScreenDecision]
-    retry: list[str]
+    retry: list[tuple[str, str]]  # (paper_id, message) of each undecided paper
 
 
 def run_stage1(
@@ -199,7 +199,8 @@ def run_stage1(
 
     The returned subset is the union of consensus positives and all manual
     positives, sorted by paper_id so reruns are byte-stable regardless of
-    scheduling.
+    scheduling.  Undecided papers go to the retry queue as
+    (paper_id, message), in paper_id order.
     """
     index = pool_index(pool)
 
@@ -222,7 +223,7 @@ def run_stage1(
     by_id.update(pool.by_id)
     subset_ids = sorted(positive_ids | set(pool.positives))
     subset = [by_id[i] for i in subset_ids]
-    retry = sorted(d.paper_id for d in decisions if d.decision == UNDECIDED)
+    retry = sorted((d.paper_id, d.error) for d in decisions if d.decision == UNDECIDED)
     if retry:
-        logger.warning("%d papers undecided after retries: %s", len(retry), retry)
+        logger.warning("%d papers undecided after retries: %s", len(retry), [p for p, _ in retry])
     return Stage1Result(subset=subset, decisions=decisions, retry=retry)

@@ -221,10 +221,8 @@ def judge_paper_figures(
 
 @dataclass
 class Stage2Result:
-    verdicts: list[RelevanceVerdict]
-    selected: dict[str, list[RelevanceVerdict]]
+    verdicts: list[RelevanceVerdict] = field(default_factory=list)
     retry: list[tuple[str, str, str]] = field(default_factory=list)
-    exemplar_log: dict[str, dict] = field(default_factory=dict)
 
 
 def run_stage2(
@@ -254,9 +252,8 @@ def run_stage2(
 
     processed = map_items(process, targets, max_workers)
 
-    result = Stage2Result(verdicts=[], selected={})
-    for (record, _), (verdicts, failed, log) in zip(targets, processed):
-        paper_id = record.paper_id
+    result = Stage2Result()
+    for verdicts, failed, _ in processed:
         selected = select_representatives(verdicts, max_figs=max_figs)
         selected_ids = {v.figure_id for v in selected}
         final = [
@@ -266,7 +263,5 @@ def run_stage2(
             for v in verdicts
         ]
         result.verdicts.extend(final)
-        result.selected[paper_id] = selected
         result.retry.extend(failed)
-        result.exemplar_log[paper_id] = log
     return result

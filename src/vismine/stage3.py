@@ -47,11 +47,6 @@ def figure_doc_id(paper_id: str, figure_id: str) -> str:
     return f"{paper_id}::{figure_id}"
 
 
-def split_doc_id(doc_id: str) -> tuple[str, str]:
-    paper_id, _, figure_id = doc_id.partition("::")
-    return paper_id, figure_id
-
-
 def figure_tokens(evidence: FigureEvidence) -> list[str]:
     """Caption tokens three times, then context tokens."""
     caption = bm25.tokenize(evidence.caption)
@@ -64,9 +59,6 @@ class FigureCorpus:
     index: bm25.Bm25Index
     evidence: dict[str, FigureEvidence]
     labels: dict[str, FrameworkLabels]
-
-    def paper_of(self, doc_id: str) -> str:
-        return split_doc_id(doc_id)[0]
 
 
 @dataclass(frozen=True)
@@ -155,7 +147,7 @@ def retrieve_similar_figures(
     for doc_id in ranked:
         if len(result) >= k:
             break
-        paper_id = corpus.paper_of(doc_id)
+        paper_id = corpus.evidence[doc_id].paper_id
         if paper_id == target.paper_id or per_paper[paper_id] >= per_paper_cap:
             continue
         per_paper[paper_id] += 1
@@ -349,9 +341,8 @@ def label_figure(
 
 @dataclass
 class Stage3Result:
-    labels: list[FrameworkLabels]
+    labels: list[FrameworkLabels] = field(default_factory=list)
     retry: list[tuple[str, str, str]] = field(default_factory=list)
-    retrieval_log: dict[str, list[str]] = field(default_factory=dict)
 
 
 def run_stage3(
@@ -379,11 +370,10 @@ def run_stage3(
 
     processed = map_items(process, targets, max_workers)
 
-    result = Stage3Result(labels=[])
+    result = Stage3Result()
     grouped: dict[tuple[str, str], list[FrameworkLabels]] = {}
     group_order: list[tuple[str, str]] = []
-    for evidence, (labels, doc_ids, message) in zip(targets, processed):
-        result.retrieval_log[figure_doc_id(evidence.paper_id, evidence.figure_id)] = doc_ids
+    for evidence, (labels, _, message) in zip(targets, processed):
         if labels is None:
             result.retry.append((evidence.paper_id, evidence.figure_id, message))
             continue

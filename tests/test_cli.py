@@ -634,6 +634,30 @@ class TestWrongTypedRows:
         assert "record 'P01': context: expected a list, got 'a paragraph'" in err
 
 
+class TestFigureSeparatorInPaperId:
+    """A paper id holding `::`, which joins a paper id and a figure id, is a
+    one-line exit 1 naming the record, in every kind of row that reads one."""
+
+    BAD_ID = "P01::Figure 1"
+
+    @pytest.mark.parametrize("name", ["corpus", "pool", "library"])
+    def test_run_exits_1_naming_the_record(self, tmp_path, fixture_config, capsys, name):
+        inputs = tmp_path / "inputs"
+        shutil.copytree(FIXTURE_DIR, inputs, ignore=shutil.ignore_patterns("out"))
+        path = inputs / f"{name}.jsonl"
+        if name == "pool":  # a titled pool row adds a paper the corpus lacks
+            row = {"paper_id": self.BAD_ID, "title": "Model probes", "label": "negative"}
+            with path.open("a", encoding="utf-8") as stream:
+                stream.write(json.dumps(row) + "\n")
+        else:
+            _set_in_first_row(path, ("paper_id",), self.BAD_ID)
+        config = fixture_config("ids", **{name: str(path)})
+        assert main(["run", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == (
+            f"input error: record {self.BAD_ID!r}: paper_id must not contain '::', "
+            "which joins a paper id and a figure id\n")
+
+
 class TestVocabularyFile:
     """`vismine run` reads the vocabulary files before its first stage, and a
     file that is not JSON or not a vocabulary is a one-line exit 1 naming it."""

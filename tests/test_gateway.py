@@ -9,6 +9,7 @@ import threading
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -385,11 +386,91 @@ class TestParseJsonPayload:
         assert gw.parse_json_payload("{" * 100_000) is None
         assert time.perf_counter() - start < 2.0
 
+    @pytest.mark.parametrize("depth", [gw.MAX_NESTING - 1, gw.MAX_NESTING, gw.MAX_NESTING + 1,
+                                       900, 990])
+    def test_same_answer_at_any_stack_depth_and_on_any_thread(self, depth):
+        raw = nested(depth)
+
+        def deeper(frames: int):
+            return gw.parse_json_payload(raw) if frames == 0 else deeper(frames - 1)
+
+        in_thread = []
+        thread = threading.Thread(target=lambda: in_thread.append(gw.parse_json_payload(raw)))
+        thread.start()
+        thread.join()
+        answer = gw.parse_json_payload(raw)
+        assert (answer is not None) == (depth <= gw.MAX_NESTING)
+        assert deeper(300) == answer and in_thread == [answer]
+
+    @settings(max_examples=500, deadline=None)
+    @given(punctuation_text, st.integers(min_value=0, max_value=4))
+    def test_small_caps_match_the_rescanning_definition(self, raw, cap):
+        with mock.patch.object(gw, "MAX_NESTING", cap):
+            assert gw.parse_json_payload(raw) == rescanning_parse_json_payload(raw)
+
+    CAP = gw.MAX_NESTING
+
+    @pytest.mark.parametrize("raw, decodes", [
+        (nested(CAP), True), (nested(CAP + 1), False),
+        # Arrays whose strings hold closing brackets nest deeper than a count
+        # of brackets that ignores strings.
+        ('{"a": ' + '["]", ' * (CAP - 1) + "1" + "]" * (CAP - 1) + "}", True),
+        ('{"a": ' + '["]", ' * CAP + "1" + "]" * CAP + "}", False),
+        # A string's brackets open nothing for a scan that skips the string,
+        # also after an escaped quote, but each `{` in it starts a scan.
+        ('{"a": "' + "[" * (CAP + 1) + '"}', True),
+        ('{"a": "\\"' + "[" * (CAP + 1) + '"}', True),
+        ('{"a": "' + "{" * (CAP + 1) + '"}', False),
+        ('{"a": 1} ' * (CAP + 1), True),
+        # A later object nested too deeply makes the whole response None.
+        ('{"a": 1} ' + nested(CAP + 1), False),
+        # Scans start at `{`, so arrays around an object do not count.
+        ("[" * (CAP + 1) + '{"a": 1}' + "]" * (CAP + 1), True),
+    ], ids=["cap", "over_cap", "string_brackets", "string_brackets_over_cap", "quoted",
+            "escaped_quote", "quoted_braces", "many_shallow", "deep_later", "deep_arrays_first"])
+    def test_responses_past_the_cap_match_the_rescanning_definition(self, raw, decodes):
+        payload = gw.parse_json_payload(raw)
+        assert (payload is not None) == decodes
+        assert payload == rescanning_parse_json_payload(raw)
+
+
+def nests_too_deep(raw: str) -> bool:
+    """Whether a scan from some `{`, skipping quoted strings, opens more than
+    `MAX_NESTING` `{`/`[` before it has closed all it opened."""
+    if raw.count("{") + raw.count("[") <= gw.MAX_NESTING:
+        return False  # no scan can open more than the response holds
+    for start in [i for i, c in enumerate(raw) if c == "{"]:
+        depth = 0
+        in_string = False
+        escaped = False
+        for c in raw[start:]:
+            if in_string:
+                if escaped:
+                    escaped = False
+                elif c == "\\":
+                    escaped = True
+                elif c == '"':
+                    in_string = False
+            elif c == '"':
+                in_string = True
+            elif c in "{[":
+                depth += 1
+                if depth > gw.MAX_NESTING:
+                    return True
+            elif c in "}]":
+                depth -= 1
+                if depth == 0:
+                    break
+    return False
+
 
 def rescanning_parse_json_payload(raw: str) -> dict | None:
-    """The definition `parse_json_payload` must match: from each `{` in
-    turn, scan to the first point where as many braces closed as opened,
-    skipping quoted strings, and decode that candidate."""
+    """The definition `parse_json_payload` must match: None when the response
+    nests too deeply (`nests_too_deep`); otherwise, from each `{` in turn,
+    scan to the first point where as many braces closed as opened, skipping
+    quoted strings, and decode that candidate."""
+    if nests_too_deep(raw):
+        return None
     start = raw.find("{")
     while start != -1:
         depth = 0

@@ -82,8 +82,11 @@ class TestRunPipeline:
 
     def test_unknown_stage_rejected(self, fixture_config):
         config = load_config(fixture_config("unknown"))
-        with pytest.raises(PipelineError):
+        with pytest.raises(InputError) as excinfo:
             run_pipeline(config, stages=["deploy"])
+        assert str(excinfo.value) == (
+            "--stages names unknown stages ['deploy']; "
+            "choose from ingest,stage1,evidence,stage2,stage3,analyze")
 
     def test_manifest_hashes_reproducible(self, fixture_config):
         from vismine.jsonl import file_sha256

@@ -38,6 +38,9 @@ def _old_record_from_dict(raw) -> corpus.PaperRecord:
     paper_id = str(raw.get("paper_id") or "").strip()
     if not paper_id:
         raise CorpusError(f"record missing paper_id: {dict(raw)!r}")
+    if "::" in paper_id:
+        raise CorpusError(f"record {paper_id!r}: paper_id must not contain '::', "
+                          "which joins a paper id and a figure id")
     title = str(raw.get("title") or "").strip()
     if not title:
         raise CorpusError(f"record {paper_id!r} missing title")

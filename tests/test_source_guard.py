@@ -1,11 +1,12 @@
 """Every function, class and method in `src/vismine` has a caller there.
 
 A definition that only tests reach is code the pipeline carries for
-nothing.  Names are matched, not objects: a definition counts as used
-when its name appears as a Name, an Attribute or an imported name in any
-module other than `__init__.py`, whose re-exports call nothing.  No
-module imports another module's underscore-prefixed names, and only
-`gateway.py` keys or parses a request.
+nothing.  Names are matched, not objects: a function or class counts as
+used when its name appears as a Name, an Attribute or an imported name in
+any module other than `__init__.py`, whose re-exports call nothing, and a
+method or property only when its name appears as an Attribute, the only
+way to reach one.  No module imports another module's underscore-prefixed
+names, and only `gateway.py` keys or parses a request.
 """
 
 import ast
@@ -25,17 +26,24 @@ ALLOWED = {
 
 
 def _defined_and_referenced() -> tuple[dict[str, str], set[str]]:
+    """Where each name is first defined, and the names counted as used."""
     defined: dict[str, str] = {}
-    referenced: set[str] = set()
+    functions: set[str] = set()  # names defined outside class bodies, classes included
+    named: set[str] = set()
+    attributes: set[str] = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
+        in_class = {id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                    for item in node.body}
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if not (node.name.startswith("__") and node.name.endswith("__")):
                     defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+                    if id(node) not in in_class or isinstance(node, ast.ClassDef):
+                        functions.add(node.name)
             if path.name != "__init__.py":
-                referenced.update(_names(node))
-    return defined, referenced
+                (attributes if isinstance(node, ast.Attribute) else named).update(_names(node))
+    return defined, attributes | (named & functions)
 
 
 def _names(node: ast.AST) -> list[str]:

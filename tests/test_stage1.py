@@ -306,7 +306,6 @@ class TestFailureRule:
         papers, pool, _ = twenty_paper_fixture()
         gateway = failing_secondary_gateway(error_type, "saliency model probe")  # c01
         result = stage1.run_stage1(papers, pool, gateway, ["primary", "secondary"])
-        assert result.retry == ["c01"]
         assert [r.paper_id for r in result.subset] == [
             "c05", "c07", "c11", "c13", "lab1", "lab2", "lab3",
         ]
@@ -314,6 +313,7 @@ class TestFailureRule:
         assert decision.decision == "undecided"
         assert [v.backend_id for v in decision.verdicts] == ["primary"]
         assert "injected failure" in decision.error
+        assert result.retry == [("c01", decision.error)]
 
     def test_authentication_error_propagates(self):
         papers, pool, _ = twenty_paper_fixture()

@@ -347,13 +347,14 @@ class TestRunStage2:
     def test_zero_relevant_paper_has_empty_selection(self):
         targets, library, lookup = self.make_inputs()
         result = stage2.run_stage2(targets, library, lookup, figure_gateway(), "primary")
-        assert result.selected["T2"] == []
-        assert sorted(pid for pid, sel in result.selected.items() if sel) == ["T1"]
+        selected = {v.paper_id for v in result.verdicts if v.selected}
+        assert "T2" in {v.paper_id for v in result.verdicts} and selected == {"T1"}
 
     def test_selected_within_relevant(self):
         targets, library, lookup = self.make_inputs()
         result = stage2.run_stage2(targets, library, lookup, figure_gateway(), "primary")
-        for sel in result.selected.values():
+        for paper_id in {v.paper_id for v in result.verdicts}:
+            sel = [v for v in result.verdicts if v.paper_id == paper_id and v.selected]
             assert all(v.relevant for v in sel)
             assert len(sel) <= 3
 

@@ -442,4 +442,3 @@ class TestRunStage3:
         assert [(l.paper_id, l.base_figure_id, l.vis_type) for l in result.labels] == [
             ("T1", "Figure 1", "heatmap"), ("T2", "Figure 1", "heatmap"),
         ]
-        assert result.retrieval_log["T1::Figure 2"] == ["L1::Figure 1"]
