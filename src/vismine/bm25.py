@@ -5,27 +5,32 @@ exemplar sampling, figure-level label retrieval) goes through this module,
 so scoring stays deterministic and auditable: fixed parameters, a
 nonnegative IDF, and doc-id tie-breaking.
 
-Building an index costs one step per document, not one per posting: a
-`TokenizedDoc` counts its terms once, on first use, and keeps the counts,
-so a document that joins many indexes (one per leave-one-out fold) is
-counted once.  The index keeps the documents' lengths and counts and the
-average length, and posts a term only when a query first asks for it:
-every term of the query that the index has not seen yet is posted in one
-pass over the documents, in document order, and terms found in no
-document are remembered as empty.
+A `TokenizedDoc` counts its terms once, on first use, and keeps the
+counts, so a document that joins many indexes is counted once.  An index
+numbers its documents by position and, when built, makes each term's
+postings: the positions of the documents holding it and the term's count
+in each, in document order, as two parallel tuples of small ints.
 
-Queries are evaluated term at a time (Turtle & Flood 1995): `top_k` and
-`rank_all` walk the postings of each query token in query order and add
-that term's contribution to one score accumulator, so a query costs the
-total length of its terms' posting lists rather than one `score()` call
-per document.  A term's contribution to a document,
-`idf * tf * (k1 + 1) / norm`, depends only on the index and the fixed
-parameters, so it is computed when the term is posted and kept as the
-term's list of `(doc_id, contribution)` pairs; every later query adds the
-stored values.  Each contribution is `score()`'s expression with
-`score()`'s operand order, and each query adds them in `score()`'s
-per-document order, repeated query tokens included, so the accumulated
-scores equal `score()` bit for bit and rankings are exact.
+A leave-one-out fold's index is built `within` the index of all the
+documents (`build_index(kept, within=full)`).  It makes no postings: it
+borrows the full index's, keeps the full index's positions, and computes
+only its own document count, average length, length norms and document
+frequencies, the full index's df less the left-out documents holding the
+term, read from their kept counts.  Its N, avgdl and df are the integers
+and floats a rebuild from the kept documents gives, and it ranks only its
+own positions, so it ranks exactly as that rebuild does; all of a stage's
+folds share one set of postings.
+
+Queries are evaluated term at a time (Turtle & Flood 1995): a term's
+contribution to a document, `idf * tf * (k1 + 1) / norm`, depends only on
+the index and the fixed parameters, so it is computed when a query first
+asks for the term and kept, one value per posting.  `top_k` and
+`rank_all` add each query token's contributions, in query order and
+repeated tokens included, into one list of scores by position, where a
+document sharing no term keeps 0.0.  Each contribution is
+`score()`'s expression with `score()`'s operand order, and each document
+gets `score()`'s additions in `score()`'s order, so the accumulated scores
+equal `score()` bit for bit and rankings are exact.
 """
 
 from __future__ import annotations
@@ -70,115 +75,124 @@ class TokenizedDoc:
 
 
 class Bm25Index:
-    """Immutable-after-build index: lengths, term counts, corpus stats.
+    """Immutable-after-build index: documents, postings, corpus stats.
 
-    Postings are made on demand; see the module docstring.
+    Contributions are made on demand; see the module docstring.
     """
 
-    def __init__(self, docs: Sequence[TokenizedDoc]):
-        self._doc_lengths: dict[str, int] = {}
-        self._doc_counts: dict[str, Counter] = {}
-        for doc in docs:
-            if doc.doc_id in self._doc_lengths:
+    def __init__(self, docs: Sequence[TokenizedDoc], within: Bm25Index | None = None):
+        self._docs = docs
+        # doc_id -> position; its keys are the doc ids in document order.
+        self._position: dict[str, int] = {}
+        for pos, doc in enumerate(docs):
+            if doc.doc_id in self._position:
                 raise RetrievalError(f"duplicate doc_id: {doc.doc_id!r}")
-            self._doc_lengths[doc.doc_id] = doc.length
-            counts = doc.counts
-            if "" in counts:
-                raise RetrievalError(f"empty token in doc {doc.doc_id!r}")
-            self._doc_counts[doc.doc_id] = counts
-        self._avg_doc_length = (
-            sum(self._doc_lengths.values()) / len(self._doc_lengths)
-            if self._doc_lengths else 0.0
-        )
-        # term -> [(doc_id, contribution)] in document order, one pair per
-        # document holding the term, stored when the term is first queried.
+            self._position[doc.doc_id] = pos
+        if within is None:
+            # The documents the postings number, and their lengths.
+            self._source_docs = docs
+            self._lengths = [doc.length for doc in docs]
+            self._postings = _postings(docs)
+            # Each document's position in `_source_docs`.
+            self._source_positions: Sequence[int] = range(len(docs))
+            self._dropped: dict[str, int] = {}
+        else:
+            self._source_docs, self._lengths = within._source_docs, within._lengths
+            self._postings = within._postings
+            self._source_positions = []
+            for doc in docs:
+                pos = within._position.get(doc.doc_id)
+                known = None if pos is None else within._docs[pos]
+                if known is not doc and known != doc:
+                    raise RetrievalError(
+                        f"doc {doc.doc_id!r} is not a document of the index it is built within"
+                    )
+                self._source_positions.append(within._source_positions[pos])
+            left_out = set(range(len(self._source_docs))).difference(self._source_positions)
+            self._dropped = _holders(self._source_docs[pos] for pos in left_out)
+        lengths = self._lengths
+        total = sum(lengths[pos] for pos in self._source_positions)
+        self._avg_doc_length = avgdl = total / len(docs) if docs else 0.0
+        k1, b = DEFAULT_K1, DEFAULT_B
+        # `score()`'s length normalization, `k1 * (1 - b + b * dl / avgdl)`,
+        # by the postings' positions; a position this index lacks is never
+        # ranked, so its score is never read.
+        self._length_norms = [k1 * (1.0 - b + b * dl / avgdl) for dl in lengths] if avgdl else []
+        # term -> `score()`'s addend for the term in each document of its
+        # postings, in their order, stored when the term is first queried.
         # Each list is complete before it is stored, so threads sharing an
-        # index can at worst post the same term twice.
-        self._contributions: dict[str, list[tuple[str, float]]] = {}
+        # index can at worst make the same term twice.
+        self._contributions: dict[str, list[float]] = {}
 
     @property
     def doc_count(self) -> int:
-        return len(self._doc_lengths)
+        return len(self._docs)
 
     @property
     def avg_doc_length(self) -> float:
         return self._avg_doc_length
 
     def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._doc_lengths
+        return doc_id in self._position
 
     def doc_length(self, doc_id: str) -> int:
-        if doc_id not in self._doc_lengths:
+        if doc_id not in self._position:
             raise RetrievalError(f"unknown doc_id: {doc_id!r}")
-        return self._doc_lengths[doc_id]
+        return self._docs[self._position[doc_id]].length
 
     def document_frequency(self, term: str) -> int:
-        contributions = self._contributions.get(term)
-        if contributions is None:
-            self._post({term})
-            contributions = self._contributions[term]
-        return len(contributions)
+        """The postings' document count less those of them this index lacks."""
+        positions, _ = self._postings.get(term, _NO_POSTING)
+        return len(positions) - self._dropped.get(term, 0)
 
     def term_frequency(self, term: str, doc_id: str) -> int:
-        return self._doc_counts.get(doc_id, {}).get(term, 0)
+        pos = self._position.get(doc_id)
+        return 0 if pos is None else self._docs[pos].counts.get(term, 0)
 
-    def _post(self, terms: set[str]) -> None:
-        """Store `score()`'s addend for each of `terms` in each document holding it.
+    def _contribute(
+        self, term: str, positions: Sequence[int], counts: Sequence[int],
+    ) -> list[float]:
+        """`score()`'s addend for `term` in each document of its postings."""
+        k1_plus_1, norms = DEFAULT_K1 + 1.0, self._length_norms
+        term_idf = _idf(len(self._docs), self.document_frequency(term))
+        return [
+            term_idf * tf * k1_plus_1 / (tf + norms[pos]) for pos, tf in zip(positions, counts)
+        ]
 
-        One pass over the documents, in document order, finds the
-        documents holding each term; a document's length normalization,
-        `k1 * (1 - b + b * dl / avgdl)`, is computed once for all its terms.
+    def _scores(self, query_tokens: Sequence[str]) -> list[float]:
+        """Score of each document against `query_tokens`, in document order.
+
+        Walks the query tokens in order, repetitions included, and adds
+        each term's contributions, by the postings' positions, to the
+        documents holding it, so every value equals
+        `score(self, query_tokens, doc_id)` exactly; a document sharing no
+        term keeps 0.0.
         """
-        k1, b = DEFAULT_K1, DEFAULT_B
-        avgdl = self._avg_doc_length
-        lengths = self._doc_lengths
-        postings: dict[str, list[tuple[str, int, float]]] = {term: [] for term in terms}
-        for doc_id, counts in self._doc_counts.items():
-            shared = counts.keys() & terms
-            if shared:
-                length_norm = k1 * (1.0 - b + b * lengths[doc_id] / avgdl)
-                for term in shared:
-                    postings[term].append((doc_id, counts[term], length_norm))
-        doc_count = len(lengths)
-        for term, posting in postings.items():
-            term_idf = _idf(doc_count, len(posting))
-            self._contributions[term] = [
-                (doc_id, term_idf * tf * (k1 + 1.0) / (tf + length_norm))
-                for doc_id, tf, length_norm in posting
-            ]
-
-    def _accumulate(self, query_tokens: Sequence[str]) -> dict[str, float]:
-        """Score of every document sharing a term with the query.
-
-        Posts the query's unseen terms, then walks the query tokens in
-        order, repetitions included, and adds each term's stored
-        contributions to the documents holding it, so every value equals
-        `score(self, query_tokens, doc_id)` exactly; documents sharing no
-        term are absent (score 0.0).
-        """
-        scores: dict[str, float] = {}
         if self._avg_doc_length == 0.0:
-            return scores
-        memo = self._contributions
-        unseen = {term for term in query_tokens if term not in memo}
-        if unseen:
-            self._post(unseen)
-        get = scores.get
+            return [0.0] * len(self._docs)
+        scores = [0.0] * len(self._length_norms)
+        postings, memo = self._postings, self._contributions
         for term in query_tokens:
-            for doc_id, contribution in memo[term]:
-                scores[doc_id] = get(doc_id, 0.0) + contribution
-        return scores
+            positions, counts = postings.get(term, _NO_POSTING)
+            if not positions:
+                continue
+            contributions = memo.get(term)
+            if contributions is None:
+                contributions = memo[term] = self._contribute(term, positions, counts)
+            for pos, value in zip(positions, contributions):
+                scores[pos] += value
+        return [scores[pos] for pos in self._source_positions]
 
     def dump(self) -> dict:
         """JSON-friendly snapshot for debugging."""
         postings: dict[str, dict[str, int]] = {}
-        for doc_id, counts in self._doc_counts.items():
-            for term, tf in counts.items():
-                postings.setdefault(term, {})[doc_id] = tf
+        for doc in self._docs:
+            for term, tf in doc.counts.items():
+                postings.setdefault(term, {})[doc.doc_id] = tf
         return {
             "doc_count": self.doc_count,
             "avg_doc_length": self.avg_doc_length,
-            "doc_lengths": dict(sorted(self._doc_lengths.items())),
+            "doc_lengths": dict(sorted((doc.doc_id, doc.length) for doc in self._docs)),
             "postings": {
                 term: dict(sorted(posting.items()))
                 for term, posting in sorted(postings.items())
@@ -186,8 +200,49 @@ class Bm25Index:
         }
 
 
-def build_index(docs: Iterable[TokenizedDoc]) -> Bm25Index:
-    return Bm25Index(list(docs))
+_NO_POSTING: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
+
+
+def _holders(docs: Iterable[TokenizedDoc]) -> dict[str, int]:
+    """term -> how many of `docs` hold it, read from their kept counts."""
+    holders: dict[str, int] = {}
+    for doc in docs:
+        for term in doc.counts:
+            holders[term] = holders.get(term, 0) + 1
+    return holders
+
+
+def _postings(docs: Sequence[TokenizedDoc]) -> dict[str, tuple[tuple[int, ...], tuple[int, ...]]]:
+    """term -> (positions, term counts) of the documents holding it, in document order.
+
+    Most terms are held by one or two documents, and exact-size tuples
+    hold them in less memory than lists grown by appending.
+    """
+    postings: dict[str, tuple[list[int], list[int]]] = {}
+    for pos, doc in enumerate(docs):
+        counts = doc.counts
+        if "" in counts:
+            raise RetrievalError(f"empty token in doc {doc.doc_id!r}")
+        for term, tf in counts.items():
+            posting = postings.get(term)
+            if posting is None:
+                postings[term] = ([pos], [tf])
+            else:
+                posting[0].append(pos)
+                posting[1].append(tf)
+    return {term: (tuple(pos), tuple(tf)) for term, (pos, tf) in postings.items()}
+
+
+def build_index(docs: Iterable[TokenizedDoc], within: Bm25Index | None = None) -> Bm25Index:
+    """An index of `docs`, in their order.
+
+    With `within`, every doc must be one of `within`'s documents, the same
+    id and the same `TokenizedDoc`, and the index borrows `within`'s
+    postings instead of making its own: a leave-one-out fold's index,
+    built within the index of all the fold's documents and the held-out
+    one.  It ranks exactly as `build_index(docs)` would.
+    """
+    return Bm25Index(list(docs), within)
 
 
 def _idf(doc_count: int, df: int) -> float:
@@ -238,9 +293,9 @@ def top_k(
     """
     if k < 1:
         raise RetrievalError(f"k must be >= 1, got {k}")
-    scores = index._accumulate(query_tokens)
+    scored = zip(index._position, index._scores(query_tokens))
     ranked = sorted(
-        (pair for pair in scores.items() if pair[1] > 0.0 and pair[0] not in exclude),
+        (pair for pair in scored if pair[1] > 0.0 and pair[0] not in exclude),
         key=_rank_key,
     )
     return [doc_id for doc_id, _ in ranked[:k]]
@@ -256,11 +311,7 @@ def rank_all(
     Used where a full ordering is needed (class-balanced exemplar picking
     must be able to reach past the zero-score frontier).
     """
-    scores = index._accumulate(query_tokens)
-    ranked = [
-        (doc_id, scores.get(doc_id, 0.0))
-        for doc_id in index._doc_lengths
-        if doc_id not in exclude
-    ]
+    scored = zip(index._position, index._scores(query_tokens))
+    ranked = [pair for pair in scored if pair[0] not in exclude]
     ranked.sort(key=_rank_key)
     return ranked

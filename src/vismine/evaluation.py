@@ -260,15 +260,17 @@ def run_stage1_loo(
         raise EvaluationError("stage 1 LOO needs at least two labeled papers")
     if baseline_k < 1:
         raise EvaluationError(f"baseline_k must be >= 1, got {baseline_k}")
-    # Each paper is tokenized once per run; a fold's index is built from
-    # the other papers' documents, so the held-out paper never enters its
-    # N, df or average length, and its query is its own document's tokens.
+    # Each paper is tokenized once per run and the pool indexed once; a
+    # fold's index is built within the pool's from the other papers'
+    # documents, so the held-out paper never enters its N, df or average
+    # length, and its query is its own document's tokens.
     docs = [paper_doc(r) for r in pool.records]
+    full_index = bm25.build_index(docs)
 
     def score_fold(fold):
         target, target_doc = fold
         rest = pool.without(target.paper_id)
-        rest_index = bm25.build_index(d for d in docs if d is not target_doc)
+        rest_index = bm25.build_index((d for d in docs if d is not target_doc), within=full_index)
         ranked = bm25.rank_all(rest_index, target_doc.tokens)
         gold_positive = target.label == POSITIVE
 
@@ -326,9 +328,11 @@ def run_stage2_loo(
     """One fold per coded paper; scored on explicitly labeled figures only."""
     if len(coded) < 2:
         raise EvaluationError("stage 2 LOO needs at least two coded papers")
-    # Each paper is tokenized once per run; a fold's index is built from
-    # the other papers' documents, in library order.
+    # Each paper is tokenized once per run and the library indexed once; a
+    # fold's index is built within the library's from the other papers'
+    # documents, in library order.
     docs = [paper_doc(p.record) for p in coded]
+    full_index = bm25.build_index(docs)
 
     def score_fold(fold):
         target, target_doc = fold
@@ -337,7 +341,7 @@ def run_stage2_loo(
             return None
         rest = [p for p in coded if p.paper_id != target.paper_id]
         rest_index = bm25.build_index(
-            d for p, d in zip(coded, docs) if p.paper_id != target.paper_id
+            (d for p, d in zip(coded, docs) if p.paper_id != target.paper_id), within=full_index
         )
         gold = {evidence.figure_id: bool(figure.relevant) for figure, evidence in labeled}
         logs, errors, counts = [], [], []
@@ -378,10 +382,12 @@ def run_stage3_loo(
     """One fold per coded paper; scored on figures with available labels."""
     if len(coded) < 2:
         raise EvaluationError("stage 3 LOO needs at least two coded papers")
-    # Each figure is tokenized once per run; a fold's corpus indexes the
-    # other papers' figures, in library order, and a figure's query is its
-    # own document's tokens.
+    # Each figure is tokenized once per run and the library's figures
+    # indexed once; a fold's corpus indexes the other papers' figures, in
+    # library order, within the library's, and a figure's query is its own
+    # document's tokens.
     figures = [figure_docs(coded_figure_entries(p, evidence_lookup)) for p in coded]
+    full_corpus = index_figures([d for paper_figures in figures for d in paper_figures])
 
     def score_fold(fold):
         target, target_figures = fold
@@ -391,7 +397,7 @@ def run_stage3_loo(
         corpus = index_figures([
             d for p, paper_figures in zip(coded, figures) if p.paper_id != target.paper_id
             for d in paper_figures
-        ])
+        ], within=full_corpus)
         queries = {d.evidence.figure_id: d.doc.tokens for d in target_figures}
         for _, evidence in gold_figures:
             if evidence.figure_id not in queries:  # no caption: not a document

@@ -4,11 +4,17 @@ Templates are repository artifacts: changing one changes every prompt hash,
 which invalidates the response cache on purpose.
 """
 
+import json
+
 PROMPT_VERSION = "v1"
 
 SCREEN_SCHEMA = f"screen/{PROMPT_VERSION}"
 FIGURE_SCHEMA = f"figure/{PROMPT_VERSION}"
 LABELS_SCHEMA = f"labels/{PROMPT_VERSION}"
+
+# A relevance exemplar's answer, `{"relevant": <its label>}` as JSON text.
+RELEVANT_ANSWER = json.dumps({"relevant": True})
+IRRELEVANT_ANSWER = json.dumps({"relevant": False})
 
 SCREEN_SYSTEM = """\
 You screen visualization research papers. A paper is RELEVANT when its main

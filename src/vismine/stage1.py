@@ -7,7 +7,6 @@ consensus. Papers already carrying a manual label pass through unqueried.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -16,7 +15,7 @@ from . import bm25
 from .corpus import LabeledPool, PaperRecord, POSITIVE, NEGATIVE
 from .errors import AuthenticationError, GatewayError, StageError
 from .gateway import Gateway, ModelVerdict, PromptRequest, consensus, map_items, verdict_from_payload
-from .prompts import SCREEN_SCHEMA, SCREEN_SYSTEM
+from .prompts import IRRELEVANT_ANSWER, RELEVANT_ANSWER, SCREEN_SCHEMA, SCREEN_SYSTEM
 
 logger = logging.getLogger(__name__)
 
@@ -108,7 +107,7 @@ def build_fewshot_context(
 
 def screening_request(target: PaperRecord, context: FewShotContext) -> PromptRequest:
     exemplars = tuple(
-        (paper_text(record), json.dumps({"relevant": label == POSITIVE}))
+        (paper_text(record), RELEVANT_ANSWER if label == POSITIVE else IRRELEVANT_ANSWER)
         for record, label in context.exemplars
     )
     return PromptRequest(

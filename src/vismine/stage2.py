@@ -7,7 +7,6 @@ three representatives aligned to overview / performance / mechanism roles.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
@@ -18,7 +17,7 @@ from .evidence import FigureEvidence, figure_sort_key
 from .gateway import Gateway, PromptRequest, clip_confidence, map_items, verdict_from_payload
 from .jsonl import read_object
 from .library import CodedPaper
-from .prompts import FIGURE_SCHEMA, FIGURE_SYSTEM
+from .prompts import FIGURE_SCHEMA, FIGURE_SYSTEM, IRRELEVANT_ANSWER, RELEVANT_ANSWER
 from .stage1 import paper_doc
 
 logger = logging.getLogger(__name__)
@@ -127,7 +126,7 @@ def sample_exemplars(
 
 def figure_request(evidence: FigureEvidence, exemplars: FigureExemplarSet) -> PromptRequest:
     pairs = tuple(
-        (ev.assembled_evidence, json.dumps({"relevant": label}))
+        (ev.assembled_evidence, RELEVANT_ANSWER if label else IRRELEVANT_ANSWER)
         for ev, label in (*exemplars.positives, *exemplars.negatives)
     )
     return PromptRequest(

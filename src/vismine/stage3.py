@@ -9,7 +9,6 @@ vote for single-label ones).
 
 from __future__ import annotations
 
-import json
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
@@ -92,10 +91,15 @@ def figure_docs(
     return docs
 
 
-def index_figures(docs: Sequence[FigureDoc]) -> FigureCorpus:
-    """The figure corpus of already tokenized figures, in their order."""
+def index_figures(docs: Sequence[FigureDoc], within: FigureCorpus | None = None) -> FigureCorpus:
+    """The figure corpus of already tokenized figures, in their order.
+
+    With `within`, every figure must be one of `within`'s, and the index
+    is built within `within`'s (see `bm25.build_index`).
+    """
     return FigureCorpus(
-        index=bm25.build_index(d.doc for d in docs),
+        index=bm25.build_index((d.doc for d in docs),
+                               within=None if within is None else within.index),
         evidence={d.doc.doc_id: d.evidence for d in docs},
         labels={d.doc.doc_id: d.labels for d in docs},
     )
@@ -160,7 +164,7 @@ def labels_request(
     exemplars: Sequence[tuple[FigureEvidence, FrameworkLabels]],
 ) -> PromptRequest:
     pairs = tuple(
-        (ev.assembled_evidence, json.dumps(gold.as_payload(), sort_keys=True))
+        (ev.assembled_evidence, gold.payload_json)
         for ev, gold in exemplars
     )
     return PromptRequest(

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import ClassVar, Mapping
@@ -182,6 +183,12 @@ class FrameworkLabels:
             "confidences": dict(self.confidences),
             "evidence": dict(self.evidence),
         }
+
+    @cached_property
+    def payload_json(self) -> str:
+        """`as_payload()` as sorted-key JSON text, the answer a labels exemplar
+        shows; made on first use and kept, so once per figure's labels."""
+        return json.dumps(self.as_payload(), sort_keys=True)
 
 
 def labels_from_dict(raw: Mapping, key: str = "", **given) -> FrameworkLabels:

@@ -331,6 +331,116 @@ class TestTermAtATimeProperties:
             assert bm25.top_k(index, query, 3) == positive[:3]
 
 
+@st.composite
+def fold_cases(draw):
+    """A corpus, the ids a fold keeps (in any order), a query and exclusions.
+
+    Some documents hold a term of their own, so a fold that drops them
+    meets terms held only by left-out documents; the query repeats a
+    prefix of itself, so repeated tokens are common.
+    """
+    docs = draw(corpora)
+    ids = sorted(docs)
+    own = draw(st.sets(st.sampled_from(ids))) if ids else set()
+    docs = {d: tokens + ([f"only{d}"] if d in own else []) for d, tokens in docs.items()}
+    if ids:
+        kept = draw(st.one_of(
+            st.just(ids),  # none dropped
+            st.just([]),  # every document dropped
+            st.sampled_from(ids).map(lambda out: [d for d in ids if d != out]),  # one dropped
+            st.sampled_from(ids).map(lambda only: [only]),  # all but one dropped
+            st.sets(st.sampled_from(ids)).map(sorted),
+        ))
+    else:
+        kept = []
+    kept = draw(st.permutations(kept))
+    query = draw(st.lists(st.sampled_from(VOCABULARY + [f"only{d}" for d in ids] + ["unseen"]),
+                          max_size=8))
+    query += query[:draw(st.integers(min_value=0, max_value=len(query)))]
+    exclude = draw(st.sets(st.sampled_from(sorted(kept)))) if kept else set()
+    return docs, kept, query, exclude
+
+
+class TestFoldIndexes:
+    """An index built `within` another borrows its postings and must read
+    exactly as an index rebuilt from the same documents."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(fold_cases(), st.integers(min_value=1, max_value=14))
+    def test_fold_index_equals_rebuild_bit_for_bit(self, case, k):
+        docs, kept, query, exclude = case
+        tokenized = {d: bm25.TokenizedDoc(d, tuple(t)) for d, t in docs.items()}
+        full = bm25.build_index(tokenized.values())
+        fold = bm25.build_index((tokenized[d] for d in kept), within=full)
+        rebuilt = bm25.build_index(tokenized[d] for d in kept)
+        # A fold of a fold reads the same: here the outer fold keeps everything.
+        nested = bm25.build_index((tokenized[d] for d in kept),
+                                  within=bm25.build_index(tokenized.values(), within=full))
+        for index in (fold, nested):
+            assert index.dump() == rebuilt.dump()
+            assert index.avg_doc_length == rebuilt.avg_doc_length
+            for term in set(query) | {t for tokens in docs.values() for t in tokens}:
+                assert index.document_frequency(term) == rebuilt.document_frequency(term)
+            ranked = bm25.rank_all(index, query, exclude=exclude)
+            assert ranked == bm25.rank_all(rebuilt, query, exclude=exclude)
+            assert bm25.top_k(index, query, k, exclude=exclude) == bm25.top_k(
+                rebuilt, query, k, exclude=exclude
+            )
+            for doc_id, value in ranked:
+                assert value == bm25.score(index, query, doc_id) == bm25.score(
+                    rebuilt, query, doc_id
+                )
+
+    def test_threads_sharing_one_index_for_their_folds_get_rebuilt_rankings(self):
+        # Leave-one-out folds on several threads, all built within one index
+        # that is itself queried meanwhile.
+        rng = random.Random(11)
+        docs = [bm25.TokenizedDoc(f"d{i:02d}", tuple(rng.choice(WIDE_VOCABULARY)
+                                                     for _ in range(rng.randint(0, 12))))
+                for i in range(30)]
+        expected = [bm25.rank_all(bm25.build_index(d for d in docs if d is not held), held.tokens)
+                    for held in docs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                full = bm25.build_index(docs)
+                results: list[bool] = []
+
+                def work(offset):
+                    for i in range(len(docs)):
+                        j = (i + offset) % len(docs)
+                        held = docs[j]
+                        fold = bm25.build_index((d for d in docs if d is not held), within=full)
+                        results.append(bm25.rank_all(fold, held.tokens) == expected[j])
+                        bm25.rank_all(full, held.tokens)
+
+                threads = [threading.Thread(target=work, args=(n,)) for n in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert results == [True] * (6 * len(docs))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_doc_absent_from_within_rejected(self):
+        docs = [bm25.TokenizedDoc(d, tuple(t)) for d, t in THREE_DOCS.items()]
+        full = bm25.build_index(docs[:2])
+        with pytest.raises(RetrievalError, match="'d3'"):
+            bm25.build_index(docs[1:], within=full)
+
+    def test_different_doc_under_a_known_id_rejected(self):
+        docs = [bm25.TokenizedDoc(d, tuple(t)) for d, t in THREE_DOCS.items()]
+        full = bm25.build_index(docs)
+        with pytest.raises(RetrievalError, match="'d2'"):
+            bm25.build_index([docs[0], bm25.TokenizedDoc("d2", ("chart",))], within=full)
+        # An equal document is the same document.
+        same = bm25.build_index([bm25.TokenizedDoc("d2", docs[1].tokens)], within=full)
+        assert same.dump() == bm25.build_index(docs[1:2]).dump()
+
+
 class EagerReference:
     """Every posting built up front from the documents: the index as it
     would be if each term were posted at build time."""
@@ -414,19 +524,23 @@ class TestPostingsOnFirstQuery:
         assert sorted(counted) == sorted(tuple(t) for t in THREE_DOCS.values())
 
     def test_reader_never_sees_a_term_half_posted(self, monkeypatch):
-        # One thread's posting pass is held at its first document while a
-        # second thread queries the same terms on the same index.
+        # One thread is held while it makes its query's second term's
+        # contributions, its first term's stored, while a second thread
+        # queries the same terms on the same index.
         paused, resume = threading.Event(), threading.Event()
         holder: list[threading.Thread] = []
+        held_calls: list[int] = []
+        idf = bm25._idf
 
-        class PausingCounter(bm25.Counter):
-            def keys(self):
-                if threading.current_thread() in holder and not paused.is_set():
+        def pausing_idf(doc_count, df):
+            if threading.current_thread() in holder:
+                held_calls.append(df)
+                if len(held_calls) == 2:
                     paused.set()
                     resume.wait(timeout=10)
-                return super().keys()
+            return idf(doc_count, df)
 
-        monkeypatch.setattr(bm25, "Counter", PausingCounter)
+        monkeypatch.setattr(bm25, "_idf", pausing_idf)
         docs = {"d1": ["model", "chart"], "d2": ["model", "loss"], "d3": ["chart", "model"]}
         index = make_index(docs)
         expected = EagerReference(docs).rank_all(["model", "chart"])

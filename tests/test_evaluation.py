@@ -218,8 +218,8 @@ class TestStage1Loo:
         built, tokenized = [], []
         build_index, tokenize = bm25.build_index, bm25.tokenize
 
-        def recording_build(docs):
-            built.append(build_index(docs))
+        def recording_build(docs, within=None):
+            built.append(build_index(docs, within=within))
             return built[-1]
 
         def recording_tokenize(text, *args, **kwargs):
@@ -231,8 +231,10 @@ class TestStage1Loo:
         ev.run_stage1_loo(pool, dual_stub_gateway(), ["primary", "secondary"], shots=(0, 6))
         monkeypatch.undo()
         assert len(tokenized) == len(pool.records)
-        assert len(built) == len(pool.records)
-        for held_out, index in zip(pool.records, built):
+        # The pool's index, then one fold index built within it per paper.
+        assert len(built) == len(pool.records) + 1
+        assert built[0].dump() == pool_index(pool).dump()
+        for held_out, index in zip(pool.records, built[1:]):
             expected = pool_index(pool.without(held_out.paper_id))
             assert held_out.paper_id not in index
             assert index.dump() == expected.dump()
@@ -447,8 +449,8 @@ def recording_bm25(monkeypatch):
     built, tokenized = [], []
     build_index, tokenize = bm25.build_index, bm25.tokenize
 
-    def recording_build(docs):
-        built.append(build_index(docs))
+    def recording_build(docs, within=None):
+        built.append(build_index(docs, within=within))
         return built[-1]
 
     def recording_tokenize(text, *args, **kwargs):
@@ -491,8 +493,10 @@ class TestLibraryFoldIndexes:
         ev.run_stage2_loo(papers, lookup, figure_gateway(), "primary", shots=(0,))
         monkeypatch.undo()
         assert len(tokenized) == len(papers)
-        assert len(built) == len(papers)
-        for held_out, index in zip(papers, built):
+        # The library's index, then one fold index built within it per paper.
+        assert len(built) == len(papers) + 1
+        assert built[0].dump() == library_index(papers).dump()
+        for held_out, index in zip(papers, built[1:]):
             rest = [p for p in papers if p.paper_id != held_out.paper_id]
             assert held_out.paper_id not in index
             assert index.dump() == library_index(rest).dump()
@@ -503,8 +507,10 @@ class TestLibraryFoldIndexes:
         ev.run_stage3_loo(papers, lookup, VOCAB, figure_gateway(), "primary", shots=(0,))
         monkeypatch.undo()
         assert len(tokenized) == 2 * len(papers)  # caption and context, once per figure
-        assert len(built) == len(papers)
-        for held_out, index in zip(papers, built):
+        # The library's figure index, then one fold index built within it per paper.
+        assert len(built) == len(papers) + 1
+        assert built[0].dump() == library_figure_corpus(papers, lookup).index.dump()
+        for held_out, index in zip(papers, built[1:]):
             rest = [p for p in papers if p.paper_id != held_out.paper_id]
             assert not any(d.startswith(f"{held_out.paper_id}::")
                            for d in index.dump()["doc_lengths"])

@@ -6,10 +6,12 @@ used when its name appears as a Name, an Attribute or an imported name in
 any module other than `__init__.py`, whose re-exports call nothing, and a
 method or property only when its name appears as an Attribute, the only
 way to reach one.  No module imports another module's underscore-prefixed
-names, and only `gateway.py` keys or parses a request.
+names, only `gateway.py` keys or parses a request, and importing vismine
+imports nothing outside the standard library.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import vismine
@@ -93,3 +95,34 @@ def test_only_the_gateway_keys_and_parses_requests():
         for name in _names(node) if name in owned
     )
     assert not outside, "request keys or parses outside gateway.py: " + ", ".join(outside)
+
+
+# Third-party packages imported inside a function, by the class and function
+# names enclosing the import: only the HTTP backend's call needs `requests`.
+IMPORTED_ON_CALL = {("HttpBackend", "complete"): {"requests"}}
+
+
+def _imports(node: ast.AST, scope: tuple[str, ...] = ()):
+    """Each import under `node`, the top-level package it names and its enclosing names."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            for alias in child.names:
+                yield child, alias.name.split(".")[0], scope
+        elif isinstance(child, ast.ImportFrom) and not child.level:
+            yield child, child.module.split(".")[0], scope
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = scope + (child.name,)
+        yield from _imports(child, inner)
+
+
+def test_no_module_imports_a_third_party_package_at_module_level():
+    # One module-level `import numpy` would add its resident memory to every run.
+    outside = sorted(
+        f"{package} ({path.name}:{node.lineno})"
+        for path in sorted(SRC.glob("*.py"))
+        for node, package, scope in _imports(ast.parse(path.read_text(encoding="utf-8")))
+        if package not in sys.stdlib_module_names and package != "vismine"
+        and package not in IMPORTED_ON_CALL.get(scope, ())
+    )
+    assert not outside, "third-party imports outside IMPORTED_ON_CALL: " + ", ".join(outside)
