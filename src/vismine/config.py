@@ -10,6 +10,7 @@ reporting, so one pass fixes everything.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import ClassVar
@@ -141,6 +142,8 @@ def validate_config(config: RunConfig) -> list[str]:
         errors.append(f"max_workers must be >= 1, got {config.max_workers}")
     if config.max_attempts < 1:
         errors.append(f"max_attempts must be >= 1, got {config.max_attempts}")
+    if not 0 <= config.backoff_base < math.inf:  # false for NaN too
+        errors.append(f"backoff_base must be a finite number >= 0, got {config.backoff_base}")
     if config.reference_year < 1990:
         errors.append(f"reference_year is implausible: {config.reference_year}")
     corpus_path = config.resolve(config.corpus_path)
@@ -163,6 +166,9 @@ def validate_config(config: RunConfig) -> list[str]:
             errors.append(f"backend {slot!r}: http backend needs an endpoint")
         if backend.kind == "http" and not backend.api_key_env:
             errors.append(f"backend {slot!r}: http backend needs api_key_env")
+        if backend.kind == "http" and not 0 < backend.timeout < math.inf:
+            errors.append(f"backend {slot!r}: timeout must be a finite number > 0, "
+                          f"got {backend.timeout}")
     return errors
 
 

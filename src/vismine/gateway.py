@@ -11,9 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import math
 import os
-import re
 import threading
 import time
 import weakref
@@ -352,138 +350,28 @@ def map_items(fn: Callable, items: Sequence, max_workers: int) -> list:
     return [future.result() for future in futures]
 
 
-# The characters that move the brace-matching scans of `_candidates`.
-_SCAN_CHARS = re.compile(r'[{}"\\]')
-# The characters that move the nesting scans of `_too_deep`.
-_NEST_CHARS = re.compile(r'[{}\[\]"\\]')
-# The deepest `{`/`[` nesting a response may hold, so far under the recursion
-# limit that the decoder's answer is the same at any caller's stack depth.
+# The most `{`/`[` a response may hold, so far under the recursion limit
+# that the decoder's answer is the same at any caller's stack depth.
 MAX_NESTING = 500
-# How every JSON object begins; a candidate that does not is skipped
-# without copying it out for the decoder.
-_OBJECT_HEAD = re.compile(r'\{[ \t\n\r]*["}]')
 _DECODER = json.JSONDecoder()
 
 
-def _merge_scans(a: list | None, b: list | None) -> list | None:
-    """One group of the scans in `a` and `b`, which now share a string state.
-
-    A group is `[level, {base: [start, ...]}, size]`; a scan from `start`
-    is at depth `level - base`.  The smaller group is rebased into the
-    larger, so each scan moves O(log n) times.
-    """
-    if a is None or b is None:
-        return a if b is None else b
-    if a[2] < b[2]:
-        a, b = b, a
-    shift = a[0] - b[0]
-    for base, starts in b[1].items():
-        a[1].setdefault(base + shift, []).extend(starts)
-    a[2] += b[2]
-    return a
-
-
-def _candidates(raw: str) -> list[tuple[int, int]]:
-    """`(start, end)` of each `{` whose scan closes, in order of start.
-
-    A scan from `start` skips quoted strings with their backslash escapes
-    and ends just after the `}` where it has closed as many braces as it
-    opened.  Scans from different starts may disagree about what is
-    quoted, but scans in the same string state (outside, inside, just
-    after a backslash) move together, so one pass keeps at most three
-    groups of scans and takes O(n log n) time.
-    """
-    ends: dict[int, int] = {}
-    starts: list[int] = []
-    outside = inside = escaped = None  # groups by string state
-    last = -2
-    for match in _SCAN_CHARS.finditer(raw):
-        pos = match.start()
-        if escaped is not None and pos > last + 1:
-            # The character after a backslash was an ordinary one.
-            inside, escaped = _merge_scans(inside, escaped), None
-        last = pos
-        c = raw[pos]
-        if c == "\\":
-            inside, escaped = escaped, inside
-        elif c == '"':
-            outside, inside, escaped = inside, _merge_scans(outside, escaped), None
-        else:
-            inside, escaped = _merge_scans(inside, escaped), None
-            if c == "{":
-                starts.append(pos)
-                if outside is None:
-                    outside = [0, {}, 0]
-                outside[1].setdefault(outside[0], []).append(pos)
-                outside[0] += 1
-                outside[2] += 1
-            elif outside is not None:
-                outside[0] -= 1
-                closed = outside[1].pop(outside[0], ())
-                for start in closed:
-                    ends[start] = pos + 1
-                outside[2] -= len(closed)
-    return [(start, ends[start]) for start in starts if start in ends]
-
-
-def _too_deep(raw: str) -> bool:
-    """Whether a scan from some `{` of `raw` reaches more than MAX_NESTING unclosed `{`/`[`.
-
-    A scan skips quoted strings with their backslash escapes and ends where it
-    has closed all it opened.  As in `_candidates`, scans in one string state
-    move together: one pass keeps each state's deepest depth (-inf for none).
-    """
-    outside = inside = escaped = -math.inf
-    last = -2
-    for match in _NEST_CHARS.finditer(raw):
-        pos = match.start()
-        if pos > last + 1:  # the character after a backslash, if any, was an ordinary one
-            inside, escaped = max(inside, escaped), -math.inf
-        last = pos
-        c = raw[pos]
-        if c == "\\":
-            inside, escaped = escaped, inside
-        elif c == '"':
-            outside, inside, escaped = inside, max(outside, escaped), -math.inf
-        else:
-            inside, escaped = max(inside, escaped), -math.inf
-            if c in "{[":
-                outside = (max(outside, 0) if c == "{" else outside) + 1
-                if outside > MAX_NESTING:
-                    return True
-            else:  # once the deepest scan has closed, every scan has
-                outside = outside - 1 if outside > 1 else -math.inf
-    return False
-
-
 def parse_json_payload(raw: str) -> dict | None:
-    """First balanced JSON object embedded in a response, or None; never raises.
+    """The JSON object that starts at a response's first `{`, or None; never raises.
 
-    Each `{` whose scan closes (see `_candidates`) is a candidate, and the
-    first candidate that decodes to an object wins.  A response nested deeper
-    than MAX_NESTING (see `_too_deep`) gives None before any decode.
+    A response with no `{`, or with more than MAX_NESTING `{`/`[` in all
+    (nested or not, quoted or not), gives None before any decode; a first
+    `{` that starts no object gives None too.  The prompts ask for no prose
+    outside the JSON object, so only a preamble without `{` is allowed; any
+    text after the object is ignored.
     """
     first = raw.find("{")
-    if first == -1:
-        return None
-    if raw.count("{") + raw.count("[") > MAX_NESTING and _too_deep(raw):
+    if first == -1 or raw.count("{") + raw.count("[") > MAX_NESTING:
         return None
     try:
-        # An object that decodes from the first brace is the first candidate,
-        # and the decode that found its end has already built it.
         return _DECODER.raw_decode(raw, first)[0]
-    except ValueError:
-        pass
-    for start, end in _candidates(raw):
-        if not _OBJECT_HEAD.match(raw, start):
-            continue
-        try:
-            payload = json.loads(raw[start:end])
-        except ValueError:  # JSONDecodeError, or an over-long integer
-            continue
-        if isinstance(payload, dict):
-            return payload
-    return None
+    except ValueError:  # JSONDecodeError, or an over-long integer
+        return None
 
 
 def clip_confidence(value) -> float:

@@ -442,8 +442,9 @@ class TestFoldIndexes:
 
 
 class EagerReference:
-    """Every posting built up front from the documents: the index as it
-    would be if each term were posted at build time."""
+    """Postings built from the documents and every score worked out afresh on
+    each query: the index as it would be if no term's contributions were
+    kept between queries."""
 
     def __init__(self, docs: dict[str, list[str]]):
         self.docs = docs
@@ -479,7 +480,8 @@ class EagerReference:
 
 
 # Queries over overlapping vocabularies: each draws from its own slice of a
-# larger vocabulary, so later queries meet terms that are partly posted.
+# larger vocabulary, so later queries meet terms whose contributions are
+# partly made.
 WIDE_VOCABULARY = VOCABULARY + ["unseen", "absent", "token", "figure"]
 overlapping_queries = st.lists(
     st.integers(min_value=0, max_value=len(WIDE_VOCABULARY) - 3).flatmap(
@@ -491,8 +493,9 @@ overlapping_queries = st.lists(
 
 
 class TestPostingsOnFirstQuery:
-    """Postings are made when a query first asks for a term; the index must
-    still read as if every posting had been built eagerly."""
+    """Postings are built with the index, and a term's contributions are made
+    when a query first asks for it; the index must still read as if every
+    contribution had been made eagerly."""
 
     @settings(max_examples=200, deadline=None)
     @given(corpora, overlapping_queries)

@@ -143,11 +143,17 @@ class TestConfigValidation:
         assert len(calls) == 1
 
     def test_run_reports_every_violation_on_one_line(self, fixture_config, capsys):
-        config = fixture_config("violations", max_workers=0, max_attempts=0)
+        remote = {"kind": "http", "endpoint": "http://127.0.0.1:9", "api_key_env": "KEY",
+                  "timeout": 0}
+        config = fixture_config("violations", max_workers=0, max_attempts=0,
+                                backoff_base=float("inf"),
+                                backends={**_fixture_backends(), "remote": remote})
         assert main(["run", "--config", str(config)]) == 1
         err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert "max_workers must be >= 1, got 0; max_attempts must be >= 1, got 0" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert ("max_workers must be >= 1, got 0; max_attempts must be >= 1, got 0; "
+                "backoff_base must be a finite number >= 0, got inf") in err
+        assert "backend 'remote': timeout must be a finite number > 0, got 0.0" in err
 
     def test_run_on_a_corpus_line_that_is_not_an_object_exits_1(self, fixture_config,
                                                                  tmp_path, capsys):

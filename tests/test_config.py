@@ -78,6 +78,25 @@ class TestLoadAndValidate:
         errors = validate_config(load_config(fixture_config(max_workers=max_workers)))
         assert f"max_workers must be >= 1, got {max_workers}" in errors
 
+    @pytest.mark.parametrize("backoff_base, valid", [
+        (0, True), (0.5, True), (-0.5, False), (float("inf"), False), (float("nan"), False)])
+    def test_backoff_base_must_be_finite_and_nonnegative(self, fixture_config, backoff_base,
+                                                         valid):
+        errors = validate_config(load_config(fixture_config(backoff_base=backoff_base)))
+        assert errors == ([] if valid else
+                          [f"backoff_base must be a finite number >= 0, got {float(backoff_base)}"])
+
+    @pytest.mark.parametrize("timeout, valid", [
+        (0.5, True), (60, True), (0, False), (-1, False), (float("inf"), False),
+        (float("nan"), False)])
+    def test_http_timeout_must_be_finite_and_positive(self, fixture_config, timeout, valid):
+        backends = json.loads(fixture_config().read_text())["backends"]
+        backends["remote"] = {"kind": "http", "endpoint": "http://127.0.0.1:9",
+                              "api_key_env": "KEY", "timeout": timeout}
+        errors = validate_config(load_config(fixture_config(backends=backends)))
+        assert errors == ([] if valid else
+                          [f"backend 'remote': timeout must be a finite number > 0, got {float(timeout)}"])
+
     def test_reference_year_must_cover_corpus(self, fixture_config):
         path = fixture_config(reference_year=2020)  # fixture corpus reaches 2024
         errors = validate_config(load_config(path))

@@ -1,8 +1,10 @@
 """Gateway behavior: stubs, caching, retries, parsing, consensus."""
 
 import hashlib
+import http.server
 import itertools
 import json
+import socket
 import sys
 import tempfile
 import threading
@@ -97,6 +99,16 @@ class TestComplete:
         assert backend.calls == 3
         assert g.stats.retries == 2
 
+    def test_backoff_doubles_after_each_transient_failure(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(gw.time, "sleep", sleeps.append)
+        backend = FlakyBackend("flaky", failures=2)
+        g = gw.Gateway({"flaky": backend}, max_attempts=3, backoff_base=0.5)
+        payload, _ = g.complete("flaky", request())
+        assert payload["relevant"] is True
+        assert sleeps == [0.5, 1.0]
+        assert g.stats.retries == 2
+
     def test_exhausted_retries(self):
         backend = FlakyBackend("flaky", failures=10)
         g = gw.Gateway({"flaky": backend}, max_attempts=3, backoff_base=0.0)
@@ -123,6 +135,110 @@ class TestComplete:
         g.complete("stub", request("nothing here"))
         assert g.stats.cache_hits == 0
         assert g.stats.network_calls == 2
+
+
+class FakeEndpoint(http.server.BaseHTTPRequestHandler):
+    """Answers each POST to `/<status>` with that status and the server's
+    `body`, after the server's `delay` in seconds."""
+
+    def do_POST(self):
+        request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.server.requests.append((self.headers["Authorization"], request))
+        time.sleep(self.server.delay)
+        body = self.server.body.encode("utf-8")
+        self.send_response(int(self.path.strip("/")))
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def loopback_env(monkeypatch):
+    """An API key in the environment, and no proxy between a request and loopback."""
+    for name in ("HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.lower(), raising=False)
+    monkeypatch.setenv("FAKE_ENDPOINT_KEY", "secret")
+
+
+@pytest.fixture
+def endpoint(loopback_env):
+    """A fake chat-completion server on a loopback port."""
+    server = http.server.HTTPServer(("127.0.0.1", 0), FakeEndpoint)
+    server.requests, server.body, server.delay = [], "", 0.0
+    server.handle_error = lambda *args: None  # a client that timed out has hung up
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,))
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        thread.join()
+        server.server_close()
+
+
+def http_backend(url: str, timeout: float = 10.0) -> gw.HttpBackend:
+    return gw.HttpBackend("remote", url, model="m1", api_key_env="FAKE_ENDPOINT_KEY",
+                          temperature=0.2, timeout=timeout)
+
+
+class TestHttpBackend:
+    def url(self, server, status: int) -> str:
+        return f"http://127.0.0.1:{server.server_address[1]}/{status}"
+
+    def test_200_returns_the_message_content(self, endpoint):
+        endpoint.body = json.dumps({"choices": [{"message": {"content": '{"relevant": true}'}}]})
+        assert http_backend(self.url(endpoint, 200)).complete("the prompt") == '{"relevant": true}'
+        assert endpoint.requests == [("Bearer secret", {
+            "model": "m1", "messages": [{"role": "user", "content": "the prompt"}],
+            "temperature": 0.2, "max_tokens": gw.MAX_TOKENS})]
+
+    @pytest.mark.parametrize("status", [401, 403])
+    def test_rejected_key_raises_authentication_error(self, endpoint, status):
+        with pytest.raises(AuthenticationError, match=f"auth failed \\({status}\\)"):
+            http_backend(self.url(endpoint, status)).complete("p")
+
+    def test_missing_key_raises_authentication_error_before_any_request(self, endpoint,
+                                                                        monkeypatch):
+        monkeypatch.delenv("FAKE_ENDPOINT_KEY")
+        with pytest.raises(AuthenticationError, match="'FAKE_ENDPOINT_KEY' is not set"):
+            http_backend(self.url(endpoint, 200)).complete("p")
+        assert endpoint.requests == []
+
+    @pytest.mark.parametrize("status", [429, 500])
+    def test_rate_limit_and_server_error_are_retried(self, endpoint, status):
+        backend = http_backend(self.url(endpoint, status))
+        with pytest.raises(TransientBackendError, match=f"HTTP {status}"):
+            backend.complete("p")
+        g = gw.Gateway({"remote": backend}, max_attempts=3, backoff_base=0.0)
+        with pytest.raises(BackendUnavailable, match=f"HTTP {status}"):
+            g.complete("remote", request())
+        assert len(endpoint.requests) == 1 + 3
+        assert g.stats.retries == 2 and g.stats.failures == 1
+
+    @pytest.mark.parametrize("status, body", [
+        (404, ""), (200, "not json"), (200, "{}"), (200, '{"choices": []}'),
+        (200, '{"choices": [{"message": null}]}')])
+    def test_other_status_or_shape_raises_gateway_error(self, endpoint, status, body):
+        endpoint.body = body
+        with pytest.raises(GatewayError) as excinfo:
+            http_backend(self.url(endpoint, status)).complete("p")
+        assert type(excinfo.value) is GatewayError
+
+    def test_timeout_is_transient(self, endpoint):
+        endpoint.delay = 0.5
+        with pytest.raises(TransientBackendError):
+            http_backend(self.url(endpoint, 200), timeout=0.05).complete("p")
+
+    def test_closed_port_is_transient(self, loopback_env):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        with pytest.raises(TransientBackendError):
+            http_backend(f"http://127.0.0.1:{port}/200").complete("p")
 
 
 prompt_requests = st.builds(
@@ -344,8 +460,8 @@ payload_text = st.lists(
 ).map("".join)
 
 
-# Dense JSON punctuation and objects whose strings hold escapes, so that
-# scans from different braces disagree about what is quoted and escaped.
+# Dense JSON punctuation and objects whose strings hold escapes, so that the
+# first `{` falls in prose, in a string, in a broken object or in a whole one.
 punctuation_text = st.lists(
     st.sampled_from(["{", "}", '"', "\\", '\\"', ":", ",", " ", "\n", "1", "a", "[", "]",
                      '"a"', "{}", '{"a": 1}', '{"b": "x{"}', '"}"', "true",
@@ -353,6 +469,15 @@ punctuation_text = st.lists(
                      '{ "e": [1]}', '{\n"f": "a\\tb"}']),
     max_size=40,
 ).map("".join)
+
+
+# Prose that holds no `{`, and JSON objects of every value type.
+brace_free_text = st.text(st.characters(blacklist_characters="{"), max_size=30)
+json_objects = st.dictionaries(st.text(max_size=8), st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=12), max_size=4)
 
 
 class TestParseJsonPayload:
@@ -367,9 +492,20 @@ class TestParseJsonPayload:
         assert parse_verdict(nested(5000), "b1") == gw.ModelVerdict("b1", False, 0.0, "(malformed)")
 
     @settings(max_examples=500, deadline=None)
-    @given(st.one_of(payload_text, punctuation_text))
-    def test_same_value_as_rescanning_from_every_brace(self, raw):
-        assert gw.parse_json_payload(raw) == rescanning_parse_json_payload(raw)
+    @given(brace_free_text, json_objects, st.sampled_from([None, 2]),
+           st.one_of(payload_text, punctuation_text, st.text()))
+    def test_the_object_after_brace_free_prose_is_the_payload(self, prose, obj, indent, suffix):
+        raw = prose + json.dumps(obj, indent=indent) + suffix
+        expected = obj if raw.count("{") + raw.count("[") <= gw.MAX_NESTING else None
+        assert gw.parse_json_payload(raw) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(brace_free_text,
+           st.from_regex(r"\{[a-zA-Z0-9'][a-zA-Z0-9,' ]*\}", fullmatch=True),
+           json_objects, st.one_of(payload_text, punctuation_text))
+    def test_a_first_brace_that_starts_no_object_gives_none(self, prose, head, obj, suffix):
+        raw = prose + head + " " + json.dumps(obj) + suffix
+        assert gw.parse_json_payload(raw) is None
 
     def test_a_response_is_decoded_once(self, monkeypatch):
         decodes = []
@@ -403,107 +539,61 @@ class TestParseJsonPayload:
         assert deeper(300) == answer and in_thread == [answer]
 
     @settings(max_examples=500, deadline=None)
-    @given(punctuation_text, st.integers(min_value=0, max_value=4))
-    def test_small_caps_match_the_rescanning_definition(self, raw, cap):
+    @given(st.one_of(payload_text, punctuation_text),
+           st.integers(min_value=0, max_value=4) | st.just(gw.MAX_NESTING), st.data())
+    def test_any_reply_over_the_cap_gives_none(self, raw, cap, data):
+        missing = cap + 1 - raw.count("{") - raw.count("[")
+        if missing > 0:
+            at = data.draw(st.integers(min_value=0, max_value=len(raw)))
+            opens = data.draw(st.text("{[", min_size=missing, max_size=missing))
+            raw = raw[:at] + opens + raw[at:]
         with mock.patch.object(gw, "MAX_NESTING", cap):
-            assert gw.parse_json_payload(raw) == rescanning_parse_json_payload(raw)
+            assert gw.parse_json_payload(raw) is None
 
     CAP = gw.MAX_NESTING
 
     @pytest.mark.parametrize("raw, decodes", [
         (nested(CAP), True), (nested(CAP + 1), False),
-        # Arrays whose strings hold closing brackets nest deeper than a count
-        # of brackets that ignores strings.
+        # The cap counts every `{` and `[` of a reply: in strings or not,
+        # nested or side by side, before the object or after it.
         ('{"a": ' + '["]", ' * (CAP - 1) + "1" + "]" * (CAP - 1) + "}", True),
         ('{"a": ' + '["]", ' * CAP + "1" + "]" * CAP + "}", False),
-        # A string's brackets open nothing for a scan that skips the string,
-        # also after an escaped quote, but each `{` in it starts a scan.
-        ('{"a": "' + "[" * (CAP + 1) + '"}', True),
-        ('{"a": "\\"' + "[" * (CAP + 1) + '"}', True),
-        ('{"a": "' + "{" * (CAP + 1) + '"}', False),
-        ('{"a": 1} ' * (CAP + 1), True),
-        # A later object nested too deeply makes the whole response None.
-        ('{"a": 1} ' + nested(CAP + 1), False),
-        # Scans start at `{`, so arrays around an object do not count.
-        ("[" * (CAP + 1) + '{"a": 1}' + "]" * (CAP + 1), True),
+        ('{"a": "' + "[" * (CAP - 1) + '"}', True),
+        ('{"a": "' + "[" * CAP + '"}', False),
+        ('{"a": "\\"' + "[" * CAP + '"}', False),
+        ('{"a": "' + "{" * CAP + '"}', False),
+        ('{"a": 1} ' * CAP, True),
+        ('{"a": 1} ' * (CAP + 1), False),
+        ('{"a": 1} ' + nested(CAP), False),
+        ("[" * (CAP + 1) + '{"a": 1}' + "]" * (CAP + 1), False),
     ], ids=["cap", "over_cap", "string_brackets", "string_brackets_over_cap", "quoted",
-            "escaped_quote", "quoted_braces", "many_shallow", "deep_later", "deep_arrays_first"])
-    def test_responses_past_the_cap_match_the_rescanning_definition(self, raw, decodes):
+            "quoted_over_cap", "escaped_quote", "quoted_braces", "shallow_cap", "many_shallow",
+            "deep_later", "deep_arrays_first"])
+    def test_responses_around_the_cap(self, raw, decodes):
         payload = gw.parse_json_payload(raw)
         assert (payload is not None) == decodes
-        assert payload == rescanning_parse_json_payload(raw)
+        if decodes:  # the object the reply starts with
+            assert payload == json.JSONDecoder().raw_decode(raw)[0]
 
-
-def nests_too_deep(raw: str) -> bool:
-    """Whether a scan from some `{`, skipping quoted strings, opens more than
-    `MAX_NESTING` `{`/`[` before it has closed all it opened."""
-    if raw.count("{") + raw.count("[") <= gw.MAX_NESTING:
-        return False  # no scan can open more than the response holds
-    for start in [i for i, c in enumerate(raw) if c == "{"]:
-        depth = 0
-        in_string = False
-        escaped = False
-        for c in raw[start:]:
-            if in_string:
-                if escaped:
-                    escaped = False
-                elif c == "\\":
-                    escaped = True
-                elif c == '"':
-                    in_string = False
-            elif c == '"':
-                in_string = True
-            elif c in "{[":
-                depth += 1
-                if depth > gw.MAX_NESTING:
-                    return True
-            elif c in "}]":
-                depth -= 1
-                if depth == 0:
-                    break
-    return False
-
-
-def rescanning_parse_json_payload(raw: str) -> dict | None:
-    """The definition `parse_json_payload` must match: None when the response
-    nests too deeply (`nests_too_deep`); otherwise, from each `{` in turn,
-    scan to the first point where as many braces closed as opened, skipping
-    quoted strings, and decode that candidate."""
-    if nests_too_deep(raw):
-        return None
-    start = raw.find("{")
-    while start != -1:
-        depth = 0
-        in_string = False
-        escaped = False
-        for i in range(start, len(raw)):
-            c = raw[i]
-            if in_string:
-                if escaped:
-                    escaped = False
-                elif c == "\\":
-                    escaped = True
-                elif c == '"':
-                    in_string = False
-                continue
-            if c == '"':
-                in_string = True
-            elif c == "{":
-                depth += 1
-            elif c == "}":
-                depth -= 1
-                if depth == 0:
-                    try:
-                        payload = json.loads(raw[start : i + 1])
-                    except RecursionError:
-                        return None
-                    except ValueError:
-                        break
-                    if isinstance(payload, dict):
-                        return payload
-                    break
-        start = raw.find("{", start + 1)
-    return None
+    @pytest.mark.parametrize("raw, payload", [
+        ('{"a": 1}', {"a": 1}),
+        ('Verdict:\n{"a": 1}\nThat is all. {"b": 2}', {"a": 1}),
+        ('[1, {"a": [2]}, 3]', {"a": [2]}),
+        ('"[quoted]" {"a": "}"} }', {"a": "}"}),
+        ('{"a": {}} {', {"a": {}}),
+        # A first `{` that starts no object hides any object after it.
+        ('{a, b} {"a": 1}', None),
+        ('Use "{" to open. {"a": 1}', None),
+        ('{"a": [} {"a": 1}', None),
+        ('{"a": 1 {"b": 2}}', None),
+        ('{"n": ' + "7" * 6000 + '} {"a": 1}', None),
+        ("}{", None),
+        ("no braces at all [1]", None),
+    ], ids=["whole", "prose_around", "in_array", "quoted_brackets", "unclosed_after",
+            "prose_braces", "quoted_brace", "broken_object", "unclosed_object",
+            "over_long_integer", "closing_first", "no_brace"])
+    def test_the_payload_is_the_object_at_the_first_brace(self, raw, payload):
+        assert gw.parse_json_payload(raw) == payload
 
 
 class TestPromptHash:

@@ -20,7 +20,7 @@ SRC = Path(vismine.__file__).parent
 
 # Definitions kept although nothing in `src/vismine` calls them.
 ALLOWED = {
-    "dump": "Bm25Index's snapshot is the tests' view of the postings it builds on demand",
+    "dump": "Bm25Index's snapshot is the tests' view of the postings it builds",
     "StubBackend": "the response-function backend the tests drive the gateway with",
     "recall": "the score arithmetic's third ratio, next to precision and f1",
     "micro_f1": "the stage-3 metric's definition, which the tests check the reports against",
