@@ -21,7 +21,7 @@ from . import stage3 as stage3_mod
 from .corpus import DEFAULT_KEYWORDS
 from .errors import ConfigError, InputError
 from .gateway import Gateway, HttpBackend, KeywordStubBackend, StubRules
-from .jsonl import read_jsonl, read_object
+from .jsonl import read_jsonl, read_object, unread_keys
 
 
 @dataclass
@@ -100,9 +100,13 @@ def load_config(path: str | Path) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path}: expected a JSON object")
     try:
-        return read_object(RunConfig, raw, base_dir=path.parent.resolve())
+        config = read_object(RunConfig, raw, base_dir=path.parent.resolve())
     except InputError as exc:
         raise ConfigError(str(exc)) from exc
+    unread = unread_keys(RunConfig, raw)
+    if unread:  # a misspelled key would otherwise leave its setting at the default
+        raise ConfigError("; ".join(f"{key}: unknown key" for key in unread))
+    return config
 
 
 def validate_config(config: RunConfig) -> list[str]:
@@ -169,6 +173,9 @@ def validate_config(config: RunConfig) -> list[str]:
         if backend.kind == "http" and not 0 < backend.timeout < math.inf:
             errors.append(f"backend {slot!r}: timeout must be a finite number > 0, "
                           f"got {backend.timeout}")
+        if backend.kind == "http" and not math.isfinite(backend.temperature):
+            errors.append(f"backend {slot!r}: temperature must be a finite number, "
+                          f"got {backend.temperature}")
     return errors
 
 

@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import DocumentError, InputError
-from .jsonl import read_object
+from .jsonl import dumps_stable, read_object
 
 logger = logging.getLogger(__name__)
 
@@ -287,21 +287,21 @@ def extract_all_evidence(doc: DocumentText) -> list[FigureEvidence]:
     ]
 
 
-def read_document(path: Path) -> str:
-    """The converted text at `path`; bytes that are not UTF-8 are an `InputError` naming it."""
+def evidence_lines(paper_id: str, path: Path, data: bytes) -> str:
+    """The evidence file's lines for the converted text `data` read from
+    `path`, one `dumps_stable` row per figure, in document order.
+
+    `data` is decoded as `Path.read_text(encoding="utf-8")` decodes it:
+    `\r\n` and `\r` become `\n`, and bytes that are not UTF-8 are an
+    `InputError` naming `path`.  Every step that decides the lines, from
+    the decoding on, is in this module or `vismine.jsonl`: both sources
+    are part of the key under which `vismine run` memoises a document's
+    lines.
+    """
     try:
-        return path.read_text(encoding="utf-8")
+        raw_text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
-
-
-def evidence_rows(paper_id: str, raw_text: str) -> Iterator[dict]:
-    """The evidence file's rows for one converted text, in document order.
-
-    Every step that decides the rows' content, from `read_document` on, is
-    in this module, and `vismine.jsonl` writes them: both sources are part
-    of the key under which a run's evidence file is memoised.
-    """
+    raw_text = raw_text.replace("\r\n", "\n").replace("\r", "\n")
     doc = filter_nonbody(segment_paragraphs(paper_id, raw_text))
-    for ev in extract_all_evidence(doc):
-        yield ev.to_dict()
+    return "".join(dumps_stable(ev.to_dict()) + "\n" for ev in extract_all_evidence(doc))

@@ -14,7 +14,6 @@ import logging
 import os
 import threading
 import time
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -26,6 +25,7 @@ from .errors import (
     GatewayError,
     TransientBackendError,
 )
+from .jsonl import AppendLog
 
 logger = logging.getLogger(__name__)
 
@@ -150,94 +150,12 @@ def prompt_hash(backend_id: str, prompt: str) -> str:
     return digest.hexdigest()
 
 
-class PromptCache:
-    """Request hash -> response, kept in one append-only log for auditing.
-
-    `cache_dir/responses.jsonl` holds one `json.dumps([key, response])`
-    line per response (ASCII-escaped, so any text round-trips).  A put is
-    one `O_APPEND` write and creates no file; the line is in the log when
-    `put` returns.  Memory holds only each key's `(offset, length)`, built
-    on first use; a miss first indexes the complete lines appended since
-    the last scan, so caches sharing the directory see each other's puts.
-    A torn last line is never served, and a key's last line wins.  Keys
-    are `prompt_hash` hex digests.
-    """
-
-    LOG_NAME = "responses.jsonl"
-    SCAN_BLOCK = 1 << 20
+class PromptCache(AppendLog):
+    """Request hash -> response, kept in `cache_dir/responses.jsonl` for
+    auditing, as `AppendLog` keeps it.  Keys are `prompt_hash` hex digests."""
 
     def __init__(self, cache_dir: str | Path):
-        self.cache_dir = Path(cache_dir)
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
-        self._fd: int | None = None
-        self._index: dict[str, tuple[int, int]] = {}
-        self._scanned = 0  # bytes of the log indexed so far
-
-    def _log(self) -> int:
-        if self._fd is None:
-            self._fd = os.open(self.cache_dir / self.LOG_NAME,
-                               os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
-            weakref.finalize(self, os.close, self._fd)
-        return self._fd
-
-    def _scan(self, fd: int) -> None:
-        """Index the complete lines appended since the last scan.
-
-        The log is read in blocks of `SCAN_BLOCK` bytes; a line that does
-        not end in its block is read again from its start with the next
-        one, which doubles while it holds no line end.  So memory stays at
-        a block, or twice the longest line, whatever the log's size.
-        """
-        size = os.fstat(fd).st_size
-        offset, block_size = self._scanned, self.SCAN_BLOCK
-        while offset < size:
-            data = os.pread(fd, min(block_size, size - offset), offset)
-            pos = 0
-            while (end := data.find(b"\n", pos)) != -1:
-                if data.startswith(b'["', pos):
-                    key_end = data.find(b'"', pos + 2, end)
-                    if key_end != -1:
-                        self._index[data[pos + 2:key_end].decode("latin-1")] = (
-                            offset + pos, end + 1 - pos)
-                pos = end + 1
-            if not pos:
-                if offset + len(data) >= size:
-                    break  # a torn last line
-                block_size *= 2
-            offset += pos
-        self._scanned = offset
-
-    def get(self, key: str) -> str | None:
-        with self._lock:
-            fd = self._log()
-            entry = self._index.get(key)
-            if entry is None:
-                self._scan(fd)
-                entry = self._index.get(key)
-                if entry is None:
-                    return None
-            offset, length = entry
-            line = os.pread(fd, length, offset)
-        try:
-            stored_key, text = json.loads(line)  # every indexed line starts with '["'
-        except ValueError:  # a torn line, or one that is not a [key, text] pair
-            return None
-        return text if stored_key == key and isinstance(text, str) else None
-
-    def put(self, key: str, text: str) -> None:
-        line = (json.dumps([key, text]) + "\n").encode("ascii")
-        with self._lock:
-            fd = self._log()
-            size = os.fstat(fd).st_size
-            torn = size > 0 and os.pread(fd, 1, size - 1) != b"\n"
-            data = b"\n" + line if torn else line
-            if os.write(fd, data) != len(data):
-                return  # a short write leaves a torn line, which is never served
-            end = os.lseek(fd, 0, os.SEEK_CUR)
-            self._index[key] = (end - len(line), len(line))
-            if end - len(data) == self._scanned:
-                self._scanned = end
+        super().__init__(Path(cache_dir) / "responses.jsonl")
 
 
 @dataclass

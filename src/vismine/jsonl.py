@@ -7,6 +7,8 @@ import hashlib
 import json
 import os
 import re
+import threading
+import weakref
 from collections.abc import Mapping
 from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
@@ -84,6 +86,30 @@ def read_object(cls, raw, key: str = "", **given):
         elif required and name not in given:
             raise InputError(f"{_join(key, json_key)}: missing")
     return cls(**given)
+
+
+def unread_keys(cls, raw: dict | None, key: str = "") -> list[str]:
+    """The full key of every entry of the JSON object `raw` that
+    `read_object(cls, raw, key)` does not read: at its top level, in its
+    sections, and inside each value read as a dataclass, also as a
+    `Mapping`'s value.  `raw` must be a value `read_object` reads."""
+    raw, hints = raw or {}, get_type_hints(cls)
+    read: dict[str, set[str]] = {"": set()}
+    inner: list[str] = []
+    for name, section, part, json_key, *_ in _readers(cls):
+        read[""].add(section or part)
+        read.setdefault(section, set()).add(part)
+        value = (raw.get(section) or {}).get(part) if section else raw.get(part)
+        tp, args = hints[name], get_args(hints[name])
+        if is_dataclass(tp):
+            inner += unread_keys(tp, value, _join(key, json_key))
+        elif get_origin(tp) in (dict, Mapping) and is_dataclass(args[1]):
+            for name_in, item in (value or {}).items():
+                inner += unread_keys(args[1], item, _join(_join(key, json_key), name_in))
+    own = [_join(_join(key, section) if section else key, part)
+           for section, parts in read.items()
+           for part in ((raw.get(section) or {}) if section else raw) if part not in parts]
+    return own + inner
 
 
 @functools.cache
@@ -187,10 +213,9 @@ def dumps_stable(obj) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
 
-def _write_atomically(path: str | Path, chunks: Iterable[str] | Iterable[bytes],
-                      binary: bool = False) -> None:
-    """Write `chunks` (UTF-8 text, or bytes when `binary`) to a temp file
-    beside `path`, then rename it over `path`.
+def _write_atomically(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write the UTF-8 text `chunks` to a temp file beside `path`, then
+    rename it over `path`.
 
     Chunks are written as `chunks` yields them.  If a write, the rename or
     `chunks` itself raises, the temp file is deleted and `path` is left as
@@ -200,7 +225,7 @@ def _write_atomically(path: str | Path, chunks: Iterable[str] | Iterable[bytes],
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
     try:
-        with (open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8")) as handle:
+        with open(tmp, "w", encoding="utf-8") as handle:
             handle.writelines(chunks)
         tmp.replace(path)
     except BaseException:
@@ -213,36 +238,23 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     _write_atomically(path, (text,))
 
 
-def write_jsonl(path: str | Path, rows: Iterable[dict]) -> int:
-    """Write one `dumps_stable` line per row, each as `rows` yields it; returns the row count."""
+def write_lines(path: str | Path, texts: Iterable[str]) -> int:
+    """Write each of `texts`, a run of whole lines, as `texts` yields it; returns the line count."""
     count = 0
 
-    def lines() -> Iterator[str]:
+    def counted() -> Iterator[str]:
         nonlocal count
-        for row in rows:
-            count += 1
-            yield dumps_stable(row) + "\n"
+        for text in texts:
+            count += text.count("\n")
+            yield text
 
-    _write_atomically(path, lines())
+    _write_atomically(path, counted())
     return count
 
 
-def copy_lines(source: str | Path, path: str | Path) -> int:
-    """Copy file `source` over `path` as `_write_atomically` writes; returns its line count.
-
-    A missing `source` raises `FileNotFoundError` before `path` is touched.
-    """
-    lines = 0
-    with open(source, "rb") as handle:
-
-        def blocks() -> Iterator[bytes]:
-            nonlocal lines
-            for block in iter(lambda: handle.read(65536), b""):
-                lines += block.count(b"\n")
-                yield block
-
-        _write_atomically(path, blocks(), binary=True)
-    return lines
+def write_jsonl(path: str | Path, rows: Iterable[dict]) -> int:
+    """Write one `dumps_stable` line per row, each as `rows` yields it; returns the row count."""
+    return write_lines(path, (dumps_stable(row) + "\n" for row in rows))
 
 
 def write_json(path: str | Path, obj) -> None:
@@ -255,3 +267,90 @@ def file_sha256(path: str | Path) -> str:
         for chunk in iter(lambda: handle.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+class AppendLog:
+    """Key -> text, kept in one append-only log file at `path`.
+
+    The log holds one `json.dumps([key, text])` line per put (ASCII-escaped,
+    so any text round-trips).  A put is one `O_APPEND` write and creates no
+    file; the line is in the log when `put` returns.  Memory holds only each
+    key's `(offset, length)`, built on first use; a miss first indexes the
+    complete lines appended since the last scan, so logs sharing the file
+    see each other's puts.  A torn last line is never served, and a key's
+    last line wins.  Keys hold no `"` or `\\`.
+    """
+
+    SCAN_BLOCK = 1 << 20
+
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._lock = threading.Lock()
+        self._fd: int | None = None
+        self._index: dict[str, tuple[int, int]] = {}
+        self._scanned = 0  # bytes of the log indexed so far
+
+    def _log(self) -> int:
+        if self._fd is None:
+            self._fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+            weakref.finalize(self, os.close, self._fd)
+        return self._fd
+
+    def _scan(self, fd: int) -> None:
+        """Index the complete lines appended since the last scan.
+
+        The log is read in blocks of `SCAN_BLOCK` bytes; a line that does
+        not end in its block is read again from its start with the next
+        one, which doubles while it holds no line end.  So memory stays at
+        a block, or twice the longest line, whatever the log's size.
+        """
+        size = os.fstat(fd).st_size
+        offset, block_size = self._scanned, self.SCAN_BLOCK
+        while offset < size:
+            data = os.pread(fd, min(block_size, size - offset), offset)
+            pos = 0
+            while (end := data.find(b"\n", pos)) != -1:
+                if data.startswith(b'["', pos):
+                    key_end = data.find(b'"', pos + 2, end)
+                    if key_end != -1:
+                        self._index[data[pos + 2:key_end].decode("latin-1")] = (
+                            offset + pos, end + 1 - pos)
+                pos = end + 1
+            if not pos:
+                if offset + len(data) >= size:
+                    break  # a torn last line
+                block_size *= 2
+            offset += pos
+        self._scanned = offset
+
+    def get(self, key: str) -> str | None:
+        with self._lock:
+            fd = self._log()
+            entry = self._index.get(key)
+            if entry is None:
+                self._scan(fd)
+                entry = self._index.get(key)
+                if entry is None:
+                    return None
+            offset, length = entry
+            line = os.pread(fd, length, offset)
+        try:
+            stored_key, text = json.loads(line)  # every indexed line starts with '["'
+        except ValueError:  # a torn line, or one that is not a [key, text] pair
+            return None
+        return text if stored_key == key and isinstance(text, str) else None
+
+    def put(self, key: str, text: str) -> None:
+        line = (json.dumps([key, text]) + "\n").encode("ascii")
+        with self._lock:
+            fd = self._log()
+            size = os.fstat(fd).st_size
+            torn = size > 0 and os.pread(fd, 1, size - 1) != b"\n"
+            data = b"\n" + line if torn else line
+            if os.write(fd, data) != len(data):
+                return  # a short write leaves a torn line, which is never served
+            end = os.lseek(fd, 0, os.SEEK_CUR)
+            self._index[key] = (end - len(line), len(line))
+            if end - len(data) == self._scanned:
+                self._scanned = end

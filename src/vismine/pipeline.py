@@ -16,7 +16,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Collection, Iterator, Sequence
+from typing import Collection, Iterator, Sequence
 
 from . import __version__
 from . import analysis as analysis_mod
@@ -31,8 +31,8 @@ from .config import RunConfig, build_gateway, validate_config
 from .errors import ConfigError, InputError, PipelineError
 from .gateway import Gateway
 from .jsonl import (
-    atomic_write_text, copy_lines, dumps_stable, file_sha256, read_jsonl, write_json,
-    write_jsonl,
+    atomic_write_text, dumps_stable, file_sha256, read_jsonl, write_json, write_jsonl,
+    write_lines,
 )
 from .library import load_library
 from .vocab import FIELDS, LabelVocabulary, labels_from_dict, load_vocabulary
@@ -221,50 +221,33 @@ def run_stage1_step(
     return _write_retry_queue(subset_out, ("paper_id", "message"), result.retry)
 
 
-# Leads the evidence memo key; change it when the key's layout changes.
-_EVIDENCE_MEMO_FORMAT = b"vismine evidence memo 2"
+# Leads every evidence memo key; change it when the key's layout changes.
+_EVIDENCE_MEMO_FORMAT = b"vismine evidence memo 3"
 
 
-def _manifest_documents(
-    manifest_path: str | Path, docs_dir: Path, read: Callable[[Path], str | bytes],
-) -> Iterator[tuple[str, str | bytes]]:
-    """`(paper_id, read(path))` of each manifest row's document, in manifest order.
+def _manifest_documents(manifest_path: str | Path, docs_dir: Path) -> list[tuple[str, Path]]:
+    """`(paper_id, path)` of each manifest row's document, in manifest order.
 
     A document that does not exist or is a directory is an `InputError`
     naming the manifest, the record and the path.
     """
+    documents = []
     for number, entry in enumerate(_rows_with(manifest_path, ("paper_id", "path")), 1):
         doc_path = docs_dir / entry["path"]
-        try:
-            content = read(doc_path)
-        except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
-            problem = "is a directory" if isinstance(exc, IsADirectoryError) else "no such document"
+        # One stat for a regular file; any other path that exists and is not
+        # a directory is read as well.
+        if not doc_path.is_file() and (doc_path.is_dir() or not doc_path.exists()):
+            problem = "is a directory" if doc_path.is_dir() else "no such document"
             raise InputError(f"{manifest_path}: record {number} ({entry['paper_id']!r}): "
-                             f"{problem}: {doc_path}") from None
-        yield entry["paper_id"], content
+                             f"{problem}: {doc_path}")
+        documents.append((entry["paper_id"], doc_path))
+    return documents
 
 
-def _evidence_memo_key(manifest_path: str | Path, docs_dir: Path) -> str:
-    """SHA-256 of everything the evidence file depends on, read in one pass.
-
-    The memo format, the Python version, the sources of `vismine.evidence`
-    (extraction and decoding) and `vismine.jsonl` (the row writer), then
-    each manifest row's paper id and document bytes, in manifest order;
-    each part is length-prefixed, so no two inputs share a key.
-    """
-    digest = hashlib.sha256(_EVIDENCE_MEMO_FORMAT)
-
-    def part(data: bytes) -> None:
-        digest.update(len(data).to_bytes(8, "big"))
-        digest.update(data)
-
-    part(sys.version.encode("utf-8"))
-    part(Path(evidence_mod.__file__).read_bytes())
-    part(Path(jsonl_mod.__file__).read_bytes())
-    for paper_id, data in _manifest_documents(manifest_path, docs_dir, Path.read_bytes):
-        part(paper_id.encode("utf-8"))
-        part(data)
-    return digest.hexdigest()
+def _part(digest, data: bytes) -> None:
+    """Add `data` to `digest` length-prefixed, so no two sequences of parts collide."""
+    digest.update(len(data).to_bytes(8, "big"))
+    digest.update(data)
 
 
 def run_evidence_step(
@@ -273,26 +256,41 @@ def run_evidence_step(
 ) -> int:
     """Extract every figure's evidence from the converted texts; returns the figure count.
 
-    Each document's rows are written as they are made, so one document is
-    held at a time.  With a `cache_dir`, the written file is memoised as
-    `<cache_dir>/evidence/<key>.jsonl` (see `_evidence_memo_key`), and a
-    memo under the inputs' key is copied into place instead of extracting.
+    Every manifest row's document is checked before the first is read.
+    Each document is then read once and its lines are written as they are
+    made, so one document is held at a time.  With a `cache_dir`, each
+    document's lines are memoised in the log `<cache_dir>/evidence.jsonl`,
+    and a document found there is not extracted.  Its key is the SHA-256
+    of the memo format, the Python version, the sources of
+    `vismine.evidence` and `vismine.jsonl` (which make the lines), the
+    paper id and the document's bytes, each part length-prefixed.
     """
-    memo = None
+    documents = _manifest_documents(manifest_path, docs_dir)
+    memo, sources = None, None
     if cache_dir is not None:
-        memo = cache_dir / "evidence" / f"{_evidence_memo_key(manifest_path, docs_dir)}.jsonl"
-        try:
-            return copy_lines(memo, out_path)
-        except FileNotFoundError:
-            pass
-    documents = _manifest_documents(manifest_path, docs_dir, evidence_mod.read_document)
-    count = write_jsonl(out_path, (
-        row
-        for paper_id, raw_text in documents
-        for row in evidence_mod.evidence_rows(paper_id, raw_text)))
-    if memo is not None:
-        copy_lines(out_path, memo)
-    return count
+        memo = jsonl_mod.AppendLog(cache_dir / "evidence.jsonl")
+        sources = hashlib.sha256(_EVIDENCE_MEMO_FORMAT)
+        for part in (sys.version.encode("utf-8"), Path(evidence_mod.__file__).read_bytes(),
+                     Path(jsonl_mod.__file__).read_bytes()):
+            _part(sources, part)
+
+    def lines() -> Iterator[str]:
+        for paper_id, path in documents:
+            data = path.read_bytes()
+            if memo is None:
+                yield evidence_mod.evidence_lines(paper_id, path, data)
+                continue
+            digest = sources.copy()
+            _part(digest, paper_id.encode("utf-8"))
+            _part(digest, data)
+            key = digest.hexdigest()
+            text = memo.get(key)
+            if text is None:
+                text = evidence_mod.evidence_lines(paper_id, path, data)
+                memo.put(key, text)
+            yield text
+
+    return write_lines(out_path, lines())
 
 
 def run_stage2_step(

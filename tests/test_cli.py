@@ -133,6 +133,42 @@ class TestMalformedConfig:
         assert err.startswith(f"config error: {key}: expected ")
 
 
+class TestUnknownKeys:
+    def test_run_exits_1_naming_every_key_no_setting_reads(self, fixture_config, tmp_path,
+                                                             capsys):
+        backends = _fixture_backends({"modle": "m1"})
+        config = fixture_config("typos", stage2={"maxfigs": 2}, cache="c", backends=backends)
+        assert main(["run", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == ("config error: cache: unknown key; stage2.maxfigs: "
+                                           "unknown key; backends.primary.modle: unknown key\n")
+        assert not (tmp_path / "typos").exists()
+
+    def test_data_rows_keep_accepting_extra_keys(self, tmp_path, fixture_config):
+        inputs = tmp_path / "inputs"
+        shutil.copytree(FIXTURE_DIR, inputs, ignore=shutil.ignore_patterns("out"))
+
+        def annotate(path: Path) -> None:
+            rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+            for row in rows:
+                row["note"] = "reviewed"
+                for figure in row.get("figures", []):
+                    figure["note"] = "reviewed"
+            path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+
+        for name in ("corpus.jsonl", "pool.jsonl", "library.jsonl", "docs_manifest.jsonl"):
+            annotate(inputs / name)
+        plain = ran_config(fixture_config, "plain", ",".join(pipeline.STAGES))
+        noted = ran_config(fixture_config, "noted", "ingest,stage1,evidence", **{
+            key: str(inputs / f"{key}.jsonl") for key in ("corpus", "pool", "library",
+                                                          "docs_manifest")})
+        annotate(tmp_path / "noted" / "evidence.jsonl")
+        assert main(["run", "--config", noted, "--stages", "stage2,stage3,analyze"]) == 0
+        for name in ("corpus.jsonl", "stage1_subset.jsonl", "stage2_verdicts.jsonl",
+                     "stage3_labels.jsonl", "analysis/paths.jsonl"):
+            assert (tmp_path / "noted" / name).read_bytes() \
+                == (tmp_path / "plain" / name).read_bytes(), name
+
+
 class TestConfigValidation:
     def test_run_reads_the_corpus_years_once(self, fixture_config, monkeypatch):
         calls = []
@@ -144,7 +180,7 @@ class TestConfigValidation:
 
     def test_run_reports_every_violation_on_one_line(self, fixture_config, capsys):
         remote = {"kind": "http", "endpoint": "http://127.0.0.1:9", "api_key_env": "KEY",
-                  "timeout": 0}
+                  "timeout": 0, "temperature": float("nan")}
         config = fixture_config("violations", max_workers=0, max_attempts=0,
                                 backoff_base=float("inf"),
                                 backends={**_fixture_backends(), "remote": remote})
@@ -154,6 +190,7 @@ class TestConfigValidation:
         assert ("max_workers must be >= 1, got 0; max_attempts must be >= 1, got 0; "
                 "backoff_base must be a finite number >= 0, got inf") in err
         assert "backend 'remote': timeout must be a finite number > 0, got 0.0" in err
+        assert "backend 'remote': temperature must be a finite number, got nan" in err
 
     def test_run_on_a_corpus_line_that_is_not_an_object_exits_1(self, fixture_config,
                                                                  tmp_path, capsys):

@@ -97,6 +97,33 @@ class TestLoadAndValidate:
         assert errors == ([] if valid else
                           [f"backend 'remote': timeout must be a finite number > 0, got {float(timeout)}"])
 
+    @pytest.mark.parametrize("temperature, valid", [
+        (0, True), (0.7, True), (float("inf"), False), (float("-inf"), False),
+        (float("nan"), False)])
+    def test_http_temperature_must_be_finite(self, fixture_config, temperature, valid):
+        backends = json.loads(fixture_config().read_text())["backends"]
+        backends["remote"] = {"kind": "http", "endpoint": "http://127.0.0.1:9",
+                              "api_key_env": "KEY", "temperature": temperature}
+        errors = validate_config(load_config(fixture_config(backends=backends)))
+        assert errors == ([] if valid else [f"backend 'remote': temperature must be a "
+                                            f"finite number, got {float(temperature)}"])
+
+    def test_every_key_no_setting_reads_is_one_error(self, fixture_config):
+        """A misspelled key is rejected at every level, not left at its default."""
+        backends = json.loads(fixture_config().read_text())["backends"]
+        backends["primary"]["modle"] = "m1"
+        backends["secondary"]["stub_rules"]["screen_keyword"] = ["model"]
+        # `concurrency` was a setting once; no setting reads it now.
+        path = fixture_config(stage1={"K": 3, "k": 6}, stage2={"maxfigs": 2}, cache="c",
+                              concurrency=4, base_dir="..", backends=backends)
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(path)
+        assert str(excinfo.value) == (
+            "cache: unknown key; concurrency: unknown key; base_dir: unknown key; "
+            "stage1.K: unknown key; stage2.maxfigs: unknown key; "
+            "backends.primary.modle: unknown key; "
+            "backends.secondary.stub_rules.screen_keyword: unknown key")
+
     def test_reference_year_must_cover_corpus(self, fixture_config):
         path = fixture_config(reference_year=2020)  # fixture corpus reaches 2024
         errors = validate_config(load_config(path))
@@ -313,9 +340,7 @@ _valid_config = _some(
     **{key: _text for key in ("corpus", "pool", "docs_manifest", "docs_dir", "library",
                               "vocabulary", "aliases", "out_dir", "cache_dir")},
     keywords=_texts,
-    # `concurrency` is no longer a setting: a config that still sets it loads.
-    **{key: _integer for key in ("reference_year", "max_workers", "max_attempts",
-                                 "concurrency")},
+    **{key: _integer for key in ("reference_year", "max_workers", "max_attempts")},
     backoff_base=_number,
     stage1=_some(k=_integer, min_pos=_integer, min_neg=_integer, backends=_texts),
     stage2=_some(k=_integer, max_figs=_integer, backend=_text),

@@ -1,5 +1,6 @@
 """Gateway behavior: stubs, caching, retries, parsing, consensus."""
 
+import contextlib
 import hashlib
 import http.server
 import itertools
@@ -18,6 +19,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from vismine import gateway as gw
+from vismine.cli import main
 from vismine.config import load_config
 from vismine.errors import AuthenticationError, BackendUnavailable, GatewayError, TransientBackendError
 
@@ -164,20 +166,29 @@ def loopback_env(monkeypatch):
     monkeypatch.setenv("FAKE_ENDPOINT_KEY", "secret")
 
 
-@pytest.fixture
-def endpoint(loopback_env):
-    """A fake chat-completion server on a loopback port."""
-    server = http.server.HTTPServer(("127.0.0.1", 0), FakeEndpoint)
-    server.requests, server.body, server.delay = [], "", 0.0
-    server.handle_error = lambda *args: None  # a client that timed out has hung up
+@contextlib.contextmanager
+def loopback_server(handler: type[http.server.BaseHTTPRequestHandler]):
+    """An `http.server` on a loopback port, answering with `handler` on its own thread."""
+    server = http.server.HTTPServer(("127.0.0.1", 0), handler)
+    server.requests = []
     thread = threading.Thread(target=server.serve_forever, args=(0.01,))
     thread.start()
     try:
         yield server
     finally:
         server.shutdown()
-        thread.join()
+        thread.join(timeout=30)
         server.server_close()
+    assert not thread.is_alive()
+
+
+@pytest.fixture
+def endpoint(loopback_env):
+    """A fake chat-completion server on a loopback port."""
+    with loopback_server(FakeEndpoint) as server:
+        server.body, server.delay = "", 0.0
+        server.handle_error = lambda *args: None  # a client that timed out has hung up
+        yield server
 
 
 def http_backend(url: str, timeout: float = 10.0) -> gw.HttpBackend:
@@ -239,6 +250,51 @@ class TestHttpBackend:
             port = probe.getsockname()[1]
         with pytest.raises(TransientBackendError):
             http_backend(f"http://127.0.0.1:{port}/200").complete("p")
+
+
+class StubRulesEndpoint(http.server.BaseHTTPRequestHandler):
+    """Answers each POST to `/<slot>` with the server's `stubs[slot]` reply to its prompt."""
+
+    disable_nagle_algorithm = True  # else each keep-alive reply waits on delayed ACKs
+
+    def do_POST(self):
+        request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        slot = self.path.strip("/")
+        self.server.requests.append(slot)
+        reply = self.server.stubs[slot].complete(request["messages"][0]["content"])
+        body = json.dumps({"choices": [{"message": {"content": reply}}]}).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+class TestLiveRun:
+    def test_fixture_run_over_http_writes_the_stub_runs_outputs(self, loopback_env,
+                                                                 fixture_config, tmp_path):
+        stub_config = fixture_config("stub")
+        stubs = {slot: gw.KeywordStubBackend(slot, spec.stub_rules)
+                 for slot, spec in load_config(stub_config).backends.items()}
+        with loopback_server(StubRulesEndpoint) as server:
+            server.stubs = stubs
+            port = server.server_address[1]
+            backends = {slot: {"kind": "http", "endpoint": f"http://127.0.0.1:{port}/{slot}",
+                               "model": "m1", "api_key_env": "FAKE_ENDPOINT_KEY"}
+                        for slot in stubs}
+            assert main(["run", "--config", str(fixture_config("http", backends=backends))]) == 0
+        assert sorted(stubs) == ["primary", "secondary"]
+        assert len(server.requests) == 28
+        assert main(["run", "--config", str(stub_config)]) == 0
+
+        def outputs(out_dir: Path) -> dict[str, bytes]:
+            return {str(p.relative_to(out_dir)): p.read_bytes() for p in out_dir.rglob("*")
+                    if p.is_file() and p.name != "manifest.json"}
+
+        live, stub = outputs(tmp_path / "http"), outputs(tmp_path / "stub")
+        assert "stage3_labels.jsonl" in live and live == stub
 
 
 prompt_requests = st.builds(

@@ -1,5 +1,7 @@
 """End-to-end pipeline orchestration on the shipped fixture."""
 
+import builtins
+import io
 import json
 import tempfile
 import tracemalloc
@@ -266,8 +268,10 @@ GENERATED_PARAGRAPHS = st.one_of(
 )
 
 
-def memos(cache_dir: Path) -> list[Path]:
-    return sorted((cache_dir / "evidence").glob("*"))
+def log_lines(cache_dir: Path) -> int:
+    """The lines of the evidence memo log, one per document put."""
+    log = cache_dir / "evidence.jsonl"
+    return log.read_bytes().count(b"\n") if log.exists() else 0
 
 
 def count_segmentations(monkeypatch) -> list[str]:
@@ -280,10 +284,10 @@ def count_segmentations(monkeypatch) -> list[str]:
 
 
 class TestEvidenceMemo:
-    """With a cache dir, the evidence file is stored under its inputs' key and reused."""
+    """With a cache dir, each document's lines are stored in a log under its inputs' key."""
 
-    def test_warm_run_copies_the_memo_without_extracting(self, fixture_config, tmp_path,
-                                                         monkeypatch):
+    def test_warm_run_serves_every_document_from_the_log(self, fixture_config, tmp_path,
+                                                        monkeypatch):
         counts = []
         step = pipeline.run_evidence_step
         monkeypatch.setattr(pipeline, "run_evidence_step",
@@ -299,9 +303,40 @@ class TestEvidenceMemo:
         evidence_file = "evidence.jsonl"
         assert (Path(warm.out_dir) / evidence_file).read_bytes() \
             == (Path(cold.out_dir) / evidence_file).read_bytes()
-        [memo] = memos(cache)
-        assert memo.read_bytes() == (Path(cold.out_dir) / evidence_file).read_bytes()
+        assert sorted(p.name for p in cache.iterdir()) == ["evidence.jsonl", "responses.jsonl"]
+        assert log_lines(cache) == 12
         assert output_bytes(Path(warm.out_dir)) == output_bytes(Path(cold.out_dir))
+
+    def test_an_edited_document_alone_is_extracted_again(self, tmp_path, monkeypatch):
+        docs, manifest, cache = tmp_path / "docs", tmp_path / "manifest.jsonl", tmp_path / "cache"
+        write_docs(docs, manifest, 5)
+        run_evidence_step(manifest, docs, tmp_path / "primed.jsonl", cache)
+        edited = docs / "D0003.txt"
+        edited.write_text(edited.read_text(encoding="utf-8")
+                          + "\nA closing paragraph of the paper cites Figure 2 once more.\n",
+                          encoding="utf-8")
+        segmented = count_segmentations(monkeypatch)
+        assert run_evidence_step(manifest, docs, tmp_path / "edited.jsonl", cache) == 40
+        assert segmented == ["D0003"]
+        assert log_lines(cache) == 6
+        run_evidence_step(manifest, docs, tmp_path / "fresh.jsonl")
+        assert (tmp_path / "edited.jsonl").read_bytes() == (tmp_path / "fresh.jsonl").read_bytes()
+        assert (tmp_path / "edited.jsonl").read_bytes() != (tmp_path / "primed.jsonl").read_bytes()
+
+    def test_a_cold_step_opens_each_document_once(self, tmp_path, monkeypatch):
+        docs, manifest, cache = tmp_path / "docs", tmp_path / "manifest.jsonl", tmp_path / "cache"
+        write_docs(docs, manifest, 3)
+        opened, real_open = [], io.open
+
+        def counting_open(file, *args, **kwargs):
+            if Path(file).parent == docs:
+                opened.append(Path(file).name)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        assert run_evidence_step(manifest, docs, tmp_path / "evidence.jsonl", cache) == 24
+        assert opened == ["D0000.txt", "D0001.txt", "D0002.txt"]
 
     @pytest.mark.parametrize("module", [evidence_mod, jsonl_mod], ids=["evidence", "jsonl"])
     def test_changed_extractor_source_misses(self, tmp_path, monkeypatch, module):
@@ -314,7 +349,7 @@ class TestEvidenceMemo:
         segmented = count_segmentations(monkeypatch)
         assert run_evidence_step(manifest, docs, tmp_path / "b.jsonl", cache) == 24
         assert segmented == ["D0000", "D0001", "D0002"]
-        assert len(memos(cache)) == 2
+        assert log_lines(cache) == 6
 
     def test_other_paper_id_over_the_same_bytes_misses(self, tmp_path, monkeypatch):
         docs, manifest, cache = tmp_path / "docs", tmp_path / "manifest.jsonl", tmp_path / "cache"
@@ -326,21 +361,28 @@ class TestEvidenceMemo:
         assert run_evidence_step(renamed, docs, tmp_path / "b.jsonl", cache) == 8
         assert segmented == ["R0000"]
         assert {row["paper_id"] for row in read_jsonl(tmp_path / "b.jsonl")} == {"R0000"}
-        assert len(memos(cache)) == 2
+        assert log_lines(cache) == 2
 
     @pytest.mark.parametrize("content, error", [
         (b"Figure 1: caption \xff text\n", InputError),
         (b" \n\n \n", DocumentError),
     ])
-    def test_failed_extraction_stores_no_memo(self, tmp_path, content, error):
+    def test_failed_extraction_stores_no_memo(self, tmp_path, monkeypatch, content, error):
         docs, manifest, cache = tmp_path / "docs", tmp_path / "manifest.jsonl", tmp_path / "cache"
         write_docs(docs, manifest, 3)
         (docs / "D0002.txt").write_bytes(content)
         with pytest.raises(error):
             run_evidence_step(manifest, docs, tmp_path / "evidence.jsonl", cache)
         assert not (tmp_path / "evidence.jsonl").exists()
-        assert memos(cache) == []
         assert list(tmp_path.rglob("*.tmp*")) == []
+        # The documents before it were stored; the failing one was not, so a
+        # rerun fails on it again.
+        assert log_lines(cache) == 2
+        segmented = count_segmentations(monkeypatch)
+        with pytest.raises(error):
+            run_evidence_step(manifest, docs, tmp_path / "evidence.jsonl", cache)
+        assert segmented == ([] if error is InputError else ["D0002"])
+        assert log_lines(cache) == 2
 
     def test_missing_document_fails_before_anything_is_written(self, tmp_path):
         docs, manifest, cache = tmp_path / "docs", tmp_path / "manifest.jsonl", tmp_path / "cache"
@@ -373,6 +415,44 @@ class TestEvidenceMemo:
             assert (work / "miss.jsonl").read_bytes() == expected
             assert (work / "hit.jsonl").read_bytes() == expected
             assert expected.count(b"\n") == fresh
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.booleans(),
+           st.lists(st.tuples(GENERATED_PARAGRAPHS, st.sampled_from(
+               ["\n\n", "\r\n\r\n", "\r\r", "\n\r", "\r\n", "\n", "\r", " \r\n\t\r"])),
+                    min_size=1, max_size=8),
+           st.one_of(st.none(), st.tuples(st.integers(0, 400),
+                                          st.sampled_from([b"\xff", b"\xe2\x80", b"\xc3("]))))
+    def test_lines_equal_an_extraction_over_read_text(self, bom, parts, bad_bytes):
+        """Whatever its newlines, BOM or undecodable bytes, a document gives the
+        lines, or the error, of an extraction over `Path.read_text`."""
+        data = (("\ufeff" if bom else "") + "".join(p + sep for p, sep in parts)).encode("utf-8")
+        if bad_bytes is not None:
+            at, bad = bad_bytes
+            data = data[:at] + bad + data[at:]
+        with tempfile.TemporaryDirectory() as work:
+            work = Path(work)
+            docs, manifest, cache = work / "docs", work / "manifest.jsonl", work / "cache"
+            docs.mkdir()
+            path = docs / "G0.txt"
+            path.write_bytes(data)
+            write_jsonl(manifest, [{"paper_id": "G0", "path": "G0.txt"}])
+            try:
+                text = path.read_text(encoding="utf-8")
+            except UnicodeDecodeError as exc:
+                message = f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}"
+                for out in ("miss", "hit"):
+                    with pytest.raises(InputError) as excinfo:
+                        run_evidence_step(manifest, docs, work / f"{out}.jsonl", cache)
+                    assert str(excinfo.value) == message
+                return
+            doc = evidence_mod.filter_nonbody(evidence_mod.segment_paragraphs("G0", text))
+            expected = "".join(dumps_stable(ev.to_dict()) + "\n"
+                               for ev in evidence_mod.extract_all_evidence(doc))
+            for out in ("miss", "hit"):
+                run_evidence_step(manifest, docs, work / f"{out}.jsonl", cache)
+                assert (work / f"{out}.jsonl").read_text(encoding="utf-8") == expected
+            assert log_lines(cache) == 1
 
 
 class TestLoadEvidenceTable:

@@ -6,8 +6,9 @@ used when its name appears as a Name, an Attribute or an imported name in
 any module other than `__init__.py`, whose re-exports call nothing, and a
 method or property only when its name appears as an Attribute, the only
 way to reach one.  No module imports another module's underscore-prefixed
-names, only `gateway.py` keys or parses a request, and importing vismine
-imports nothing outside the standard library.
+names, only `gateway.py` keys or parses a request, only `jsonl.py` opens
+an append-only log, and importing vismine imports nothing outside the
+standard library.
 """
 
 import ast
@@ -95,6 +96,17 @@ def test_only_the_gateway_keys_and_parses_requests():
         for name in _names(node) if name in owned
     )
     assert not outside, "request keys or parses outside gateway.py: " + ", ".join(outside)
+
+
+def test_only_jsonl_opens_an_append_only_log():
+    # One log design: every append-only log in the cache dir is a `jsonl.AppendLog`.
+    outside = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py")) if path.name != "jsonl.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if "O_APPEND" in _names(node)
+    )
+    assert not outside, "O_APPEND outside jsonl.py: " + ", ".join(outside)
 
 
 # Third-party packages imported inside a function, by the class and function
