@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import ClassVar
+from urllib.parse import urlsplit
 
 from . import stage1 as stage1_mod
 from . import stage2 as stage2_mod
@@ -89,6 +90,16 @@ def _max_corpus_year(path: Path) -> int | None:
     except (InputError, OSError):
         return None  # malformed corpora are reported by ingest, not here
     return max(years, default=None)
+
+
+def _is_http_url(url: str) -> bool:
+    """An `http://` or `https://` URL with a host and, if any, a port in 0-65535."""
+    try:
+        parts = urlsplit(url)
+        parts.port  # a ValueError for a port that is no such number
+    except ValueError:  # also an unclosed `[` of an IPv6 host
+        return False
+    return parts.scheme in ("http", "https") and bool(parts.hostname)
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -168,6 +179,9 @@ def validate_config(config: RunConfig) -> list[str]:
             errors.append(f"backend {slot!r}: unknown kind {backend.kind!r}")
         if backend.kind == "http" and not backend.endpoint:
             errors.append(f"backend {slot!r}: http backend needs an endpoint")
+        elif backend.kind == "http" and not _is_http_url(backend.endpoint):
+            errors.append(f"backend {slot!r}: endpoint must be an http:// or https:// URL "
+                          f"with a host and a valid port, got {backend.endpoint!r}")
         if backend.kind == "http" and not backend.api_key_env:
             errors.append(f"backend {slot!r}: http backend needs api_key_env")
         if backend.kind == "http" and not 0 < backend.timeout < math.inf:

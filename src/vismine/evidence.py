@@ -292,16 +292,18 @@ def evidence_lines(paper_id: str, path: Path, data: bytes) -> str:
     `path`, one `dumps_stable` row per figure, in document order.
 
     `data` is decoded as `Path.read_text(encoding="utf-8")` decodes it:
-    `\r\n` and `\r` become `\n`, and bytes that are not UTF-8 are an
-    `InputError` naming `path`.  Every step that decides the lines, from
-    the decoding on, is in this module or `vismine.jsonl`: both sources
-    are part of the key under which `vismine run` memoises a document's
-    lines.
+    `\r\n` and `\r` become `\n`.  Bytes that are not UTF-8, or a text of
+    whitespace alone, are an `InputError` naming `path`.  Every step that
+    decides the lines, from the decoding on, is in this module or
+    `vismine.jsonl`: both sources are part of the key under which
+    `vismine run` memoises a document's lines.
     """
     try:
         raw_text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     raw_text = raw_text.replace("\r\n", "\n").replace("\r", "\n")
+    if not raw_text.strip():  # else `segment_paragraphs` fails without naming `path`
+        raise InputError(f"{path}: empty converted text")
     doc = filter_nonbody(segment_paragraphs(paper_id, raw_text))
     return "".join(dumps_stable(ev.to_dict()) + "\n" for ev in extract_all_evidence(doc))

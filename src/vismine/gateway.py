@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Protocol, Sequence
 
+from . import __version__
 from .errors import (
     AuthenticationError,
     BackendUnavailable,
@@ -102,40 +103,43 @@ class HttpBackend:
         self.timeout = timeout
 
     def complete(self, prompt: str) -> str:
-        import requests
+        # Imported on call: `urllib.request` loads `ssl`, which no stub run needs.
+        import http.client
+        import urllib.error
+        import urllib.request
 
         api_key = os.environ.get(self.api_key_env, "")
-        if not api_key:
-            raise AuthenticationError(
-                f"backend {self.name!r}: env var {self.api_key_env!r} is not set"
-            )
+        if not api_key or not (api_key.isascii() and api_key.isprintable()):  # else ValueError
+            raise AuthenticationError(f"backend {self.name!r}: env var {self.api_key_env!r} "
+                                      f"is not set to a printable ASCII key")
         body = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
             "temperature": self.temperature,
             "max_tokens": MAX_TOKENS,
         }
-        try:
-            response = requests.post(
-                self.endpoint,
-                json=body,
-                headers={"Authorization": f"Bearer {api_key}"},
-                timeout=self.timeout,
-            )
-        except requests.RequestException as exc:
+        headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json",
+                   "User-Agent": f"vismine/{__version__}"}  # some gateways block `Python-urllib`
+        request = urllib.request.Request(self.endpoint, json.dumps(body).encode("utf-8"), headers)
+        # A redirect fails as its status: `urllib` would send the key to any host it names.
+        no_redirect = urllib.request.HTTPRedirectHandler()
+        no_redirect.redirect_request = lambda *args: None
+        try:  # a new opener reads the proxy variables; `urlopen` keeps the first call's
+            with urllib.request.build_opener(no_redirect).open(request, timeout=self.timeout) as response:
+                status, raw = response.status, response.read()
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            status, raw = exc.code, b""
+        except (OSError, http.client.HTTPException) as exc:  # OSError: URLError, timeout, TLS
             raise TransientBackendError(f"backend {self.name!r}: {exc}") from exc
-        if response.status_code in (401, 403):
-            raise AuthenticationError(
-                f"backend {self.name!r}: auth failed ({response.status_code})"
-            )
-        if response.status_code == 429 or response.status_code >= 500:
-            raise TransientBackendError(
-                f"backend {self.name!r}: HTTP {response.status_code}"
-            )
-        if response.status_code != 200:
-            raise GatewayError(f"backend {self.name!r}: HTTP {response.status_code}")
+        if status in (401, 403):
+            raise AuthenticationError(f"backend {self.name!r}: auth failed ({status})")
+        if status == 429 or status >= 500:
+            raise TransientBackendError(f"backend {self.name!r}: HTTP {status}")
+        if status != 200:
+            raise GatewayError(f"backend {self.name!r}: HTTP {status}")
         try:
-            return response.json()["choices"][0]["message"]["content"]
+            return json.loads(raw)["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise GatewayError(f"backend {self.name!r}: unexpected response shape") from exc
 

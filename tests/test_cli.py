@@ -181,9 +181,12 @@ class TestConfigValidation:
     def test_run_reports_every_violation_on_one_line(self, fixture_config, capsys):
         remote = {"kind": "http", "endpoint": "http://127.0.0.1:9", "api_key_env": "KEY",
                   "timeout": 0, "temperature": float("nan")}
+        schemeless = {"kind": "http", "endpoint": "api.example.com/v1/chat/completions",
+                      "api_key_env": "KEY"}
         config = fixture_config("violations", max_workers=0, max_attempts=0,
                                 backoff_base=float("inf"),
-                                backends={**_fixture_backends(), "remote": remote})
+                                backends={**_fixture_backends(), "remote": remote,
+                                          "schemeless": schemeless})
         assert main(["run", "--config", str(config)]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
@@ -191,6 +194,8 @@ class TestConfigValidation:
                 "backoff_base must be a finite number >= 0, got inf") in err
         assert "backend 'remote': timeout must be a finite number > 0, got 0.0" in err
         assert "backend 'remote': temperature must be a finite number, got nan" in err
+        assert ("backend 'schemeless': endpoint must be an http:// or https:// URL with a "
+                "host and a valid port, got 'api.example.com/v1/chat/completions'") in err
 
     def test_run_on_a_corpus_line_that_is_not_an_object_exits_1(self, fixture_config,
                                                                  tmp_path, capsys):
@@ -798,6 +803,13 @@ class TestTextEncoding:
 
         err = self.run_on_copy(tmp_path, fixture_config, capsys, corrupt)
         assert f"{tmp_path / 'inputs' / 'docs' / 'P02.txt'}: not UTF-8 text" in err
+
+    def test_empty_converted_text_names_file(self, tmp_path, fixture_config, capsys):
+        def corrupt(inputs):
+            (inputs / "docs" / "P01.txt").write_text(" \n\n \n", encoding="utf-8")
+
+        err = self.run_on_copy(tmp_path, fixture_config, capsys, corrupt)
+        assert f"{tmp_path / 'inputs' / 'docs' / 'P01.txt'}: empty converted text" in err
 
 
 class TestEvalFlags:

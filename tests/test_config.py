@@ -108,6 +108,23 @@ class TestLoadAndValidate:
         assert errors == ([] if valid else [f"backend 'remote': temperature must be a "
                                             f"finite number, got {float(temperature)}"])
 
+    @pytest.mark.parametrize("endpoint, valid", [
+        ("http://127.0.0.1:9", True), ("https://api.example.com/v1/chat/completions", True),
+        ("HTTPS://API.example.com", True), ("http://[::1]:8080/v1", True),
+        ("http://h:65535", True), ("http://h:", True),
+        ("api.example.com/v1/chat/completions", False), ("127.0.0.1:9/v1", False),
+        ("ftp://h/v1", False), ("file:///v1", False), ("https//h/v1", False),
+        ("http://", False), ("http:///v1", False), ("http://:80/v1", False),
+        ("http://h:65536", False), ("http://h:-1", False), ("http://h:port", False),
+        ("http://[::1/v1", False)])
+    def test_http_endpoint_must_be_an_http_url(self, fixture_config, endpoint, valid):
+        backends = json.loads(fixture_config().read_text())["backends"]
+        backends["remote"] = {"kind": "http", "endpoint": endpoint, "api_key_env": "KEY"}
+        errors = validate_config(load_config(fixture_config(backends=backends)))
+        assert errors == ([] if valid else [
+            f"backend 'remote': endpoint must be an http:// or https:// URL with a host "
+            f"and a valid port, got {endpoint!r}"])
+
     def test_every_key_no_setting_reads_is_one_error(self, fixture_config):
         """A misspelled key is rejected at every level, not left at its default."""
         backends = json.loads(fixture_config().read_text())["backends"]

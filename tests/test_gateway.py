@@ -252,6 +252,72 @@ class TestHttpBackend:
             http_backend(f"http://127.0.0.1:{port}/200").complete("p")
 
 
+@pytest.mark.parametrize("key", ["abc\ndef", "abc\rdef", "abc\x7f", "k\u20ac"])
+def test_key_no_header_carries_raises_authentication_error_before_any_request(endpoint,
+                                                                              monkeypatch, key):
+    monkeypatch.setenv("FAKE_ENDPOINT_KEY", key)
+    with pytest.raises(AuthenticationError, match="is not set to a printable ASCII key"):
+        http_backend(f"http://127.0.0.1:{endpoint.server_address[1]}/200").complete("p")
+    assert endpoint.requests == []
+
+
+class RedirectingEndpoint(http.server.BaseHTTPRequestHandler):
+    """Answers each POST to `/<status>` with that status and the server's `location`."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.send_response(int(self.path.strip("/")))
+        self.send_header("Location", self.server.location)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+def test_redirect_is_not_followed_and_fails_as_its_status(endpoint, status):
+    endpoint.body = json.dumps({"choices": [{"message": {"content": "followed"}}]})
+    with loopback_server(RedirectingEndpoint) as redirector:
+        redirector.location = f"http://127.0.0.1:{endpoint.server_address[1]}/200"
+        with pytest.raises(GatewayError, match=f"HTTP {status}$") as excinfo:
+            http_backend(f"http://127.0.0.1:{redirector.server_address[1]}/{status}").complete("p")
+    assert type(excinfo.value) is GatewayError and endpoint.requests == []
+
+
+class FakeProxy(http.server.BaseHTTPRequestHandler):
+    """Answers each POST itself, recording its request target: a proxy is sent the
+    absolute URI."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.requests.append(self.path)
+        body = json.dumps({"choices": [{"message": {"content": "proxied"}}]}).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+class TestProxyFromEnvironment:
+    @pytest.mark.parametrize("no_proxy, proxied", [("", True), ("127.0.0.1", False)])
+    def test_http_proxy_is_used_unless_no_proxy_names_the_host(self, endpoint, monkeypatch,
+                                                                no_proxy, proxied):
+        endpoint.body = json.dumps({"choices": [{"message": {"content": "direct"}}]})
+        url = f"http://127.0.0.1:{endpoint.server_address[1]}/200"
+        for name in ("no_proxy", "REQUEST_METHOD"):  # a CGI `REQUEST_METHOD` hides HTTP_PROXY
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("NO_PROXY", no_proxy)
+        with loopback_server(FakeProxy) as proxy:
+            monkeypatch.setenv("HTTP_PROXY", f"http://127.0.0.1:{proxy.server_address[1]}")
+            reply = http_backend(url).complete("p")
+        assert (reply, proxy.requests, len(endpoint.requests)) == (
+            ("proxied", [url], 0) if proxied else ("direct", [], 1))
+
+
 class StubRulesEndpoint(http.server.BaseHTTPRequestHandler):
     """Answers each POST to `/<slot>` with the server's `stubs[slot]` reply to its prompt."""
 

@@ -7,11 +7,14 @@ any module other than `__init__.py`, whose re-exports call nothing, and a
 method or property only when its name appears as an Attribute, the only
 way to reach one.  No module imports another module's underscore-prefixed
 names, only `gateway.py` keys or parses a request, only `jsonl.py` opens
-an append-only log, and importing vismine imports nothing outside the
-standard library.
+an append-only log, no import in vismine, at any level, names a package
+outside the standard library, and importing the CLI loads no network
+module.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -109,32 +112,33 @@ def test_only_jsonl_opens_an_append_only_log():
     assert not outside, "O_APPEND outside jsonl.py: " + ", ".join(outside)
 
 
-# Third-party packages imported inside a function, by the class and function
-# names enclosing the import: only the HTTP backend's call needs `requests`.
-IMPORTED_ON_CALL = {("HttpBackend", "complete"): {"requests"}}
-
-
-def _imports(node: ast.AST, scope: tuple[str, ...] = ()):
-    """Each import under `node`, the top-level package it names and its enclosing names."""
-    for child in ast.iter_child_nodes(node):
+def _imports(node: ast.AST):
+    """Each import under `node`, at any level, and the top-level package it names."""
+    for child in ast.walk(node):
         if isinstance(child, ast.Import):
             for alias in child.names:
-                yield child, alias.name.split(".")[0], scope
+                yield child, alias.name.split(".")[0]
         elif isinstance(child, ast.ImportFrom) and not child.level:
-            yield child, child.module.split(".")[0], scope
-        inner = scope
-        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            inner = scope + (child.name,)
-        yield from _imports(child, inner)
+            yield child, child.module.split(".")[0]
 
 
-def test_no_module_imports_a_third_party_package_at_module_level():
-    # One module-level `import numpy` would add its resident memory to every run.
+def test_no_module_imports_a_third_party_package():
+    # One `import numpy` would add its resident memory to the runs that reach it.
     outside = sorted(
         f"{package} ({path.name}:{node.lineno})"
         for path in sorted(SRC.glob("*.py"))
-        for node, package, scope in _imports(ast.parse(path.read_text(encoding="utf-8")))
+        for node, package in _imports(ast.parse(path.read_text(encoding="utf-8")))
         if package not in sys.stdlib_module_names and package != "vismine"
-        and package not in IMPORTED_ON_CALL.get(scope, ())
     )
-    assert not outside, "third-party imports outside IMPORTED_ON_CALL: " + ", ".join(outside)
+    assert not outside, "third-party imports: " + ", ".join(outside)
+
+
+def test_importing_the_cli_loads_no_network_module():
+    # `HttpBackend.complete` imports these on call; `ssl` alone would add tens of
+    # milliseconds and megabytes to every run's start.
+    network = ["ssl", "http.client", "urllib.request", "requests"]
+    code = f"import sys, vismine.cli; print([m for m in {network!r} if m in sys.modules])"
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout == "[]\n"
