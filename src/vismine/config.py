@@ -93,13 +93,13 @@ def _max_corpus_year(path: Path) -> int | None:
 
 
 def _is_http_url(url: str) -> bool:
-    """An `http://` or `https://` URL with a host and, if any, a port in 0-65535."""
+    """An `http://` or `https://` URL with a host and, if any, a port in 1-65535."""
     try:
         parts = urlsplit(url)
-        parts.port  # a ValueError for a port that is no such number
+        port = parts.port  # a ValueError for a port that is no such number
     except ValueError:  # also an unclosed `[` of an IPv6 host
         return False
-    return parts.scheme in ("http", "https") and bool(parts.hostname)
+    return parts.scheme in ("http", "https") and bool(parts.hostname) and port != 0
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -22,7 +22,7 @@ from .stage1 import (
 )
 from .stage2 import EvidenceLookup, judge_paper_figures
 from .stage3 import (
-    DEFAULT_PER_PAPER_CAP, coded_figure_entries, figure_docs, figure_tokens, index_figures,
+    DEFAULT_PER_PAPER_CAP, build_figure_corpus, coded_figure_entries, figure_docs, figure_tokens,
     label_figure,
 )
 from .vocab import FIELDS, LabelVocabulary
@@ -387,14 +387,14 @@ def run_stage3_loo(
     # library order, within the library's, and a figure's query is its own
     # document's tokens.
     figures = [figure_docs(coded_figure_entries(p, evidence_lookup)) for p in coded]
-    full_corpus = index_figures([d for paper_figures in figures for d in paper_figures])
+    full_corpus = build_figure_corpus([d for paper_figures in figures for d in paper_figures])
 
     def score_fold(fold):
         target, target_figures = fold
         gold_figures = _with_evidence(target.paper_id, target.coded_figures(), evidence_lookup)
         if not gold_figures:
             return None
-        corpus = index_figures([
+        corpus = build_figure_corpus([
             d for p, paper_figures in zip(coded, figures) if p.paper_id != target.paper_id
             for d in paper_figures
         ], within=full_corpus)

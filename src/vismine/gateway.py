@@ -14,7 +14,6 @@ import logging
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Protocol, Sequence
@@ -256,6 +255,7 @@ def map_items(fn: Callable, items: Sequence, max_workers: int) -> list:
     """
     if max_workers <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor  # here, so one worker never loads it
     failed = threading.Event()
 
     def run(item):
@@ -368,11 +368,14 @@ class StubRules:
     data_type_rules: tuple[tuple[str, str], ...] = ()
     vis_type_rules: tuple[tuple[str, str], ...] = ()
     purpose_rules: tuple[tuple[str, str], ...] = ()
-    data_type_default: str = "nominal"
-    vis_type_default: str = "other"
-    purpose_default: str = "other"
-    positive_confidence: float = 0.9
-    negative_confidence: float = 0.1
+
+
+# A stub's data type, type and purpose where no rule matches, and its confidences.
+STUB_DATA_TYPE = "nominal"
+STUB_VIS_TYPE = "other"
+STUB_PURPOSE = "other"
+STUB_POSITIVE_CONFIDENCE = 0.9
+STUB_NEGATIVE_CONFIDENCE = 0.1
 
 
 class KeywordStubBackend:
@@ -395,7 +398,7 @@ class KeywordStubBackend:
         relevant = bool(matched)
         payload = {
             "relevant": relevant,
-            "confidence": self.rules.positive_confidence if relevant else self.rules.negative_confidence,
+            "confidence": STUB_POSITIVE_CONFIDENCE if relevant else STUB_NEGATIVE_CONFIDENCE,
             "evidence": matched[0] if matched else "no keyword",
         }
         if with_role:
@@ -422,10 +425,10 @@ class KeywordStubBackend:
             return default
 
         listeners = multi(self.rules.listener_rules, ())
-        data_types = multi(self.rules.data_type_rules, (self.rules.data_type_default,))
-        vis_type = single(self.rules.vis_type_rules, self.rules.vis_type_default)
-        purpose = single(self.rules.purpose_rules, self.rules.purpose_default)
-        confidence = self.rules.positive_confidence
+        data_types = multi(self.rules.data_type_rules, (STUB_DATA_TYPE,))
+        vis_type = single(self.rules.vis_type_rules, STUB_VIS_TYPE)
+        purpose = single(self.rules.purpose_rules, STUB_PURPOSE)
+        confidence = STUB_POSITIVE_CONFIDENCE
         return {
             "model_listener": listeners,
             "data_type": data_types,

@@ -26,16 +26,6 @@ class CodedFigure:
     # Read by `coded_paper_from_dict`, which gives them the paper's and figure's ids.
     JSON_KEYS: ClassVar[dict[str, str | None]] = {"labels": None}
 
-    def to_dict(self) -> dict:
-        out: dict = {"figure_id": self.figure_id}
-        if self.relevant is not None:
-            out["relevant"] = self.relevant
-        if self.labels is not None:
-            payload = self.labels.to_dict()
-            payload.pop("paper_id", None)
-            out["labels"] = payload
-        return out
-
 
 @dataclass(frozen=True)
 class CodedPaper:
@@ -53,11 +43,6 @@ class CodedPaper:
     def coded_figures(self) -> list[CodedFigure]:
         """Figures carrying four-field labels."""
         return [f for f in self.figures if f.labels is not None]
-
-    def to_dict(self) -> dict:
-        out = self.record.to_dict()
-        out["figures"] = [f.to_dict() for f in self.figures]
-        return out
 
 
 def coded_paper_from_dict(raw: Mapping) -> CodedPaper:
@@ -87,10 +72,11 @@ def coded_paper_from_dict(raw: Mapping) -> CodedPaper:
 
 
 def load_library(raw_records: Iterable[Mapping]) -> list[CodedPaper]:
-    papers = [coded_paper_from_dict(raw) for raw in raw_records]
-    seen: set[str] = set()
-    for paper in papers:
-        if paper.paper_id in seen:
+    """The coded papers of `raw_records`, in order; each is checked as it is read."""
+    papers: dict[str, CodedPaper] = {}
+    for raw in raw_records:
+        paper = coded_paper_from_dict(raw)
+        if paper.paper_id in papers:
             raise CorpusError(f"duplicate paper {paper.paper_id!r} in library")
-        seen.add(paper.paper_id)
-    return papers
+        papers[paper.paper_id] = paper
+    return list(papers.values())

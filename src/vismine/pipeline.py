@@ -14,6 +14,7 @@ import io
 import logging
 import sys
 import time
+from contextlib import closing, contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Collection, Iterator, Sequence
@@ -34,7 +35,7 @@ from .jsonl import (
     atomic_write_text, dumps_stable, file_sha256, read_jsonl, write_json, write_jsonl,
     write_lines,
 )
-from .library import load_library
+from .library import CodedPaper, load_library
 from .vocab import FIELDS, LabelVocabulary, labels_from_dict, load_vocabulary
 
 logger = logging.getLogger(__name__)
@@ -92,20 +93,40 @@ def _config_hash(config: RunConfig) -> str:
     return hashlib.sha256(dumps_stable(settings).encode("utf-8")).hexdigest()
 
 
+@contextmanager
+def _records(path: str | Path, keys: Sequence[str] = ()) -> Iterator[Iterator[dict]]:
+    """The records of JSONL file `path`, for a `with` block; a record without a
+    string under every key of `keys` fails naming the file and record.  An
+    `InputError` raised in the block while it holds record N, the last read,
+    is raised again naming the file and N; one reading a record names its
+    line or record already."""
+    held = 0  # the number of the record the block holds
+
+    def rows() -> Iterator[dict]:
+        nonlocal held
+        for number, row in enumerate(read_jsonl(path), 1):
+            for key in keys:
+                if key not in row:
+                    raise InputError(f"{path}: record {number} has no {key!r}")
+                if not isinstance(row[key], str):
+                    raise InputError(
+                        f"{path}: record {number}: {key}: expected a string, got {row[key]!r}")
+            held = number
+            yield row
+            held = 0
+
+    with closing(rows()) as reader:  # closes the file however the block ends
+        try:
+            yield reader
+        except InputError as error:
+            if not held:
+                raise
+            raise type(error)(f"{path}: record {held}: {error}") from error
+
+
 def load_corpus_file(path: str | Path) -> list[corpus_mod.PaperRecord]:
-    return [corpus_mod.record_from_dict(raw) for raw in read_jsonl(path)]
-
-
-def _rows_with(path: str | Path, keys: Sequence[str]) -> Iterator[dict]:
-    """The records of JSONL file `path`, each holding a string under every key of `keys`."""
-    for number, row in enumerate(read_jsonl(path), 1):
-        for key in keys:
-            if key not in row:
-                raise InputError(f"{path}: record {number} has no {key!r}")
-            if not isinstance(row[key], str):
-                raise InputError(
-                    f"{path}: record {number}: {key}: expected a string, got {row[key]!r}")
-        yield row
+    with _records(path) as rows:
+        return [corpus_mod.record_from_dict(raw) for raw in rows]
 
 
 def _write_retry_queue(
@@ -130,11 +151,13 @@ def load_pool(
 
     `records` come first; pool rows with a title add papers they lack.
     """
-    pool_rows = list(_rows_with(pool_path, ("paper_id", "label")))
     have = {r.paper_id for r in records}
-    extras = [corpus_mod.record_from_dict(row) for row in pool_rows
-              if row.get("paper_id") not in have and "title" in row]
-    assignments = [(row["paper_id"], row["label"]) for row in pool_rows]
+    extras, assignments = [], []
+    with _records(pool_path, ("paper_id", "label")) as rows:
+        for row in rows:
+            if row["paper_id"] not in have and "title" in row:
+                extras.append(corpus_mod.record_from_dict(row))
+            assignments.append((row["paper_id"], row["label"]))
     return corpus_mod.load_labeled_pool([*records, *extras], assignments)
 
 
@@ -169,6 +192,12 @@ def config_vocabulary(config: RunConfig) -> LabelVocabulary:
     return load_vocabulary(config.resolve(config.vocab_path), config.resolve(config.alias_path))
 
 
+def config_library(config: RunConfig) -> list[CodedPaper]:
+    """The coded papers of the config's `library` file."""
+    with _records(config.resolve(config.library_path)) as rows:
+        return load_library(rows)
+
+
 def load_evidence_table(
     path: str | Path, paper_ids: Collection[str],
 ) -> dict[tuple[str, str], evidence_mod.FigureEvidence]:
@@ -178,17 +207,19 @@ def load_evidence_table(
     but only the listed papers' rows are kept.
     """
     table: dict[tuple[str, str], evidence_mod.FigureEvidence] = {}
-    for raw in _rows_with(path, ("paper_id", "figure_id")):
-        if raw["paper_id"] in paper_ids:
-            ev = evidence_mod.evidence_from_dict(raw)
-            table[(ev.paper_id, ev.figure_id)] = ev
+    with _records(path, ("paper_id", "figure_id")) as rows:
+        for raw in rows:
+            if raw["paper_id"] in paper_ids:
+                ev = evidence_mod.evidence_from_dict(raw)
+                table[(ev.paper_id, ev.figure_id)] = ev
     return table
 
 
 def run_ingest(config: RunConfig, outputs: dict[str, list[Path]]) -> None:
     """Ingest the config's `corpus` into `outputs`, keeping the records that match a keyword."""
     corpus_out, report_out = outputs["ingest"]
-    records, report = corpus_mod.ingest_metadata(read_jsonl(config.resolve(config.corpus_path)))
+    with _records(config.resolve(config.corpus_path)) as rows:
+        records, report = corpus_mod.ingest_metadata(rows)
     filtered = corpus_mod.keyword_prefilter(records, config.keywords)
     write_jsonl(corpus_out, (r.to_dict() for r in filtered))
     summary = report.to_dict()
@@ -231,16 +262,15 @@ def _manifest_documents(manifest_path: str | Path, docs_dir: Path) -> list[tuple
     A document that does not exist or is a directory is an `InputError`
     naming the manifest, the record and the path.
     """
-    documents = []
-    for number, entry in enumerate(_rows_with(manifest_path, ("paper_id", "path")), 1):
-        doc_path = docs_dir / entry["path"]
+    with _records(manifest_path, ("paper_id", "path")) as rows:
+        documents = [(row["paper_id"], docs_dir / row["path"]) for row in rows]
+    for number, (paper_id, doc_path) in enumerate(documents, 1):
         # One stat for a regular file; any other path that exists and is not
         # a directory is read as well.
         if not doc_path.is_file() and (doc_path.is_dir() or not doc_path.exists()):
             problem = "is a directory" if doc_path.is_dir() else "no such document"
-            raise InputError(f"{manifest_path}: record {number} ({entry['paper_id']!r}): "
+            raise InputError(f"{manifest_path}: record {number} ({paper_id!r}): "
                              f"{problem}: {doc_path}")
-        documents.append((entry["paper_id"], doc_path))
     return documents
 
 
@@ -300,7 +330,7 @@ def run_stage2_step(
     not hold, with the config's stage-2 settings; failed figures go to the retry queue."""
     [verdicts_out] = outputs["stage2"]
     papers = load_corpus_file(outputs["stage1"][0])
-    library = load_library(read_jsonl(config.resolve(config.library_path)))
+    library = config_library(config)
     library_ids = {p.paper_id for p in library}
     table = load_evidence_table(outputs["evidence"][0],
                                 {r.paper_id for r in papers} | library_ids)
@@ -334,16 +364,14 @@ def run_stage3_step(
     """Label every figure stage 2 selected, with the config's coded `library` figures as
     exemplars and its stage-3 settings; failed figures go to the retry queue."""
     [labels_out] = outputs["stage3"]
-    library = load_library(read_jsonl(config.resolve(config.library_path)))
-    selected = []
-    for raw in _rows_with(outputs["stage2"][0], ("paper_id", "figure_id")):
-        verdict = stage2_mod.verdict_from_dict(raw)
-        if verdict.selected:
-            selected.append(verdict)
+    library = config_library(config)
+    with _records(outputs["stage2"][0], ("paper_id", "figure_id")) as rows:
+        selected = [v for v in map(stage2_mod.verdict_from_dict, rows) if v.selected]
     table = load_evidence_table(
         outputs["evidence"][0], {v.paper_id for v in selected} | {p.paper_id for p in library})
-    corpus = stage3_mod.library_figure_corpus(
-        library, lambda paper_id, figure_id: table.get((paper_id, figure_id)))
+    lookup = lambda paper_id, figure_id: table.get((paper_id, figure_id))
+    corpus = stage3_mod.build_figure_corpus(stage3_mod.figure_docs(
+        entry for paper in library for entry in stage3_mod.coded_figure_entries(paper, lookup)))
     targets = []
     for verdict in selected:
         ev = table.get((verdict.paper_id, verdict.figure_id))
@@ -382,13 +410,14 @@ def run_analyze_step(config: RunConfig, outputs: dict[str, list[Path]]) -> None:
     library papers fill in the rest.
     """
     paths_out, sankey_out, flows_out, trends_out, weights_out = outputs["analyze"]
-    labels = [labels_from_dict(raw) for raw in read_jsonl(outputs["stage3"][0])]
+    with _records(outputs["stage3"][0]) as rows:
+        labels = [labels_from_dict(raw) for raw in rows]
     papers: dict[str, corpus_mod.PaperRecord] = {}
     if outputs["ingest"][0].exists():
         for record in load_corpus_file(outputs["ingest"][0]):
             papers[record.paper_id] = record
     if config.library_path is not None:
-        for paper in load_library(read_jsonl(config.resolve(config.library_path))):
+        for paper in config_library(config):
             papers.setdefault(paper.paper_id, paper.record)
             for figure in paper.coded_figures():
                 labels.append(figure.labels)
@@ -517,7 +546,7 @@ def run_eval(config: RunConfig, stages: Sequence[int], out_path: str | Path) -> 
     if 1 in stages:
         pool = load_pool(config.resolve(config.pool_path), load_corpus_file(outputs["ingest"][0]))
     if 2 in stages or 3 in stages:
-        coded = load_library(read_jsonl(config.resolve(config.library_path)))
+        coded = config_library(config)
         table = load_evidence_table(outputs["evidence"][0], {p.paper_id for p in coded})
     report = eval_mod.run_loo(
         pool=pool, coded=coded, stages=stages,

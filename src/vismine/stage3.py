@@ -1,10 +1,11 @@
 """Four-field framework extraction for selected figures.
 
-Figures are indexed with their caption repeated three times ahead of the
-local context, so caption terms dominate retrieval. Raw model payloads are
-normalized against the controlled vocabulary, and sub-figures sharing a
-base figure are merged (set union for multi-label fields, strict-majority
-vote for single-label ones).
+Figures are tokenized with their caption repeated three times ahead of the
+local context, so caption terms dominate retrieval; `build_figure_corpus`
+builds every figure corpus, the step's and each leave-one-out fold's. Raw
+model payloads are normalized against the controlled vocabulary, and
+sub-figures sharing a base figure are merged (set union for multi-label
+fields, strict-majority vote for single-label ones).
 """
 
 from __future__ import annotations
@@ -42,22 +43,11 @@ MAX_EVIDENCE_CHARS = 240
 CAPTION_REPEATS = 3
 
 
-def figure_doc_id(paper_id: str, figure_id: str) -> str:
-    return f"{paper_id}::{figure_id}"
-
-
 def figure_tokens(evidence: FigureEvidence) -> list[str]:
     """Caption tokens three times, then context tokens."""
     caption = bm25.tokenize(evidence.caption)
     context = bm25.tokenize(" ".join(evidence.context))
     return caption * CAPTION_REPEATS + context
-
-
-@dataclass
-class FigureCorpus:
-    index: bm25.Bm25Index
-    evidence: dict[str, FigureEvidence]
-    labels: dict[str, FrameworkLabels]
 
 
 @dataclass(frozen=True)
@@ -67,6 +57,12 @@ class FigureDoc:
     doc: bm25.TokenizedDoc
     evidence: FigureEvidence
     labels: FrameworkLabels
+
+
+@dataclass
+class FigureCorpus:
+    index: bm25.Bm25Index
+    figures: dict[str, FigureDoc]  # by document id
 
 
 def figure_docs(
@@ -85,14 +81,15 @@ def figure_docs(
                 evidence.paper_id, evidence.figure_id,
             )
             continue
-        doc_id = figure_doc_id(evidence.paper_id, evidence.figure_id)
-        doc = bm25.TokenizedDoc(doc_id=doc_id, tokens=tuple(figure_tokens(evidence)))
+        doc = bm25.TokenizedDoc(doc_id=f"{evidence.paper_id}::{evidence.figure_id}",
+                                tokens=tuple(figure_tokens(evidence)))
         docs.append(FigureDoc(doc, evidence, labels))
     return docs
 
 
-def index_figures(docs: Sequence[FigureDoc], within: FigureCorpus | None = None) -> FigureCorpus:
-    """The figure corpus of already tokenized figures, in their order.
+def build_figure_corpus(docs: Sequence[FigureDoc],
+                        within: FigureCorpus | None = None) -> FigureCorpus:
+    """The figure corpus of the `figure_docs` figures `docs`, in their order.
 
     With `within`, every figure must be one of `within`'s, and the index
     is built within `within`'s (see `bm25.build_index`).
@@ -100,36 +97,16 @@ def index_figures(docs: Sequence[FigureDoc], within: FigureCorpus | None = None)
     return FigureCorpus(
         index=bm25.build_index((d.doc for d in docs),
                                within=None if within is None else within.index),
-        evidence={d.doc.doc_id: d.evidence for d in docs},
-        labels={d.doc.doc_id: d.labels for d in docs},
+        figures={d.doc.doc_id: d for d in docs},
     )
-
-
-def build_figure_corpus(
-    entries: Iterable[tuple[FigureEvidence, FrameworkLabels]],
-) -> FigureCorpus:
-    """Index labeled figures for exemplar retrieval; see `figure_docs`."""
-    return index_figures(figure_docs(entries))
 
 
 def coded_figure_entries(
     paper: CodedPaper, evidence_lookup: EvidenceLookup,
 ) -> list[tuple[FigureEvidence, FrameworkLabels]]:
     """(evidence, labels) of each coded figure of `paper` whose evidence is known."""
-    entries = []
-    for figure in paper.coded_figures():
-        evidence = evidence_lookup(paper.paper_id, figure.figure_id)
-        if evidence is not None:
-            entries.append((evidence, figure.labels))
-    return entries
-
-
-def library_figure_corpus(library: Sequence[CodedPaper],
-                          evidence_lookup: EvidenceLookup) -> FigureCorpus:
-    """The figure corpus of every coded figure in `library` whose evidence is known."""
-    return build_figure_corpus(
-        entry for paper in library for entry in coded_figure_entries(paper, evidence_lookup)
-    )
+    return [(evidence, figure.labels) for figure in paper.coded_figures()
+            if (evidence := evidence_lookup(paper.paper_id, figure.figure_id)) is not None]
 
 
 def retrieve_similar_figures(
@@ -151,7 +128,7 @@ def retrieve_similar_figures(
     for doc_id in ranked:
         if len(result) >= k:
             break
-        paper_id = corpus.evidence[doc_id].paper_id
+        paper_id = corpus.figures[doc_id].evidence.paper_id
         if paper_id == target.paper_id or per_paper[paper_id] >= per_paper_cap:
             continue
         per_paper[paper_id] += 1
@@ -332,7 +309,7 @@ def label_figure(
     doc_ids = retrieve_similar_figures(
         evidence, query_tokens, corpus, k=k, per_paper_cap=per_paper_cap
     ) if k else []
-    exemplars = [(corpus.evidence[d], corpus.labels[d]) for d in doc_ids]
+    exemplars = [(corpus.figures[d].evidence, corpus.figures[d].labels) for d in doc_ids]
     try:
         payload = extract_labels(evidence, exemplars, gateway, backend_id)
     except AuthenticationError:

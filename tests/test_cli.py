@@ -2,9 +2,12 @@
 
 import argparse
 import json
+import os
 import re
 import shlex
 import shutil
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -125,12 +128,19 @@ class TestMalformedConfig:
          "backends.primary.stub_rules.listener_rules"),
     ]
 
+    # Stub settings once; the stub's answers are fixed now, so any value is an unknown key.
+    UNKNOWN = {"backends.primary.stub_rules.positive_confidence",
+               "backends.primary.stub_rules.negative_confidence"}
+
     @pytest.mark.parametrize("settings, key", CASES, ids=[key for _, key in CASES])
     def test_run_exits_1_naming_the_key(self, fixture_config, capsys, settings, key):
         assert main(["run", "--config", str(fixture_config("malformed", **settings))]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
-        assert err.startswith(f"config error: {key}: expected ")
+        if key in self.UNKNOWN:
+            assert err == f"config error: {key}: unknown key\n"
+        else:
+            assert err.startswith(f"config error: {key}: expected ")
 
 
 class TestUnknownKeys:
@@ -610,9 +620,10 @@ class TestMalformedInput:
         assert f"{verdicts}: record 1 has no 'figure_id'" in err
 
     def test_record_without_title_exits_1(self, tmp_path, capsys):
-        code, _ = self.ingest(tmp_path, ['{"paper_id": "P1", "title": ""}'])
+        code, corpus = self.ingest(tmp_path, ['{"paper_id": "P1", "title": ""}'])
         assert code == 1
-        assert capsys.readouterr().err == "input error: record 'P1' missing title\n"
+        assert capsys.readouterr().err == (
+            f"input error: {corpus}: record 1: record 'P1' missing title\n")
 
     def test_docs_manifest_path_that_is_not_a_string_exits_1(self, tmp_path, capsys):
         manifest = tmp_path / "docs_manifest.jsonl"
@@ -669,7 +680,7 @@ class TestWrongTypedRows:
         config = fixture_config("rows", corpus=str(inputs / "corpus.jsonl"),
                                 library=str(inputs / "library.jsonl"))
         assert main(["run", "--config", str(config)]) == 1
-        assert capsys.readouterr().err == f"input error: {message}\n"
+        assert capsys.readouterr().err == f"input error: {inputs / name}: record 1: {message}\n"
 
     def test_stage3_string_evidence_context_exits_1(self, fixture_config, capsys):
         config = fixture_config("context")
@@ -680,6 +691,73 @@ class TestWrongTypedRows:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert "record 'P01': context: expected a list, got 'a paragraph'" in err
+
+
+class TestMalformedRowNamesItsFile:
+    """A malformed field in a row of any file a step reads is a one-line exit 1
+    naming the file, the record number and the record's paper, even where the
+    paper's rows sit in more than one file."""
+
+    # (file, paper whose first row is set, key path, value, command after a full run)
+    CASES = [
+        ("inputs/corpus.jsonl", "P04", ("title",), 5, ["run", "--stages", "ingest"]),
+        ("inputs/pool.jsonl", "P99", ("title",), 5, ["run", "--stages", "stage1"]),
+        ("inputs/library.jsonl", "P02", ("figures", 0, "relevant"), "yes",
+         ["run", "--stages", "stage2"]),
+        ("out/evidence.jsonl", "P02", ("context",), "a paragraph", ["run", "--stages", "stage2"]),
+        ("out/evidence.jsonl", "P02", ("context",), "a paragraph", ["eval", "--stages", "3"]),
+        ("out/stage2_verdicts.jsonl", "P10", ("relevant",), "yes", ["run", "--stages", "stage3"]),
+        ("out/stage3_labels.jsonl", "P10", ("visualization_type",), 5,
+         ["run", "--stages", "analyze"]),
+    ]
+
+    IDS = [f"{name}-{command[0]}" for name, *_, command in CASES]
+
+    def run_error(self, tmp_path, fixture_config, capsys, name, command, edit) -> str:
+        """The one stderr line of `command` after a full run and `edit` of file `name`."""
+        inputs = tmp_path / "inputs"
+        shutil.copytree(FIXTURE_DIR, inputs, ignore=shutil.ignore_patterns("out"))
+        config = fixture_config("out", **{key: str(inputs / f"{key}.jsonl")
+                                          for key in ("corpus", "pool", "library")})
+        run_composite(config)
+        edit(tmp_path / name)
+        argv = [*command, "--config", str(config)]
+        if command[0] == "eval":
+            argv += ["--out", str(tmp_path / "report.json")]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("name, paper_id, where, value, command", CASES, ids=IDS)
+    def test_exits_1_naming_file_and_record(self, tmp_path, fixture_config, capsys, name,
+                                            paper_id, where, value, command):
+        def edit(path: Path) -> None:
+            if paper_id == "P99":  # a titled pool row adds a paper the corpus lacks
+                with path.open("a", encoding="utf-8") as stream:
+                    stream.write(json.dumps({"paper_id": "P99", "label": "negative"}) + "\n")
+            _set_in_first_row(path, where, value, paper_id)
+
+        err = self.run_error(tmp_path, fixture_config, capsys, name, command, edit)
+        path = tmp_path / name
+        ids = [json.loads(line)["paper_id"] for line in path.read_text("utf-8").splitlines()]
+        key = where[0] + "".join(f"[{part}]" if isinstance(part, int) else f".{part}"
+                                 for part in where[1:])
+        assert err.startswith(f"input error: {path}: record {ids.index(paper_id) + 1}: "
+                              f"record {paper_id!r}: {key}: expected ")
+
+    @pytest.mark.parametrize("name, command", [(name, command) for name, *_, command in CASES],
+                             ids=IDS)
+    def test_invalid_json_names_its_line_alone(self, tmp_path, fixture_config, capsys, name,
+                                               command):
+        def edit(path: Path) -> None:
+            lines = path.read_text(encoding="utf-8").splitlines()
+            path.write_text("\n".join([lines[0], '{"paper_id": ', *lines[1:]]) + "\n",
+                            encoding="utf-8")
+
+        err = self.run_error(tmp_path, fixture_config, capsys, name, command, edit)
+        assert err.startswith(f"input error: {tmp_path / name}:2: invalid JSON: ")
 
 
 class TestFigureSeparatorInPaperId:
@@ -699,11 +777,12 @@ class TestFigureSeparatorInPaperId:
                 stream.write(json.dumps(row) + "\n")
         else:
             _set_in_first_row(path, ("paper_id",), self.BAD_ID)
+        number = len(path.read_text(encoding="utf-8").splitlines()) if name == "pool" else 1
         config = fixture_config("ids", **{name: str(path)})
         assert main(["run", "--config", str(config)]) == 1
         assert capsys.readouterr().err == (
-            f"input error: record {self.BAD_ID!r}: paper_id must not contain '::', "
-            "which joins a paper id and a figure id\n")
+            f"input error: {path}: record {number}: record {self.BAD_ID!r}: paper_id must not "
+            "contain '::', which joins a paper id and a figure id\n")
 
 
 class TestVocabularyFile:
@@ -1031,6 +1110,58 @@ class TestStage1RetryQueue:
         assert len(list(read_jsonl(queue))) == len(failed)
         assert main(args) == 0
         assert not queue.exists()
+
+
+# `vismine run --config <argv[1]>`, ended by `os._exit(70)`, as a kill would end
+# it, when its stub backends are called for call `argv[2]` + 1.
+KILLED_RUN = """
+import os, sys
+from vismine import gateway
+from vismine.cli import main
+
+complete, calls = gateway.KeywordStubBackend.complete, [0]
+
+def complete_or_exit(self, prompt):
+    if calls[0] == int(sys.argv[2]):
+        os._exit(70)
+    calls[0] += 1
+    return complete(self, prompt)
+
+gateway.KeywordStubBackend.complete = complete_or_exit
+sys.exit(main(["run", "--config", sys.argv[1]]))
+"""
+
+
+def _output_bytes(out_dir: Path) -> dict[str, bytes]:
+    """Every file under `out_dir` but `manifest.json`, by relative path."""
+    return {str(p.relative_to(out_dir)): p.read_bytes() for p in sorted(out_dir.rglob("*"))
+            if p.is_file() and p.name != "manifest.json"}
+
+
+class TestKilledRun:
+    """A run killed after N of fixture12's 28 backend calls, at `max_workers` 1,
+    resumes: its cache log holds the N answers, a rerun on the same cache sends
+    the other 28 - N, and every output, both cache logs included, is a clean
+    run's."""
+
+    @pytest.mark.parametrize("calls", [0, 5, 17, 23, 27])
+    def test_rerun_sends_the_rest_and_writes_a_clean_runs_bytes(self, tmp_path, fixture_config,
+                                                                 calls):
+        clean = run_composite(fixture_config("clean", max_workers=1))
+        config = fixture_config("killed", max_workers=1)
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", KILLED_RUN, str(config), str(calls)],
+                              env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 70, proc.stderr
+        killed = tmp_path / "killed"
+        log = (killed / "cache" / "responses.jsonl").read_text(encoding="utf-8")
+        assert len(log.splitlines()) == calls
+        assert run_composite(config) == killed
+        manifest = json.loads((killed / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["gateway"]["network_calls"] == 28 - calls
+        assert _output_bytes(killed) == _output_bytes(clean)
 
 
 def readme_cli_commands() -> list[str]:

@@ -116,7 +116,8 @@ class TestLoadAndValidate:
         ("ftp://h/v1", False), ("file:///v1", False), ("https//h/v1", False),
         ("http://", False), ("http:///v1", False), ("http://:80/v1", False),
         ("http://h:65536", False), ("http://h:-1", False), ("http://h:port", False),
-        ("http://[::1/v1", False)])
+        ("http://[::1/v1", False), ("http://127.0.0.1:0/v1", False),
+        ("https://example.org:0/", False)])
     def test_http_endpoint_must_be_an_http_url(self, fixture_config, endpoint, valid):
         backends = json.loads(fixture_config().read_text())["backends"]
         backends["remote"] = {"kind": "http", "endpoint": endpoint, "api_key_env": "KEY"}
@@ -250,13 +251,6 @@ def _old_stub_rules(raw) -> StubRules:
         is_pair = lambda item: isinstance(item, (list, tuple)) and len(item) == 2
         return tuple((str(k), str(v)) for k, v in listed(key, "[keyword, value] pairs", is_pair))
 
-    def number(key):
-        value = raw.get(key, getattr(default, key))
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"stub_rules.{key}: expected a number, got {value!r}") from None
-
     return StubRules(
         screen_keywords=strings("screen_keywords"),
         figure_keywords=strings("figure_keywords"),
@@ -265,11 +259,6 @@ def _old_stub_rules(raw) -> StubRules:
         data_type_rules=pairs("data_type_rules"),
         vis_type_rules=pairs("vis_type_rules"),
         purpose_rules=pairs("purpose_rules"),
-        data_type_default=str(raw.get("data_type_default", default.data_type_default)),
-        vis_type_default=str(raw.get("vis_type_default", default.vis_type_default)),
-        purpose_default=str(raw.get("purpose_default", default.purpose_default)),
-        positive_confidence=number("positive_confidence"),
-        negative_confidence=number("negative_confidence"),
     )
 
 
@@ -348,8 +337,6 @@ _pairs = st.lists(st.lists(_text, min_size=2, max_size=2), max_size=3)
 _stub_rules = _some(
     screen_keywords=_texts, figure_keywords=_texts, role_rules=_pairs, listener_rules=_pairs,
     data_type_rules=_pairs, vis_type_rules=_pairs, purpose_rules=_pairs,
-    data_type_default=_text, vis_type_default=_text, purpose_default=_text,
-    positive_confidence=_number, negative_confidence=_number,
 )
 _backend = _some(kind=_text, endpoint=_text, model=_text, api_key_env=_text,
                  temperature=_number, timeout=_number, stub_rules=_stub_rules)

@@ -15,7 +15,10 @@ from vismine.gateway import Gateway, KeywordStubBackend, StubRules
 from vismine.library import CodedFigure, CodedPaper
 from vismine.stage1 import DEFAULT_K, paper_doc, paper_query_tokens, pool_index
 from vismine.stage2 import library_index, retrieve_neighbor_papers
-from vismine.stage3 import figure_tokens, library_figure_corpus, retrieve_similar_figures
+from vismine.stage3 import (
+    build_figure_corpus, coded_figure_entries, figure_docs, figure_tokens,
+    retrieve_similar_figures,
+)
 from vismine.vocab import load_vocabulary, FrameworkLabels
 from tests.conftest import ITEM_FAILURES, RaisingBackend
 
@@ -486,6 +489,12 @@ def coded_library(n):
     return papers, lookup
 
 
+def figure_corpus(papers, lookup):
+    """The figure corpus of `papers`' coded figures, as the stage-3 step builds it."""
+    return build_figure_corpus(figure_docs(
+        entry for paper in papers for entry in coded_figure_entries(paper, lookup)))
+
+
 class TestLibraryFoldIndexes:
     def test_stage2_fold_indexes_exact_and_papers_tokenized_once(self, monkeypatch):
         papers, lookup = coded_library(4)
@@ -509,12 +518,12 @@ class TestLibraryFoldIndexes:
         assert len(tokenized) == 2 * len(papers)  # caption and context, once per figure
         # The library's figure index, then one fold index built within it per paper.
         assert len(built) == len(papers) + 1
-        assert built[0].dump() == library_figure_corpus(papers, lookup).index.dump()
+        assert built[0].dump() == figure_corpus(papers, lookup).index.dump()
         for held_out, index in zip(papers, built[1:]):
             rest = [p for p in papers if p.paper_id != held_out.paper_id]
             assert not any(d.startswith(f"{held_out.paper_id}::")
                            for d in index.dump()["doc_lengths"])
-            assert index.dump() == library_figure_corpus(rest, lookup).index.dump()
+            assert index.dump() == figure_corpus(rest, lookup).index.dump()
 
     def test_stage2_queries_are_the_fold_documents_tokens(self, monkeypatch):
         papers, lookup = coded_library(4)
@@ -540,7 +549,7 @@ class TestLibraryFoldIndexes:
             rest = [p for p in papers if p is not target]
             evidence = lookup(target.paper_id, "Figure 1")
             assert fold.exemplars == retrieve_similar_figures(
-                evidence, figure_tokens(evidence), library_figure_corpus(rest, lookup), k=2,
+                evidence, figure_tokens(evidence), figure_corpus(rest, lookup), k=2,
                 per_paper_cap=1,
             )
 

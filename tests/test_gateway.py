@@ -839,12 +839,10 @@ class TestKeywordStub:
         rules = self.loaded_rules(tmp_path, {
             "screen_keywords": ["saliency"],
             "role_rules": [["accuracy", "performance"]],
-            "vis_type_default": "heatmap",
-            "negative_confidence": 0.25,
+            "vis_type_rules": [["chart", "heatmap"]],
         })
         assert rules == gw.StubRules(
             screen_keywords=("saliency",),
             role_rules=(("accuracy", "performance"),),
-            vis_type_default="heatmap",
-            negative_confidence=0.25,
+            vis_type_rules=(("chart", "heatmap"),),
         )

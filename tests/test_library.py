@@ -44,9 +44,16 @@ class TestCodedPaper:
             coded_paper_from_dict(coded_raw(figures=[{"relevant": True}]))
 
     def test_roundtrip(self):
-        paper = coded_paper_from_dict(coded_raw())
-        again = coded_paper_from_dict(paper.to_dict())
-        assert again == paper
+        raw = coded_raw()
+        paper = coded_paper_from_dict(raw)
+        assert (paper.paper_id, paper.record.title, paper.record.abstract) == (
+            raw["paper_id"], raw["title"], raw["abstract"])
+        assert [(f.figure_id, f.relevant) for f in paper.figures] == [
+            (f["figure_id"], f.get("relevant")) for f in raw["figures"]]
+        assert [f.labels is None for f in paper.figures] == [
+            "labels" not in f for f in raw["figures"]]
+        assert paper.figures[0].labels.as_payload() == {
+            **raw["figures"][0]["labels"], "confidences": {}, "evidence": {}}
 
 
 class TestLoadLibrary:

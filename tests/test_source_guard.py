@@ -9,7 +9,7 @@ way to reach one.  No module imports another module's underscore-prefixed
 names, only `gateway.py` keys or parses a request, only `jsonl.py` opens
 an append-only log, no import in vismine, at any level, names a package
 outside the standard library, and importing the CLI loads no network
-module.
+module and no thread pool.
 """
 
 import ast
@@ -133,12 +133,22 @@ def test_no_module_imports_a_third_party_package():
     assert not outside, "third-party imports: " + ", ".join(outside)
 
 
+def _loaded_by_importing_the_cli(modules: list[str]) -> str:
+    """The printed list of `modules` that a fresh `import vismine.cli` loads."""
+    code = f"import sys, vismine.cli; print([m for m in {modules!r} if m in sys.modules])"
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60, check=True)
+    return proc.stdout
+
+
 def test_importing_the_cli_loads_no_network_module():
     # `HttpBackend.complete` imports these on call; `ssl` alone would add tens of
     # milliseconds and megabytes to every run's start.
     network = ["ssl", "http.client", "urllib.request", "requests"]
-    code = f"import sys, vismine.cli; print([m for m in {network!r} if m in sys.modules])"
-    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, timeout=60, check=True)
-    assert proc.stdout == "[]\n"
+    assert _loaded_by_importing_the_cli(network) == "[]\n"
+
+
+def test_importing_the_cli_loads_no_thread_pool():
+    # `map_items` imports it only to run more than one worker.
+    assert _loaded_by_importing_the_cli(["concurrent.futures"]) == "[]\n"

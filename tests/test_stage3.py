@@ -49,16 +49,16 @@ class TestBuildFigureCorpus:
     def test_indexed_length_triples_caption(self):
         caption = " ".join(f"cap{i:02d}" for i in range(10))
         context = [" ".join(f"ctx{i:02d}" for i in range(30))]
-        corpus = stage3.build_figure_corpus(
+        corpus = stage3.build_figure_corpus(stage3.figure_docs(
             [(fig_evidence("p1", "Figure 1", caption, context), labels())]
-        )
+        ))
         assert corpus.index.doc_length("p1::Figure 1") == 60
 
     def test_empty_context_is_caption_times_three(self):
         caption = "alpha beta gamma"
-        corpus = stage3.build_figure_corpus(
+        corpus = stage3.build_figure_corpus(stage3.figure_docs(
             [(fig_evidence("p1", "Figure 1", caption), labels())]
-        )
+        ))
         assert corpus.index.doc_length("p1::Figure 1") == 9
         assert corpus.index.term_frequency("alpha", "p1::Figure 1") == 3
 
@@ -66,12 +66,12 @@ class TestBuildFigureCorpus:
         import logging
 
         with caplog.at_level(logging.WARNING):
-            corpus = stage3.build_figure_corpus(
+            corpus = stage3.build_figure_corpus(stage3.figure_docs(
                 [
                     (fig_evidence("p1", "Figure 1", ""), labels()),
                     (fig_evidence("p1", "Figure 2", "kept caption here"), labels()),
                 ]
-            )
+            ))
         assert corpus.index.doc_count == 1
         assert any("no caption" in r.message for r in caplog.records)
 
@@ -86,9 +86,9 @@ class TestBuildFigureCorpus:
             "pb", "Figure 1", "encoder overview panel detailed",
             ["the saliency signal appears once here too"],
         )
-        corpus = stage3.build_figure_corpus(
+        corpus = stage3.build_figure_corpus(stage3.figure_docs(
             [(fig_caption, labels("pa")), (fig_context, labels("pb"))]
-        )
+        ))
         target = fig_evidence("q", "Figure 1", "saliency")
         ranked = stage3.retrieve_similar_figures(
             target, stage3.figure_tokens(target), corpus, k=2
@@ -141,7 +141,7 @@ class TestRetrieveSimilarFigures:
             entries.append(
                 (fig_evidence("PD", f"Figure {i}", cap_text(0, f"pd{i}")), labels("PD"))
             )
-        return stage3.build_figure_corpus(entries)
+        return stage3.build_figure_corpus(stage3.figure_docs(entries))
 
     def test_per_paper_cap(self):
         # Twelve candidates; the top five all come from PA, so the cap of 3
@@ -161,7 +161,7 @@ class TestRetrieveSimilarFigures:
             (fig_evidence("P", f"Figure {i}", f"shared probe caption {i:02d} text"), labels("P"))
             for i in range(1, 9)
         ]
-        corpus = stage3.build_figure_corpus(entries)
+        corpus = stage3.build_figure_corpus(stage3.figure_docs(entries))
         target = fig_evidence("q", "Figure 1", "probe caption")
         assert len(stage3.retrieve_similar_figures(
             target, stage3.figure_tokens(target), corpus, k=10, per_paper_cap=10
@@ -425,9 +425,9 @@ class TestAggregateSubfigures:
 class TestRunStage3:
     @pytest.mark.parametrize("error_type", ITEM_FAILURES)
     def test_failed_figure_queued_alone(self, error_type):
-        corpus = stage3.build_figure_corpus([
+        corpus = stage3.build_figure_corpus(stage3.figure_docs([
             (fig_evidence("L1", "Figure 1", "accuracy chart"), labels("L1", vis="heatmap")),
-        ])
+        ]))
         targets = [
             fig_evidence("T1", "Figure 1", "accuracy chart by epoch"),
             fig_evidence("T1", "Figure 2", "a scenic accuracy photograph"),
