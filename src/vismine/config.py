@@ -22,7 +22,7 @@ from . import stage3 as stage3_mod
 from .corpus import DEFAULT_KEYWORDS
 from .errors import ConfigError, InputError
 from .gateway import Gateway, HttpBackend, KeywordStubBackend, StubRules
-from .jsonl import read_jsonl, read_object, unread_keys
+from .jsonl import read_object, unread_keys
 
 
 @dataclass
@@ -84,14 +84,6 @@ class RunConfig:
         return path if path.is_absolute() else self.base_dir / path
 
 
-def _max_corpus_year(path: Path) -> int | None:
-    try:
-        years = [row["year"] for row in read_jsonl(path) if type(row.get("year")) is int]
-    except (InputError, OSError):
-        return None  # malformed corpora are reported by ingest, not here
-    return max(years, default=None)
-
-
 def _is_http_url(url: str) -> bool:
     """An `http://` or `https://` URL with a host and, if any, a port in 1-65535."""
     try:
@@ -123,8 +115,9 @@ def load_config(path: str | Path) -> RunConfig:
 def validate_config(config: RunConfig) -> list[str]:
     """Every violation at once; an empty list means the config is usable.
 
-    Every input path the config gives must exist.  Whether a stage reads
-    a path it leaves out is checked where the stages run, in `pipeline`.
+    Every input path the config gives must exist; no data file is read.
+    Whether a stage reads a path it leaves out, and whether `reference_year`
+    covers the corpus, is checked where the stages run, in `pipeline`.
     """
     errors: list[str] = []
 
@@ -161,14 +154,6 @@ def validate_config(config: RunConfig) -> list[str]:
         errors.append(f"backoff_base must be a finite number >= 0, got {config.backoff_base}")
     if config.reference_year < 1990:
         errors.append(f"reference_year is implausible: {config.reference_year}")
-    corpus_path = config.resolve(config.corpus_path)
-    if corpus_path is not None and corpus_path.exists():
-        max_year = _max_corpus_year(corpus_path)
-        if max_year is not None and max_year > config.reference_year:
-            errors.append(
-                f"reference_year {config.reference_year} precedes the newest "
-                f"corpus year {max_year}"
-            )
 
     named = set(config.backends)
     used = set(config.stage1_backends) | {config.stage2_backend, config.stage3_backend}

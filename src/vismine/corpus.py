@@ -182,17 +182,18 @@ class LabeledPool:
 
 
 def load_labeled_pool(
-    records: Sequence[PaperRecord],
+    records: Sequence[PaperRecord] | Mapping[str, PaperRecord],
     assignments: Iterable[tuple[str, str]],
 ) -> LabeledPool:
     """Partition referenced corpus records by binary label.
 
+    `records` may be a mapping by paper id instead, which is read as each
+    assignment is checked, so it may gain records while `assignments` runs.
     Unknown paper ids and conflicting duplicate assignments are hard
     errors; an empty assignment list yields an empty (flagged) pool.
     """
-    by_id = {r.paper_id: r for r in records}
-    labels: dict[str, str] = {}
-    order: list[str] = []
+    by_id = records if isinstance(records, Mapping) else {r.paper_id: r for r in records}
+    labels: dict[str, str] = {}  # in assignment order
     for paper_id, label in assignments:
         if label not in LABELS:
             raise CorpusError(f"unknown label {label!r} for {paper_id!r}")
@@ -203,12 +204,10 @@ def load_labeled_pool(
                 raise CorpusError(f"conflicting labels for {paper_id!r}")
             raise CorpusError(f"duplicate label assignment for {paper_id!r}")
         labels[paper_id] = label
-        order.append(paper_id)
-    if not order:
+    if not labels:
         logger.warning("empty labeled pool: few-shot retrieval will be impossible")
-    pool_records = tuple(replace(by_id[i], label=labels[i]) for i in order)
     return LabeledPool(
-        records=pool_records,
-        positives=tuple(i for i in order if labels[i] == POSITIVE),
-        negatives=tuple(i for i in order if labels[i] == NEGATIVE),
+        records=tuple(replace(by_id[i], label=label) for i, label in labels.items()),
+        positives=tuple(i for i, label in labels.items() if label == POSITIVE),
+        negatives=tuple(i for i, label in labels.items() if label == NEGATIVE),
     )

@@ -17,7 +17,7 @@ import time
 from contextlib import closing, contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Collection, Iterator, Sequence
+from typing import Collection, Iterator, NamedTuple, Sequence
 
 from . import __version__
 from . import analysis as analysis_mod
@@ -40,39 +40,35 @@ from .vocab import FIELDS, LabelVocabulary, labels_from_dict, load_vocabulary
 
 logger = logging.getLogger(__name__)
 
-STAGES = ("ingest", "stage1", "evidence", "stage2", "stage3", "analyze")
 
-UPSTREAM = {
-    "stage1": ("ingest",),
-    "stage2": ("stage1", "evidence"),
-    "stage3": ("stage2", "evidence"),
-    "analyze": ("stage3",),
+class Step(NamedTuple):
+    """What one step reads and writes."""
+
+    config_inputs: tuple[str, ...]  # the config's input paths it reads; the config must give them
+    upstream: tuple[str, ...]  # the steps whose outputs it reads under `vismine run`
+    eval_upstream: tuple[str, ...]  # the steps whose outputs it reads under `vismine eval`
+    outputs: tuple[str, ...]  # the files it writes, relative to `<out_dir>`
+
+
+# Every step, in the order `vismine run` runs them.
+STEPS = {
+    "ingest": Step(("corpus_path",), (), (), ("corpus.jsonl", "ingest_report.json")),
+    "stage1": Step(("pool_path",), ("ingest",), ("ingest",),
+                   ("stage1_subset.jsonl", "stage1_decisions.jsonl")),
+    "evidence": Step(("docs_manifest_path", "docs_dir"), (), (), ("evidence.jsonl",)),
+    "stage2": Step(("library_path",), ("stage1", "evidence"), ("evidence",),
+                   ("stage2_verdicts.jsonl",)),
+    "stage3": Step(("library_path",), ("stage2", "evidence"), ("evidence",),
+                   ("stage3_labels.jsonl",)),
+    "analyze": Step((), ("stage3",), (), tuple(f"analysis/{name}" for name in (
+        "paths.jsonl", "sankey.json", "edge_flows.json", "trends.csv", "weights.csv"))),
 }
-
-# The stages of `vismine run` whose outputs each stage of `vismine eval` reads.
-EVAL_UPSTREAM = {"stage1": ("ingest",), "stage2": ("evidence",), "stage3": ("evidence",)}
-
-# The config's input paths each stage reads.
-STAGE_INPUTS = {"ingest": ("corpus_path",), "stage1": ("pool_path",),
-                "evidence": ("docs_manifest_path", "docs_dir"),
-                "stage2": ("library_path",), "stage3": ("library_path",)}
+STAGES = tuple(STEPS)
 
 
 def stage_outputs(out_dir: Path) -> dict[str, list[Path]]:
-    return {
-        "ingest": [out_dir / "corpus.jsonl", out_dir / "ingest_report.json"],
-        "stage1": [out_dir / "stage1_subset.jsonl", out_dir / "stage1_decisions.jsonl"],
-        "evidence": [out_dir / "evidence.jsonl"],
-        "stage2": [out_dir / "stage2_verdicts.jsonl"],
-        "stage3": [out_dir / "stage3_labels.jsonl"],
-        "analyze": [
-            out_dir / "analysis" / "paths.jsonl",
-            out_dir / "analysis" / "sankey.json",
-            out_dir / "analysis" / "edge_flows.json",
-            out_dir / "analysis" / "trends.csv",
-            out_dir / "analysis" / "weights.csv",
-        ],
-    }
+    """Each step's output paths under `out_dir`."""
+    return {name: [out_dir / path for path in step.outputs] for name, step in STEPS.items()}
 
 
 @dataclass
@@ -151,14 +147,18 @@ def load_pool(
 
     `records` come first; pool rows with a title add papers they lack.
     """
-    have = {r.paper_id for r in records}
-    extras, assignments = [], []
-    with _records(pool_path, ("paper_id", "label")) as rows:
+    by_id = {r.paper_id: r for r in records}
+
+    def assignments(rows: Iterator[dict]) -> Iterator[tuple[str, str]]:
         for row in rows:
-            if row["paper_id"] not in have and "title" in row:
-                extras.append(corpus_mod.record_from_dict(row))
-            assignments.append((row["paper_id"], row["label"]))
-    return corpus_mod.load_labeled_pool([*records, *extras], assignments)
+            if row["paper_id"] not in by_id and "title" in row:
+                extra = corpus_mod.record_from_dict(row)
+                by_id[extra.paper_id] = extra
+            yield row["paper_id"], row["label"]
+
+    # Each assignment is checked while its row is held, so an error names the row.
+    with _records(pool_path, ("paper_id", "label")) as rows:
+        return corpus_mod.load_labeled_pool(by_id, assignments(rows))
 
 
 def _check_config(config: RunConfig, stages: Sequence[str]) -> None:
@@ -167,7 +167,7 @@ def _check_config(config: RunConfig, stages: Sequence[str]) -> None:
     problems = validate_config(config)
     missing: dict[str, str] = {}  # key -> the first stage that reads it
     for stage in stages:
-        for name in STAGE_INPUTS.get(stage, ()):
+        for name in STEPS[stage].config_inputs:
             if getattr(config, name) is None:
                 missing.setdefault(RunConfig.JSON_KEYS.get(name, name), stage)
     problems += [f"{key}: missing, but stage {stage!r} reads it" for key, stage in missing.items()]
@@ -216,11 +216,19 @@ def load_evidence_table(
 
 
 def run_ingest(config: RunConfig, outputs: dict[str, list[Path]]) -> None:
-    """Ingest the config's `corpus` into `outputs`, keeping the records that match a keyword."""
+    """Ingest the config's `corpus` into `outputs`, keeping the records that match a keyword.
+
+    A kept record newer than the config's `reference_year` is a
+    `ConfigError`, raised before anything is written.
+    """
     corpus_out, report_out = outputs["ingest"]
     with _records(config.resolve(config.corpus_path)) as rows:
         records, report = corpus_mod.ingest_metadata(rows)
     filtered = corpus_mod.keyword_prefilter(records, config.keywords)
+    newest = max((r.year for r in filtered if r.year is not None), default=None)
+    if newest is not None and newest > config.reference_year:
+        raise ConfigError(f"reference_year {config.reference_year} precedes the newest "
+                          f"corpus year {newest}")
     write_jsonl(corpus_out, (r.to_dict() for r in filtered))
     summary = report.to_dict()
     summary["after_keyword_filter"] = len(filtered)
@@ -327,7 +335,8 @@ def run_stage2_step(
     config: RunConfig, outputs: dict[str, list[Path]], gateway: Gateway,
 ) -> tuple[int, Path]:
     """Judge every figure of each stage-1 paper that the config's coded `library` does
-    not hold, with the config's stage-2 settings; failed figures go to the retry queue."""
+    not hold, with the config's stage-2 settings; failed figures go to the retry queue,
+    and each such paper without an evidence row is logged."""
     [verdicts_out] = outputs["stage2"]
     papers = load_corpus_file(outputs["stage1"][0])
     library = config_library(config)
@@ -344,6 +353,10 @@ def run_stage2_step(
         for record in papers
         if record.paper_id not in library_ids
     ]
+    for record, figures in targets:
+        if not figures:  # no document, or none with a captioned figure
+            logger.warning("stage 2: stage-1 paper %s has no row in %s; it gets no verdict",
+                           record.paper_id, outputs["evidence"][0])
     result = stage2_mod.run_stage2(
         targets,
         library,
@@ -362,7 +375,8 @@ def run_stage3_step(
     config: RunConfig, outputs: dict[str, list[Path]], gateway: Gateway, vocab: LabelVocabulary,
 ) -> tuple[int, Path]:
     """Label every figure stage 2 selected, with the config's coded `library` figures as
-    exemplars and its stage-3 settings; failed figures go to the retry queue."""
+    exemplars and its stage-3 settings; failed figures, and those the evidence file
+    has no row for, go to the retry queue."""
     [labels_out] = outputs["stage3"]
     library = config_library(config)
     with _records(outputs["stage2"][0], ("paper_id", "figure_id")) as rows:
@@ -372,14 +386,14 @@ def run_stage3_step(
     lookup = lambda paper_id, figure_id: table.get((paper_id, figure_id))
     corpus = stage3_mod.build_figure_corpus(stage3_mod.figure_docs(
         entry for paper in library for entry in stage3_mod.coded_figure_entries(paper, lookup)))
-    targets = []
+    targets, missing = [], []
     for verdict in selected:
         ev = table.get((verdict.paper_id, verdict.figure_id))
         if ev is None:
-            logger.warning("no evidence for selected figure %s::%s",
-                           verdict.paper_id, verdict.figure_id)
-            continue
-        targets.append(ev)
+            missing.append((verdict.paper_id, verdict.figure_id,
+                            f"no evidence row in {outputs['evidence'][0].name}"))
+        else:
+            targets.append(ev)
     result = stage3_mod.run_stage3(
         targets,
         corpus,
@@ -391,7 +405,8 @@ def run_stage3_step(
         max_workers=config.max_workers,
     )
     write_jsonl(labels_out, (l.to_dict() for l in result.labels))
-    return _write_retry_queue(labels_out, ("paper_id", "figure_id", "message"), result.retry)
+    return _write_retry_queue(labels_out, ("paper_id", "figure_id", "message"),
+                              [*missing, *result.retry])
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -486,11 +501,11 @@ def run_pipeline(config: RunConfig, stages: list[str] | None = None) -> RunManif
 
     for stage in stages:
         # A requested upstream stage ran earlier in this loop.
-        require_outputs(stage, [up for up in UPSTREAM.get(stage, ()) if up not in stages],
-                        outputs)
+        upstream = STEPS[stage].upstream
+        require_outputs(stage, [up for up in upstream if up not in stages], outputs)
         inputs = {
             str(p): written.get(str(p)) or file_sha256(p)
-            for up in UPSTREAM.get(stage, ())
+            for up in upstream
             for p in outputs[up]
             if p.exists()
         }
@@ -541,7 +556,7 @@ def run_eval(config: RunConfig, stages: Sequence[int], out_path: str | Path) -> 
     _check_config(config, names)
     outputs = stage_outputs(config.resolve(config.out_dir))
     for name in names:
-        require_outputs(name, EVAL_UPSTREAM[name], outputs)
+        require_outputs(name, STEPS[name].eval_upstream, outputs)
     pool, coded, table = None, None, {}
     if 1 in stages:
         pool = load_pool(config.resolve(config.pool_path), load_corpus_file(outputs["ingest"][0]))

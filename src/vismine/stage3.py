@@ -122,11 +122,10 @@ def retrieve_similar_figures(
     never supplies a result, and the cap stops one source paper from
     dominating the exemplar slate.
     """
-    ranked = bm25.top_k(corpus.index, query_tokens, k=max(k, corpus.index.doc_count) or 1)
     result: list[str] = []
     per_paper: Counter = Counter()
-    for doc_id in ranked:
-        if len(result) >= k:
+    for doc_id, score in bm25.rank_all(corpus.index, query_tokens):
+        if len(result) >= k or score <= 0.0:  # scores are never negative
             break
         paper_id = corpus.figures[doc_id].evidence.paper_id
         if paper_id == target.paper_id or per_paper[paper_id] >= per_paper_cap:

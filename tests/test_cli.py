@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vismine import cli, pipeline
-from vismine import config as config_mod
 from vismine.cli import main
 from vismine.errors import GatewayError, InputError
 from vismine.gateway import KeywordStubBackend
@@ -181,12 +180,30 @@ class TestUnknownKeys:
 
 class TestConfigValidation:
     def test_run_reads_the_corpus_years_once(self, fixture_config, monkeypatch):
-        calls = []
-        real = config_mod._max_corpus_year
-        monkeypatch.setattr(config_mod, "_max_corpus_year",
-                            lambda path: calls.append(path) or real(path))
-        assert main(["run", "--config", str(fixture_config("validate_once"))]) == 0
-        assert len(calls) == 1
+        """One run reads the corpus file once, in ingest, which checks its years."""
+        config = fixture_config("validate_once")
+        corpus = Path(json.loads(config.read_text())["corpus"])
+        real_read, real_ingest = read_jsonl, pipeline.run_ingest
+        reads, ingesting = [], []
+
+        def read(path):
+            reads.append((Path(path), bool(ingesting)))
+            return real_read(path)
+
+        def run_ingest(*args):
+            ingesting.append(True)
+            try:
+                return real_ingest(*args)
+            finally:
+                ingesting.clear()
+
+        for module in list(sys.modules.values()):  # every vismine module that binds it
+            if module and module.__name__.startswith("vismine") \
+                    and getattr(module, "read_jsonl", None) is real_read:
+                monkeypatch.setattr(module, "read_jsonl", read)
+        monkeypatch.setattr(pipeline, "run_ingest", run_ingest)
+        assert main(["run", "--config", str(config)]) == 0
+        assert [in_ingest for path, in_ingest in reads if path == corpus] == [True]
 
     def test_run_reports_every_violation_on_one_line(self, fixture_config, capsys):
         remote = {"kind": "http", "endpoint": "http://127.0.0.1:9", "api_key_env": "KEY",
@@ -643,6 +660,22 @@ class TestMalformedInput:
         assert self.stage1(fixture_config, capsys, pool) == 1
         err = capsys.readouterr().err
         assert err == f"input error: {pool}: record 2: paper_id: expected a string, got 1\n"
+
+    @pytest.mark.parametrize("number, row, message", [
+        (2, {"paper_id": "P02", "label": "maybe"}, "unknown label 'maybe' for 'P02'"),
+        (7, {"paper_id": "P77", "label": "negative"},
+         "label assignment for unknown paper_id 'P77'"),
+        (7, {"paper_id": "P01", "label": "positive"}, "duplicate label assignment for 'P01'"),
+        (7, {"paper_id": "P01", "label": "negative"}, "conflicting labels for 'P01'"),
+    ], ids=["bad_label", "unknown_id", "duplicate", "conflicting"])
+    def test_bad_pool_assignment_names_file_and_record(self, tmp_path, fixture_config, capsys,
+                                                       number, row, message):
+        lines = (FIXTURE_DIR / "pool.jsonl").read_text(encoding="utf-8").splitlines()
+        lines[number - 1:number] = [json.dumps(row)]  # fixture12's pool has 6 rows
+        pool = tmp_path / "pool.jsonl"
+        pool.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert self.stage1(fixture_config, capsys, pool) == 1
+        assert capsys.readouterr().err == f"input error: {pool}: record {number}: {message}\n"
 
 
 def _set_in_first_row(path: Path, where: tuple, value, paper_id: str = "") -> None:
@@ -1112,19 +1145,61 @@ class TestStage1RetryQueue:
         assert not queue.exists()
 
 
+class TestMissingEvidence:
+    """A stage-2 paper or a stage-3 figure that `evidence.jsonl` has no row for,
+    after a reviewer's edit, does not vanish silently."""
+
+    def test_stage3_queues_a_selected_figure_without_evidence(self, fixture_config):
+        config = ran_config(fixture_config, "no_row", ",".join(pipeline.STAGES))
+        out_dir = Path(json.loads(Path(config).read_text())["out_dir"])
+        labels = (out_dir / "stage3_labels.jsonl").read_text(encoding="utf-8")
+        evidence = out_dir / "evidence.jsonl"
+        rows = evidence.read_text(encoding="utf-8").splitlines(keepends=True)
+        kept = [line for line in rows
+                if (json.loads(line)["paper_id"], json.loads(line)["figure_id"])
+                != ("P07", "Figure 1")]
+        assert len(kept) == len(rows) - 1
+        evidence.write_text("".join(kept), encoding="utf-8")
+        assert main(["run", "--config", config, "--stages", "stage3"]) == 2
+        assert list(read_jsonl(out_dir / "stage3_labels.retry.jsonl")) == [
+            {"paper_id": "P07", "figure_id": "Figure 1",
+             "message": "no evidence row in evidence.jsonl"}]
+        others = [line for line in labels.splitlines(keepends=True)
+                  if (json.loads(line)["paper_id"], json.loads(line)["base_figure_id"])
+                  != ("P07", "Figure 1")]
+        assert len(others) == 5
+        assert (out_dir / "stage3_labels.jsonl").read_text(encoding="utf-8") == "".join(others)
+
+    def test_stage2_warns_of_a_paper_without_evidence(self, fixture_config, tmp_path, caplog):
+        manifest = tmp_path / "docs_manifest.jsonl"
+        manifest.write_text("".join(
+            line for line in (FIXTURE_DIR / "docs_manifest.jsonl").read_text(
+                encoding="utf-8").splitlines(keepends=True)
+            if json.loads(line)["paper_id"] != "P07"), encoding="utf-8")
+        config = fixture_config("no_document", docs_manifest=str(manifest))
+        out_dir = run_composite(config)
+        assert "P07" in {r["paper_id"] for r in read_jsonl(out_dir / "stage1_subset.jsonl")}
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.levelname == "WARNING" and "P07" in r.getMessage()]
+        assert warnings == [f"stage 2: stage-1 paper P07 has no row in "
+                            f"{out_dir / 'evidence.jsonl'}; it gets no verdict"]
+        assert not (out_dir / "stage2_verdicts.retry.jsonl").exists()
+
+
 # `vismine run --config <argv[1]>`, ended by `os._exit(70)`, as a kill would end
 # it, when its stub backends are called for call `argv[2]` + 1.
 KILLED_RUN = """
-import os, sys
+import os, sys, threading
 from vismine import gateway
 from vismine.cli import main
 
-complete, calls = gateway.KeywordStubBackend.complete, [0]
+complete, calls, lock = gateway.KeywordStubBackend.complete, [0], threading.Lock()
 
 def complete_or_exit(self, prompt):
-    if calls[0] == int(sys.argv[2]):
-        os._exit(70)
-    calls[0] += 1
+    with lock:
+        if calls[0] == int(sys.argv[2]):
+            os._exit(70)
+        calls[0] += 1
     return complete(self, prompt)
 
 gateway.KeywordStubBackend.complete = complete_or_exit
@@ -1139,16 +1214,20 @@ def _output_bytes(out_dir: Path) -> dict[str, bytes]:
 
 
 class TestKilledRun:
-    """A run killed after N of fixture12's 28 backend calls, at `max_workers` 1,
-    resumes: its cache log holds the N answers, a rerun on the same cache sends
-    the other 28 - N, and every output, both cache logs included, is a clean
-    run's."""
+    """A run killed after N of fixture12's 28 backend calls resumes: its cache log
+    holds the answers that came back, a rerun on the same cache sends the rest,
+    and every output, both cache logs included, is a clean run's.
 
+    At `max_workers` 1 the log holds N answers.  With more workers, up to
+    `max_workers` - 1 calls are in flight at the kill; their answers are lost
+    and sent again, and the threads append answers in the order they come."""
+
+    @pytest.mark.parametrize("max_workers", [1, 4])
     @pytest.mark.parametrize("calls", [0, 5, 17, 23, 27])
     def test_rerun_sends_the_rest_and_writes_a_clean_runs_bytes(self, tmp_path, fixture_config,
-                                                                 calls):
-        clean = run_composite(fixture_config("clean", max_workers=1))
-        config = fixture_config("killed", max_workers=1)
+                                                                 calls, max_workers):
+        clean = run_composite(fixture_config("clean", max_workers=max_workers))
+        config = fixture_config("killed", max_workers=max_workers)
         src = str(Path(cli.__file__).parents[1])
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -1156,12 +1235,17 @@ class TestKilledRun:
                               env=env, capture_output=True, timeout=120)
         assert proc.returncode == 70, proc.stderr
         killed = tmp_path / "killed"
-        log = (killed / "cache" / "responses.jsonl").read_text(encoding="utf-8")
-        assert len(log.splitlines()) == calls
+        logged = len((killed / "cache" / "responses.jsonl").read_text(
+            encoding="utf-8").splitlines())
+        assert calls - (max_workers - 1) <= logged <= calls
         assert run_composite(config) == killed
         manifest = json.loads((killed / "manifest.json").read_text(encoding="utf-8"))
-        assert manifest["gateway"]["network_calls"] == 28 - calls
-        assert _output_bytes(killed) == _output_bytes(clean)
+        assert manifest["gateway"]["network_calls"] == 28 - logged
+        outputs = [_output_bytes(killed), _output_bytes(clean)]
+        if max_workers > 1:
+            for files in outputs:
+                files["cache/responses.jsonl"] = sorted(files["cache/responses.jsonl"].splitlines())
+        assert outputs[0] == outputs[1]
 
 
 def readme_cli_commands() -> list[str]:

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from vismine import jsonl
+from vismine.cli import main
 from vismine.config import BackendConfig, RunConfig, build_gateway, load_config, validate_config
 from vismine.errors import ConfigError
 from vismine.gateway import KeywordStubBackend, StubRules
@@ -142,10 +143,20 @@ class TestLoadAndValidate:
             "backends.primary.modle: unknown key; "
             "backends.secondary.stub_rules.screen_keyword: unknown key")
 
-    def test_reference_year_must_cover_corpus(self, fixture_config):
+    def test_reference_year_must_cover_corpus(self, fixture_config, tmp_path, monkeypatch,
+                                              capsys):
+        """A run's ingest, not validation, checks the corpus years: exit 1 before any
+        backend call or output file."""
         path = fixture_config(reference_year=2020)  # fixture corpus reaches 2024
-        errors = validate_config(load_config(path))
-        assert any("newest corpus year" in e for e in errors)
+        assert validate_config(load_config(path)) == []
+        calls = []
+        monkeypatch.setattr(KeywordStubBackend, "complete",
+                            lambda self, prompt: calls.append(prompt))
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: reference_year 2020 precedes the newest corpus year 2024\n")
+        assert calls == []
+        assert [p for p in (tmp_path / "out").rglob("*") if p.is_file()] == []
 
 
 class TestDefaults:
