@@ -147,22 +147,24 @@ def keyword_prefilter(
 
 @dataclass(frozen=True)
 class LabeledPool:
-    """Binary-labeled subset used as evaluation reference and few-shot pool."""
+    """Binary-labeled subset used as evaluation reference and few-shot pool.
+
+    Each record carries its label; `positives` and `negatives` are the
+    records' ids by label, in record order.
+    """
 
     records: tuple[PaperRecord, ...]
-    positives: tuple[str, ...]
-    negatives: tuple[str, ...]
+    positives: tuple[str, ...] = field(init=False)
+    negatives: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
-        overlap = set(self.positives) & set(self.negatives)
-        if overlap:
-            raise CorpusError(f"ids labeled both positive and negative: {sorted(overlap)}")
-        # Both maps are read inside the few-shot rebalancing loops, so they
+        # The maps are read inside the few-shot rebalancing loops, so they
         # are built once here rather than on every lookup.
-        labels = {**dict.fromkeys(self.positives, POSITIVE),
-                  **dict.fromkeys(self.negatives, NEGATIVE)}
+        labels = {r.paper_id: r.label for r in self.records}
         object.__setattr__(self, "_labels", labels)
         object.__setattr__(self, "_by_id", {r.paper_id: r for r in self.records})
+        object.__setattr__(self, "positives", tuple(i for i, l in labels.items() if l == POSITIVE))
+        object.__setattr__(self, "negatives", tuple(i for i, l in labels.items() if l == NEGATIVE))
 
     @property
     def by_id(self) -> Mapping[str, PaperRecord]:
@@ -174,18 +176,14 @@ class LabeledPool:
 
     def without(self, paper_id: str) -> "LabeledPool":
         """Pool with one paper removed (leave-one-out folds)."""
-        return LabeledPool(
-            records=tuple(r for r in self.records if r.paper_id != paper_id),
-            positives=tuple(i for i in self.positives if i != paper_id),
-            negatives=tuple(i for i in self.negatives if i != paper_id),
-        )
+        return LabeledPool(tuple(r for r in self.records if r.paper_id != paper_id))
 
 
 def load_labeled_pool(
     records: Sequence[PaperRecord] | Mapping[str, PaperRecord],
     assignments: Iterable[tuple[str, str]],
 ) -> LabeledPool:
-    """Partition referenced corpus records by binary label.
+    """The referenced corpus records, each carrying its assigned binary label.
 
     `records` may be a mapping by paper id instead, which is read as each
     assignment is checked, so it may gain records while `assignments` runs.
@@ -193,21 +191,17 @@ def load_labeled_pool(
     errors; an empty assignment list yields an empty (flagged) pool.
     """
     by_id = records if isinstance(records, Mapping) else {r.paper_id: r for r in records}
-    labels: dict[str, str] = {}  # in assignment order
+    pooled: dict[str, PaperRecord] = {}  # in assignment order
     for paper_id, label in assignments:
         if label not in LABELS:
             raise CorpusError(f"unknown label {label!r} for {paper_id!r}")
         if paper_id not in by_id:
             raise CorpusError(f"label assignment for unknown paper_id {paper_id!r}")
-        if paper_id in labels:
-            if labels[paper_id] != label:
+        if paper_id in pooled:
+            if pooled[paper_id].label != label:
                 raise CorpusError(f"conflicting labels for {paper_id!r}")
             raise CorpusError(f"duplicate label assignment for {paper_id!r}")
-        labels[paper_id] = label
-    if not labels:
+        pooled[paper_id] = replace(by_id[paper_id], label=label)
+    if not pooled:
         logger.warning("empty labeled pool: few-shot retrieval will be impossible")
-    return LabeledPool(
-        records=tuple(replace(by_id[i], label=label) for i, label in labels.items()),
-        positives=tuple(i for i, label in labels.items() if label == POSITIVE),
-        negatives=tuple(i for i, label in labels.items() if label == NEGATIVE),
-    )
+    return LabeledPool(tuple(pooled.values()))

@@ -417,30 +417,47 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buffer.getvalue()
 
 
+def _check_years(path: Path, records: Sequence[corpus_mod.PaperRecord],
+                 reference_year: int) -> None:
+    """A `ConfigError` naming the file, record and paper of the first of `records`,
+    read from `path` one per record, that is newer than `reference_year`."""
+    for number, record in enumerate(records, 1):
+        if record.year is not None and record.year > reference_year:
+            raise ConfigError(f"{path}: record {number}: paper {record.paper_id!r} is from "
+                              f"{record.year}, after reference_year {reference_year}")
+
+
 def run_analyze_step(config: RunConfig, outputs: dict[str, list[Path]]) -> None:
     """Write paths, flows, trends and weights from the stage-3 labels and the
     figures of the config's coded `library`, when it names one.
 
     Papers' metadata comes from the ingested corpus, when ingest has run;
-    library papers fill in the rest.
+    library papers fill in the rest.  A paper of either newer than the
+    config's `reference_year` fails before anything is written, and each
+    flagged figure is left out with a warning naming it.
     """
     paths_out, sankey_out, flows_out, trends_out, weights_out = outputs["analyze"]
     with _records(outputs["stage3"][0]) as rows:
         labels = [labels_from_dict(raw) for raw in rows]
     papers: dict[str, corpus_mod.PaperRecord] = {}
     if outputs["ingest"][0].exists():
-        for record in load_corpus_file(outputs["ingest"][0]):
-            papers[record.paper_id] = record
+        records = load_corpus_file(outputs["ingest"][0])
+        _check_years(outputs["ingest"][0], records, config.reference_year)
+        papers.update((record.paper_id, record) for record in records)
     if config.library_path is not None:
-        for paper in config_library(config):
+        library = config_library(config)
+        _check_years(config.resolve(config.library_path), [p.record for p in library],
+                     config.reference_year)
+        for paper in library:
             papers.setdefault(paper.paper_id, paper.record)
             for figure in paper.coded_figures():
                 labels.append(figure.labels)
 
+    for l in labels:
+        if l.flags:
+            logger.warning("analyze: %s::%s left out of every output: %s",
+                           l.paper_id, l.base_figure_id, ", ".join(l.flags))
     usable = [l for l in labels if not l.flags]
-    skipped = len(labels) - len(usable)
-    if skipped:
-        logger.warning("analyze: %d flagged figure(s) excluded from path expansion", skipped)
     paths = analysis_mod.expand_all(usable)
     write_jsonl(paths_out, (p.to_dict() for p in paths))
     write_json(sankey_out, analysis_mod.sankey_export(paths))

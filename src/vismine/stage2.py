@@ -57,15 +57,13 @@ def verdict_from_dict(raw: Mapping) -> RelevanceVerdict:
 
 @dataclass(frozen=True)
 class FigureExemplarSet:
-    positives: tuple[tuple[FigureEvidence, bool], ...] = ()
-    negatives: tuple[tuple[FigureEvidence, bool], ...] = ()
+    """(evidence, relevant) of each exemplar figure, in prompt order: positives first."""
+
+    pairs: tuple[tuple[FigureEvidence, bool], ...] = ()
 
     @property
     def exemplar_ids(self) -> tuple[str, ...]:
-        return tuple(
-            f"{ev.paper_id}::{ev.figure_id}"
-            for ev, _ in (*self.positives, *self.negatives)
-        )
+        return tuple(f"{ev.paper_id}::{ev.figure_id}" for ev, _ in self.pairs)
 
 
 def library_index(library: Sequence[CodedPaper]) -> bm25.Bm25Index:
@@ -96,19 +94,18 @@ def sample_exemplars(
 
     Figures are taken in neighbor rank order, then figure order, up to
     EXEMPLARS_PER_CLASS_PER_PAPER per paper each way and EXEMPLAR_CAP in
-    total. Figures without an explicit relevance flag or without extracted
-    evidence are skipped.
+    total, and the positives go first. Figures without an explicit
+    relevance flag or without extracted evidence are skipped.
     """
     by_id = {p.paper_id: p for p in library}
-    positives: list[tuple[FigureEvidence, bool]] = []
-    negatives: list[tuple[FigureEvidence, bool]] = []
+    pairs: list[tuple[FigureEvidence, bool]] = []
     for neighbor_id in neighbor_ids:
         paper = by_id.get(neighbor_id)
         if paper is None:
             continue
         taken = {True: 0, False: 0}
         for figure in sorted(paper.labeled_figures(), key=lambda f: figure_sort_key(f.figure_id)):
-            if len(positives) + len(negatives) >= EXEMPLAR_CAP:
+            if len(pairs) >= EXEMPLAR_CAP:
                 break
             if taken[figure.relevant] >= EXEMPLARS_PER_CLASS_PER_PAPER:
                 continue
@@ -120,14 +117,15 @@ def sample_exemplars(
                 )
                 continue
             taken[figure.relevant] += 1
-            (positives if figure.relevant else negatives).append((evidence, figure.relevant))
-    return FigureExemplarSet(positives=tuple(positives), negatives=tuple(negatives))
+            pairs.append((evidence, figure.relevant))
+    # `sorted` is stable: positives first, each class in the order it was taken.
+    return FigureExemplarSet(tuple(sorted(pairs, key=lambda pair: not pair[1])))
 
 
 def figure_request(evidence: FigureEvidence, exemplars: FigureExemplarSet) -> PromptRequest:
     pairs = tuple(
         (ev.assembled_evidence, RELEVANT_ANSWER if label else IRRELEVANT_ANSWER)
-        for ev, label in (*exemplars.positives, *exemplars.negatives)
+        for ev, label in exemplars.pairs
     )
     return PromptRequest(
         system=FIGURE_SYSTEM,

@@ -197,7 +197,6 @@ def normalize_labels(
     `confidences` or `evidence` value that is not a mapping reads as {}.
     """
     normalized: dict[str, tuple[str, ...]] = {}
-    flags: list[str] = []
     for fname in MULTI_FIELDS:
         values: list[str] = []
         for surface in _as_values(raw.get(fname)):
@@ -213,8 +212,6 @@ def normalize_labels(
                 )
         if not values and vocab.has_other(fname):
             values = [OTHER]
-        if not values:
-            flags.append(f"{fname}:empty")
         normalized[fname] = vocab.sort_values(fname, values)
     singles: dict[str, str] = {}
     for fname in (VIS_TYPE, VIS_PURPOSE):
@@ -237,7 +234,6 @@ def normalize_labels(
         vis_purpose=singles[VIS_PURPOSE],
         confidences=confidences,
         evidence=evidence,
-        flags=tuple(flags),
     )
 
 
@@ -280,7 +276,6 @@ def aggregate_subfigures(parts: Sequence[FrameworkLabels], vocab: LabelVocabular
         ]
         candidates = [c for c in candidates if c[1]]
         evidence[fname] = max(candidates)[1] if candidates else ""
-    flags = tuple(sorted({flag for p in parts for flag in p.flags}))
     paper_id, base_figure_id = next(iter(base_ids))
     return FrameworkLabels(
         paper_id=paper_id,
@@ -291,7 +286,6 @@ def aggregate_subfigures(parts: Sequence[FrameworkLabels], vocab: LabelVocabular
         vis_purpose=vis_purpose,
         confidences=confidences,
         evidence=evidence,
-        flags=flags,
     )
 
 

@@ -142,7 +142,6 @@ class FrameworkLabels:
     vis_purpose: str
     confidences: Mapping[str, float] = field(default_factory=dict)
     evidence: Mapping[str, str] = field(default_factory=dict)
-    flags: tuple[str, ...] = ()
 
     JSON_KEYS: ClassVar[dict[str, str | None]] = {
         "listeners": MODEL_LISTENER, "data_types": DATA_TYPE,
@@ -160,18 +159,14 @@ class FrameworkLabels:
             return (self.vis_purpose,)
         raise VocabularyError(f"unknown field {fname!r}")
 
+    @property
+    def flags(self) -> tuple[str, ...]:
+        """Sorted `<field>:empty` of each multi-value field without a value; never read."""
+        return tuple(sorted(f"{f}:empty" for f in MULTI_FIELDS if not self.field_values(f)))
+
     def to_dict(self) -> dict:
-        return {
-            "paper_id": self.paper_id,
-            "base_figure_id": self.base_figure_id,
-            MODEL_LISTENER: list(self.listeners),
-            DATA_TYPE: list(self.data_types),
-            VIS_TYPE: self.vis_type,
-            VIS_PURPOSE: self.vis_purpose,
-            "confidences": dict(self.confidences),
-            "evidence": dict(self.evidence),
-            "flags": list(self.flags),
-        }
+        return {"paper_id": self.paper_id, "base_figure_id": self.base_figure_id,
+                **self.as_payload(), "flags": list(self.flags)}
 
     def as_payload(self) -> dict:
         """Shape matching a raw extraction payload (for re-normalization)."""

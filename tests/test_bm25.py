@@ -441,10 +441,10 @@ class TestFoldIndexes:
         assert same.dump() == bm25.build_index(docs[1:2]).dump()
 
 
-class EagerReference:
-    """Postings built from the documents and every score worked out afresh on
-    each query: the index as it would be if no term's contributions were
-    kept between queries."""
+class FreshScoreReference:
+    """Postings made from the documents up front, as an index makes them at
+    build, and every score worked out afresh on each query: the index as it
+    would be if no term's contributions were kept between queries."""
 
     def __init__(self, docs: dict[str, list[str]]):
         self.docs = docs
@@ -492,16 +492,16 @@ overlapping_queries = st.lists(
 )
 
 
-class TestPostingsOnFirstQuery:
-    """Postings are built with the index, and a term's contributions are made
-    when a query first asks for it; the index must still read as if every
-    contribution had been made eagerly."""
+class TestContributionsOnFirstQuery:
+    """Postings are made when the index is built, and a term's contributions
+    when a query first asks for it; the index must still rank as if every
+    score were worked out afresh on each query."""
 
     @settings(max_examples=200, deadline=None)
     @given(corpora, overlapping_queries)
-    def test_any_query_sequence_equals_eager_reference(self, docs, query_list):
+    def test_any_query_sequence_equals_the_fresh_score_reference(self, docs, query_list):
         index = make_index(docs)
-        reference = EagerReference(docs)
+        reference = FreshScoreReference(docs)
         for query in query_list:
             assert bm25.rank_all(index, query) == reference.rank_all(query)
         assert index.dump() == reference.dump()
@@ -546,7 +546,7 @@ class TestPostingsOnFirstQuery:
         monkeypatch.setattr(bm25, "_idf", pausing_idf)
         docs = {"d1": ["model", "chart"], "d2": ["model", "loss"], "d3": ["chart", "model"]}
         index = make_index(docs)
-        expected = EagerReference(docs).rank_all(["model", "chart"])
+        expected = FreshScoreReference(docs).rank_all(["model", "chart"])
         results = {}
 
         def query(name):
@@ -567,7 +567,7 @@ class TestPostingsOnFirstQuery:
             f"d{i:02d}": [rng.choice(WIDE_VOCABULARY) for _ in range(rng.randint(0, 12))]
             for i in range(40)
         }
-        reference = EagerReference(docs)
+        reference = FreshScoreReference(docs)
         queries = [[rng.choice(WIDE_VOCABULARY) for _ in range(rng.randint(1, 6))]
                    for _ in range(24)]
         expected = [reference.rank_all(q) for q in queries]

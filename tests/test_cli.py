@@ -1186,6 +1186,70 @@ class TestMissingEvidence:
         assert not (out_dir / "stage2_verdicts.retry.jsonl").exists()
 
 
+ANALYSIS = ("paths.jsonl", "sankey.json", "edge_flows.json", "trends.csv", "weights.csv")
+
+
+def edit_labels(out_dir: Path, edit) -> None:
+    """Rewrite each row of `<out_dir>/stage3_labels.jsonl` as `edit` changes it in place."""
+    path = out_dir / "stage3_labels.jsonl"
+    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    for row in rows:
+        edit(row)
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+
+
+class TestAnalyzeStep:
+    """Analyze names each figure it leaves out, reads no stored flags, and stops
+    at a paper newer than `reference_year` before it writes anything."""
+
+    def test_a_figure_without_listeners_is_named_and_left_out(self, fixture_config, caplog):
+        config = ran_config(fixture_config, "emptied", ",".join(pipeline.STAGES))
+        out_dir = Path(json.loads(Path(config).read_text())["out_dir"])
+
+        def empty_one(row):
+            if (row["paper_id"], row["base_figure_id"]) == ("P07", "Figure 3"):
+                row["model_listener"] = []
+
+        edit_labels(out_dir, empty_one)
+        caplog.clear()
+        assert main(["run", "--config", config, "--stages", "analyze"]) == 0
+        assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
+            "analyze: P07::Figure 3 left out of every output: model_listener:empty"]
+        sources = [r["source"] for r in read_jsonl(out_dir / "analysis" / "paths.jsonl")]
+        assert len(sources) == 14 and "P07::Figure 3" not in sources
+
+    def test_a_stored_flag_leaves_nothing_out(self, fixture_config):
+        plain = Path(json.loads(Path(ran_config(
+            fixture_config, "plain", ",".join(pipeline.STAGES))).read_text())["out_dir"])
+        config = ran_config(fixture_config, "stale", ",".join(pipeline.STAGES))
+        out_dir = Path(json.loads(Path(config).read_text())["out_dir"])
+        edit_labels(out_dir, lambda row: row.update(flags=["model_listener:empty"]))
+        assert main(["run", "--config", config, "--stages", "analyze"]) == 0
+        for name in ANALYSIS:
+            assert (out_dir / "analysis" / name).read_bytes() \
+                == (plain / "analysis" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("reference_year, source, paper", [
+        (2020, "corpus", "record 7: paper 'P07' is from 2021"),
+        (2019, "library", "record 3: paper 'P03' is from 2020"),
+    ])
+    def test_a_paper_after_reference_year_exits_1_before_writing(
+            self, fixture_config, capsys, reference_year, source, paper):
+        config = ran_config(fixture_config, "late", ",".join(pipeline.STAGES))
+        out_dir = Path(json.loads(Path(config).read_text())["out_dir"])
+        path = out_dir / "corpus.jsonl"
+        if source == "library":  # analyze then reads the library's papers alone
+            path.unlink()
+            path = FIXTURE_DIR / "library.jsonl"
+        before = {p: p.read_bytes() for p in out_dir.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        config = str(fixture_config("late", reference_year=reference_year))
+        assert main(["run", "--config", config, "--stages", "analyze"]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {path}: {paper}, after reference_year {reference_year}\n")
+        assert {p: p.read_bytes() for p in out_dir.rglob("*") if p.is_file()} == before
+
+
 # `vismine run --config <argv[1]>`, ended by `os._exit(70)`, as a kill would end
 # it, when its stub backends are called for call `argv[2]` + 1.
 KILLED_RUN = """

@@ -76,7 +76,6 @@ def _old_labels_from_dict(raw) -> FrameworkLabels:
         vis_purpose=str(raw.get("visualization_purpose") or OTHER),
         confidences={k: float(v) for k, v in (raw.get("confidences") or {}).items()},
         evidence={k: str(v) for k, v in (raw.get("evidence") or {}).items()},
-        flags=tuple(raw.get("flags") or ()),
     )
 
 
@@ -241,7 +240,6 @@ _LABEL_KEYS = [
     (("confidences", "model_listener"), "confidences.model_listener", "number"),
     (("evidence",), "evidence", "object"),
     (("evidence", "model_listener"), "evidence.model_listener", "string"),
-    (("flags",), "flags", "list"),
 ]
 _FIGURE = ("figures", 0)
 WRONG = (
@@ -288,6 +286,21 @@ def test_a_value_of_another_type_is_an_input_error_naming_its_key(kind, path, ke
     # The row is named by its paper id, which is `value` itself when that is wrong.
     where = repr(value) if key == "paper_id" else "'P1'"
     assert str(caught.value).startswith(f"record {where}: {key}: expected ")
+
+
+# -- a label row's flags are its values' ---------------------------------------
+
+@pytest.mark.parametrize("stored", [["f"], ["model_listener:empty"], [], "f", 3, {"a": 1}])
+@pytest.mark.parametrize("listeners, flags", [(["input data"], ()),
+                                               ([], ("model_listener:empty",))])
+def test_a_stored_flags_value_is_ignored(stored, listeners, flags):
+    row = {**GOOD["labels"], "model_listener": listeners}
+    bare = {key: value for key, value in row.items() if key != "flags"}
+    assert labels_from_dict({**row, "flags": stored}) == labels_from_dict(bare)
+    assert labels_from_dict({**row, "flags": stored}).flags == flags
+    library_row = copy.deepcopy(GOOD["library"])
+    library_row["figures"][0]["labels"].update(model_listener=listeners, flags=stored)
+    assert coded_paper_from_dict(library_row).figures[0].labels.flags == flags
 
 
 # -- a required value left out -------------------------------------------------

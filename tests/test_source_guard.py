@@ -1,15 +1,16 @@
 """Every function, class and method in `src/vismine` has a caller there.
 
 A definition that only tests reach is code the pipeline carries for
-nothing.  Names are matched, not objects: a function or class counts as
-used when its name appears as a Name, an Attribute or an imported name in
-any module other than `__init__.py`, whose re-exports call nothing, and a
-method or property only when its name appears as an Attribute, the only
-way to reach one.  No module imports another module's underscore-prefixed
-names, only `gateway.py` keys or parses a request, only `jsonl.py` opens
-an append-only log, no import in vismine, at any level, names a package
-outside the standard library, and importing the CLI loads no network
-module and no thread pool.
+nothing.  A module-level function or class counts as used when it is
+imported from its module, read as an attribute of that module, or named
+inside its module outside its own body; a method or property when its
+name appears as an Attribute, the only way to reach one; a function
+nested in another when its name appears at all.  `__init__.py` is not
+read: its re-exports call nothing.  No module imports another module's
+underscore-prefixed names, only `gateway.py` keys or parses a request,
+only `jsonl.py` opens an append-only log, no import in vismine, at any
+level, names a package outside the standard library, and importing the
+CLI loads no network module and no thread pool.
 """
 
 import ast
@@ -28,28 +29,62 @@ ALLOWED = {
     "StubBackend": "the response-function backend the tests drive the gateway with",
     "recall": "the score arithmetic's third ratio, next to precision and f1",
     "micro_f1": "the stage-3 metric's definition, which the tests check the reports against",
+    "score": "BM25's one-document formula, the reference the tests check rankings against",
 }
 
 
-def _defined_and_referenced() -> tuple[dict[str, str], set[str]]:
-    """Where each name is first defined, and the names counted as used."""
-    defined: dict[str, str] = {}
-    functions: set[str] = set()  # names defined outside class bodies, classes included
+def _module_names() -> tuple[dict[str, ast.Module], set[tuple[str, str]], set[str], set[str]]:
+    """Each module's tree by name, the (module, name) pairs imported from a module
+    or read as its attribute, and the names seen as a Name and as an Attribute."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    from_module: set[tuple[str, str]] = set()
     named: set[str] = set()
     attributes: set[str] = set()
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for module, tree in trees.items():
+        if module == "__init__":
+            continue
+        aliases = {alias.asname or alias.name: alias.name  # `from . import bm25 as b`
+                   for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                   and node.level == 1 and node.module is None for alias in node.names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                from_module.update((node.module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+                if isinstance(node.value, ast.Name) and node.value.id in aliases:
+                    from_module.add((aliases[node.value.id], node.attr))
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+    return trees, from_module, named, attributes
+
+
+def _definitions() -> list[tuple[str, str, bool]]:
+    """(name, where, used) of each function, class and method in `src/vismine`."""
+    trees, from_module, named, attributes = _module_names()
+    found = []
+    for module, tree in trees.items():
         in_class = {id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
                     for item in node.body}
+        # The names each top-level statement of the module holds as a Name.
+        statements = [{n.id for n in ast.walk(top) if isinstance(n, ast.Name)}
+                      for top in tree.body]
+        top_level = {id(top): number for number, top in enumerate(tree.body)}
         for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not (node.name.startswith("__") and node.name.endswith("__")):
-                    defined.setdefault(node.name, f"{path.name}:{node.lineno}")
-                    if id(node) not in in_class or isinstance(node, ast.ClassDef):
-                        functions.add(node.name)
-            if path.name != "__init__.py":
-                (attributes if isinstance(node, ast.Attribute) else named).update(_names(node))
-    return defined, attributes | (named & functions)
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            if id(node) in top_level:
+                used = (module, node.name) in from_module or any(
+                    node.name in names for number, names in enumerate(statements)
+                    if number != top_level[id(node)])
+            elif id(node) in in_class and not isinstance(node, ast.ClassDef):
+                used = node.name in attributes
+            else:
+                used = node.name in named | attributes
+            found.append((node.name, f"{module}.py:{node.lineno}", used))
+    return found
 
 
 def _names(node: ast.AST) -> list[str]:
@@ -64,17 +99,14 @@ def _names(node: ast.AST) -> list[str]:
 
 
 def test_no_definition_is_reached_only_from_tests():
-    defined, referenced = _defined_and_referenced()
-    unused = sorted(
-        f"{name} ({where})" for name, where in defined.items()
-        if name not in referenced and name not in ALLOWED
-    )
+    unused = sorted(f"{name} ({where})" for name, where, used in _definitions()
+                    if not used and name not in ALLOWED)
     assert not unused, "defined in src/vismine but never referenced there: " + ", ".join(unused)
 
 
 def test_allowlist_names_only_unreferenced_definitions():
-    defined, referenced = _defined_and_referenced()
-    stale = sorted(name for name in ALLOWED if name not in defined or name in referenced)
+    unused = {name for name, _, used in _definitions() if not used}
+    stale = sorted(name for name in ALLOWED if name not in unused)
     assert not stale, f"allowlisted names that are gone or now referenced: {stale}"
 
 

@@ -116,12 +116,14 @@ class TestSampleExemplars:
             papers.append(CodedPaper(record=record(f"L{i}", f"paper {i}"), figures=figures))
         lookup = evidence_table(papers)
         exemplars = stage2.sample_exemplars([p.paper_id for p in papers], papers, lookup)
-        assert len(exemplars.positives) + len(exemplars.negatives) <= 8
+        assert len(exemplars.pairs) <= 8
+        # Prompt order: the positives first, each class in neighbor, then figure, order.
+        assert exemplars.exemplar_ids == (
+            "L0::Figure 1", "L0::Figure 3", "L1::Figure 1", "L1::Figure 3",
+            "L0::Figure 2", "L0::Figure 4", "L1::Figure 2", "L1::Figure 4")
+        assert [relevant for _, relevant in exemplars.pairs] == [True] * 4 + [False] * 4
         for paper in papers:
-            from_paper = [
-                e for e, _ in (*exemplars.positives, *exemplars.negatives)
-                if e.paper_id == paper.paper_id
-            ]
+            from_paper = [e for e, _ in exemplars.pairs if e.paper_id == paper.paper_id]
             relevant_count = sum(
                 1 for e in from_paper
                 if next(f for f in paper.figures if f.figure_id == e.figure_id).relevant

@@ -11,7 +11,7 @@ from vismine import stage3
 from vismine.errors import StageError
 from vismine.evidence import FigureEvidence
 from vismine.gateway import Gateway, StubBackend
-from vismine.vocab import FIELDS, FrameworkLabels, load_vocabulary
+from vismine.vocab import FIELDS, FrameworkLabels, LabelVocabulary, load_vocabulary
 from tests.conftest import ITEM_FAILURES, RaisingBackend
 
 
@@ -27,7 +27,7 @@ def fig_evidence(paper_id, figure_id, caption, context=()):
 
 def labels(paper_id="p", base="Figure 1", listeners=("output results",),
            data=("nominal",), vis="statistical chart", purpose="performance evaluation",
-           confidences=None, evidence=None, flags=()):
+           confidences=None, evidence=None):
     fields = ("model_listener", "data_type", "visualization_type", "visualization_purpose")
     return FrameworkLabels(
         paper_id=paper_id,
@@ -38,7 +38,6 @@ def labels(paper_id="p", base="Figure 1", listeners=("output results",),
         vis_purpose=purpose,
         confidences=confidences or {f: 0.9 for f in fields},
         evidence=evidence or {f: "snippet" for f in fields},
-        flags=tuple(flags),
     )
 
 
@@ -392,7 +391,6 @@ class TestAggregateSubfigures:
             purpose=st.sampled_from(sorted(VOCAB.values("visualization_purpose"))),
             confidences=st.fixed_dictionaries({f: unit for f in FIELDS}),
             evidence=st.fixed_dictionaries({f: st.sampled_from(["", "a", "b"]) for f in FIELDS}),
-            flags=st.lists(st.sampled_from(["low_confidence", "out_of_vocabulary"]), max_size=2),
         )
         parts = data.draw(st.lists(part, min_size=1, max_size=5))
         shuffled = data.draw(st.permutations(parts))
@@ -411,6 +409,20 @@ class TestAggregateSubfigures:
             for part in parts:
                 assert set(part.listeners) <= set(merged.listeners)
 
+    def test_a_listener_from_one_part_clears_the_empty_flag(self):
+        # The first part's only listener is unmatched, so it alone has none.
+        empty = stage3.normalize_labels({"model_listener": ["nonsense"]}, VOCAB, "p", "Figure 1")
+        full = stage3.normalize_labels({"model_listener": ["output results"]}, VOCAB, "p",
+                                       "Figure 1")
+        assert empty.flags == ("model_listener:empty",)
+        for parts in ([empty, full], [full, empty]):
+            merged = stage3.aggregate_subfigures(parts, VOCAB)
+            assert merged.listeners == ("output results",)
+            assert merged.flags == ()
+            assert merged.to_dict()["flags"] == []
+        both_empty = stage3.aggregate_subfigures([empty, empty], VOCAB)
+        assert both_empty.to_dict()["flags"] == ["model_listener:empty"]
+
     def test_mixed_base_ids_rejected(self):
         with pytest.raises(StageError):
             stage3.aggregate_subfigures(
@@ -420,6 +432,31 @@ class TestAggregateSubfigures:
     def test_empty_rejected(self):
         with pytest.raises(StageError):
             stage3.aggregate_subfigures([], VOCAB)
+
+
+# The packaged vocabulary without the data type "other", so that both
+# multi-value fields can end up without a value.
+NO_OTHER = LabelVocabulary(
+    categories={**VOCAB.categories,
+                "data_type": tuple(v for v in VOCAB.values("data_type") if v != "other")},
+    aliases=VOCAB.aliases,
+)
+
+
+def flags_of_values(labels):
+    """`<field>:empty` of each empty multi-value field, sorted: the flags a row shows."""
+    empty = [f for f, values in (("model_listener", labels.listeners),
+                                 ("data_type", labels.data_types)) if not values]
+    return sorted(f"{f}:empty" for f in empty)
+
+
+class TestFlagsFollowTheValues:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.sampled_from([VOCAB, NO_OTHER]), st.lists(json_payloads, min_size=1, max_size=4))
+    def test_normalized_and_merged_flags_are_those_of_the_values(self, vocab, payloads):
+        parts = [stage3.normalize_labels(raw, vocab, "p", "Figure 1") for raw in payloads]
+        for labels in (*parts, stage3.aggregate_subfigures(parts, vocab)):
+            assert list(labels.flags) == labels.to_dict()["flags"] == flags_of_values(labels)
 
 
 class TestRunStage3:

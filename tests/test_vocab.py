@@ -166,7 +166,6 @@ class TestFrameworkLabels:
             vis_purpose="distribution",
             confidences={"model_listener": 0.5},
             evidence={"model_listener": "snippet"},
-            flags=(),
         )
 
     def test_field_values(self):
